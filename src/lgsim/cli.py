@@ -26,7 +26,7 @@ from .inequalities import (
 )
 from .mitigation import ConfusionMatrix, CountsVector, calibrate, mitigate
 from .observables import CountsTable
-from .scenarios import SCENARIO_DESCRIPTIONS, ScenarioSpec
+from .scenarios import SCENARIOS, ScenarioSpec
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -72,7 +72,9 @@ def _cmd_scan(args: argparse.Namespace) -> int:
         return _fail(str(err), EXIT_USAGE)
 
     try:
-        result = spec.run(jobs=args.jobs)
+        result = spec.run()
+    except ConfigError as err:
+        return _fail(str(err), EXIT_USAGE)
     except LgsimError as err:
         return _fail(str(err), EXIT_RUNTIME)
 
@@ -200,9 +202,9 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def _cmd_list_scenarios(_: argparse.Namespace) -> int:
-    width = max(len(name) for name in SCENARIO_DESCRIPTIONS)
-    for name, description in SCENARIO_DESCRIPTIONS.items():
-        print(f"{name:<{width}}  {description}")
+    width = max(len(name) for name in SCENARIOS)
+    for name, scenario in SCENARIOS.items():
+        print(f"{name:<{width}}  {scenario.description}")
     return EXIT_OK
 
 
@@ -221,7 +223,6 @@ def build_parser() -> argparse.ArgumentParser:
     scan.add_argument("--seed", type=int, default=None)
     scan.add_argument("--mitigate", action="store_true", help="apply readout mitigation")
     scan.add_argument("--out", default=".", help="output directory (default: .)")
-    scan.add_argument("--jobs", type=int, default=1, help="grid-point worker threads")
     scan.set_defaults(func=_cmd_scan)
 
     cal = sub.add_parser("calibrate", help="estimate a readout confusion matrix")

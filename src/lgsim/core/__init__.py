@@ -1,5 +1,5 @@
-"""Dense state / density-matrix engine: states, propagators, channels,
-projective measurement."""
+"""Dense state / density-matrix engine: states, Pauli-sum Hamiltonians,
+segment evolution (exact and Trotterized), Kraus channels."""
 
 from .channels import (
     KrausChannel,
@@ -12,16 +12,11 @@ from .channels import (
     relaxation_channels,
 )
 from .evolution import (
-    Propagator,
     TrotterEvolution,
     TrotterPlan,
     evolve_density,
-    propagator,
     trotter_plan,
-    trotter_propagator,
-    trotter_step_unitary,
 )
-from .measurement import MeasurementResult, measure_projective
 from .paulis import (
     MAX_QUBITS,
     PAULI_MATRICES,
@@ -29,8 +24,6 @@ from .paulis import (
     PauliTerm,
     embed_operator,
     pauli_string_matrix,
-    single_site_term,
-    two_site_term,
 )
 from .states import DensityMatrix, PureState, prepare_state
 
@@ -39,11 +32,9 @@ __all__ = [
     "PAULI_MATRICES",
     "DensityMatrix",
     "KrausChannel",
-    "MeasurementResult",
     "NoiseModel",
     "PauliSumHamiltonian",
     "PauliTerm",
-    "Propagator",
     "PureState",
     "TrotterEvolution",
     "TrotterPlan",
@@ -54,14 +45,8 @@ __all__ = [
     "embed_operator",
     "evolve_density",
     "identity_channel",
-    "measure_projective",
     "pauli_string_matrix",
     "prepare_state",
-    "propagator",
     "relaxation_channels",
-    "single_site_term",
     "trotter_plan",
-    "trotter_propagator",
-    "trotter_step_unitary",
-    "two_site_term",
 ]

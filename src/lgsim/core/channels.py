@@ -212,7 +212,6 @@ class NoiseModel:
     gate_depolarizing_1q: float = 0.0
     gate_depolarizing_2q: float = 0.0
     readout_confusion: "ConfusionMatrix | None" = None
-    gate_duration: float = 0.0
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "t1", _normalize_times(self.t1, "t1"))
@@ -221,10 +220,6 @@ class NoiseModel:
             p = getattr(self, name)
             if not 0.0 <= p <= 1.0:
                 raise InvalidNoiseParameter(f"{name}={p} outside [0, 1]")
-        if self.gate_duration < 0:
-            raise InvalidNoiseParameter(
-                f"gate_duration must be nonnegative, got {self.gate_duration}"
-            )
         self._check_t2_bound()
 
     def _check_t2_bound(self) -> None:
@@ -247,9 +242,6 @@ class NoiseModel:
     def qubit_t2(self, qubit: int) -> float | None:
         return _lookup_time(self.t2, qubit)
 
-    def has_relaxation(self) -> bool:
-        return self.t1 is not None or self.t2 is not None
-
     def has_gate_noise(self) -> bool:
         return self.gate_depolarizing_1q > 0 or self.gate_depolarizing_2q > 0
 
@@ -260,7 +252,6 @@ class NoiseModel:
             "t2": self.t2,
             "p1": self.gate_depolarizing_1q,
             "p2": self.gate_depolarizing_2q,
-            "gate_duration": self.gate_duration,
             "readout": None
             if self.readout_confusion is None
             else np.round(self.readout_confusion.matrix, 12).tolist(),

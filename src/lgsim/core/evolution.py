@@ -1,10 +1,11 @@
-"""Unitary propagators, Trotterized evolution, and noisy segment evolution.
+"""Trotterized and exact segment evolution of density matrices, with noise.
 
-Propagators come from a Hermitian eigendecomposition of the Hamiltonian
-(cached per Hamiltonian), which keeps them unitary to machine precision for
-the register sizes handled here. First-order Trotter steps split nearest-
-neighbor bond terms into even/odd layers; single-site field terms are folded
-into the odd-layer exponent so one step stays a two-factor product.
+Exact segments use exp(-i H t) from a Hermitian eigendecomposition of the
+Hamiltonian (cached per Hamiltonian), which keeps it unitary to machine
+precision for the register sizes handled here. First-order Trotter steps
+split nearest-neighbor bond terms into even/odd layers; single-site field
+terms are folded into the odd-layer exponent so one step stays a two-factor
+product.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ..errors import InvalidGrid, InvalidTrotterPlan, LgsimError
+from ..errors import InvalidGrid, InvalidTrotterPlan
 from .channels import (
     NoiseModel,
     apply_channel,
@@ -23,34 +24,6 @@ from .channels import (
 )
 from .paulis import PauliSumHamiltonian, PauliTerm
 from .states import DensityMatrix
-
-UNITARITY_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class Propagator:
-    """Unitary evolution operator between two times."""
-
-    num_qubits: int
-    matrix: np.ndarray
-    t_start: float
-    t_end: float
-
-    def __post_init__(self) -> None:
-        m = np.array(self.matrix, dtype=complex)
-        dim = 2**self.num_qubits
-        if m.shape != (dim, dim):
-            raise LgsimError(f"propagator shape {m.shape} does not match {self.num_qubits} qubits")
-        defect = np.abs(m @ m.conj().T - np.eye(dim)).max()
-        if defect > UNITARITY_TOL:
-            raise LgsimError(f"propagator deviates from unitarity by {defect}")
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-
-    @property
-    def duration(self) -> float:
-        return self.t_end - self.t_start
-
 
 @lru_cache(maxsize=512)
 def _eigensystem(h: PauliSumHamiltonian) -> tuple[np.ndarray, np.ndarray]:
@@ -64,13 +37,6 @@ def _expm_hermitian(h: PauliSumHamiltonian, duration: float) -> np.ndarray:
     w, v = _eigensystem(h)
     phases = np.exp(-1j * w * duration)
     return (v * phases) @ v.conj().T
-
-
-def propagator(h: PauliSumHamiltonian, t_start: float, t_end: float) -> Propagator:
-    """exp(-i H (t_end - t_start)) via eigendecomposition."""
-    if t_end < t_start:
-        raise InvalidGrid(f"t_end={t_end} earlier than t_start={t_start}")
-    return Propagator(h.num_qubits, _expm_hermitian(h, t_end - t_start), t_start, t_end)
 
 
 @dataclass(frozen=True)
@@ -109,11 +75,6 @@ class TrotterPlan:
     def all_terms(self) -> tuple[PauliTerm, ...]:
         return self.even_terms + self.odd_terms + self.single_site_terms
 
-    def with_steps(self, steps: int) -> "TrotterPlan":
-        return TrotterPlan(
-            self.num_qubits, steps, self.even_terms, self.odd_terms, self.single_site_terms
-        )
-
 
 def trotter_plan(h: PauliSumHamiltonian, steps: int) -> TrotterPlan:
     """Partition a nearest-neighbor Hamiltonian for first-order Trotter.
@@ -146,28 +107,6 @@ def _partition_hamiltonian(num_qubits: int, terms: tuple[PauliTerm, ...]) -> Pau
     return PauliSumHamiltonian(num_qubits, terms)
 
 
-def trotter_step_unitary(plan: TrotterPlan, dt: float) -> np.ndarray:
-    """One first-order step exp(-i H_even dt) exp(-i (H_odd + H_single) dt)."""
-    h_even = _partition_hamiltonian(plan.num_qubits, plan.even_terms)
-    h_odd = _partition_hamiltonian(plan.num_qubits, plan.odd_terms + plan.single_site_terms)
-    return _expm_hermitian(h_even, dt) @ _expm_hermitian(h_odd, dt)
-
-
-def trotter_propagator(
-    h: PauliSumHamiltonian, plan: TrotterPlan, total_time: float
-) -> Propagator:
-    """Apply ``plan.steps`` Trotter steps of size total_time / steps."""
-    if total_time < 0:
-        raise InvalidGrid(f"total_time must be nonnegative, got {total_time}")
-    if plan.num_qubits != h.num_qubits:
-        raise InvalidTrotterPlan("plan register size does not match Hamiltonian")
-    if sorted(plan.all_terms(), key=repr) != sorted(h.terms, key=repr):
-        raise InvalidTrotterPlan("plan terms do not partition the Hamiltonian")
-    dt = total_time / plan.steps
-    step = trotter_step_unitary(plan, dt)
-    return Propagator(h.num_qubits, np.linalg.matrix_power(step, plan.steps), 0.0, total_time)
-
-
 @dataclass(frozen=True)
 class TrotterEvolution:
     """Stepped dynamics: segments advance in fixed increments of ``dt``.
@@ -186,6 +125,10 @@ class TrotterEvolution:
             raise InvalidTrotterPlan(f"dt must be nonnegative, got {self.dt}")
         if self.plan.num_qubits != self.hamiltonian.num_qubits:
             raise InvalidTrotterPlan("plan register size does not match Hamiltonian")
+        # identity terms only add a global phase, so trotter_plan drops them
+        terms = [t for t in self.hamiltonian.terms if t.support()]
+        if sorted(self.plan.all_terms(), key=repr) != sorted(terms, key=repr):
+            raise InvalidTrotterPlan("plan terms do not partition the Hamiltonian")
 
     def segment_steps(self, duration: float) -> int:
         if duration <= 0:

@@ -141,22 +141,3 @@ def _hamiltonian_matrix(h: PauliSumHamiltonian) -> np.ndarray:
         out += t.matrix()
     out.setflags(write=False)
     return out
-
-
-def single_site_term(
-    pauli: str, qubit: int, num_qubits: int, coefficient: float
-) -> PauliTerm:
-    s = ["I"] * num_qubits
-    s[qubit] = pauli
-    return PauliTerm(coefficient, "".join(s))
-
-
-def two_site_term(
-    pauli: str, qubit_a: int, qubit_b: int, num_qubits: int, coefficient: float
-) -> PauliTerm:
-    if qubit_a == qubit_b:
-        raise InvalidHamiltonian("two-site term needs distinct qubits")
-    s = ["I"] * num_qubits
-    s[qubit_a] = pauli
-    s[qubit_b] = pauli
-    return PauliTerm(coefficient, "".join(s))

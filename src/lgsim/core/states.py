@@ -68,9 +68,6 @@ class DensityMatrix:
     def dim(self) -> int:
         return 2**self.num_qubits
 
-    def purity(self) -> float:
-        return float(np.trace(self.matrix @ self.matrix).real)
-
 
 def prepare_state(name: str, num_qubits: int) -> PureState:
     """Prepare one of the named initial states.

@@ -10,7 +10,6 @@ spatio-temporal case; only the observables differ.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -149,12 +148,6 @@ def closed_form_k3(gamma: float, tau):
     return 2.0 * c1 - c2, -2.0 * c1 - c2, c2
 
 
-def fourth_combination(c12: float, c23: float, c13: float) -> float:
-    """The remaining sign pattern C12 - C23 + C13 generated by single-time
-    relabelings; exposed for completeness, not part of default scans."""
-    return c12 - c23 + c13
-
-
 # ---------------------------------------------------------------------------
 # tau scans
 
@@ -225,6 +218,8 @@ def _validate_grid(tau_grid: Sequence[float]) -> list[float]:
     taus = [float(t) for t in tau_grid]
     if not taus:
         raise InvalidGrid("empty tau grid")
+    if not all(math.isfinite(t) for t in taus):
+        raise InvalidGrid("tau grid must be finite")
     if taus[0] < 0:
         raise InvalidGrid(f"negative tau {taus[0]}")
     if any(b <= a for a, b in zip(taus, taus[1:])):
@@ -283,13 +278,12 @@ def tau_scan(
     setup: ThreeTimeSetup,
     tau_grid: Sequence[float],
     engine: Engine,
-    jobs: int = 1,
 ) -> ScanResult:
     """Evaluate C12(0, t), C23(t, 2t), C13(0, 2t) and assemble the three
-    combinations at every grid point.
+    combinations at every grid point, in grid order.
 
     Sampled runs derive an independent substream per (grid point,
-    correlator) from the master seed, so results do not depend on ``jobs``.
+    correlator) from the master seed.
     """
     from .mitigation import mitigate_correlator
 
@@ -303,8 +297,8 @@ def tau_scan(
     pair_confusion = _pair_confusion(setup) if engine.mitigate else None
     rho0 = setup.rho0
 
-    def run_point(item: tuple[int, float]) -> InequalityResult:
-        index, tau = item
+    results = []
+    for index, tau in enumerate(taus):
         if plan is None:
             dynamics = setup.hamiltonian
         else:
@@ -327,14 +321,7 @@ def tau_scan(
                 if pair_confusion is not None:
                     est = mitigate_correlator(counts, pair_confusion)
                 estimates.append(est)
-        return assemble_third_order(*estimates, mode=setup.mode, tau=tau)
-
-    items = list(enumerate(taus))
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(run_point, items))
-    else:
-        results = [run_point(item) for item in items]
+        results.append(assemble_third_order(*estimates, mode=setup.mode, tau=tau))
 
     metadata = {
         "mode": setup.mode,
@@ -395,11 +382,6 @@ def scan_to_csv(scan: ScanResult) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_scan_csv(scan: ScanResult, path) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(scan_to_csv(scan))
-
-
 # ---------------------------------------------------------------------------
 # parameter-region scan
 
@@ -457,6 +439,8 @@ def violation_region_scan(
     qubit's rate is scaled by the grid ratio; the first and last qubits are
     read out. Exact engine only.
     """
+    from .scenarios import transverse_field_hamiltonian
+
     if n_qubits < 2:
         raise InvalidGrid("region scan needs at least two qubits")
     ratios = [float(r) for r in gamma_ratio_grid]
@@ -472,13 +456,7 @@ def violation_region_scan(
     values = {name: np.zeros(shape) for name in names}
     flags = {name: np.zeros(shape, dtype=bool) for name in names}
     for i, ratio in enumerate(ratios):
-        gammas = [1.0] * (n_qubits - 1) + [ratio]
-        terms = []
-        for q, g in enumerate(gammas):
-            s = ["I"] * n_qubits
-            s[q] = "X"
-            terms.append((g / 2.0, "".join(s)))
-        h = PauliSumHamiltonian.from_terms(n_qubits, terms)
+        h = transverse_field_hamiltonian([1.0] * (n_qubits - 1) + [ratio])
         setup = ThreeTimeSetup(
             rho0, h, obs_first, obs_second, mode="LGBI", label=f"ratio={ratio}"
         )

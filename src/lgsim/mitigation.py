@@ -111,21 +111,6 @@ class ConfusionMatrix:
         data = json.loads(text)
         return cls(int(data["num_bits"]), np.array(data["matrix"], dtype=float))
 
-    def to_csv(self) -> str:
-        lines = [",".join(f"{x:.12g}" for x in row) for row in self.matrix]
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_csv(cls, text: str) -> "ConfusionMatrix":
-        rows = [
-            [float(x) for x in line.split(",")]
-            for line in text.strip().splitlines()
-            if line.strip()
-        ]
-        m = np.array(rows, dtype=float)
-        num_bits = int(np.log2(m.shape[0]))
-        return cls(num_bits, m)
-
 
 @dataclass(frozen=True)
 class CountsVector:

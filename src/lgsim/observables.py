@@ -179,9 +179,6 @@ class MeasurementSchedule:
     def t_second(self) -> float:
         return self.times[1]
 
-    def spatially_separated(self) -> bool:
-        return not set(self.first_observable.qubits) & set(self.second_observable.qubits)
-
 
 @dataclass(frozen=True)
 class CorrelatorEstimate:

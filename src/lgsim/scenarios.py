@@ -17,8 +17,9 @@ Each runner reproduces one desk-scale experiment family end to end:
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, replace
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -50,7 +51,6 @@ DEFAULT_GATE_DEPOL_2Q = 0.01
 DEFAULT_READOUT_FLIP = 0.03
 DEFAULT_T1 = 140.0
 DEFAULT_T2 = 60.0
-DEFAULT_GATE_DURATION = 0.03
 
 
 def transverse_field_hamiltonian(gammas: Sequence[float]) -> PauliSumHamiltonian:
@@ -103,7 +103,6 @@ def hardware_noise_model(
     gate_depolarizing_2q: float = DEFAULT_GATE_DEPOL_2Q,
     t1: float | None = None,
     t2: float | None = None,
-    gate_duration: float = DEFAULT_GATE_DURATION,
 ) -> NoiseModel:
     """Noise model with device-characterization-style defaults."""
     return NoiseModel(
@@ -112,7 +111,6 @@ def hardware_noise_model(
         gate_depolarizing_1q=gate_depolarizing_1q,
         gate_depolarizing_2q=gate_depolarizing_2q,
         readout_confusion=ConfusionMatrix.symmetric(readout_flip) if readout_flip else None,
-        gate_duration=gate_duration,
     )
 
 
@@ -129,7 +127,6 @@ def run_single_qubit(
     engine: Engine,
     noise: NoiseModel | None = None,
     tau_grid: Sequence[float] | None = None,
-    jobs: int = 1,
 ) -> ScanResult:
     """Temporal scan for one qubit rotating about x, read along z."""
     if gamma <= 0:
@@ -144,7 +141,7 @@ def run_single_qubit(
         noise=noise,
         label="single_qubit",
     )
-    scan = tau_scan(setup, taus, engine, jobs=jobs)
+    scan = tau_scan(setup, taus, engine)
     scan.metadata["scenario"] = "single_qubit"
     scan.metadata["parameters"] = {"gamma": gamma}
     return scan
@@ -156,7 +153,6 @@ def run_transmon(
     engine: Engine,
     noise: NoiseModel | None = None,
     tau_grid: Sequence[float] | None = None,
-    jobs: int = 1,
 ) -> ScanResult:
     """Free precession from the equal superposition with dephasing.
 
@@ -186,7 +182,7 @@ def run_transmon(
         noise=noise,
         label="transmon",
     )
-    scan = tau_scan(setup, taus, engine, jobs=jobs)
+    scan = tau_scan(setup, taus, engine)
     undamped = np.column_stack(closed_form_k3(omega_eff, taus))
     damped = np.column_stack(transmon_closed_form(omega_eff, t2, taus))
     scan.metadata["scenario"] = "transmon"
@@ -209,7 +205,6 @@ def run_bell_pair(
     engine: Engine,
     noise: NoiseModel | None = None,
     tau_grid: Sequence[float] | None = None,
-    jobs: int = 1,
 ) -> ScanResult:
     """Bell-state pair under independent x rotations, measured per mode.
 
@@ -237,7 +232,7 @@ def run_bell_pair(
         noise=noise,
         label=f"bell_pair_{mode}",
     )
-    scan = tau_scan(setup, taus, engine, jobs=jobs)
+    scan = tau_scan(setup, taus, engine)
     scan.metadata["scenario"] = f"bell_pair_{mode}"
     scan.metadata["parameters"] = {"gamma1": g1, "gamma2": g2}
     return scan
@@ -257,12 +252,11 @@ def run_tfic(
     engine: Engine,
     noise: NoiseModel | None = None,
     tau_grid: Sequence[float] | None = None,
-    jobs: int = 1,
 ) -> ScanResult:
     """Transverse-field Ising chain from a GHZ state, spatio-temporal mode
     between the chain ends, evolved with k Trotter steps per tau.
 
-    The metadata carries the noiseless exact-propagator reference curve and
+    The metadata carries the noiseless exact-evolution reference curve and
     the abstract per-correlator layer counts.
     """
     if not 1 <= int(k) <= 50:
@@ -284,11 +278,11 @@ def run_tfic(
         rho0, h, first, second, mode="LGBI", noise=noise,
         trotter_steps_per_tau=int(k), label=f"tfic_k{k}",
     )
-    scan = tau_scan(setup, taus, engine, jobs=jobs)
+    scan = tau_scan(setup, taus, engine)
     reference_setup = ThreeTimeSetup(
         rho0, h, first, second, mode="LGBI", label="tfic_exact",
     )
-    reference = tau_scan(reference_setup, taus, Engine.exact(), jobs=jobs)
+    reference = tau_scan(reference_setup, taus, Engine.exact())
     scan.metadata["scenario"] = "tfic"
     scan.metadata["parameters"] = {"j": j, "gammas": gammas, "k": int(k)}
     scan.metadata["exact_reference"] = reference.values().tolist()
@@ -311,24 +305,104 @@ def run_param_scan(
 # ---------------------------------------------------------------------------
 # declarative configuration
 
-SCENARIO_DESCRIPTIONS = {
-    "single_qubit": "one qubit rotating about x, z readout, temporal inequalities",
-    "transmon": "free phase precession from |+> with pure dephasing (t2)",
-    "bell_pair_lgi_single": "Bell pair, temporal inequalities on one qubit",
-    "bell_pair_lgi_global": "Bell pair, temporal inequalities on the two-qubit parity",
-    "bell_pair_lgbi": "Bell pair, spatio-temporal inequalities across the qubits",
-    "tfic": "5-qubit transverse-field Ising chain, Trotterized, chain-end readout",
-    "param_scan": "violation-region map over the last qubit's frequency ratio",
-}
 
-REQUIRED_PARAMETERS = {
-    "single_qubit": ("gamma",),
-    "transmon": ("omega_eff", "t2"),
-    "bell_pair_lgi_single": ("gamma1", "gamma2"),
-    "bell_pair_lgi_global": ("gamma1", "gamma2"),
-    "bell_pair_lgbi": ("gamma1", "gamma2"),
-    "tfic": ("j", "gammas", "k"),
-    "param_scan": ("n_qubits", "ratios"),
+def _finite(value, key: str) -> float:
+    """``value`` as a finite float, or a config error naming ``key``."""
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        number = math.nan
+    if not math.isfinite(number):
+        raise ConfigError(f"{key} must be a finite number, got {value!r}")
+    return number
+
+
+def _build_single_qubit(spec: "ScenarioSpec") -> ScanResult:
+    gamma = _finite(spec.parameters["gamma"], "gamma")
+    taus = spec._tau_grid(2.0 * np.pi / gamma, DEFAULT_TAU_POINTS)
+    return run_single_qubit(gamma, spec.engine, spec.noise, taus)
+
+
+def _build_transmon(spec: "ScenarioSpec") -> ScanResult:
+    t2 = spec.parameters["t2"]
+    return run_transmon(
+        _finite(spec.parameters["omega_eff"], "omega_eff"),
+        None if t2 is None else float(t2),
+        spec.engine,
+        spec.noise,
+        spec._tau_grid(DEFAULT_TRANSMON_TAU_MAX, DEFAULT_TAU_POINTS),
+    )
+
+
+def _build_bell_pair(spec: "ScenarioSpec") -> ScanResult:
+    g1 = _finite(spec.parameters["gamma1"], "gamma1")
+    g2 = _finite(spec.parameters["gamma2"], "gamma2")
+    taus = spec._tau_grid(2.0 * np.pi / g1, DEFAULT_TAU_POINTS)
+    mode = spec.name.removeprefix("bell_pair_")
+    return run_bell_pair(mode, (g1, g2), spec.engine, spec.noise, taus)
+
+
+def _build_tfic(spec: "ScenarioSpec") -> ScanResult:
+    p = spec.parameters
+    gammas = [_finite(g, "gammas") for g in p["gammas"]]
+    taus = spec._tau_grid(1.0 / gammas[0], DEFAULT_TFIC_POINTS)
+    return run_tfic(
+        _finite(p["j"], "j"), gammas, int(_finite(p["k"], "k")), spec.engine, spec.noise, taus
+    )
+
+
+def _build_param_scan(spec: "ScenarioSpec") -> RegionScanResult:
+    p = spec.parameters
+    taus = spec._tau_grid(2.0 * np.pi, DEFAULT_TAU_POINTS)
+    n_qubits = int(_finite(p["n_qubits"], "n_qubits"))
+    return run_param_scan(n_qubits, [_finite(r, "ratios") for r in p["ratios"]], taus)
+
+
+class Scenario(NamedTuple):
+    """One registry entry: what ``list-scenarios`` prints, the parameters a
+    config must carry, and the builder that turns a spec into a run."""
+
+    description: str
+    required: tuple[str, ...]
+    build: Callable[["ScenarioSpec"], "ScanResult | RegionScanResult"]
+
+
+SCENARIOS = {
+    "single_qubit": Scenario(
+        "one qubit rotating about x, z readout, temporal inequalities",
+        ("gamma",),
+        _build_single_qubit,
+    ),
+    "transmon": Scenario(
+        "free phase precession from |+> with pure dephasing (t2)",
+        ("omega_eff", "t2"),
+        _build_transmon,
+    ),
+    "bell_pair_lgi_single": Scenario(
+        "Bell pair, temporal inequalities on one qubit",
+        ("gamma1", "gamma2"),
+        _build_bell_pair,
+    ),
+    "bell_pair_lgi_global": Scenario(
+        "Bell pair, temporal inequalities on the two-qubit parity",
+        ("gamma1", "gamma2"),
+        _build_bell_pair,
+    ),
+    "bell_pair_lgbi": Scenario(
+        "Bell pair, spatio-temporal inequalities across the qubits",
+        ("gamma1", "gamma2"),
+        _build_bell_pair,
+    ),
+    "tfic": Scenario(
+        "5-qubit transverse-field Ising chain, Trotterized, chain-end readout",
+        ("j", "gammas", "k"),
+        _build_tfic,
+    ),
+    "param_scan": Scenario(
+        "violation-region map over the last qubit's frequency ratio",
+        ("n_qubits", "ratios"),
+        _build_param_scan,
+    ),
 }
 
 
@@ -354,7 +428,6 @@ def noise_to_config(noise: NoiseModel | None) -> dict | None:
         "t2": _times_to_config(noise.t2),
         "gate_depolarizing_1q": noise.gate_depolarizing_1q,
         "gate_depolarizing_2q": noise.gate_depolarizing_2q,
-        "gate_duration": noise.gate_duration,
     }
     if noise.readout_confusion is not None:
         out["readout_confusion"] = {
@@ -369,7 +442,7 @@ def noise_from_config(data: Mapping | None) -> NoiseModel | None:
         return None
     known = {
         "t1", "t2", "gate_depolarizing_1q", "gate_depolarizing_2q",
-        "readout_flip", "readout_confusion", "gate_duration",
+        "readout_flip", "readout_confusion",
     }
     unknown = set(data) - known
     if unknown:
@@ -386,7 +459,6 @@ def noise_from_config(data: Mapping | None) -> NoiseModel | None:
         gate_depolarizing_1q=float(data.get("gate_depolarizing_1q", 0.0)),
         gate_depolarizing_2q=float(data.get("gate_depolarizing_2q", 0.0)),
         readout_confusion=confusion,
-        gate_duration=float(data.get("gate_duration", 0.0)),
     )
 
 
@@ -402,11 +474,11 @@ class ScenarioSpec:
     schema_version: int = SCHEMA_VERSION
 
     def __post_init__(self) -> None:
-        if self.name not in SCENARIO_DESCRIPTIONS:
+        if self.name not in SCENARIOS:
             raise ConfigError(
-                f"unknown scenario {self.name!r}; choose from {sorted(SCENARIO_DESCRIPTIONS)}"
+                f"unknown scenario {self.name!r}; choose from {sorted(SCENARIOS)}"
             )
-        for key in REQUIRED_PARAMETERS[self.name]:
+        for key in SCENARIOS[self.name].required:
             if key not in self.parameters:
                 raise ConfigError(f"scenario {self.name!r}: missing required parameter {key!r}")
 
@@ -463,44 +535,14 @@ class ScenarioSpec:
         }
 
     def _tau_grid(self, default_max: float, default_points: int) -> np.ndarray:
-        n_points = int(self.grid.get("n_points", default_points))
+        n_points = int(_finite(self.grid.get("n_points", default_points), "grid.n_points"))
         tau_max = self.grid.get("tau_max")
-        tau_max = float(tau_max) if tau_max is not None else default_max
+        tau_max = _finite(tau_max, "grid.tau_max") if tau_max is not None else default_max
         if n_points < 1 or tau_max <= 0:
             raise ConfigError(f"bad grid: n_points={n_points}, tau_max={tau_max}")
         return np.linspace(0.0, tau_max, n_points)
 
-    def run(self, jobs: int = 1) -> ScanResult | RegionScanResult:
-        p = self.parameters
-        if self.name == "single_qubit":
-            gamma = float(p["gamma"])
-            taus = self._tau_grid(2.0 * np.pi / gamma, DEFAULT_TAU_POINTS)
-            result = run_single_qubit(gamma, self.engine, self.noise, taus, jobs=jobs)
-        elif self.name == "transmon":
-            t2 = p["t2"]
-            result = run_transmon(
-                float(p["omega_eff"]),
-                None if t2 is None else float(t2),
-                self.engine,
-                self.noise,
-                self._tau_grid(DEFAULT_TRANSMON_TAU_MAX, DEFAULT_TAU_POINTS),
-                jobs=jobs,
-            )
-        elif self.name.startswith("bell_pair_"):
-            mode = self.name.removeprefix("bell_pair_")
-            g1 = float(p["gamma1"])
-            taus = self._tau_grid(2.0 * np.pi / g1, DEFAULT_TAU_POINTS)
-            result = run_bell_pair(
-                mode, (g1, float(p["gamma2"])), self.engine, self.noise, taus, jobs=jobs
-            )
-        elif self.name == "tfic":
-            gammas = [float(g) for g in p["gammas"]]
-            taus = self._tau_grid(1.0 / gammas[0], DEFAULT_TFIC_POINTS)
-            result = run_tfic(
-                float(p["j"]), gammas, int(p["k"]), self.engine, self.noise, taus, jobs=jobs
-            )
-        else:
-            taus = self._tau_grid(2.0 * np.pi, DEFAULT_TAU_POINTS)
-            result = run_param_scan(int(p["n_qubits"]), [float(r) for r in p["ratios"]], taus)
+    def run(self) -> ScanResult | RegionScanResult:
+        result = SCENARIOS[self.name].build(self)
         result.metadata["config"] = self.to_config()
         return result

@@ -129,11 +129,34 @@ def test_env_seed_fallback(tmp_path, monkeypatch):
     assert manifest["seed"] == 12345
 
 
-def test_scan_jobs_flag_does_not_change_output(tmp_path, single_qubit_config):
-    a, b = tmp_path / "a", tmp_path / "b"
-    assert main(["scan", single_qubit_config, "--out", str(a)]) == 0
-    assert main(["scan", single_qubit_config, "--out", str(b), "--jobs", "3"]) == 0
-    assert (a / "scan.csv").read_bytes() == (b / "scan.csv").read_bytes()
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "scenario, parameters, extra, key",
+    [
+        ("single_qubit", {"gamma": 1.0}, {"grid": {"tau_max": NAN}}, "tau_max"),
+        ("single_qubit", {"gamma": 1.0}, {"grid": {"tau_max": INF}}, "tau_max"),
+        ("single_qubit", {"gamma": 1.0}, {"grid": {"n_points": NAN}}, "n_points"),
+        ("single_qubit", {"gamma": NAN}, {}, "gamma"),
+        ("tfic", {"j": 0.1, "gammas": [1, 1, NAN], "k": 2}, {}, "gammas"),
+        ("single_qubit", {"gamma": 1.0}, {"noise": {"gate_duration": 0.03}}, "gate_duration"),
+    ],
+)
+def test_scan_rejects_unphysical_config_naming_the_key(
+    tmp_path, capsys, scenario, parameters, extra, key
+):
+    config = write_config(
+        tmp_path / "bad.json", {"scenario": scenario, "parameters": parameters, **extra}
+    )
+    out = tmp_path / "o"
+    assert main(["scan", config, "--out", str(out)]) == 2
+    assert key in capsys.readouterr().err
+    assert not (out / "scan.csv").exists()
+
+
+def test_scan_has_no_jobs_flag(tmp_path, single_qubit_config):
+    assert main(["scan", single_qubit_config, "--out", str(tmp_path), "--jobs", "2"]) == 2
 
 
 def test_param_scan_via_cli(tmp_path):

@@ -4,6 +4,7 @@ from scipy.linalg import expm
 
 import bruteforce as bf
 from lgsim import (
+    DensityMatrix,
     InvalidGrid,
     InvalidHamiltonian,
     InvalidTrotterPlan,
@@ -12,9 +13,7 @@ from lgsim import (
     TrotterEvolution,
     evolve_density,
     prepare_state,
-    propagator,
     trotter_plan,
-    trotter_propagator,
 )
 
 X = bf.X
@@ -35,30 +34,41 @@ def tfic_hamiltonian(j=0.1, gammas=(1, 1, 1, 1, 2.0)):
     return PauliSumHamiltonian.from_terms(n, terms)
 
 
+def random_rho(n, rng):
+    return DensityMatrix(n, bf.random_density_matrix(n, rng))
+
+
+def conjugate(u, rho):
+    return u @ rho.matrix @ u.conj().T
+
+
 def test_pi_rotation_about_x_gives_minus_i_x():
     h = PauliSumHamiltonian.from_terms(1, [(0.5, "X")])
-    u = propagator(h, 0.0, np.pi).matrix
-    assert np.abs(u - (-1j) * X).max() < 1e-10
+    rho = random_rho(1, np.random.default_rng(3))
+    out = evolve_density(rho, h, 0.0, np.pi)
+    assert np.abs(out.matrix - conjugate((-1j) * X, rho)).max() < 1e-10
 
 
 def test_zero_duration_is_identity():
     h = PauliSumHamiltonian.from_terms(2, [(0.7, "XZ"), (-0.3, "YI")])
-    u = propagator(h, 1.3, 1.3).matrix
-    assert np.abs(u - np.eye(4)).max() < 1e-12
+    rho = random_rho(2, np.random.default_rng(4))
+    out = evolve_density(rho, h, 1.3, 1.3)
+    assert np.abs(out.matrix - rho.matrix).max() < 1e-12
 
 
 def test_z_rotation_matches_diagonal_phases():
     omega, t = 0.8, 2.1
     h = PauliSumHamiltonian.from_terms(1, [(-omega / 2, "Z")])
-    u = propagator(h, 0.0, t).matrix
+    rho = prepare_state("plus", 1).density_matrix()
+    out = evolve_density(rho, h, 0.0, t)
     expected = np.diag([np.exp(1j * omega * t / 2), np.exp(-1j * omega * t / 2)])
-    assert np.abs(u - expected).max() < 1e-12
+    assert np.abs(out.matrix - conjugate(expected, rho)).max() < 1e-12
 
 
 def test_reversed_times_rejected():
     h = PauliSumHamiltonian.from_terms(1, [(0.5, "X")])
     with pytest.raises(InvalidGrid):
-        propagator(h, 1.0, 0.5)
+        evolve_density(prepare_state("zero", 1).density_matrix(), h, 1.0, 0.5)
 
 
 def test_non_finite_coefficient_rejected():
@@ -81,12 +91,13 @@ def test_unitarity_and_composition_on_random_hamiltonians():
         n = int(rng.integers(1, 5))
         h = PauliSumHamiltonian.from_terms(n, bf.random_hamiltonian_terms(n, rng))
         t1, t2, t3 = np.sort(rng.uniform(0.0, 3.0, size=3))
-        u13 = propagator(h, t1, t3).matrix
-        u12 = propagator(h, t1, t2).matrix
-        u23 = propagator(h, t2, t3).matrix
-        dim = 2**n
-        assert np.abs(u13 @ u13.conj().T - np.eye(dim)).max() < 1e-9
-        assert np.abs(u23 @ u12 - u13).max() < 1e-9
+        rho = random_rho(n, rng)
+        rho13 = evolve_density(rho, h, t1, t3)
+        rho123 = evolve_density(evolve_density(rho, h, t1, t2), h, t2, t3)
+        # unitary conjugation keeps the spectrum
+        spectrum = np.linalg.eigvalsh(rho.matrix)
+        assert np.abs(np.linalg.eigvalsh(rho13.matrix) - spectrum).max() < 1e-9
+        assert np.abs(rho123.matrix - rho13.matrix).max() < 1e-9
 
 
 def test_matches_scipy_expm_on_random_hamiltonians():
@@ -96,8 +107,9 @@ def test_matches_scipy_expm_on_random_hamiltonians():
         terms = bf.random_hamiltonian_terms(n, rng)
         h = PauliSumHamiltonian.from_terms(n, terms)
         t = float(rng.uniform(0.1, 2.0))
-        expected = expm(-1j * bf.hamiltonian(n, terms) * t)
-        assert np.abs(propagator(h, 0.0, t).matrix - expected).max() < 1e-9
+        rho = random_rho(n, rng)
+        expected = conjugate(expm(-1j * bf.hamiltonian(n, terms) * t), rho)
+        assert np.abs(evolve_density(rho, h, 0.0, t).matrix - expected).max() < 1e-9
 
 
 # --- Trotter ---------------------------------------------------------------
@@ -134,55 +146,58 @@ def test_auto_partition_rejects_long_range_terms():
         trotter_plan(h, 1)
 
 
+def trotterized(h, rho, k, total_time):
+    """``k`` Trotter steps of the one evolution path over [0, total_time]."""
+    evo = TrotterEvolution(h, trotter_plan(h, k), total_time / k)
+    return evolve_density(rho, evo, 0.0, total_time)
+
+
 def test_commuting_hamiltonian_is_trotter_exact():
     h = PauliSumHamiltonian.from_terms(
         3, [(0.4, "ZZI"), (-0.2, "IZZ")]
     )
-    plan = trotter_plan(h, 3)
-    exact = propagator(h, 0.0, 1.7).matrix
-    stepped = trotter_propagator(h, plan, 1.7).matrix
+    rho = random_rho(3, np.random.default_rng(5))
+    exact = evolve_density(rho, h, 0.0, 1.7).matrix
+    stepped = trotterized(h, rho, 3, 1.7).matrix
     assert np.abs(stepped - exact).max() < 1e-9
 
 
 def test_single_step_is_even_times_odd_factor():
     a, b, t = 0.6, -0.9, 0.75
     h = PauliSumHamiltonian.from_terms(2, [(a, "ZZ"), (b, "XI")])
-    plan = trotter_plan(h, 1)
-    got = trotter_propagator(h, plan, t).matrix
+    rho = random_rho(2, np.random.default_rng(6))
+    got = trotterized(h, rho, 1, t).matrix
     expected = expm(-1j * a * bf.pauli_string("ZZ") * t) @ expm(
         -1j * b * bf.pauli_string("XI") * t
     )
-    assert np.abs(got - expected).max() < 1e-10
+    assert np.abs(got - conjugate(expected, rho)).max() < 1e-10
+
+
+def trotter_errors(steps, total_time=0.5):
+    h = tfic_hamiltonian()
+    rho = prepare_state("ghz", 5).density_matrix()
+    exact = evolve_density(rho, h, 0.0, total_time).matrix
+    return {k: np.abs(trotterized(h, rho, k, total_time).matrix - exact).max() for k in steps}
 
 
 def test_trotter_error_decreases_monotonically_for_tfic():
-    h = tfic_hamiltonian()
-    exact = propagator(h, 0.0, 0.5).matrix
-    errors = []
-    for k in (1, 2, 3, 4, 5):
-        u = trotter_propagator(h, trotter_plan(h, k), 0.5).matrix
-        errors.append(np.abs(u - exact).max())
+    errors = list(trotter_errors((1, 2, 3, 4, 5)).values())
     assert all(b < a for a, b in zip(errors, errors[1:]))
 
 
 def test_trotter_error_halves_when_steps_double():
-    h = tfic_hamiltonian()
-    exact = propagator(h, 0.0, 0.5).matrix
-    err = {}
-    for k in (1, 2, 4, 8, 16):
-        u = trotter_propagator(h, trotter_plan(h, k), 0.5).matrix
-        err[k] = np.abs(u - exact).max()
+    err = trotter_errors((1, 2, 4, 8, 16))
     for k in (1, 2, 4, 8):
         ratio = err[2 * k] / err[k]
         assert 0.35 <= ratio <= 0.65
 
 
-def test_trotter_propagator_rejects_foreign_plan():
+def test_trotter_evolution_rejects_foreign_plan():
     h = tfic_hamiltonian()
     other = PauliSumHamiltonian.from_terms(5, [(1.0, "XIIII")])
     plan = trotter_plan(other, 2)
     with pytest.raises(InvalidTrotterPlan):
-        trotter_propagator(h, plan, 0.3)
+        TrotterEvolution(h, plan, 0.15)
 
 
 def test_segment_steps_follow_fixed_dt():
@@ -202,19 +217,19 @@ def test_pure_state_and_density_matrix_evolution_agree():
         n = int(rng.integers(1, 4))
         amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
         amps /= np.linalg.norm(amps)
-        rho = np.outer(amps, amps.conj())
+        rho = DensityMatrix(n, np.outer(amps, amps.conj()))
         for _ in range(int(rng.integers(1, 4))):
-            h = PauliSumHamiltonian.from_terms(n, bf.random_hamiltonian_terms(n, rng))
+            terms = bf.random_hamiltonian_terms(n, rng)
+            h = PauliSumHamiltonian.from_terms(n, terms)
             t = float(rng.uniform(0.1, 1.5))
-            u = propagator(h, 0.0, t).matrix
-            amps = u @ amps
-            rho = u @ rho @ u.conj().T
-        assert np.abs(np.outer(amps, amps.conj()) - rho).max() < 1e-10
+            amps = expm(-1j * bf.hamiltonian(n, terms) * t) @ amps
+            rho = evolve_density(rho, h, 0.0, t)
+        assert np.abs(np.outer(amps, amps.conj()) - rho.matrix).max() < 1e-10
 
 
 def test_evolve_density_exact_matches_propagator():
     h = tfic_hamiltonian()
     rho = prepare_state("ghz", 5).density_matrix()
     out = evolve_density(rho, h, 0.0, 0.8)
-    u = propagator(h, 0.0, 0.8).matrix
-    assert np.abs(out.matrix - u @ rho.matrix @ u.conj().T).max() < 1e-12
+    u = expm(-1j * bf.hamiltonian(5, [(t.coefficient, t.paulis) for t in h.terms]) * 0.8)
+    assert np.abs(out.matrix - conjugate(u, rho)).max() < 1e-12

@@ -84,6 +84,16 @@ def test_schedule_ordering():
         MeasurementSchedule((-0.1, 0.5), obs, obs)
 
 
+def test_register_mismatch_rejected():
+    rho = prepare_state("zero", 1).density_matrix()
+    obs = sigma_z_observable(0, 2)
+    sched = MeasurementSchedule((0.0, 1.0), obs, obs)
+    with pytest.raises(InvalidObservable):
+        exact_correlator(rho, x_rotation(1.0), sched)
+    with pytest.raises(InvalidObservable):
+        sampled_correlator(rho, x_rotation(1.0), sched, 16)
+
+
 # --- exact correlator -------------------------------------------------------
 
 

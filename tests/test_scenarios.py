@@ -16,7 +16,7 @@ from lgsim import (
 )
 from lgsim.mitigation import ConfusionMatrix
 from lgsim.scenarios import (
-    SCENARIO_DESCRIPTIONS,
+    SCENARIOS,
     hardware_noise_model,
     noise_from_config,
     noise_to_config,
@@ -202,7 +202,7 @@ def test_every_scenario_runs_from_config():
         "tfic": {"j": 0.1, "gammas": [1, 1, 1, 1, 2.0], "k": 2},
         "param_scan": {"n_qubits": 2, "ratios": [1.0]},
     }
-    assert set(base) == set(SCENARIO_DESCRIPTIONS)
+    assert set(base) == set(SCENARIOS)
     for name, parameters in base.items():
         spec = ScenarioSpec.from_config(
             {

