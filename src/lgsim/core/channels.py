@@ -3,6 +3,13 @@
 Decoherence is applied as discrete channels between evolution segments, not
 by integrating a master equation. Relaxation (T1) is available but only acts
 when a qubit has an explicit t1 entry; the default model is pure dephasing.
+
+Every channel acts as a local superoperator: its Kraus operators are folded
+once into S = sum_k K (x) conj(K), a 4^m x 4^m matrix on the m target qubits,
+which multiplies the target row and column axes of ``rho`` without building
+any full-register operator. Channel completeness is checked when a channel
+is built; ``apply_channel`` returns an unchecked intermediate state, and the
+evolution segment that applied it checks its own result once.
 """
 
 from __future__ import annotations
@@ -10,14 +17,15 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import TYPE_CHECKING, Mapping, Union
 
 import numpy as np
 
 from ..errors import InvalidChannel, InvalidNoiseParameter
-from .paulis import PAULI_MATRICES, embed_operator
+from .paulis import PAULI_MATRICES
+from .paulis import embed_operator  # noqa: F401  (unused; the benchmark tracer wraps this name)
 from .states import DensityMatrix
 
 if TYPE_CHECKING:  # avoid a runtime cycle with lgsim.mitigation
@@ -35,10 +43,13 @@ class KrausChannel:
 
     Operators are 2^m x 2^m where m = len(target_qubits); qubit
     ``target_qubits[k]`` supplies bit k of the local basis index.
+    ``superoperator`` is sum_k K (x) conj(K), acting on the row-major
+    vectorized local block of ``rho``.
     """
 
     target_qubits: tuple[int, ...]
     kraus_ops: tuple[np.ndarray, ...]
+    superoperator: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         targets = tuple(int(q) for q in self.target_qubits)
@@ -47,60 +58,45 @@ class KrausChannel:
         dim = 2 ** len(targets)
         ops = []
         total = np.zeros((dim, dim), dtype=complex)
+        superop = np.zeros((dim * dim, dim * dim), dtype=complex)
         for k in self.kraus_ops:
             arr = np.array(k, dtype=complex)
             if arr.shape != (dim, dim):
                 raise InvalidChannel(
                     f"Kraus operator shape {arr.shape} does not match {len(targets)} qubits"
                 )
+            if not np.isfinite(arr).all():
+                raise InvalidChannel("Kraus operator has non-finite entries")
             arr.setflags(write=False)
             ops.append(arr)
             total += arr.conj().T @ arr
+            superop += np.kron(arr, arr.conj())
         if np.abs(total - np.eye(dim)).max() > COMPLETENESS_TOL:
             raise InvalidChannel("Kraus operators do not satisfy completeness")
+        superop.setflags(write=False)
         object.__setattr__(self, "target_qubits", targets)
         object.__setattr__(self, "kraus_ops", tuple(ops))
-
-
-@lru_cache(maxsize=4096)
-def _embedded_kraus(
-    op_blobs: tuple[bytes, ...],
-    dim_local: int,
-    targets: tuple[int, ...],
-    num_qubits: int,
-) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """Full-register (K, K^dagger) pairs, cached: the same channels recur at
-    every Trotter layer and grid point."""
-    out = []
-    for blob in op_blobs:
-        local = np.frombuffer(blob, dtype=complex).reshape(dim_local, dim_local)
-        full = embed_operator(local, targets, num_qubits)
-        full_dag = full.conj().T.copy()
-        full.setflags(write=False)
-        full_dag.setflags(write=False)
-        out.append((full, full_dag))
-    return tuple(out)
+        object.__setattr__(self, "superoperator", superop)
 
 
 def apply_channel(rho: DensityMatrix, channel: KrausChannel) -> DensityMatrix:
-    """Apply ``rho -> sum_k K rho K^dagger`` with operators embedded into the
-    full register."""
-    if any(q >= rho.num_qubits for q in channel.target_qubits):
+    """Apply ``rho -> sum_k K rho K^dagger`` as the channel's local
+    superoperator on the target row and column axes of ``rho``."""
+    n = rho.num_qubits
+    if any(not 0 <= q < n for q in channel.target_qubits):
         raise InvalidChannel(
             f"channel targets {channel.target_qubits} outside register "
-            f"of {rho.num_qubits} qubits"
+            f"of {n} qubits"
         )
-    dim_local = 2 ** len(channel.target_qubits)
-    embedded = _embedded_kraus(
-        tuple(k.tobytes() for k in channel.kraus_ops),
-        dim_local,
-        channel.target_qubits,
-        rho.num_qubits,
-    )
-    out = np.zeros_like(rho.matrix)
-    for full, full_dag in embedded:
-        out += full @ rho.matrix @ full_dag
-    return DensityMatrix(rho.num_qubits, out)
+    # qubit q is row axis n-1-q of rho viewed as (2,)*2n (qubit 0 is the least
+    # significant bit); reversed targets put target_qubits[k] on local bit k
+    rows = [n - 1 - q for q in reversed(channel.target_qubits)]
+    axes = rows + [n + a for a in rows]
+    front = list(range(len(axes)))
+    local = np.moveaxis(rho.matrix.reshape((2,) * (2 * n)), axes, front)
+    out = channel.superoperator @ local.reshape(len(channel.superoperator), -1)
+    out = np.moveaxis(out.reshape(local.shape), front, axes)
+    return DensityMatrix._trusted(n, out.reshape(rho.matrix.shape))
 
 
 def identity_channel(qubit: int = 0) -> KrausChannel:

@@ -159,7 +159,7 @@ def _layer_channels(noise: NoiseModel, terms: tuple[PauliTerm, ...]) -> list:
 
 
 def _unitary_step(rho: DensityMatrix, u: np.ndarray) -> DensityMatrix:
-    return DensityMatrix(rho.num_qubits, u @ rho.matrix @ u.conj().T)
+    return DensityMatrix._trusted(rho.num_qubits, u @ rho.matrix @ u.conj().T)
 
 
 def evolve_density(
@@ -175,7 +175,8 @@ def evolve_density(
     Exact dynamics applies the full-segment unitary followed by relaxation
     channels for the segment duration. Trotter dynamics applies, per step,
     the odd layer, its gate noise, the even layer, its gate noise, then
-    relaxation for dt.
+    relaxation for dt. Intermediate states skip validation; the result of
+    every non-empty segment is checked once.
     """
     if t_end < t_start:
         raise InvalidGrid(f"t_end={t_end} earlier than t_start={t_start}")
@@ -194,7 +195,7 @@ def evolve_density(
         if noise is not None:
             for ch in relaxation_channels(noise, rho.num_qubits, duration):
                 out = apply_channel(out, ch)
-        return out
+        return DensityMatrix(out.num_qubits, out.matrix)
 
     plan = dynamics.plan
     steps = dynamics.segment_steps(duration)
@@ -219,4 +220,4 @@ def evolve_density(
             out = apply_channel(out, ch)
         for ch in relax:
             out = apply_channel(out, ch)
-    return out
+    return DensityMatrix(out.num_qubits, out.matrix)

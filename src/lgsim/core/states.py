@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,7 +54,11 @@ class DensityMatrix:
         dim = 2**self.num_qubits
         if m.shape != (dim, dim):
             raise InvalidState(f"matrix shape {m.shape} does not match {self.num_qubits} qubits")
-        if np.abs(m - m.conj().T).max() > NORM_TOL:
+        # any NaN or inf entry makes the Hermiticity deviation NaN or inf
+        deviation = float(np.abs(m - m.conj().T).max())
+        if not math.isfinite(deviation):
+            raise InvalidState("density matrix has non-finite entries")
+        if deviation > NORM_TOL:
             raise InvalidState("density matrix is not Hermitian within 1e-10")
         tr = np.trace(m).real
         if abs(tr - 1.0) > NORM_TOL:
@@ -63,6 +68,16 @@ class DensityMatrix:
             raise InvalidState(f"negative eigenvalue {min_eig} below -{PSD_TOL}")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
+
+    @classmethod
+    def _trusted(cls, num_qubits: int, matrix: np.ndarray) -> "DensityMatrix":
+        """Skip the checks, for intermediate states inside one evolution
+        segment; the segment's result goes through the checked constructor."""
+        out = object.__new__(cls)
+        matrix.setflags(write=False)
+        object.__setattr__(out, "num_qubits", num_qubits)
+        object.__setattr__(out, "matrix", matrix)
+        return out
 
     @property
     def dim(self) -> int:

@@ -53,6 +53,8 @@ class ConfusionMatrix:
             raise InvalidNoiseParameter(
                 f"confusion matrix shape {m.shape} does not match {self.num_bits} bits"
             )
+        if not np.isfinite(m).all():
+            raise InvalidNoiseParameter("confusion matrix has non-finite entries")
         if m.min() < -COLUMN_TOL or m.max() > 1.0 + COLUMN_TOL:
             raise InvalidNoiseParameter("confusion matrix entries outside [0, 1]")
         col_sums = m.sum(axis=0)

@@ -317,8 +317,24 @@ def _finite(value, key: str) -> float:
     return number
 
 
+def _positive(value, key: str) -> float:
+    """``value`` as a finite positive float, or a config error naming ``key``;
+    rates are checked before any default grid is derived from them."""
+    number = _finite(value, key)
+    if not number > 0:
+        raise ConfigError(f"{key} must be positive, got {value!r}")
+    return number
+
+
+def _finite_list(value, key: str, min_len: int = 1) -> list[float]:
+    """``value`` as a list of at least ``min_len`` finite floats."""
+    if not isinstance(value, (list, tuple)) or len(value) < min_len:
+        raise ConfigError(f"{key} must be a list of at least {min_len} numbers, got {value!r}")
+    return [_finite(v, key) for v in value]
+
+
 def _build_single_qubit(spec: "ScenarioSpec") -> ScanResult:
-    gamma = _finite(spec.parameters["gamma"], "gamma")
+    gamma = _positive(spec.parameters["gamma"], "gamma")
     taus = spec._tau_grid(2.0 * np.pi / gamma, DEFAULT_TAU_POINTS)
     return run_single_qubit(gamma, spec.engine, spec.noise, taus)
 
@@ -335,7 +351,7 @@ def _build_transmon(spec: "ScenarioSpec") -> ScanResult:
 
 
 def _build_bell_pair(spec: "ScenarioSpec") -> ScanResult:
-    g1 = _finite(spec.parameters["gamma1"], "gamma1")
+    g1 = _positive(spec.parameters["gamma1"], "gamma1")
     g2 = _finite(spec.parameters["gamma2"], "gamma2")
     taus = spec._tau_grid(2.0 * np.pi / g1, DEFAULT_TAU_POINTS)
     mode = spec.name.removeprefix("bell_pair_")
@@ -344,7 +360,8 @@ def _build_bell_pair(spec: "ScenarioSpec") -> ScanResult:
 
 def _build_tfic(spec: "ScenarioSpec") -> ScanResult:
     p = spec.parameters
-    gammas = [_finite(g, "gammas") for g in p["gammas"]]
+    gammas = _finite_list(p["gammas"], "gammas", min_len=2)
+    _positive(gammas[0], "gammas[0]")
     taus = spec._tau_grid(1.0 / gammas[0], DEFAULT_TFIC_POINTS)
     return run_tfic(
         _finite(p["j"], "j"), gammas, int(_finite(p["k"], "k")), spec.engine, spec.noise, taus
@@ -355,7 +372,7 @@ def _build_param_scan(spec: "ScenarioSpec") -> RegionScanResult:
     p = spec.parameters
     taus = spec._tau_grid(2.0 * np.pi, DEFAULT_TAU_POINTS)
     n_qubits = int(_finite(p["n_qubits"], "n_qubits"))
-    return run_param_scan(n_qubits, [_finite(r, "ratios") for r in p["ratios"]], taus)
+    return run_param_scan(n_qubits, _finite_list(p["ratios"], "ratios"), taus)
 
 
 class Scenario(NamedTuple):
@@ -452,7 +469,10 @@ def noise_from_config(data: Mapping | None) -> NoiseModel | None:
         block = data["readout_confusion"]
         confusion = ConfusionMatrix(int(block["num_bits"]), np.array(block["matrix"], float))
     elif data.get("readout_flip"):
-        confusion = ConfusionMatrix.symmetric(float(data["readout_flip"]))
+        flip = _finite(data["readout_flip"], "noise.readout_flip")
+        if not 0.0 <= flip <= 1.0:
+            raise ConfigError(f"noise.readout_flip={flip} outside [0, 1]")
+        confusion = ConfusionMatrix.symmetric(flip)
     return NoiseModel(
         t1=_times_from_config(data.get("t1")),
         t2=_times_from_config(data.get("t2")),
@@ -494,7 +514,7 @@ class ScenarioSpec:
         engine_block = dict(data.get("engine") or {})
         engine = Engine(
             kind=engine_block.get("kind", "exact"),
-            n_shots=int(engine_block.get("shots", 8192)),
+            n_shots=int(_finite(engine_block.get("shots", 8192), "engine.shots")),
             seed=engine_block.get("seed"),
             mitigate=bool(engine_block.get("mitigate", False)),
         )

@@ -124,3 +124,40 @@ def random_hamiltonian_terms(n, rng, max_terms=4):
         s = "".join(rng.choice(list("IXYZ")) for _ in range(n))
         terms.append((float(rng.uniform(-1.5, 1.5)), s))
     return terms
+
+
+def local_operator(op, targets, n):
+    """Full-register matrix of ``op`` acting on ``targets`` (``targets[k]``
+    supplies bit k of the local index), as a sum over the local matrix
+    elements of Kronecker chains of single-qubit |a><b| factors."""
+    basis = np.eye(2, dtype=complex)
+    full = np.zeros((2**n, 2**n), dtype=complex)
+    for a in range(op.shape[0]):
+        for b in range(op.shape[1]):
+            factors = {
+                q: np.outer(basis[(a >> k) & 1], basis[(b >> k) & 1])
+                for k, q in enumerate(targets)
+            }
+            chain = np.array([[1.0 + 0j]])
+            for q in range(n - 1, -1, -1):
+                chain = np.kron(chain, factors.get(q, I2))
+            full = full + op[a, b] * chain
+    return full
+
+
+def kraus_sum(rho, kraus_ops, targets):
+    """Literal sum_k K rho K^dagger with every K embedded densely."""
+    n = int(np.log2(rho.shape[0]))
+    out = np.zeros_like(rho, dtype=complex)
+    for k in kraus_ops:
+        full = local_operator(k, targets, n)
+        out = out + full @ rho @ full.conj().T
+    return out
+
+
+def random_kraus_ops(num_targets, rank, rng):
+    """Complete Kraus set: ``rank`` blocks of a random isometry."""
+    dim = 2**num_targets
+    a = rng.normal(size=(rank * dim, dim)) + 1j * rng.normal(size=(rank * dim, dim))
+    isometry, _ = np.linalg.qr(a)
+    return [isometry[i * dim : (i + 1) * dim] for i in range(rank)]

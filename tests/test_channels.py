@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import bruteforce as bf
 from lgsim import (
@@ -122,6 +124,35 @@ def test_channel_on_embedded_qubit_matches_explicit_kron():
     k1 = np.sqrt(p) * bf.op_on(bf.Z, 1, 3)
     expected = k0 @ rho.matrix @ k0.conj().T + k1 @ rho.matrix @ k1.conj().T
     assert np.abs(out.matrix - expected).max() < 1e-12
+
+
+def test_non_finite_kraus_operator_rejected():
+    with pytest.raises(InvalidChannel, match="non-finite"):
+        KrausChannel((0,), ([[np.nan, 0], [0, 1]],))
+
+
+@st.composite
+def channel_cases(draw):
+    n = draw(st.integers(1, 5))
+    m = draw(st.integers(1, min(2, n)))
+    targets = tuple(draw(st.permutations(range(n)))[:m])
+    rank = draw(st.integers(1, 4**m))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return n, targets, rank, seed
+
+
+@settings(max_examples=60, deadline=None)
+@given(channel_cases())
+@example((5, (3, 1), 3, 7))
+@example((4, (0, 3), 16, 8))
+@example((3, (2,), 2, 9))
+def test_local_superoperator_matches_dense_kraus_sum(case):
+    n, targets, rank, seed = case
+    rng = np.random.default_rng(seed)
+    ops = bf.random_kraus_ops(len(targets), rank, rng)
+    rho = bf.random_density_matrix(n, rng)
+    out = apply_channel(DensityMatrix(n, rho), KrausChannel(targets, tuple(ops)))
+    assert np.abs(out.matrix - bf.kraus_sum(rho, ops, targets)).max() < 1e-12
 
 
 # --- noise model -----------------------------------------------------------

@@ -141,6 +141,18 @@ NAN, INF = float("nan"), float("inf")
         ("single_qubit", {"gamma": NAN}, {}, "gamma"),
         ("tfic", {"j": 0.1, "gammas": [1, 1, NAN], "k": 2}, {}, "gammas"),
         ("single_qubit", {"gamma": 1.0}, {"noise": {"gate_duration": 0.03}}, "gate_duration"),
+        ("single_qubit", {"gamma": 1.0}, {"engine": {"shots": NAN}}, "shots"),
+        ("single_qubit", {"gamma": 1.0}, {"noise": {"readout_flip": NAN}}, "readout_flip"),
+        ("single_qubit", {"gamma": 1.0}, {"noise": {"readout_flip": 1.5}}, "readout_flip"),
+        ("single_qubit", {"gamma": -1}, {}, "gamma"),
+        ("bell_pair_lgbi", {"gamma1": 0, "gamma2": 1.0}, {}, "gamma1"),
+        ("bell_pair_lgbi", {"gamma1": -2.0, "gamma2": 1.0}, {}, "gamma1"),
+        ("tfic", {"j": 0.1, "gammas": [0, 1, 1], "k": 2}, {}, "gammas"),
+        ("tfic", {"j": 0.1, "gammas": [-1, 1, 1], "k": 2}, {}, "gammas"),
+        ("tfic", {"j": 0.1, "gammas": [], "k": 2}, {}, "gammas"),
+        ("tfic", {"j": 0.1, "gammas": 1.0, "k": 2}, {}, "gammas"),
+        ("param_scan", {"n_qubits": 2, "ratios": 1.0}, {}, "ratios"),
+        ("param_scan", {"n_qubits": 2, "ratios": []}, {}, "ratios"),
     ],
 )
 def test_scan_rejects_unphysical_config_naming_the_key(

@@ -8,6 +8,7 @@ from lgsim import (
     InvalidGrid,
     InvalidHamiltonian,
     InvalidTrotterPlan,
+    NoiseModel,
     PauliSumHamiltonian,
     PauliTerm,
     TrotterEvolution,
@@ -233,3 +234,26 @@ def test_evolve_density_exact_matches_propagator():
     out = evolve_density(rho, h, 0.0, 0.8)
     u = expm(-1j * bf.hamiltonian(5, [(t.coefficient, t.paulis) for t in h.terms]) * 0.8)
     assert np.abs(out.matrix - conjugate(u, rho)).max() < 1e-12
+
+
+def test_each_non_empty_segment_checks_its_state_once(monkeypatch):
+    # intermediate states inside a segment skip validation; the segment's
+    # result goes through the full DensityMatrix check exactly once
+    h = tfic_hamiltonian(gammas=(1, 1, 1, 2.0))
+    evo = TrotterEvolution(h, trotter_plan(h, 1), 0.1)
+    noise = NoiseModel(t2=50.0, gate_depolarizing_1q=0.001, gate_depolarizing_2q=0.01)
+    rho = prepare_state("ghz", 4).density_matrix()
+    checks = []
+    check = DensityMatrix.__post_init__
+
+    def counting_check(self):
+        checks.append(self.num_qubits)
+        check(self)
+
+    monkeypatch.setattr(DensityMatrix, "__post_init__", counting_check)
+    out = evolve_density(rho, evo, 0.0, 0.5, noise)
+    assert checks == [4]
+    evolve_density(out, h, 0.0, 0.3, noise)
+    assert checks == [4, 4]
+    assert evolve_density(out, evo, 0.2, 0.2, noise) is out
+    assert checks == [4, 4]

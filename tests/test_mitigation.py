@@ -22,6 +22,8 @@ def test_confusion_matrix_validation():
         ConfusionMatrix(1, np.array([[1.2, 0.0], [-0.2, 1.0]]))
     with pytest.raises(InvalidNoiseParameter):
         ConfusionMatrix(2, np.eye(2))
+    with pytest.raises(InvalidNoiseParameter, match="non-finite"):
+        ConfusionMatrix(1, np.array([[np.nan, 0.0], [np.nan, 1.0]]))
 
 
 def test_confusion_constructors():

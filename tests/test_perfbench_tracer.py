@@ -5,6 +5,17 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import lgsim.core.evolution as evolution
+from lgsim import (
+    DensityMatrix,
+    NoiseModel,
+    TrotterEvolution,
+    evolve_density,
+    prepare_state,
+    trotter_plan,
+)
+from lgsim.scenarios import ising_chain_hamiltonian
+
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
 
@@ -24,3 +35,26 @@ def test_every_traced_entry_point_resolves():
         # classes are patched through their own __dict__, so inherited names do not count
         found = name in owner.__dict__ if isinstance(owner, type) else hasattr(owner, name)
         assert found, f"{module_name}.{attr}"
+
+
+def test_channel_hook_sees_a_state_and_a_kraus_channel(monkeypatch):
+    # the tracer wraps lgsim.core.evolution.apply_channel and sizes each call
+    # from its two positional arguments: a DensityMatrix and an object with
+    # .kraus_ops; a traced chain_noisy run fails if this hook records no calls
+    calls = []
+    apply_channel = evolution.apply_channel
+
+    def counting(*args, **kwargs):
+        calls.append((args, kwargs))
+        return apply_channel(*args, **kwargs)
+
+    monkeypatch.setattr(evolution, "apply_channel", counting)
+    h = ising_chain_hamiltonian(0.1, [1.0, 1.0, 2.0])
+    evo = TrotterEvolution(h, trotter_plan(h, 1), 0.25)
+    rho = prepare_state("ghz", 3).density_matrix()
+    evolve_density(rho, evo, 0.0, 0.5, NoiseModel(gate_depolarizing_2q=0.01))
+    assert calls
+    for args, kwargs in calls:
+        assert not kwargs and len(args) == 2
+        assert isinstance(args[0], DensityMatrix)
+        assert hasattr(args[1], "kraus_ops")

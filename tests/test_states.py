@@ -82,6 +82,19 @@ def test_density_matrix_rejects_negative_eigenvalue():
         DensityMatrix(1, m)
 
 
+@pytest.mark.parametrize(
+    "m",
+    [
+        [[np.nan, 0], [0, np.nan]],
+        [[np.inf, 0], [0, 1]],
+        [[0.5, np.inf], [np.inf, 0.5]],
+    ],
+)
+def test_density_matrix_rejects_non_finite_entries(m):
+    with pytest.raises(InvalidState, match="non-finite"):
+        DensityMatrix(1, m)
+
+
 def test_density_matrix_accepts_tiny_psd_defect():
     m = np.array([[1.0 + 5e-10, 0], [0, -5e-10]], dtype=complex)
     m = m / np.trace(m)
