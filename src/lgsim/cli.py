@@ -159,7 +159,7 @@ def _cmd_mitigate(args: argparse.Namespace) -> int:
         matrix = ConfusionMatrix.from_json(Path(args.matrix).read_text())
     except FileNotFoundError as err:
         return _fail(str(err), EXIT_USAGE)
-    except (KeyError, ValueError, LgsimError) as err:
+    except (KeyError, TypeError, ValueError, OverflowError, LgsimError) as err:
         return _fail(f"bad input file: {err}", EXIT_USAGE)
     try:
         probs, method = mitigate(raw, matrix, return_method=True)

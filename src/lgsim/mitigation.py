@@ -5,7 +5,10 @@ mode), simulates noisy readouts, and tallies a column-stochastic matrix M
 with entry (r, s) = P(read r | prepared s). Mitigation solves M x = y for
 the observed frequency vector y; plain inversion is tried first and a
 constrained least-squares fit takes over when inversion produces clearly
-negative quasi-probabilities.
+negative quasi-probabilities (an entry below -0.01). One kernel,
+``_mitigate_rows``, serves a single distribution and a whole bootstrap: the
+rows are inverted in one stacked solve, and only the rows that went
+negative get the fit, one at a time.
 """
 
 from __future__ import annotations
@@ -130,12 +133,16 @@ class CountsVector:
             raise ValueError("negative counts")
         if sum(counts) != self.total:
             raise ValueError(f"counts sum {sum(counts)} != total {self.total}")
+        if self.total == 0:
+            raise ValueError("empty counts: every entry is 0")
         object.__setattr__(self, "counts", counts)
 
     @classmethod
     def from_dict(cls, num_bits: int, table: dict[str, int]) -> "CountsVector":
         counts = [0] * (2**num_bits)
         for key, c in table.items():
+            if len(key) != num_bits or set(key) - {"0", "1"}:
+                raise ValueError(f"counts key {key!r} is not a {num_bits}-bit string")
             counts[int(key, 2)] = int(c)
         return cls(num_bits, tuple(counts), sum(counts))
 
@@ -143,9 +150,6 @@ class CountsVector:
         return {
             format(i, f"0{self.num_bits}b"): c for i, c in enumerate(self.counts)
         }
-
-    def probabilities(self) -> np.ndarray:
-        return np.array(self.counts, dtype=float) / self.total
 
 
 def _simulate_readouts(
@@ -244,6 +248,34 @@ def _constrained_fit(matrix: np.ndarray, target: np.ndarray) -> np.ndarray:
     return result.x
 
 
+def _mitigate_rows(
+    targets: np.ndarray, matrix: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Mitigate a ``(k, 2^m)`` block of normalised frequencies, row by row.
+
+    All rows are inverted in one stacked solve; a row with an entry below
+    ``NEGATIVITY_THRESHOLD`` (every row, if ``matrix`` is singular) gets the
+    constrained fit instead. Rows are then clipped at 0 and renormalised.
+    Returns the rows and a mask of those that took the fit.
+    """
+    if not np.isfinite(targets).all():
+        raise MitigationFailed("frequencies have non-finite entries")
+    try:
+        # the stacked (k, d, 1) form matches a per-row solve bit for bit
+        x = np.linalg.solve(matrix, targets[..., None])[..., 0]
+        used_fit = x.min(axis=1) < NEGATIVITY_THRESHOLD
+    except np.linalg.LinAlgError:
+        x = np.empty_like(targets)
+        used_fit = np.ones(len(targets), dtype=bool)
+    for i in np.flatnonzero(used_fit):
+        x[i] = _constrained_fit(matrix, targets[i])
+    x = np.clip(x, 0.0, None)
+    totals = x.sum(axis=1)
+    if (totals <= 0).any():
+        raise MitigationFailed("mitigated distribution collapsed to zero")
+    return x / totals[:, None], used_fit
+
+
 def mitigate(
     raw: CountsVector | np.ndarray | Sequence[float],
     m: ConfusionMatrix,
@@ -256,32 +288,17 @@ def mitigate(
     least-squares fit constrained to the probability simplex is solved. The
     result always sums to 1.
     """
-    if isinstance(raw, CountsVector):
-        target = raw.probabilities()
-    else:
-        target = np.asarray(raw, dtype=float)
-        total = target.sum()
-        if total <= 0:
-            raise MitigationFailed("empty counts cannot be mitigated")
-        target = target / total
-    if target.size != 2**m.num_bits:
+    target = np.asarray(raw.counts if isinstance(raw, CountsVector) else raw, dtype=float)
+    total = target.sum()
+    if total <= 0:
+        raise MitigationFailed("empty counts cannot be mitigated")
+    if target.shape != (2**m.num_bits,):
         raise MitigationFailed(
             f"counts of length {target.size} do not match a {m.num_bits}-bit matrix"
         )
-    method = "inverse"
-    try:
-        x = np.linalg.solve(m.matrix, target)
-    except np.linalg.LinAlgError:
-        x = None
-    if x is None or x.min() < NEGATIVITY_THRESHOLD:
-        method = "least_squares"
-        x = _constrained_fit(m.matrix, target)
-    x = np.clip(x, 0.0, None)
-    total = x.sum()
-    if total <= 0:
-        raise MitigationFailed("mitigated distribution collapsed to zero")
-    x = x / total
-    return (x, method) if return_method else x
+    rows, used_fit = _mitigate_rows((target / total)[None, :], m.matrix)
+    method = "least_squares" if used_fit[0] else "inverse"
+    return (rows[0], method) if return_method else rows[0]
 
 
 def mitigate_correlator(
@@ -291,7 +308,8 @@ def mitigate_correlator(
 
     The pair matrix indexes outcomes as 2*bit(Q_i) + bit(Q_j), matching
     ``CountsTable`` order. The error bar comes from a bootstrap over
-    multinomial resamples of the raw counts, each mitigated the same way.
+    multinomial resamples of the raw counts, mitigated together by the same
+    kernel as the point estimate.
     """
     if m_pair.num_bits != 2:
         raise MitigationFailed("correlator mitigation needs a 2-bit confusion matrix")
@@ -303,9 +321,11 @@ def mitigate_correlator(
     seed = counts.seed if counts.seed is not None else 0
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1,)))
     resamples = rng.multinomial(counts.n_shots, raw_probs, size=BOOTSTRAP_RESAMPLES)
-    values = np.empty(BOOTSTRAP_RESAMPLES)
-    for i, sample in enumerate(resamples):
-        values[i] = signs @ mitigate(sample.astype(float), m_pair)
+    freqs = resamples / resamples.sum(axis=1, keepdims=True)
+    rows, _ = _mitigate_rows(freqs, m_pair.matrix)
+    # an elementwise product and row sum reproduces the per-row ``signs @ row``
+    # bit for bit; a matmul or einsum does not
+    values = (rows * signs).sum(axis=1)
     std_error = float(values.std(ddof=1))
     return CorrelatorEstimate(
         value, std_error, counts.n_shots, METHOD_SAMPLED_MITIGATED, note=method

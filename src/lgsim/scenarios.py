@@ -317,6 +317,15 @@ def _finite(value, key: str) -> float:
     return number
 
 
+def _integer(value, key: str) -> int:
+    """``value`` as an int, or a config error naming ``key``; integral
+    floats such as 3.0 are accepted, and 2.7 is rejected, not truncated."""
+    number = _finite(value, key)
+    if not number.is_integer():
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    return int(number)
+
+
 def _positive(value, key: str) -> float:
     """``value`` as a finite positive float, or a config error naming ``key``;
     rates are checked before any default grid is derived from them."""
@@ -364,14 +373,14 @@ def _build_tfic(spec: "ScenarioSpec") -> ScanResult:
     _positive(gammas[0], "gammas[0]")
     taus = spec._tau_grid(1.0 / gammas[0], DEFAULT_TFIC_POINTS)
     return run_tfic(
-        _finite(p["j"], "j"), gammas, int(_finite(p["k"], "k")), spec.engine, spec.noise, taus
+        _finite(p["j"], "j"), gammas, _integer(p["k"], "k"), spec.engine, spec.noise, taus
     )
 
 
 def _build_param_scan(spec: "ScenarioSpec") -> RegionScanResult:
     p = spec.parameters
     taus = spec._tau_grid(2.0 * np.pi, DEFAULT_TAU_POINTS)
-    n_qubits = int(_finite(p["n_qubits"], "n_qubits"))
+    n_qubits = _integer(p["n_qubits"], "n_qubits")
     return run_param_scan(n_qubits, _finite_list(p["ratios"], "ratios"), taus)
 
 
@@ -514,7 +523,7 @@ class ScenarioSpec:
         engine_block = dict(data.get("engine") or {})
         engine = Engine(
             kind=engine_block.get("kind", "exact"),
-            n_shots=int(_finite(engine_block.get("shots", 8192), "engine.shots")),
+            n_shots=_integer(engine_block.get("shots", 8192), "engine.shots"),
             seed=engine_block.get("seed"),
             mitigate=bool(engine_block.get("mitigate", False)),
         )
@@ -555,7 +564,7 @@ class ScenarioSpec:
         }
 
     def _tau_grid(self, default_max: float, default_points: int) -> np.ndarray:
-        n_points = int(_finite(self.grid.get("n_points", default_points), "grid.n_points"))
+        n_points = _integer(self.grid.get("n_points", default_points), "grid.n_points")
         tau_max = self.grid.get("tau_max")
         tau_max = _finite(tau_max, "grid.tau_max") if tau_max is not None else default_max
         if n_points < 1 or tau_max <= 0:

@@ -161,3 +161,34 @@ def random_kraus_ops(num_targets, rank, rng):
     a = rng.normal(size=(rank * dim, dim)) + 1j * rng.normal(size=(rank * dim, dim))
     isometry, _ = np.linalg.qr(a)
     return [isometry[i * dim : (i + 1) * dim] for i in range(rank)]
+
+
+def mitigate_row(target, matrix, fit):
+    """Literal one-row readout mitigation: solve, fall back to ``fit`` on an
+    entry below -0.01 or a singular matrix, clip at 0 and renormalise.
+    Returns the row and whether it took the fit."""
+    try:
+        x = np.linalg.solve(matrix, target)
+    except np.linalg.LinAlgError:
+        x = None
+    used_fit = x is None or x.min() < -0.01
+    if used_fit:
+        x = fit(matrix, target)
+    x = np.clip(x, 0.0, None)
+    return x / x.sum(), used_fit
+
+
+def bootstrap_correlator(counts, n_shots, seed, matrix, fit):
+    """Mitigated correlator and its bootstrap error over 200 resamples, one
+    at a time; ``counts`` is in ++, +-, -+, -- order and the stream is
+    seeded as in ``mitigate_correlator``."""
+    signs = np.array([1.0, -1.0, -1.0, 1.0])
+    raw_probs = np.asarray(counts, dtype=float) / n_shots
+    value = float(signs @ mitigate_row(raw_probs / raw_probs.sum(), matrix, fit)[0])
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1,)))
+    draws = rng.multinomial(n_shots, raw_probs, size=200)
+    values = np.empty(200)
+    for i, sample in enumerate(draws):
+        sample = sample.astype(float)
+        values[i] = signs @ mitigate_row(sample / sample.sum(), matrix, fit)[0]
+    return value, float(values.std(ddof=1))

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from lgsim import ConfusionMatrix
 from lgsim.cli import main
 
 
@@ -153,6 +154,10 @@ NAN, INF = float("nan"), float("inf")
         ("tfic", {"j": 0.1, "gammas": 1.0, "k": 2}, {}, "gammas"),
         ("param_scan", {"n_qubits": 2, "ratios": 1.0}, {}, "ratios"),
         ("param_scan", {"n_qubits": 2, "ratios": []}, {}, "ratios"),
+        ("tfic", {"j": 0.1, "gammas": [1, 1, 2], "k": 2.7}, {}, "k"),
+        ("param_scan", {"n_qubits": 3.9, "ratios": [1.0]}, {}, "n_qubits"),
+        ("single_qubit", {"gamma": 1.0}, {"grid": {"n_points": 4.5}}, "n_points"),
+        ("single_qubit", {"gamma": 1.0}, {"engine": {"shots": 100.5}}, "shots"),
     ],
 )
 def test_scan_rejects_unphysical_config_naming_the_key(
@@ -165,6 +170,20 @@ def test_scan_rejects_unphysical_config_naming_the_key(
     assert main(["scan", config, "--out", str(out)]) == 2
     assert key in capsys.readouterr().err
     assert not (out / "scan.csv").exists()
+
+
+def test_scan_accepts_integral_floats(tmp_path):
+    config = write_config(
+        tmp_path / "config.json",
+        {
+            "scenario": "tfic",
+            "parameters": {"j": 0.1, "gammas": [1.0, 1.0], "k": 2.0},
+            "grid": {"n_points": 3.0},
+        },
+    )
+    out = tmp_path / "run"
+    assert main(["scan", config, "--out", str(out)]) == 0
+    assert len((out / "scan.csv").read_text().splitlines()) == 1 + 3
 
 
 def test_scan_has_no_jobs_flag(tmp_path, single_qubit_config):
@@ -290,6 +309,31 @@ def test_mitigate_accepts_counts_table_json(tmp_path):
     ) == 0
     data = json.loads(out.read_text())
     assert abs(sum(data["probabilities"].values()) - 1.0) < 1e-9
+
+
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        ({"counts": {"0": 0, "1": 0}}, "empty counts"),
+        ({"outcomes": {"++": 0, "+-": 0, "-+": 0, "--": 0}, "n_shots": 0}, "empty counts"),
+        ({"counts": {"111": 5, "0": 3}, "num_bits": 2}, "'111'"),
+        ({"counts": {"0x": 5, "01": 3}}, "'0x'"),
+        ({"counts": {"0": None, "1": 3}}, "bad input file"),
+        ({"counts": {"0": float("inf"), "1": 3}}, "bad input file"),
+    ],
+)
+def test_mitigate_rejects_bad_counts(tmp_path, capsys, payload, message):
+    counts = tmp_path / "counts.json"
+    counts.write_text(json.dumps(payload))
+    matrix = tmp_path / "matrix.json"
+    bits = 1 if "counts" in payload and "num_bits" not in payload else 2
+    matrix.write_text(ConfusionMatrix.symmetric(0.03, bits).to_json())
+    out = tmp_path / "m.json"
+    assert main(
+        ["mitigate", "--counts", str(counts), "--matrix", str(matrix), "--out", str(out)]
+    ) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_mitigate_missing_file(tmp_path):

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import bruteforce as bf
 from lgsim import (
     CalibrationTooLarge,
     ConfusionMatrix,
@@ -13,6 +16,7 @@ from lgsim import (
     mitigate,
     mitigate_correlator,
 )
+from lgsim.mitigation import _constrained_fit, _mitigate_rows
 
 
 def test_confusion_matrix_validation():
@@ -52,6 +56,11 @@ def test_counts_vector_round_trip_and_validation():
         CountsVector(1, (1, 2, 3), 6)
     with pytest.raises(ValueError):
         CountsVector(1, (1, -2), -1)
+    with pytest.raises(ValueError, match="empty"):
+        CountsVector(1, (0, 0), 0)
+    for key in ("111", "0", "2x"):
+        with pytest.raises(ValueError, match=repr(key)):
+            CountsVector.from_dict(2, {key: 5, "00": 3})
 
 
 # --- calibration -------------------------------------------------------------
@@ -187,6 +196,85 @@ def test_plain_inversion_reported_when_clean():
 def test_dimension_mismatch_rejected():
     with pytest.raises(MitigationFailed):
         mitigate(np.array([0.5, 0.5]), ConfusionMatrix.identity(2))
+
+
+def test_empty_and_non_finite_counts_rejected():
+    m = ConfusionMatrix.symmetric(0.03)
+    with pytest.raises(MitigationFailed, match="empty"):
+        mitigate(np.array([0.0, 0.0]), m)
+    with pytest.raises(MitigationFailed, match="non-finite"):
+        mitigate(np.array([np.nan, 1.0]), m)
+
+
+# --- batched kernel against the per-row oracle ------------------------------------
+
+
+def random_confusion(num_bits, rng, singular, max_mix):
+    """A random column-stochastic matrix within ``max_mix`` of the identity,
+    or the singular all-equal matrix of fair coin flips."""
+    if singular:
+        return ConfusionMatrix.symmetric(0.5, num_bits)
+    dim = 2**num_bits
+    mix = rng.uniform(0.0, max_mix)
+    noise = rng.dirichlet(np.ones(dim), size=dim).T
+    return ConfusionMatrix(num_bits, (1.0 - mix) * np.eye(dim) + mix * noise)
+
+
+def random_counts(dim, shots, rng, alpha, size=None):
+    """Multinomial counts from a random distribution; few shots and a small
+    ``alpha`` give zero entries, whose inversions go negative and take the fit."""
+    return rng.multinomial(shots, rng.dirichlet(np.full(dim, alpha)), size=size)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 3),
+    st.integers(1, 40),
+    st.integers(1, 60),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+)
+@example(2, 20, 8, True, 1)
+@example(3, 10, 5, False, 2)
+def test_mitigate_rows_matches_per_row_oracle(num_bits, k, shots, singular, seed):
+    rng = np.random.default_rng(seed)
+    m = random_confusion(num_bits, rng, singular, max_mix=0.6)
+    counts = random_counts(2**num_bits, shots, rng, alpha=0.3, size=k)
+    targets = counts / counts.sum(axis=1, keepdims=True)
+    try:
+        expected = [bf.mitigate_row(t, m.matrix, _constrained_fit) for t in targets]
+    except MitigationFailed:
+        with pytest.raises(MitigationFailed):
+            _mitigate_rows(targets, m.matrix)
+        return
+    rows, used_fit = _mitigate_rows(targets, m.matrix)
+    assert np.array_equal(rows, np.array([row for row, _ in expected]))
+    assert used_fit.tolist() == [fit for _, fit in expected]
+    # one distribution through the public entry point takes the same kernel
+    x, method = mitigate(counts[0], m, return_method=True)
+    assert np.array_equal(x, rows[0])
+    assert method == ("least_squares" if used_fit[0] else "inverse")
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(1, 400), st.booleans(), st.integers(0, 2**32 - 1))
+@example(9, False, 0)  # a zero entry: every resample takes the fit
+@example(50, True, 1)  # singular matrix: every resample takes the fit
+@example(8192, False, 2)  # about a third of the resamples take the fit
+def test_bootstrap_matches_per_resample_oracle(shots, singular, seed):
+    rng = np.random.default_rng(seed)
+    m = random_confusion(2, rng, singular, max_mix=0.3)
+    raw = random_counts(4, shots, rng, alpha=1.0)
+    counts = CountsTable(dict(zip(("++", "+-", "-+", "--"), map(int, raw))), shots, seed)
+    try:
+        value, std_error = bf.bootstrap_correlator(raw, shots, seed, m.matrix, _constrained_fit)
+    except MitigationFailed:
+        with pytest.raises(MitigationFailed):
+            mitigate_correlator(counts, m)
+        return
+    est = mitigate_correlator(counts, m)
+    assert est.value == value
+    assert est.std_error == std_error
 
 
 # --- correlator mitigation -------------------------------------------------------

@@ -5,8 +5,13 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+
 import lgsim.core.evolution as evolution
+import lgsim.mitigation as mitigation
 from lgsim import (
+    ConfusionMatrix,
+    CountsTable,
     DensityMatrix,
     NoiseModel,
     TrotterEvolution,
@@ -58,3 +63,27 @@ def test_channel_hook_sees_a_state_and_a_kraus_channel(monkeypatch):
         assert not kwargs and len(args) == 2
         assert isinstance(args[0], DensityMatrix)
         assert hasattr(args[1], "kraus_ops")
+
+
+def test_mitigation_hook_sees_each_point_estimate(monkeypatch):
+    # the tracer replaces lgsim.mitigation.mitigate with a wrapper that calls
+    # it with return_method=True and counts the method it reads back; if
+    # mitigate_correlator stopped going through the module global, the
+    # traced inverse_ratio would read 0 without any error
+    calls = []
+    mitigate = mitigation.mitigate
+
+    def counting(*args, **kwargs):
+        out = mitigate(*args, **kwargs)
+        calls.append((kwargs, out))
+        return out
+
+    monkeypatch.setattr(mitigation, "mitigate", counting)
+    counts = CountsTable({"++": 3000, "+-": 1100, "-+": 900, "--": 3192}, 8192, seed=21)
+    mitigation.mitigate_correlator(counts, ConfusionMatrix.symmetric(0.03, num_bits=2))
+    assert len(calls) == 1
+    kwargs, out = calls[0]
+    assert kwargs == {"return_method": True}
+    x, method = out
+    assert isinstance(x, np.ndarray) and isinstance(method, str)
+    assert method in {"inverse", "least_squares"}
