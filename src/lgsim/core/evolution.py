@@ -162,40 +162,27 @@ def _unitary_step(rho: DensityMatrix, u: np.ndarray) -> DensityMatrix:
     return DensityMatrix._trusted(rho.num_qubits, u @ rho.matrix @ u.conj().T)
 
 
-def evolve_density(
+def _evolve_segment(
     rho: DensityMatrix,
     dynamics: Dynamics,
-    t_start: float,
-    t_end: float,
-    noise: NoiseModel | None = None,
+    duration: float,
+    noise: NoiseModel | None,
 ) -> DensityMatrix:
-    """Evolve one segment, interleaving decoherence channels with the
-    coherent dynamics.
+    """Apply one segment's linear map to ``rho``, unchecked.
 
     Exact dynamics applies the full-segment unitary followed by relaxation
     channels for the segment duration. Trotter dynamics applies, per step,
     the odd layer, its gate noise, the even layer, its gate noise, then
-    relaxation for dt. Intermediate states skip validation; the result of
-    every non-empty segment is checked once.
+    relaxation for dt. Every step is linear in ``rho``, which need not be a
+    state; the caller checks the result.
     """
-    if t_end < t_start:
-        raise InvalidGrid(f"t_end={t_end} earlier than t_start={t_start}")
-    if isinstance(dynamics, TrotterPlan):
-        raise InvalidTrotterPlan(
-            "a bare TrotterPlan has no step size; wrap it as "
-            "TrotterEvolution(hamiltonian, plan, dt)"
-        )
-    duration = t_end - t_start
-    if duration == 0:
-        return rho
-
     if isinstance(dynamics, PauliSumHamiltonian):
         u = _expm_hermitian(dynamics, duration)
         out = _unitary_step(rho, u)
         if noise is not None:
             for ch in relaxation_channels(noise, rho.num_qubits, duration):
                 out = apply_channel(out, ch)
-        return DensityMatrix(out.num_qubits, out.matrix)
+        return out
 
     plan = dynamics.plan
     steps = dynamics.segment_steps(duration)
@@ -220,4 +207,31 @@ def evolve_density(
             out = apply_channel(out, ch)
         for ch in relax:
             out = apply_channel(out, ch)
+    return out
+
+
+def evolve_density(
+    rho: DensityMatrix,
+    dynamics: Dynamics,
+    t_start: float,
+    t_end: float,
+    noise: NoiseModel | None = None,
+) -> DensityMatrix:
+    """Evolve one segment, interleaving decoherence channels with the
+    coherent dynamics (see ``_evolve_segment`` for the order).
+
+    Intermediate states skip validation; the result of every non-empty
+    segment is checked once.
+    """
+    if t_end < t_start:
+        raise InvalidGrid(f"t_end={t_end} earlier than t_start={t_start}")
+    if isinstance(dynamics, TrotterPlan):
+        raise InvalidTrotterPlan(
+            "a bare TrotterPlan has no step size; wrap it as "
+            "TrotterEvolution(hamiltonian, plan, dt)"
+        )
+    duration = t_end - t_start
+    if duration == 0:
+        return rho
+    out = _evolve_segment(rho, dynamics, duration, noise)
     return DensityMatrix(out.num_qubits, out.matrix)

@@ -63,16 +63,27 @@ class DensityMatrix:
         tr = np.trace(m).real
         if abs(tr - 1.0) > NORM_TOL:
             raise InvalidState(f"trace {tr} deviates from 1 beyond {NORM_TOL}")
-        min_eig = float(np.linalg.eigvalsh(m)[0])
-        if min_eig < -PSD_TOL:
-            raise InvalidState(f"negative eigenvalue {min_eig} below -{PSD_TOL}")
+        # m + PSD_TOL * I has a Cholesky factor exactly when no eigenvalue of
+        # m is below -PSD_TOL (up to rounding); eigvalsh, three to four times
+        # dearer, only runs to decide a failure near that edge and to name it
+        try:
+            np.linalg.cholesky(m + PSD_TOL * np.eye(dim))
+        except np.linalg.LinAlgError:
+            min_eig = float(np.linalg.eigvalsh(m)[0])
+            if min_eig < -PSD_TOL:
+                raise InvalidState(f"negative eigenvalue {min_eig} below -{PSD_TOL}") from None
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
     @classmethod
     def _trusted(cls, num_qubits: int, matrix: np.ndarray) -> "DensityMatrix":
         """Skip the checks, for intermediate states inside one evolution
-        segment; the segment's result goes through the checked constructor."""
+        segment; the segment's result goes through the checked constructor.
+
+        The exact correlator also sends its signed first-measurement operator
+        M(rho) through a segment as a trusted instance. That operator is
+        Hermitian with trace <Q_1> but not PSD, so it is no state, and
+        ``exact_correlator`` checks its evolved image itself."""
         out = object.__new__(cls)
         matrix.setflags(write=False)
         object.__setattr__(out, "num_qubits", num_qubits)

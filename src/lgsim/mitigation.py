@@ -30,6 +30,7 @@ from .observables import (
     OUTCOME_KEYS,
     CorrelatorEstimate,
     CountsTable,
+    _count,
 )
 
 if TYPE_CHECKING:
@@ -126,7 +127,9 @@ class CountsVector:
     total: int
 
     def __post_init__(self) -> None:
-        counts = tuple(int(c) for c in self.counts)
+        counts = tuple(
+            _count(c, format(i, f"0{self.num_bits}b")) for i, c in enumerate(self.counts)
+        )
         if len(counts) != 2**self.num_bits:
             raise ValueError(f"expected {2**self.num_bits} entries, got {len(counts)}")
         if any(c < 0 for c in counts):
@@ -143,7 +146,7 @@ class CountsVector:
         for key, c in table.items():
             if len(key) != num_bits or set(key) - {"0", "1"}:
                 raise ValueError(f"counts key {key!r} is not a {num_bits}-bit string")
-            counts[int(key, 2)] = int(c)
+            counts[int(key, 2)] = _count(c, key)
         return cls(num_bits, tuple(counts), sum(counts))
 
     def to_dict(self) -> dict[str, int]:

@@ -2,12 +2,16 @@
 
 ``exact_correlator`` evaluates the trace formula
 
-    C(t_i, t_j) = sum_{n,m} q_n q_m Tr[ P_m E_{i->j}( P_n E_{0->i}(rho_0) P_n ) P_m ]
+    C(t_i, t_j) = Tr[ Q_j E_{i->j}( M(rho_i) ) ],  rho_i = E_{0->i}(rho_0),
+    M(rho) = sum_n q_n P_n rho P_n,
 
-where E are the (possibly noisy) segment evolution maps and P_n the
-projection branches of the first measurement. ``sampled_correlator`` draws
-per-shot records of the same protocol, optionally passing every read bit
-through a readout confusion matrix before recording.
+where E are the (possibly noisy) segment evolution maps, P_n the projection
+branches of the first measurement and q_n = +/-1 their values. M is linear,
+so one evolution of the signed operator M(rho_i) replaces one evolution per
+branch; for a two-outcome collapse M(rho) = {Q_i, rho} / 2 (Emary, Lambert
+and Nori, arXiv:1304.5133). ``sampled_correlator`` draws per-shot records of
+the same protocol, optionally passing every read bit through a readout
+confusion matrix before recording.
 
 Collapse granularity: a single-qubit observable always collapses onto its
 two outcome projectors. A multi-qubit parity observable built with
@@ -21,17 +25,19 @@ parity subspaces themselves.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .core.evolution import Dynamics, evolve_density
-from .core.states import DensityMatrix
+from .core.evolution import Dynamics, _evolve_segment, evolve_density
+from .core.states import NORM_TOL, DensityMatrix
 from .errors import (
     InvalidGrid,
     InvalidNoiseParameter,
     InvalidObservable,
+    InvalidState,
 )
 
 if TYPE_CHECKING:
@@ -87,6 +93,8 @@ class DichotomicObservable:
             raise InvalidObservable("projectors are not orthogonal")
         if np.abs(plus + minus - np.eye(dim)).max() > PROJECTOR_TOL:
             raise InvalidObservable("projectors do not sum to the identity")
+        if self.z_diagonal and np.abs(plus - np.diag(np.diagonal(plus))).max() > PROJECTOR_TOL:
+            raise InvalidObservable("a z-diagonal observable needs diagonal projectors")
         object.__setattr__(self, "projector_plus", plus)
         object.__setattr__(self, "projector_minus", minus)
 
@@ -207,6 +215,21 @@ class CorrelatorEstimate:
         return self.std_error**2 if np.isfinite(self.std_error) else float("nan")
 
 
+def _count(value, key: str) -> int:
+    """``value`` as an int, or a ValueError naming ``key``. Integral floats
+    such as 3.0 are accepted; 2.5 or a non-finite value is rejected, not
+    truncated, as for the integer values of a scenario config."""
+    if isinstance(value, (int, np.integer)):
+        return int(value)
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        number = math.nan
+    if not (math.isfinite(number) and number.is_integer()):
+        raise ValueError(f"count {key!r} must be an integer, got {value!r}")
+    return int(number)
+
+
 @dataclass
 class CountsTable:
     """Raw shot counts over the four (Q_i, Q_j) outcome pairs.
@@ -220,7 +243,7 @@ class CountsTable:
     seed: int | None = None
 
     def __post_init__(self) -> None:
-        counts = {k: int(self.outcomes.get(k, 0)) for k in OUTCOME_KEYS}
+        counts = {k: _count(self.outcomes.get(k, 0), k) for k in OUTCOME_KEYS}
         if any(v < 0 for v in counts.values()):
             raise ValueError("negative counts")
         if sum(counts.values()) != self.n_shots:
@@ -258,13 +281,19 @@ def _check_register(rho0: DensityMatrix, sched: MeasurementSchedule) -> None:
         )
 
 
-def _bit_distribution(rho: DensityMatrix, qubits: tuple[int, ...]) -> np.ndarray:
-    """Probability over the computational-basis patterns of ``qubits``."""
-    diag = np.clip(np.real(np.diagonal(rho.matrix)), 0.0, None)
-    idx = np.arange(rho.dim)
+def _pattern_keys(dim: int, qubits: tuple[int, ...]) -> np.ndarray:
+    """Bit pattern of ``qubits`` (bit k from ``qubits[k]``) of every basis index."""
+    idx = np.arange(dim)
     keys = np.zeros_like(idx)
     for k, q in enumerate(qubits):
         keys |= ((idx >> q) & 1) << k
+    return keys
+
+
+def _bit_distribution(rho: DensityMatrix, qubits: tuple[int, ...]) -> np.ndarray:
+    """Probability over the computational-basis patterns of ``qubits``."""
+    diag = np.clip(np.real(np.diagonal(rho.matrix)), 0.0, None)
+    keys = _pattern_keys(rho.dim, qubits)
     dist = np.bincount(keys, weights=diag, minlength=2 ** len(qubits))
     total = dist.sum()
     return dist / total if total > 0 else dist
@@ -281,10 +310,7 @@ def _pattern_signs(m: int) -> np.ndarray:
 
 def _pattern_branch(rho: DensityMatrix, qubits: tuple[int, ...], pattern: int):
     """Probability and collapsed state for one bit pattern of ``qubits``."""
-    idx = np.arange(rho.dim)
-    sel = np.ones(rho.dim, dtype=bool)
-    for k, q in enumerate(qubits):
-        sel &= ((idx >> q) & 1) == ((pattern >> k) & 1)
+    sel = _pattern_keys(rho.dim, qubits) == pattern
     p = float(np.real(np.diagonal(rho.matrix))[sel].sum())
     if p <= UNREACHABLE_PROB:
         return p, None
@@ -294,7 +320,8 @@ def _pattern_branch(rho: DensityMatrix, qubits: tuple[int, ...], pattern: int):
 
 def _first_branches(rho: DensityMatrix, obs: DichotomicObservable):
     """Collapse branches of the first measurement at the observable's
-    granularity: (value, probability, collapsed state or None)."""
+    granularity, for the sampled engine: (value, probability, collapsed
+    state or None)."""
     if obs.bitwise_collapse and len(obs.qubits) > 1:
         signs = _pattern_signs(len(obs.qubits))
         out = []
@@ -312,25 +339,60 @@ def _first_branches(rho: DensityMatrix, obs: DichotomicObservable):
     return out
 
 
+def _signed_collapse(rho: np.ndarray, obs: DichotomicObservable) -> np.ndarray:
+    """M(rho) = sum_n q_n P_n rho P_n over the first measurement's branches.
+
+    A bitwise collapse keeps the blocks of ``rho`` between basis states with
+    the same bit pattern of the measured qubits, each signed by its pattern's
+    parity. A z-diagonal observable with values q_a on the basis states gives
+    M(rho)_ab = (q_a + q_b) / 2 rho_ab, and any other one {Q, rho} / 2.
+    """
+    if obs.bitwise_collapse and len(obs.qubits) > 1:
+        keys = _pattern_keys(rho.shape[0], obs.qubits)
+        signs = _pattern_signs(len(obs.qubits))[keys]
+        return np.where(keys[:, None] == keys[None, :], signs[:, None] * rho, 0.0)
+    if obs.z_diagonal:
+        q = np.real(np.diagonal(obs.projector_plus) - np.diagonal(obs.projector_minus))
+        return 0.5 * (q[:, None] + q[None, :]) * rho
+    q = obs.operator()
+    return 0.5 * (q @ rho + rho @ q)
+
+
 def exact_correlator(
     rho0: DensityMatrix,
     dynamics: Dynamics,
     sched: MeasurementSchedule,
     noise: "NoiseModel | None" = None,
 ) -> CorrelatorEstimate:
-    """Two-time correlator by the exact trace formula, with decoherence
+    """Two-time correlator C = Tr[Q_j E_{i->j}(M(rho_i))], with decoherence
     channels interleaved between the evolution segments when a noise model
-    is given. Readout confusion never enters the exact value."""
+    is given. Readout confusion never enters the exact value.
+
+    rho_i comes checked from ``evolve_density``. The signed operator M(rho_i)
+    is evolved once over the second segment and checked there: its image
+    must stay Hermitian and keep its trace <Q_i>, both within ``NORM_TOL``.
+    The branch states P_n rho_i P_n that M(rho_i) sums are PSD because rho_i
+    is, and every segment map is unitary or a complete channel, so they stay
+    PSD without a check of their own; |C| <= 1 is checked by
+    ``CorrelatorEstimate``.
+    """
     _check_register(rho0, sched)
-    obs2 = sched.second_observable
     rho_i = evolve_density(rho0, dynamics, 0.0, sched.t_first, noise)
-    value = 0.0
-    for q1, p1, rho_b in _first_branches(rho_i, sched.first_observable):
-        if rho_b is None:
-            continue
-        rho_j = evolve_density(rho_b, dynamics, sched.t_first, sched.t_second, noise)
-        expectation = float(np.trace(obs2.operator() @ rho_j.matrix).real)
-        value += p1 * q1 * expectation
+    x = _signed_collapse(rho_i.matrix, sched.first_observable)
+    y = x
+    duration = sched.t_second - sched.t_first
+    if duration > 0:
+        signed = DensityMatrix._trusted(rho0.num_qubits, x)
+        y = _evolve_segment(signed, dynamics, duration, noise).matrix
+    deviation = float(np.abs(y - y.conj().T).max())
+    drift = abs(np.trace(y) - np.trace(x))
+    # written so that NaN or inf entries fail too
+    if not (deviation <= NORM_TOL and drift <= NORM_TOL):
+        raise InvalidState(
+            f"evolved first-measurement operator drifted: Hermiticity {deviation}, "
+            f"trace {drift} (tolerance {NORM_TOL})"
+        )
+    value = float(np.real(np.sum(sched.second_observable.operator().T * y)))
     return CorrelatorEstimate(value, 0.0, 0, METHOD_EXACT)
 
 

@@ -3,7 +3,9 @@
 Deliberately avoids the package's evolution and measurement machinery:
 propagators come from scipy.linalg.expm, projectors are built here from
 explicit Kronecker products, and the correlator is a literal double sum over
-measurement branches.
+measurement branches. The one exception is ``branch_correlator``, which
+evolves each measurement branch with the package's checked
+``evolve_density`` so that noisy and Trotter dynamics can be compared.
 """
 
 import numpy as np
@@ -60,6 +62,13 @@ def parity_pair(qubits, n):
     return [(+1, plus), (-1, minus)]
 
 
+def x_pair(qubit, n):
+    """(value, projector) branches of an x readout of one qubit."""
+    plus = 0.5 * np.array([[1, 1], [1, 1]], dtype=complex)
+    minus = 0.5 * np.array([[1, -1], [-1, 1]], dtype=complex)
+    return [(+1, op_on(plus, qubit, n)), (-1, op_on(minus, qubit, n))]
+
+
 def bitwise_parity_branches(qubits, n):
     """Fine branches: one projector per bit pattern of the measured qubits,
     valued by the pattern's parity (a full readout of those qubits)."""
@@ -89,6 +98,28 @@ def correlator(rho0, h, t_i, t_j, first_branches, second_branches):
         evolved = u2 @ mid @ u2.conj().T
         for q_m, p_m in second_branches:
             total += q_n * q_m * np.trace(p_m @ evolved @ p_m).real
+    return total
+
+
+def branch_correlator(rho0, dynamics, t_i, t_j, first_branches, q2, noise=None):
+    """Branch formula: sum of q p Tr[Q2 rho_b'] over the first-measurement
+    branches (q, P) of the DensityMatrix ``rho0`` evolved to ``t_i``. Each
+    branch P rho P / p is renormalised, evolved on to ``t_j`` by the checked
+    ``lgsim.evolve_density`` and asserted PSD; branches with p <= 1e-12 are
+    skipped."""
+    from lgsim import DensityMatrix, evolve_density
+
+    rho_i = evolve_density(rho0, dynamics, 0.0, t_i, noise).matrix
+    total = 0.0
+    for q, proj in first_branches:
+        branch = proj @ rho_i @ proj
+        p = np.trace(branch).real
+        if p <= 1e-12:
+            continue
+        state = DensityMatrix(rho0.num_qubits, branch / p)
+        evolved = evolve_density(state, dynamics, t_i, t_j, noise).matrix
+        assert np.linalg.eigvalsh(evolved)[0] >= -1e-9
+        total += q * p * np.trace(q2 @ evolved).real
     return total
 
 

@@ -320,6 +320,8 @@ def test_mitigate_accepts_counts_table_json(tmp_path):
         ({"counts": {"0x": 5, "01": 3}}, "'0x'"),
         ({"counts": {"0": None, "1": 3}}, "bad input file"),
         ({"counts": {"0": float("inf"), "1": 3}}, "bad input file"),
+        ({"counts": {"0": 2.5, "1": 3}}, "'0'"),
+        ({"outcomes": {"++": 2.5, "+-": 1, "-+": 0, "--": 0}, "n_shots": 3}, "'++'"),
     ],
 )
 def test_mitigate_rejects_bad_counts(tmp_path, capsys, payload, message):

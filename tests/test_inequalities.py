@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import bruteforce as bf
 from lgsim import (
     CorrelatorEstimate,
     DensityMatrix,
@@ -133,6 +136,25 @@ def test_exact_scan_matches_closed_form():
     scan = tau_scan(single_qubit_setup(), taus, Engine.exact())
     closed = np.column_stack(closed_form_k3(1.0, taus))
     assert np.abs(scan.values() - closed).max() < 1e-10
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_qubit_combinations_respect_the_luders_bound(seed):
+    # for a qubit read out projectively, C_ij = n_i . n_j for the Bloch
+    # directions of the Heisenberg-picture observables, whatever the state,
+    # so every third-order combination stays at or below 3/2
+    rng = np.random.default_rng(seed)
+    setup = ThreeTimeSetup(
+        rho0=DensityMatrix(1, bf.random_density_matrix(1, rng)),
+        hamiltonian=PauliSumHamiltonian.from_terms(1, bf.random_hamiltonian_terms(1, rng)),
+        first_observable=sigma_z_observable(0, 1),
+        second_observable=sigma_z_observable(0, 1),
+        mode="LGI_single",
+    )
+    taus = np.sort(rng.uniform(0.0, 2.0 * np.pi, 5))
+    scan = tau_scan(setup, taus, Engine.exact())
+    assert scan.values().max() <= 1.5 + 1e-12
 
 
 def test_single_point_grid_at_zero():

@@ -61,6 +61,12 @@ def test_counts_vector_round_trip_and_validation():
     for key in ("111", "0", "2x"):
         with pytest.raises(ValueError, match=repr(key)):
             CountsVector.from_dict(2, {key: 5, "00": 3})
+    # fractional counts are rejected naming the key, not truncated
+    with pytest.raises(ValueError, match="'01'"):
+        CountsVector.from_dict(2, {"01": 2.5, "00": 3})
+    with pytest.raises(ValueError, match="'1'"):
+        CountsVector(1, (3, 2.5), 5)
+    assert CountsVector.from_dict(1, {"0": 2.0, "1": 3}).counts == (2, 3)
 
 
 # --- calibration -------------------------------------------------------------

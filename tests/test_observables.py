@@ -1,22 +1,28 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import bruteforce as bf
+import lgsim.observables as observables
 from lgsim import (
     CountsTable,
     DensityMatrix,
     DichotomicObservable,
     InvalidGrid,
     InvalidObservable,
+    InvalidState,
     MeasurementSchedule,
     NoiseModel,
     PauliSumHamiltonian,
+    TrotterEvolution,
     exact_correlator,
     parity_observable,
     prepare_state,
     sampled_correlator,
     sigma_x_observable,
     sigma_z_observable,
+    trotter_plan,
 )
 from lgsim.mitigation import ConfusionMatrix
 
@@ -68,6 +74,12 @@ def test_projector_algebra_validated():
     overlapping = np.diag([1.0, 1.0]).astype(complex)
     with pytest.raises(InvalidObservable):
         DichotomicObservable("bad", (0,), 1, overlapping, good)
+    # the exact engine collapses a z-diagonal observable elementwise
+    x = sigma_x_observable(0, 1)
+    with pytest.raises(InvalidObservable, match="diagonal"):
+        DichotomicObservable(
+            "bad", (0,), 1, x.projector_plus, x.projector_minus, z_diagonal=True
+        )
 
 
 def test_sigma_x_observable_projects_onto_plus_minus():
@@ -193,6 +205,118 @@ def test_label_swap_on_both_observables_preserves_value():
         assert abs(a.value - b.value) < 1e-12
 
 
+@st.composite
+def correlator_cases(draw):
+    n = draw(st.integers(1, 4))
+    trotter = draw(st.booleans())
+    first = draw(st.sampled_from(("z", "x", "parity", "bitwise")))
+    depolarize = trotter and draw(st.booleans())
+    relax = draw(st.booleans())
+    seed = draw(st.integers(0, 2**32 - 1))
+    return n, trotter, first, depolarize, relax, seed
+
+
+def _on(n, paulis):
+    return "".join(paulis.get(q, "I") for q in range(n))
+
+
+def build_correlator_case(case):
+    """State, dynamics, schedule, noise, and the brute-force branch lists of
+    one drawn case; ``h_dense`` is None for Trotter dynamics."""
+    n, trotter, first, depolarize, relax, seed = case
+    rng = np.random.default_rng(seed)
+    rho = DensityMatrix(n, bf.random_density_matrix(n, rng))
+    if trotter:
+        # nearest-neighbour terms, each Pauli string once, as trotter_plan needs
+        strings = []
+        for q in range(n):
+            strings += [_on(n, {q: "X"}), _on(n, {q: "Z"})]
+        for q in range(n - 1):
+            strings += [_on(n, {q: "Z", q + 1: "Z"}), _on(n, {q: "X", q + 1: "Y"})]
+        terms = [(float(rng.uniform(-1.5, 1.5)), s) for s in strings]
+    else:
+        terms = bf.random_hamiltonian_terms(n, rng)
+    h = PauliSumHamiltonian.from_terms(n, terms)
+    if trotter:
+        dt = float(rng.uniform(0.05, 0.4))
+        dynamics = TrotterEvolution(h, trotter_plan(h, 1), dt)
+        t_i = int(rng.integers(0, 4)) * dt
+        t_j = t_i + int(rng.integers(0, 4)) * dt
+        h_dense = None
+    else:
+        dynamics = h
+        t_i = float(rng.uniform(0.0, 1.5))
+        t_j = t_i + float(rng.uniform(0.0, 2.0))
+        h_dense = bf.hamiltonian(n, terms)
+    noise = None
+    if depolarize or relax:
+        t1 = float(rng.uniform(0.5, 5.0)) if relax else None
+        noise = NoiseModel(
+            t1=t1,
+            t2=t1 * float(rng.uniform(0.2, 2.0)) if relax else None,
+            gate_depolarizing_1q=float(rng.uniform(0.0, 0.1)) if depolarize else 0.0,
+            gate_depolarizing_2q=float(rng.uniform(0.0, 0.2)) if depolarize else 0.0,
+        )
+    qubits = [int(q) for q in rng.permutation(n)[: int(rng.integers(min(2, n), n + 1))]]
+    q = qubits[0]
+    obs1, branches1 = {
+        "z": (sigma_z_observable(q, n), bf.z_pair(q, n)),
+        "x": (sigma_x_observable(q, n), bf.x_pair(q, n)),
+        "parity": (
+            parity_observable(qubits, n, bitwise_collapse=False),
+            bf.parity_pair(qubits, n),
+        ),
+        "bitwise": (parity_observable(qubits, n), bf.bitwise_parity_branches(qubits, n)),
+    }[first]
+    second = [int(q) for q in rng.permutation(n)[: int(rng.integers(1, n + 1))]]
+    obs2 = parity_observable(second, n, bitwise_collapse=False)
+    sched = MeasurementSchedule((t_i, t_j), obs1, obs2)
+    return rho, dynamics, sched, noise, branches1, bf.parity_pair(second, n), h_dense
+
+
+@settings(max_examples=80, deadline=None)
+@given(correlator_cases())
+@example((4, True, "bitwise", True, True, 11))
+@example((4, False, "bitwise", False, True, 12))
+@example((3, True, "x", True, False, 13))
+@example((3, False, "parity", False, False, 14))
+@example((2, False, "x", False, False, 15))
+def test_signed_map_matches_branch_formula(case):
+    # one evolution of M(rho_i) = sum_n q_n P_n rho_i P_n against one checked
+    # evolution per renormalised branch, for every collapse kind and noise
+    rho, dynamics, sched, noise, branches1, branches2, h_dense = build_correlator_case(case)
+    q2 = sum(v * p for v, p in branches2)
+    est = exact_correlator(rho, dynamics, sched, noise)
+    oracle = bf.branch_correlator(rho, dynamics, *sched.times, branches1, q2, noise)
+    assert abs(est.value - oracle) <= 1e-12
+    if noise is None and h_dense is not None:
+        expm = bf.correlator(rho.matrix, h_dense, *sched.times, branches1, branches2)
+        assert abs(est.value - expm) <= 1e-12
+
+
+@pytest.mark.parametrize("scale, shift", [(1.0 + 1e-9, 0.0), (1.0, 1e-9j)])
+def test_evolved_signed_operator_is_checked(monkeypatch, scale, shift):
+    # a segment map that lost trace or Hermiticity must not yield a value
+    evolve = observables._evolve_segment
+
+    def leaky(rho, *args):
+        out = evolve(rho, *args)
+        return DensityMatrix._trusted(out.num_qubits, scale * out.matrix + shift)
+
+    monkeypatch.setattr(observables, "_evolve_segment", leaky)
+    rho = prepare_state("plus", 2).density_matrix()
+    sched = MeasurementSchedule((0.3, 0.9), sigma_x_observable(0, 2), sigma_z_observable(1, 2))
+    with pytest.raises(InvalidState, match="drifted"):
+        exact_correlator(rho, two_qubit_rotations(1.0, 0.4), sched)
+
+
+@settings(max_examples=60, deadline=None)
+@given(correlator_cases().filter(lambda case: case[3] or case[4]))
+def test_noisy_correlator_is_bounded(case):
+    rho, dynamics, sched, noise, *_ = build_correlator_case(case)
+    assert abs(exact_correlator(rho, dynamics, sched, noise).value) <= 1.0 + 1e-12
+
+
 # --- sampled correlator -----------------------------------------------------
 
 
@@ -272,6 +396,10 @@ def test_counts_table_round_trip_and_validation():
     assert again.seed == 7
     with pytest.raises(ValueError):
         CountsTable({"++": 10}, 20)
+    # fractional counts are rejected naming the key, not truncated
+    with pytest.raises(ValueError, match=r"'\+\+'"):
+        CountsTable({"++": 2.5, "+-": 1, "-+": 0, "--": 0}, 3)
+    assert CountsTable({"++": 2.0, "+-": 1}, 3).outcomes["++"] == 2
 
 
 def test_symmetric_readout_flips_damp_products():

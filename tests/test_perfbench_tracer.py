@@ -8,7 +8,9 @@ from pathlib import Path
 import numpy as np
 
 import lgsim.core.evolution as evolution
+import lgsim.inequalities as inequalities
 import lgsim.mitigation as mitigation
+import lgsim.observables as observables
 from lgsim import (
     ConfusionMatrix,
     CountsTable,
@@ -18,6 +20,7 @@ from lgsim import (
     evolve_density,
     prepare_state,
     trotter_plan,
+    violation_region_scan,
 )
 from lgsim.scenarios import ising_chain_hamiltonian
 
@@ -87,3 +90,30 @@ def test_mitigation_hook_sees_each_point_estimate(monkeypatch):
     x, method = out
     assert isinstance(x, np.ndarray) and isinstance(method, str)
     assert method in {"inverse", "least_squares"}
+
+
+def test_region_scan_hooks_each_see_calls(monkeypatch):
+    # region_exact's traced run requires calls into observables.exact,
+    # core.evolution and core.states, which the tracer counts at these three
+    # names; an exact engine that bypassed one of them would fail every
+    # traced region_exact run
+    calls = {"exact": 0, "evolve": 0, "check": 0}
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return counted
+
+    monkeypatch.setattr(
+        inequalities, "exact_correlator", counting("exact", inequalities.exact_correlator)
+    )
+    monkeypatch.setattr(
+        observables, "evolve_density", counting("evolve", observables.evolve_density)
+    )
+    monkeypatch.setattr(
+        DensityMatrix, "__post_init__", counting("check", DensityMatrix.__post_init__)
+    )
+    violation_region_scan(3, [0.5, 1.5], np.linspace(0.0, 1.0, 3))
+    assert all(count > 0 for count in calls.values()), calls

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from lgsim import (
     DensityMatrix,
@@ -9,6 +11,7 @@ from lgsim import (
     TooManyQubits,
     prepare_state,
 )
+from lgsim.core.states import PSD_TOL
 
 
 def test_zero_state_is_computational_ground():
@@ -99,6 +102,41 @@ def test_density_matrix_accepts_tiny_psd_defect():
     m = np.array([[1.0 + 5e-10, 0], [0, -5e-10]], dtype=complex)
     m = m / np.trace(m)
     DensityMatrix(1, m)
+
+
+def test_density_matrix_rejects_small_psd_defect():
+    m = np.array([[1.0 + 2e-9, 0], [0, -2e-9]], dtype=complex)
+    with pytest.raises(InvalidState, match="negative eigenvalue -2"):
+        DensityMatrix(1, m)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 6),
+    st.floats(-12.0, -6.0),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+)
+def test_psd_verdict_matches_eigvalsh(n, log_offset, below, seed):
+    # unit-trace Hermitian matrices whose smallest eigenvalue lies 1e-12 to
+    # 1e-6 on either side of -PSD_TOL
+    rng = np.random.default_rng(seed)
+    dim = 2**n
+    v, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    w = rng.uniform(0.0, 1.0, dim)
+    w[0] = -PSD_TOL + (-1.0 if below else 1.0) * 10.0**log_offset
+    w[1:] *= (1.0 - w[0]) / w[1:].sum()
+    m = (v * w) @ v.conj().T
+    m = 0.5 * (m + m.conj().T)
+    min_eig = np.linalg.eigvalsh(m)[0]
+    assume(abs(min_eig + PSD_TOL) >= 1e-12)
+    try:
+        DensityMatrix(n, m)
+        accepted = True
+    except InvalidState as err:
+        assert "negative eigenvalue" in str(err)
+        accepted = False
+    assert accepted == (min_eig >= -PSD_TOL)
 
 
 def test_state_arrays_are_read_only():
