@@ -25,7 +25,7 @@ from .inequalities import (
     scan_to_csv,
 )
 from .mitigation import ConfusionMatrix, CountsVector, calibrate, mitigate
-from .observables import CountsTable
+from .observables import CountsTable, _count
 from .scenarios import SCENARIOS, ScenarioSpec
 
 EXIT_OK = 0
@@ -134,6 +134,8 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
         return _fail(str(err), EXIT_USAGE)
     except LgsimError as err:
         return _fail(str(err), EXIT_USAGE)
+    except (KeyError, TypeError, ValueError) as err:
+        return _fail(f"bad matrix file: {err}", EXIT_USAGE)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(estimated.to_json() + "\n")
@@ -149,7 +151,7 @@ def _load_counts(path: Path) -> CountsVector:
         vec = table.vector().astype(int)
         return CountsVector(2, tuple(int(v) for v in vec), int(table.n_shots))
     counts = data["counts"]
-    num_bits = int(data.get("num_bits") or max(len(k) for k in counts))
+    num_bits = _count(data.get("num_bits") or max(len(k) for k in counts), "num_bits")
     return CountsVector.from_dict(num_bits, counts)
 
 

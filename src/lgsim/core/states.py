@@ -54,8 +54,11 @@ class DensityMatrix:
         dim = 2**self.num_qubits
         if m.shape != (dim, dim):
             raise InvalidState(f"matrix shape {m.shape} does not match {self.num_qubits} qubits")
-        # any NaN or inf entry makes the Hermiticity deviation NaN or inf
-        deviation = float(np.abs(m - m.conj().T).max())
+        # any NaN or inf entry makes the Hermiticity deviation NaN or inf;
+        # an inf facing an inf across the diagonal gives inf - inf, which is
+        # rejected below and need not warn
+        with np.errstate(invalid="ignore"):
+            deviation = float(np.abs(m - m.conj().T).max())
         if not math.isfinite(deviation):
             raise InvalidState("density matrix has non-finite entries")
         if deviation > NORM_TOL:

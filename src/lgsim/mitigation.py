@@ -3,9 +3,10 @@
 Calibration prepares every basis state (or each bit separately in tensor
 mode), simulates noisy readouts, and tallies a column-stochastic matrix M
 with entry (r, s) = P(read r | prepared s). Mitigation solves M x = y for
-the observed frequency vector y; plain inversion is tried first and a
-constrained least-squares fit takes over when inversion produces clearly
-negative quasi-probabilities (an entry below -0.01). One kernel,
+the observed frequency vector y; plain inversion is tried first, and when
+it produces clearly negative quasi-probabilities (an entry below -0.01) an
+exact active-set fit of min ||M x - y||^2 over the probability simplex
+(Lawson-Hanson NNLS with a sum row, in numpy) takes over. One kernel,
 ``_mitigate_rows``, serves a single distribution and a whole bootstrap: the
 rows are inverted in one stacked solve, and only the rows that went
 negative get the fit, one at a time.
@@ -18,7 +19,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
-from scipy import optimize
 
 from .errors import (
     CalibrationTooLarge,
@@ -41,6 +41,8 @@ FULL_CALIBRATION_MAX_BITS = 6
 TENSOR_CALIBRATION_MAX_BITS = 12
 NEGATIVITY_THRESHOLD = -0.01
 BOOTSTRAP_RESAMPLES = 200
+FIT_KKT_TOL = 1e-13
+FIT_MAX_SOLVES_PER_OUTCOME = 10
 
 
 @dataclass(frozen=True)
@@ -115,7 +117,7 @@ class ConfusionMatrix:
     @classmethod
     def from_json(cls, text: str) -> "ConfusionMatrix":
         data = json.loads(text)
-        return cls(int(data["num_bits"]), np.array(data["matrix"], dtype=float))
+        return cls(_count(data["num_bits"], "num_bits"), np.array(data["matrix"], dtype=float))
 
 
 @dataclass(frozen=True)
@@ -142,10 +144,12 @@ class CountsVector:
 
     @classmethod
     def from_dict(cls, num_bits: int, table: dict[str, int]) -> "CountsVector":
-        counts = [0] * (2**num_bits)
-        for key, c in table.items():
+        # keys are checked before the 2^num_bits table is allocated
+        for key in table:
             if len(key) != num_bits or set(key) - {"0", "1"}:
                 raise ValueError(f"counts key {key!r} is not a {num_bits}-bit string")
+        counts = [0] * (2**num_bits)
+        for key, c in table.items():
             counts[int(key, 2)] = _count(c, key)
         return cls(num_bits, tuple(counts), sum(counts))
 
@@ -236,19 +240,54 @@ def calibrate(
 
 
 def _constrained_fit(matrix: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """Exact minimiser of ||M x - y||^2 with x >= 0 and sum(x) = 1.
+
+    A primal active-set method: Lawson and Hanson's NNLS with the sum row as
+    an equality constraint. It starts at the uniform point with every index
+    passive (free). On each passive set P the sum row is eliminated: z is
+    the uniform point u on P plus steps along e_k - e_0, and ``lstsq`` fits
+    M_P (e_k - e_0) to y - M_P u. This keeps cond(M), which the normal
+    equations would square, and a singular M gets the minimum-norm step, so
+    the fair-coin matrix keeps the uniform point. If z leaves the simplex, x
+    steps towards z until its first entry hits zero and that index is
+    dropped. Otherwise x = z, and the index whose bound multiplier (the
+    gradient M^T (M x - y) less its value on P) is most negative is freed,
+    until none is below -FIT_KKT_TOL.
+    """
     dim = target.size
-    result = optimize.minimize(
-        lambda x: float(np.sum((matrix @ x - target) ** 2)),
-        x0=np.full(dim, 1.0 / dim),
-        jac=lambda x: 2.0 * matrix.T @ (matrix @ x - target),
-        bounds=[(0.0, 1.0)] * dim,
-        constraints=[{"type": "eq", "fun": lambda x: x.sum() - 1.0}],
-        method="SLSQP",
-        options={"maxiter": 500, "ftol": 1e-14},
+    x = np.full(dim, 1.0 / dim)
+    passive = np.ones(dim, dtype=bool)
+    for _ in range(FIT_MAX_SOLVES_PER_OUTCOME * dim):
+        idx = np.flatnonzero(passive)
+        cols = matrix[:, idx]
+        steps = np.linalg.lstsq(
+            cols[:, 1:] - cols[:, :1], target - cols.mean(axis=1), rcond=None
+        )[0]
+        z = np.full(idx.size, 1.0 / idx.size)
+        z[1:] += steps
+        z[0] -= steps.sum()
+        if z.min() > 0.0:
+            x = np.zeros(dim)
+            x[idx] = z
+            grad = matrix.T @ (matrix @ x - target)
+            multipliers = grad - grad[passive].mean()
+            multipliers[passive] = np.inf
+            j = int(np.argmin(multipliers))
+            if multipliers[j] >= -FIT_KKT_TOL:
+                return x
+            passive[j] = True
+            continue
+        current = x[idx]
+        blocked = np.flatnonzero(z <= 0.0)
+        ratios = current[blocked] / (current[blocked] - z[blocked])
+        first = int(np.argmin(ratios))
+        x[idx] = current + ratios[first] * (z - current)
+        x[idx[blocked[first]]] = 0.0
+        passive &= x > 0.0
+    raise MitigationFailed(
+        f"constrained least squares did not converge in "
+        f"{FIT_MAX_SOLVES_PER_OUTCOME * dim} active-set steps"
     )
-    if not result.success:
-        raise MitigationFailed(f"constrained least squares failed: {result.message}")
-    return result.x
 
 
 def _mitigate_rows(

@@ -476,7 +476,8 @@ def noise_from_config(data: Mapping | None) -> NoiseModel | None:
     confusion = None
     if data.get("readout_confusion") is not None:
         block = data["readout_confusion"]
-        confusion = ConfusionMatrix(int(block["num_bits"]), np.array(block["matrix"], float))
+        num_bits = _integer(block["num_bits"], "noise.readout_confusion.num_bits")
+        confusion = ConfusionMatrix(num_bits, np.array(block["matrix"], float))
     elif data.get("readout_flip"):
         flip = _finite(data["readout_flip"], "noise.readout_flip")
         if not 0.0 <= flip <= 1.0:

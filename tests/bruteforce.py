@@ -194,6 +194,28 @@ def random_kraus_ops(num_targets, rank, rng):
     return [isometry[i * dim : (i + 1) * dim] for i in range(rank)]
 
 
+def slsqp_fit(matrix, target):
+    """Least-squares fit of ``matrix @ x`` to ``target`` over the probability
+    simplex by scipy's SLSQP, started at the uniform point."""
+    from scipy import optimize
+
+    from lgsim import MitigationFailed
+
+    dim = target.size
+    result = optimize.minimize(
+        lambda x: float(np.sum((matrix @ x - target) ** 2)),
+        x0=np.full(dim, 1.0 / dim),
+        jac=lambda x: 2.0 * matrix.T @ (matrix @ x - target),
+        bounds=[(0.0, 1.0)] * dim,
+        constraints=[{"type": "eq", "fun": lambda x: x.sum() - 1.0}],
+        method="SLSQP",
+        options={"maxiter": 500, "ftol": 1e-14},
+    )
+    if not result.success:
+        raise MitigationFailed(f"constrained least squares failed: {result.message}")
+    return result.x
+
+
 def mitigate_row(target, matrix, fit):
     """Literal one-row readout mitigation: solve, fall back to ``fit`` on an
     entry below -0.01 or a singular matrix, clip at 0 and renormalise.

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -158,6 +162,12 @@ NAN, INF = float("nan"), float("inf")
         ("param_scan", {"n_qubits": 3.9, "ratios": [1.0]}, {}, "n_qubits"),
         ("single_qubit", {"gamma": 1.0}, {"grid": {"n_points": 4.5}}, "n_points"),
         ("single_qubit", {"gamma": 1.0}, {"engine": {"shots": 100.5}}, "shots"),
+        (
+            "single_qubit",
+            {"gamma": 1.0},
+            {"noise": {"readout_confusion": {"num_bits": 1.5, "matrix": [[1, 0], [0, 1]]}}},
+            "num_bits",
+        ),
     ],
 )
 def test_scan_rejects_unphysical_config_naming_the_key(
@@ -223,6 +233,45 @@ def test_scan_mitigate_flag_runs(tmp_path):
     assert manifest["config"]["engine"]["mitigate"] is True
 
 
+NO_SCIPY_SCRIPT = """
+import sys
+
+import lgsim.cli
+import lgsim.mitigation as mitigation
+
+assert "scipy" not in sys.modules, "import lgsim.cli loaded scipy"
+fit = mitigation._constrained_fit
+fits = []
+mitigation._constrained_fit = lambda m, t: (fits.append(1), fit(m, t))[1]
+assert lgsim.cli.main(["scan", sys.argv[1], "--out", sys.argv[2]]) == 0
+assert fits, "no row took the constrained fit"
+assert "scipy" not in sys.modules, "a mitigated scan loaded scipy"
+"""
+
+
+def test_cli_and_mitigated_scan_never_load_scipy(tmp_path):
+    # 16 shots under 10% readout flips leave zero counts, so bootstrap rows
+    # invert to negative entries and take the constrained fit
+    config = write_config(
+        tmp_path / "config.json",
+        {
+            "scenario": "single_qubit",
+            "parameters": {"gamma": 1.0},
+            "engine": {"kind": "sampled", "shots": 16, "seed": 5, "mitigate": True},
+            "grid": {"n_points": 3},
+            "noise": {"readout_flip": 0.1},
+        },
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", NO_SCIPY_SCRIPT, config, str(tmp_path / "run")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 # --- calibrate ----------------------------------------------------------------
 
 
@@ -276,6 +325,24 @@ def test_calibrate_from_matrix_file(tmp_path):
     assert np.abs(matrix - [[0.9, 0.2], [0.1, 0.8]]).max() < 0.01
 
 
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        ({"num_bits": 1.5, "matrix": [[0.97, 0.03], [0.03, 0.97]]}, "'num_bits'"),
+        ({"matrix": [[0.97, 0.03], [0.03, 0.97]]}, "'num_bits'"),
+    ],
+)
+def test_calibrate_rejects_bad_matrix_file(tmp_path, capsys, payload, message):
+    matrix = tmp_path / "true.json"
+    matrix.write_text(json.dumps(payload))
+    out = tmp_path / "cal.json"
+    assert main(
+        ["calibrate", "--bits", "1", "--matrix", str(matrix), "--out", str(out)]
+    ) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 # --- mitigate -------------------------------------------------------------------
 
 
@@ -322,14 +389,32 @@ def test_mitigate_accepts_counts_table_json(tmp_path):
         ({"counts": {"0": float("inf"), "1": 3}}, "bad input file"),
         ({"counts": {"0": 2.5, "1": 3}}, "'0'"),
         ({"outcomes": {"++": 2.5, "+-": 1, "-+": 0, "--": 0}, "n_shots": 3}, "'++'"),
+        # a fractional num_bits is rejected, not truncated, in either file;
+        # a "matrix" entry replaces the symmetric confusion matrix file
+        ({"counts": {"0": 60, "1": 40}, "num_bits": 1.9}, "'num_bits'"),
+        (
+            {
+                "counts": {"0": 60, "1": 40},
+                "matrix": {"num_bits": 1.5, "matrix": [[0.97, 0.03], [0.03, 0.97]]},
+            },
+            "'num_bits'",
+        ),
+        # keys that do not match a huge num_bits are rejected before any
+        # 2^num_bits table is allocated
+        ({"counts": {"0": 60, "1": 40}, "num_bits": 40}, "'0'"),
     ],
 )
 def test_mitigate_rejects_bad_counts(tmp_path, capsys, payload, message):
+    payload = dict(payload)
+    matrix_payload = payload.pop("matrix", None)
     counts = tmp_path / "counts.json"
     counts.write_text(json.dumps(payload))
     matrix = tmp_path / "matrix.json"
     bits = 1 if "counts" in payload and "num_bits" not in payload else 2
-    matrix.write_text(ConfusionMatrix.symmetric(0.03, bits).to_json())
+    if matrix_payload is None:
+        matrix.write_text(ConfusionMatrix.symmetric(0.03, bits).to_json())
+    else:
+        matrix.write_text(json.dumps(matrix_payload))
     out = tmp_path / "m.json"
     assert main(
         ["mitigate", "--counts", str(counts), "--matrix", str(matrix), "--out", str(out)]

@@ -16,7 +16,9 @@ from lgsim import (
     mitigate,
     mitigate_correlator,
 )
+import lgsim.mitigation as mitigation
 from lgsim.mitigation import _constrained_fit, _mitigate_rows
+from lgsim.scenarios import ScenarioSpec
 
 
 def test_confusion_matrix_validation():
@@ -332,3 +334,88 @@ def test_correlator_mitigation_needs_pair_matrix():
     counts = CountsTable({"++": 10, "+-": 0, "-+": 0, "--": 0}, 10)
     with pytest.raises(MitigationFailed):
         mitigate_correlator(counts, ConfusionMatrix.identity(1))
+
+
+# --- the active-set fit against SLSQP ---------------------------------------------
+
+
+def objective(matrix, x, target):
+    return float(np.sum((matrix @ x - target) ** 2))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(1, 4),
+    st.sampled_from(["random", "near_singular", "singular"]),
+    st.integers(1, 60),
+    st.integers(0, 2**32 - 1),
+)
+@example(4, "near_singular", 40, 3)
+@example(3, "singular", 7, 4)
+def test_constrained_fit_is_exact_and_no_worse_than_slsqp(num_bits, kind, shots, seed):
+    rng = np.random.default_rng(seed)
+    dim = 2**num_bits
+    if kind == "near_singular":
+        m = ConfusionMatrix.symmetric(0.5 - 10.0 ** rng.uniform(-9, -2), num_bits)
+    else:
+        m = random_confusion(num_bits, rng, kind == "singular", max_mix=1.0)
+    counts = random_counts(dim, shots, rng, alpha=0.3)
+    target = counts / counts.sum()
+    x = _constrained_fit(m.matrix, target)
+    assert x.min() >= 0.0
+    assert abs(x.sum() - 1.0) <= 1e-12
+    # KKT: the gradient takes one value on the support and none smaller off it
+    grad = m.matrix.T @ (m.matrix @ x - target)
+    support = x > 0.0
+    level = grad[support].mean()
+    assert np.abs(grad[support] - level).max() <= 1e-9
+    assert (grad[~support] >= level - 1e-9).all()
+    if kind == "singular":
+        assert np.array_equal(x, np.full(dim, 1.0 / dim))
+    try:
+        reference = bf.slsqp_fit(m.matrix, target)
+    except MitigationFailed:
+        return
+    assert objective(m.matrix, x, target) <= objective(m.matrix, reference, target) + 1e-12
+
+
+def test_constrained_fit_raises_at_its_step_cap(monkeypatch):
+    # a row that takes the fit fails rather than return an unconverged x
+    m = ConfusionMatrix.symmetric(0.2)
+    monkeypatch.setattr(mitigation, "FIT_MAX_SOLVES_PER_OUTCOME", 0)
+    with pytest.raises(MitigationFailed, match="did not converge"):
+        mitigate(np.array([1.0, 0.0]), m)
+    assert mitigate(np.array([0.6, 0.4]), m, return_method=True)[1] == "inverse"
+
+
+# --- mitigated against exact ------------------------------------------------------
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    st.floats(0.5, 2.0),
+    st.floats(0.005, 0.1),
+    st.floats(0.005, 0.1),
+    st.booleans(),
+    st.integers(0, 2**31 - 1),
+)
+def test_mitigated_single_qubit_k3_within_five_sigma_of_exact(
+    gamma, p10, p01, symmetric, seed
+):
+    if symmetric:
+        noise = {"readout_flip": p10}
+    else:
+        matrix = ConfusionMatrix.from_flip_probs(p10, p01).matrix.tolist()
+        noise = {"readout_confusion": {"num_bits": 1, "matrix": matrix}}
+    config = {
+        "scenario": "single_qubit",
+        "parameters": {"gamma": gamma},
+        "grid": {"n_points": 6, "tau_max": 3.0 / gamma},
+        "engine": {"kind": "sampled", "shots": 8192, "seed": seed, "mitigate": True},
+        "noise": noise,
+    }
+    sampled = ScenarioSpec.from_config(config).run()
+    exact = ScenarioSpec.from_config({**config, "engine": {"kind": "exact"}}).run()
+    for got, want in zip(sampled.results, exact.results):
+        assert got.method == "sampled_mitigated"
+        assert abs(got.k3 - want.k3) <= 5.0 * got.std_error

@@ -93,6 +93,7 @@ def test_density_matrix_rejects_negative_eigenvalue():
         [[0.5, np.inf], [np.inf, 0.5]],
     ],
 )
+@pytest.mark.filterwarnings("error")
 def test_density_matrix_rejects_non_finite_entries(m):
     with pytest.raises(InvalidState, match="non-finite"):
         DensityMatrix(1, m)
