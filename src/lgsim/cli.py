@@ -26,7 +26,7 @@ from .inequalities import (
 )
 from .mitigation import ConfusionMatrix, CountsVector, calibrate, mitigate
 from .observables import CountsTable, _count
-from .scenarios import SCENARIOS, ScenarioSpec
+from .scenarios import SCENARIOS, ScenarioSpec, _seed
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -40,15 +40,17 @@ def _fail(message: str, code: int) -> int:
 
 def _resolve_seed(flag_seed, config_seed):
     if flag_seed is not None:
-        return int(flag_seed)
+        return _seed(flag_seed, "--seed")
     if config_seed is not None:
-        return int(config_seed)
+        return config_seed
     env = os.environ.get("LGSIM_SEED")
     if env is not None:
+        # int() first keeps every digit of a long seed; "2.0" or "x" go on as text
         try:
-            return int(env)
-        except ValueError as err:
-            raise ConfigError(f"LGSIM_SEED={env!r} is not an integer") from err
+            env = int(env)
+        except ValueError:
+            pass
+        return _seed(env, "LGSIM_SEED")
     return None
 
 
@@ -63,6 +65,12 @@ def _cmd_scan(args: argparse.Namespace) -> int:
             engine = replace(engine, n_shots=args.shots)
         if args.mitigate:
             engine = replace(engine, mitigate=True)
+        if engine.kind == "sampled" and engine.n_shots < 2:
+            source = "--shots" if args.shots is not None else "engine.shots"
+            raise ConfigError(
+                f"{source} must be at least 2 for a sampled scan (one shot has no "
+                f"error bar), got {engine.n_shots}"
+            )
         seed = _resolve_seed(args.seed, engine.seed)
         engine = replace(engine, seed=seed)
         spec.engine = engine

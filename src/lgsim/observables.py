@@ -9,9 +9,11 @@ where E are the (possibly noisy) segment evolution maps, P_n the projection
 branches of the first measurement and q_n = +/-1 their values. M is linear,
 so one evolution of the signed operator M(rho_i) replaces one evolution per
 branch; for a two-outcome collapse M(rho) = {Q_i, rho} / 2 (Emary, Lambert
-and Nori, arXiv:1304.5133). ``sampled_correlator`` draws per-shot records of
-the same protocol, optionally passing every read bit through a readout
-confusion matrix before recording.
+and Nori, arXiv:1304.5133). ``sampled_correlator`` computes the exact law of
+the recorded (Q_i, Q_j) pair of the same protocol, one evolved branch per
+first-measurement outcome and every read bit optionally passed through a
+readout confusion matrix, and draws all the shot counts from it with one
+multinomial.
 
 Collapse granularity: a single-qubit observable always collapses onto its
 two outcome projectors. A multi-qubit parity observable built with
@@ -27,6 +29,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import lru_cache, reduce
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -45,7 +48,6 @@ if TYPE_CHECKING:
     from .mitigation import ConfusionMatrix
 
 PROJECTOR_TOL = 1e-10
-UNREACHABLE_PROB = 1e-12
 
 OUTCOME_KEYS = ("++", "+-", "-+", "--")
 
@@ -281,62 +283,28 @@ def _check_register(rho0: DensityMatrix, sched: MeasurementSchedule) -> None:
         )
 
 
+@lru_cache(maxsize=64)
 def _pattern_keys(dim: int, qubits: tuple[int, ...]) -> np.ndarray:
-    """Bit pattern of ``qubits`` (bit k from ``qubits[k]``) of every basis index."""
+    """Bit pattern of ``qubits`` (bit k from ``qubits[k]``) of every basis
+    index; cached, so read-only."""
     idx = np.arange(dim)
     keys = np.zeros_like(idx)
     for k, q in enumerate(qubits):
         keys |= ((idx >> q) & 1) << k
+    keys.setflags(write=False)
     return keys
 
 
-def _bit_distribution(rho: DensityMatrix, qubits: tuple[int, ...]) -> np.ndarray:
-    """Probability over the computational-basis patterns of ``qubits``."""
-    diag = np.clip(np.real(np.diagonal(rho.matrix)), 0.0, None)
-    keys = _pattern_keys(rho.dim, qubits)
-    dist = np.bincount(keys, weights=diag, minlength=2 ** len(qubits))
-    total = dist.sum()
-    return dist / total if total > 0 else dist
-
-
+@lru_cache(maxsize=16)
 def _pattern_signs(m: int) -> np.ndarray:
-    """+1 for even-popcount patterns, -1 for odd."""
+    """+1 for even-popcount patterns, -1 for odd; cached, so read-only."""
     idx = np.arange(2**m)
     pop = np.zeros_like(idx)
     for k in range(m):
         pop ^= (idx >> k) & 1
-    return np.where(pop == 0, 1, -1)
-
-
-def _pattern_branch(rho: DensityMatrix, qubits: tuple[int, ...], pattern: int):
-    """Probability and collapsed state for one bit pattern of ``qubits``."""
-    sel = _pattern_keys(rho.dim, qubits) == pattern
-    p = float(np.real(np.diagonal(rho.matrix))[sel].sum())
-    if p <= UNREACHABLE_PROB:
-        return p, None
-    mask = np.outer(sel, sel)
-    return p, DensityMatrix(rho.num_qubits, np.where(mask, rho.matrix, 0.0) / p)
-
-
-def _first_branches(rho: DensityMatrix, obs: DichotomicObservable):
-    """Collapse branches of the first measurement at the observable's
-    granularity, for the sampled engine: (value, probability, collapsed
-    state or None)."""
-    if obs.bitwise_collapse and len(obs.qubits) > 1:
-        signs = _pattern_signs(len(obs.qubits))
-        out = []
-        for pattern in range(2 ** len(obs.qubits)):
-            p, rho_b = _pattern_branch(rho, obs.qubits, pattern)
-            out.append((int(signs[pattern]), p, rho_b))
-        return out
-    out = []
-    for value, proj in ((+1, obs.projector_plus), (-1, obs.projector_minus)):
-        p = float(np.trace(proj @ rho.matrix).real)
-        if p > UNREACHABLE_PROB:
-            out.append((value, p, DensityMatrix(rho.num_qubits, proj @ rho.matrix @ proj / p)))
-        else:
-            out.append((value, p, None))
-    return out
+    signs = np.where(pop == 0, 1, -1)
+    signs.setflags(write=False)
+    return signs
 
 
 def _signed_collapse(rho: np.ndarray, obs: DichotomicObservable) -> np.ndarray:
@@ -396,55 +364,94 @@ def exact_correlator(
     return CorrelatorEstimate(value, 0.0, 0, METHOD_EXACT)
 
 
-def _confusion_matrix_for(
-    readout: "ConfusionMatrix", m: int
-) -> tuple[np.ndarray, bool]:
-    """Return (matrix, per_bit). Per-bit mode applies the 2x2 matrix to each
-    measured bit independently; otherwise the matrix must cover all m bits."""
+def _readout_map(readout: "ConfusionMatrix", bits: int) -> np.ndarray:
+    """Column-stochastic map from the true to the read pattern of ``bits``
+    bits: per-bit flips are the kron of the 2x2 matrix, the model that
+    mitigation inverts, and an m-bit matrix is used as given."""
+    if readout.num_bits == bits:
+        return readout.matrix
     if readout.num_bits == 1:
-        return readout.matrix, True
-    if readout.num_bits == m:
-        return readout.matrix, False
+        return reduce(np.kron, [readout.matrix] * bits)
     raise InvalidNoiseParameter(
         f"readout confusion on {readout.num_bits} bits cannot serve a "
-        f"{m}-bit measurement"
+        f"{bits}-bit measurement"
     )
 
 
-def _record_patterns(
-    true_patterns: np.ndarray,
-    m: int,
-    readout: "ConfusionMatrix",
-    rng: np.random.Generator,
+def _true_law(y: np.ndarray, obs: DichotomicObservable, bits: int) -> np.ndarray:
+    """Weights Tr[P y] of the outcomes of ``obs`` on the operator ``y``: one
+    per bit pattern of its qubits when ``bits`` > 1, else plus then minus."""
+    if bits > 1:
+        keys = _pattern_keys(y.shape[0], obs.qubits)
+        return np.bincount(keys, weights=np.real(np.diagonal(y)), minlength=2**bits)
+    return np.array([np.vdot(p, y).real for p in (obs.projector_plus, obs.projector_minus)])
+
+
+def _recorded_law(
+    rho0: DensityMatrix,
+    dynamics: Dynamics,
+    sched: MeasurementSchedule,
+    noise: "NoiseModel | None" = None,
 ) -> np.ndarray:
-    """Pass true bit patterns through the confusion matrix."""
-    matrix, per_bit = _confusion_matrix_for(readout, m)
-    if per_bit:
-        p_read1_given0 = matrix[1, 0]
-        p_read0_given1 = matrix[0, 1]
-        out = true_patterns.copy()
-        for k in range(m):
-            bits = (true_patterns >> k) & 1
-            flip_prob = np.where(bits == 0, p_read1_given0, p_read0_given1)
-            flips = rng.random(true_patterns.shape[0]) < flip_prob
-            out ^= flips.astype(out.dtype) << k
-        return out
-    cum = np.cumsum(matrix, axis=0)
-    u = rng.random(true_patterns.shape[0])
-    out = np.empty_like(true_patterns)
-    for pattern in np.unique(true_patterns):
-        mask = true_patterns == pattern
-        out[mask] = np.minimum(
-            np.searchsorted(cum[:, pattern], u[mask]), matrix.shape[0] - 1
+    """Exact law of the recorded (Q_i, Q_j) pair, in ``OUTCOME_KEYS`` order.
+
+    Each first-measurement branch P_a rho_i P_a is evolved over the second
+    segment, and the joint law of the true outcomes is read from the evolved
+    branches. A measurement is resolved into bit patterns where a readout
+    flips bits or a bitwise collapse needs them. The law must be
+    non-negative and sum to 1 within ``NORM_TOL``; it then goes through the
+    readout confusion and is coarse-grained to signs.
+    """
+    _check_register(rho0, sched)
+    obs1, obs2 = sched.first_observable, sched.second_observable
+    readout = noise.readout_confusion if noise is not None else None
+    m1, m2 = len(obs1.qubits), len(obs2.qubits)
+    for obs, m in ((obs1, m1), (obs2, m2)):
+        if readout is not None and m > 1 and not obs.z_diagonal:
+            raise InvalidObservable(
+                "bit-level readout error needs computational-basis observables"
+            )
+    bitwise = obs1.bitwise_collapse and m1 > 1
+    bits1 = m1 if m1 > 1 and (readout is not None or bitwise) else 1
+    bits2 = m2 if m2 > 1 and readout is not None else 1
+
+    rho_i = evolve_density(rho0, dynamics, 0.0, sched.t_first, noise).matrix
+    if bitwise:
+        keys = _pattern_keys(rho_i.shape[0], obs1.qubits)
+        branches = [
+            np.where((keys == a)[:, None] & (keys == a)[None, :], rho_i, 0.0)
+            for a in range(2**m1)
+        ]
+    else:
+        branches = [p @ rho_i @ p for p in (obs1.projector_plus, obs1.projector_minus)]
+    duration = sched.t_second - sched.t_first
+    rows = []
+    for branch in branches:
+        if duration > 0:
+            branch = DensityMatrix._trusted(rho0.num_qubits, branch)
+            branch = _evolve_segment(branch, dynamics, duration, noise).matrix
+        rows.append(_true_law(branch, obs2, bits2))
+    law = np.array(rows)
+    if bits1 > 1 and not bitwise:
+        # a two-projector collapse read bit by bit: the pattern follows the
+        # diagonal of rho_i, the second outcome the branch of its sign
+        totals = law.sum(axis=1, keepdims=True)
+        given = np.divide(law, totals, out=np.zeros_like(law), where=totals > 0)
+        sign_index = (1 - _pattern_signs(bits1)) // 2
+        law = _true_law(rho_i, obs1, bits1)[:, None] * given[sign_index]
+    total = law.sum()
+    # written so that NaN entries fail too
+    if not (law.min() >= -NORM_TOL and abs(total - 1.0) <= NORM_TOL):
+        raise InvalidState(
+            f"recorded outcome law is no distribution: smallest entry {law.min()}, "
+            f"sum {total} (tolerance {NORM_TOL})"
         )
-    return out
-
-
-def _draw_categorical(
-    dist: np.ndarray, u: np.ndarray
-) -> np.ndarray:
-    cum = np.cumsum(dist)
-    return np.minimum(np.searchsorted(cum, u), dist.size - 1)
+    if readout is not None:
+        law = _readout_map(readout, bits1) @ law @ _readout_map(readout, bits2).T
+    to_sign1 = np.eye(2)[(1 - _pattern_signs(bits1)) // 2]
+    to_sign2 = np.eye(2)[(1 - _pattern_signs(bits2)) // 2]
+    pairs = np.clip(to_sign1.T @ law @ to_sign2, 0.0, None).ravel()
+    return pairs / pairs.sum()
 
 
 def sampled_correlator(
@@ -457,98 +464,19 @@ def sampled_correlator(
 ) -> tuple[CorrelatorEstimate, CountsTable]:
     """Shot-sampled two-time correlator.
 
-    Each shot evolves to the first time, samples and collapses the first
-    observable, evolves on, and samples the second. The deterministic pieces
-    (branch states and their outcome distributions) are computed once; shots
-    draw from them, so the counts match the naive per-shot loop distribution
-    exactly. With ``noise.readout_confusion`` set, every read bit is flipped
-    through the confusion matrix before being recorded.
+    The recorded (Q_i, Q_j) law is computed exactly (``_recorded_law``,
+    with every read bit passed through ``noise.readout_confusion`` when it
+    is set), and all ``n_shots`` counts are drawn from it at once by one
+    multinomial, so the cost does not depend on the number of shots. The
+    value is the mean of the +/-1 products and ``std_error`` their sample
+    deviation over sqrt(n), sqrt((1 - value^2) / (n - 1)); it is NaN for a
+    single shot.
     """
     if n_shots < 1:
         raise ValueError(f"n_shots must be >= 1, got {n_shots}")
-    _check_register(rho0, sched)
-    obs1, obs2 = sched.first_observable, sched.second_observable
-    readout = noise.readout_confusion if noise is not None else None
-    m1, m2 = len(obs1.qubits), len(obs2.qubits)
-    for obs, m in ((obs1, m1), (obs2, m2)):
-        if readout is not None and m > 1 and not obs.z_diagonal:
-            raise InvalidObservable(
-                "bit-level readout error needs computational-basis observables"
-            )
-
-    rho_i = evolve_density(rho0, dynamics, 0.0, sched.t_first, noise)
-    rng = np.random.default_rng(seed)
-
-    # --- first measurement -------------------------------------------------
-    pattern_level_1 = m1 > 1 and (readout is not None or obs1.bitwise_collapse)
-    u1 = rng.random(n_shots)
-    if pattern_level_1:
-        dist1 = _bit_distribution(rho_i, obs1.qubits)
-        patterns1 = _draw_categorical(dist1, u1)
-        signs1 = _pattern_signs(m1)
-        q1 = signs1[patterns1]
-        branch_ids = patterns1 if obs1.bitwise_collapse else q1
-    else:
-        p_plus = float(np.trace(obs1.projector_plus @ rho_i.matrix).real)
-        q1 = np.where(u1 < p_plus, 1, -1)
-        patterns1 = ((1 - q1) // 2).astype(np.int64)
-        branch_ids = q1
-
-    if readout is not None:
-        recorded1 = _pattern_signs(m1)[_record_patterns(patterns1, m1, readout, rng)]
-    else:
-        recorded1 = q1
-
-    # --- collapse, evolve, second measurement ------------------------------
-    branches = _first_branches(rho_i, obs1)
-    if obs1.bitwise_collapse and m1 > 1:
-        keys = list(range(2**m1))
-    else:
-        keys = [+1, -1]
-    evolved: dict[int, DensityMatrix | None] = {}
-    for key, (_, _, rho_b) in zip(keys, branches):
-        if rho_b is None:
-            evolved[key] = None
-        else:
-            evolved[key] = evolve_density(rho_b, dynamics, sched.t_first, sched.t_second, noise)
-
-    pattern_level_2 = m2 > 1 and readout is not None
-    u2 = rng.random(n_shots)
-    q2 = np.empty(n_shots, dtype=np.int64)
-    patterns2 = np.empty(n_shots, dtype=np.int64)
-    signs2 = _pattern_signs(m2)
-    for key in keys:
-        mask = branch_ids == key
-        if not mask.any():
-            continue
-        rho_j = evolved[key]
-        if rho_j is None:
-            raise RuntimeError("shots landed on an unreachable branch")
-        if pattern_level_2:
-            dist2 = _bit_distribution(rho_j, obs2.qubits)
-            patterns2[mask] = _draw_categorical(dist2, u2[mask])
-            q2[mask] = signs2[patterns2[mask]]
-        else:
-            p_plus2 = float(np.trace(obs2.projector_plus @ rho_j.matrix).real)
-            q2[mask] = np.where(u2[mask] < p_plus2, 1, -1)
-            patterns2[mask] = (1 - q2[mask]) // 2
-
-    if readout is not None:
-        recorded2 = signs2[_record_patterns(patterns2, m2, readout, rng)]
-    else:
-        recorded2 = q2
-
-    # --- aggregate ----------------------------------------------------------
-    products = recorded1 * recorded2
-    value = float(products.mean())
-    if n_shots > 1:
-        std_error = float(products.std(ddof=1) / np.sqrt(n_shots))
-    else:
-        std_error = float("nan")
-    pair_index = 2 * ((1 - recorded1) // 2) + (1 - recorded2) // 2
-    raw = np.bincount(pair_index, minlength=4)
-    counts = CountsTable(
-        dict(zip(OUTCOME_KEYS, (int(c) for c in raw))), n_shots, seed=seed
-    )
-    estimate = CorrelatorEstimate(value, std_error, n_shots, METHOD_SAMPLED)
-    return estimate, counts
+    law = _recorded_law(rho0, dynamics, sched, noise)
+    counts = np.random.default_rng(seed).multinomial(n_shots, law)
+    value = float(counts @ np.array([1, -1, -1, 1])) / n_shots
+    std_error = math.sqrt((1.0 - value**2) / (n_shots - 1)) if n_shots > 1 else math.nan
+    table = CountsTable(dict(zip(OUTCOME_KEYS, (int(c) for c in counts))), n_shots, seed=seed)
+    return CorrelatorEstimate(value, std_error, n_shots, METHOD_SAMPLED), table

@@ -44,6 +44,7 @@ SCHEMA_VERSION = 1
 DEFAULT_TAU_POINTS = 75
 DEFAULT_TFIC_POINTS = 50
 DEFAULT_TRANSMON_TAU_MAX = 30.0
+TAU_MAX_WINDOWS = 1e6
 
 # characterization defaults for a hardware-like noise model
 DEFAULT_GATE_DEPOL_1Q = 0.0003
@@ -319,11 +320,23 @@ def _finite(value, key: str) -> float:
 
 def _integer(value, key: str) -> int:
     """``value`` as an int, or a config error naming ``key``; integral
-    floats such as 3.0 are accepted, and 2.7 is rejected, not truncated."""
+    floats such as 3.0 are accepted, and 2.7 is rejected, not truncated.
+    An int is returned as it is, so a 128-bit seed keeps every digit."""
+    if isinstance(value, (int, np.integer)):
+        return int(value)
     number = _finite(value, key)
     if not number.is_integer():
         raise ConfigError(f"{key} must be an integer, got {value!r}")
     return int(number)
+
+
+def _seed(value, key: str) -> int:
+    """A random seed: a non-negative integer, or a config error naming
+    ``key``."""
+    seed = _integer(value, key)
+    if seed < 0:
+        raise ConfigError(f"{key} must be a non-negative integer, got {value!r}")
+    return seed
 
 
 def _positive(value, key: str) -> float:
@@ -525,7 +538,9 @@ class ScenarioSpec:
         engine = Engine(
             kind=engine_block.get("kind", "exact"),
             n_shots=_integer(engine_block.get("shots", 8192), "engine.shots"),
-            seed=engine_block.get("seed"),
+            seed=None if engine_block.get("seed") is None else _seed(
+                engine_block["seed"], "engine.seed"
+            ),
             mitigate=bool(engine_block.get("mitigate", False)),
         )
         return cls(
@@ -570,6 +585,12 @@ class ScenarioSpec:
         tau_max = _finite(tau_max, "grid.tau_max") if tau_max is not None else default_max
         if n_points < 1 or tau_max <= 0:
             raise ConfigError(f"bad grid: n_points={n_points}, tau_max={tau_max}")
+        # far beyond the default window the phases are rounding noise
+        if tau_max > TAU_MAX_WINDOWS * default_max:
+            raise ConfigError(
+                f"grid.tau_max={tau_max} exceeds {TAU_MAX_WINDOWS:g} times the "
+                f"scenario's default window {default_max:g}"
+            )
         return np.linspace(0.0, tau_max, n_points)
 
     def run(self) -> ScanResult | RegionScanResult:

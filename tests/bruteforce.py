@@ -5,8 +5,13 @@ propagators come from scipy.linalg.expm, projectors are built here from
 explicit Kronecker products, and the correlator is a literal double sum over
 measurement branches. The one exception is ``branch_correlator``, which
 evolves each measurement branch with the package's checked
-``evolve_density`` so that noisy and Trotter dynamics can be compared.
+``evolve_density`` so that noisy and Trotter dynamics can be compared, and
+``per_shot_correlator``, the package's former shot sampler, which draws and
+flips every shot's bits one at a time. lgsim is imported inside the
+functions that use it, so the module loads without the package.
 """
+
+from __future__ import annotations
 
 import numpy as np
 from scipy.linalg import expm
@@ -245,3 +250,227 @@ def bootstrap_correlator(counts, n_shots, seed, matrix, fit):
         sample = sample.astype(float)
         values[i] = signs @ mitigate_row(sample / sample.sum(), matrix, fit)[0]
     return value, float(values.std(ddof=1))
+
+
+# ---------------------------------------------------------------------------
+# per-shot sampler
+
+UNREACHABLE_PROB = 1e-12
+
+
+def _bit_distribution(rho: DensityMatrix, qubits: tuple[int, ...]) -> np.ndarray:
+    """Probability over the computational-basis patterns of ``qubits``."""
+    from lgsim.observables import _pattern_keys
+
+    diag = np.clip(np.real(np.diagonal(rho.matrix)), 0.0, None)
+    keys = _pattern_keys(rho.dim, qubits)
+    dist = np.bincount(keys, weights=diag, minlength=2 ** len(qubits))
+    total = dist.sum()
+    return dist / total if total > 0 else dist
+
+
+def _pattern_branch(rho: DensityMatrix, qubits: tuple[int, ...], pattern: int):
+    """Probability and collapsed state for one bit pattern of ``qubits``."""
+    from lgsim import DensityMatrix
+    from lgsim.observables import _pattern_keys
+
+    sel = _pattern_keys(rho.dim, qubits) == pattern
+    p = float(np.real(np.diagonal(rho.matrix))[sel].sum())
+    if p <= UNREACHABLE_PROB:
+        return p, None
+    mask = np.outer(sel, sel)
+    return p, DensityMatrix(rho.num_qubits, np.where(mask, rho.matrix, 0.0) / p)
+
+
+def _first_branches(rho: DensityMatrix, obs: DichotomicObservable):
+    """Collapse branches of the first measurement at the observable's
+    granularity, for the sampled engine: (value, probability, collapsed
+    state or None)."""
+    from lgsim import DensityMatrix
+    from lgsim.observables import _pattern_signs
+
+    if obs.bitwise_collapse and len(obs.qubits) > 1:
+        signs = _pattern_signs(len(obs.qubits))
+        out = []
+        for pattern in range(2 ** len(obs.qubits)):
+            p, rho_b = _pattern_branch(rho, obs.qubits, pattern)
+            out.append((int(signs[pattern]), p, rho_b))
+        return out
+    out = []
+    for value, proj in ((+1, obs.projector_plus), (-1, obs.projector_minus)):
+        p = float(np.trace(proj @ rho.matrix).real)
+        if p > UNREACHABLE_PROB:
+            out.append((value, p, DensityMatrix(rho.num_qubits, proj @ rho.matrix @ proj / p)))
+        else:
+            out.append((value, p, None))
+    return out
+
+
+def _confusion_matrix_for(
+    readout: "ConfusionMatrix", m: int
+) -> tuple[np.ndarray, bool]:
+    """Return (matrix, per_bit). Per-bit mode applies the 2x2 matrix to each
+    measured bit independently; otherwise the matrix must cover all m bits."""
+    from lgsim import InvalidNoiseParameter
+
+    if readout.num_bits == 1:
+        return readout.matrix, True
+    if readout.num_bits == m:
+        return readout.matrix, False
+    raise InvalidNoiseParameter(
+        f"readout confusion on {readout.num_bits} bits cannot serve a "
+        f"{m}-bit measurement"
+    )
+
+
+def _record_patterns(
+    true_patterns: np.ndarray,
+    m: int,
+    readout: "ConfusionMatrix",
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """Pass true bit patterns through the confusion matrix."""
+    matrix, per_bit = _confusion_matrix_for(readout, m)
+    if per_bit:
+        p_read1_given0 = matrix[1, 0]
+        p_read0_given1 = matrix[0, 1]
+        out = true_patterns.copy()
+        for k in range(m):
+            bits = (true_patterns >> k) & 1
+            flip_prob = np.where(bits == 0, p_read1_given0, p_read0_given1)
+            flips = rng.random(true_patterns.shape[0]) < flip_prob
+            out ^= flips.astype(out.dtype) << k
+        return out
+    cum = np.cumsum(matrix, axis=0)
+    u = rng.random(true_patterns.shape[0])
+    out = np.empty_like(true_patterns)
+    for pattern in np.unique(true_patterns):
+        mask = true_patterns == pattern
+        out[mask] = np.minimum(
+            np.searchsorted(cum[:, pattern], u[mask]), matrix.shape[0] - 1
+        )
+    return out
+
+
+def _draw_categorical(
+    dist: np.ndarray, u: np.ndarray
+) -> np.ndarray:
+    cum = np.cumsum(dist)
+    return np.minimum(np.searchsorted(cum, u), dist.size - 1)
+
+
+def per_shot_correlator(
+    rho0: DensityMatrix,
+    dynamics: Dynamics,
+    sched: MeasurementSchedule,
+    n_shots: int,
+    noise: "NoiseModel | None" = None,
+    seed: int = 0,
+) -> tuple[CorrelatorEstimate, CountsTable]:
+    """Shot-sampled two-time correlator, one record per shot: the sampler
+    that ``lgsim.sampled_correlator`` replaced by one multinomial draw over
+    the exact recorded law, kept as its oracle.
+
+    Each shot evolves to the first time, samples and collapses the first
+    observable, evolves on, and samples the second. The deterministic pieces
+    (branch states and their outcome distributions) are computed once; shots
+    draw from them, so the counts match the naive per-shot loop distribution
+    exactly. With ``noise.readout_confusion`` set, every read bit is flipped
+    through the confusion matrix before being recorded.
+    """
+    from lgsim import CorrelatorEstimate, CountsTable, InvalidObservable, evolve_density
+    from lgsim.observables import (
+        METHOD_SAMPLED,
+        OUTCOME_KEYS,
+        _check_register,
+        _pattern_signs,
+    )
+
+    if n_shots < 1:
+        raise ValueError(f"n_shots must be >= 1, got {n_shots}")
+    _check_register(rho0, sched)
+    obs1, obs2 = sched.first_observable, sched.second_observable
+    readout = noise.readout_confusion if noise is not None else None
+    m1, m2 = len(obs1.qubits), len(obs2.qubits)
+    for obs, m in ((obs1, m1), (obs2, m2)):
+        if readout is not None and m > 1 and not obs.z_diagonal:
+            raise InvalidObservable(
+                "bit-level readout error needs computational-basis observables"
+            )
+
+    rho_i = evolve_density(rho0, dynamics, 0.0, sched.t_first, noise)
+    rng = np.random.default_rng(seed)
+
+    # --- first measurement -------------------------------------------------
+    pattern_level_1 = m1 > 1 and (readout is not None or obs1.bitwise_collapse)
+    u1 = rng.random(n_shots)
+    if pattern_level_1:
+        dist1 = _bit_distribution(rho_i, obs1.qubits)
+        patterns1 = _draw_categorical(dist1, u1)
+        signs1 = _pattern_signs(m1)
+        q1 = signs1[patterns1]
+        branch_ids = patterns1 if obs1.bitwise_collapse else q1
+    else:
+        p_plus = float(np.trace(obs1.projector_plus @ rho_i.matrix).real)
+        q1 = np.where(u1 < p_plus, 1, -1)
+        patterns1 = ((1 - q1) // 2).astype(np.int64)
+        branch_ids = q1
+
+    if readout is not None:
+        recorded1 = _pattern_signs(m1)[_record_patterns(patterns1, m1, readout, rng)]
+    else:
+        recorded1 = q1
+
+    # --- collapse, evolve, second measurement ------------------------------
+    branches = _first_branches(rho_i, obs1)
+    if obs1.bitwise_collapse and m1 > 1:
+        keys = list(range(2**m1))
+    else:
+        keys = [+1, -1]
+    evolved: dict[int, DensityMatrix | None] = {}
+    for key, (_, _, rho_b) in zip(keys, branches):
+        if rho_b is None:
+            evolved[key] = None
+        else:
+            evolved[key] = evolve_density(rho_b, dynamics, sched.t_first, sched.t_second, noise)
+
+    pattern_level_2 = m2 > 1 and readout is not None
+    u2 = rng.random(n_shots)
+    q2 = np.empty(n_shots, dtype=np.int64)
+    patterns2 = np.empty(n_shots, dtype=np.int64)
+    signs2 = _pattern_signs(m2)
+    for key in keys:
+        mask = branch_ids == key
+        if not mask.any():
+            continue
+        rho_j = evolved[key]
+        if rho_j is None:
+            raise RuntimeError("shots landed on an unreachable branch")
+        if pattern_level_2:
+            dist2 = _bit_distribution(rho_j, obs2.qubits)
+            patterns2[mask] = _draw_categorical(dist2, u2[mask])
+            q2[mask] = signs2[patterns2[mask]]
+        else:
+            p_plus2 = float(np.trace(obs2.projector_plus @ rho_j.matrix).real)
+            q2[mask] = np.where(u2[mask] < p_plus2, 1, -1)
+            patterns2[mask] = (1 - q2[mask]) // 2
+
+    if readout is not None:
+        recorded2 = signs2[_record_patterns(patterns2, m2, readout, rng)]
+    else:
+        recorded2 = q2
+
+    # --- aggregate ----------------------------------------------------------
+    products = recorded1 * recorded2
+    value = float(products.mean())
+    if n_shots > 1:
+        std_error = float(products.std(ddof=1) / np.sqrt(n_shots))
+    else:
+        std_error = float("nan")
+    pair_index = 2 * ((1 - recorded1) // 2) + (1 - recorded2) // 2
+    raw = np.bincount(pair_index, minlength=4)
+    counts = CountsTable(
+        dict(zip(OUTCOME_KEYS, (int(c) for c in raw))), n_shots, seed=seed
+    )
+    estimate = CorrelatorEstimate(value, std_error, n_shots, METHOD_SAMPLED)
+    return estimate, counts

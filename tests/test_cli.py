@@ -56,18 +56,28 @@ def test_scan_exact_single_qubit(tmp_path, single_qubit_config, capsys):
     assert "violating points" in summary
 
 
-def test_scan_single_shot_flags_errors(tmp_path, single_qubit_config):
+def test_scan_rejects_single_shot_sampled_scans(tmp_path, single_qubit_config, capsys):
+    # one shot has no error bar, so a sampled scan would write NaN errors
     out = tmp_path / "run"
     code = main(
         ["scan", single_qubit_config, "--engine", "sampled", "--shots", "1",
          "--seed", "3", "--out", str(out)]
     )
-    assert code == 0
-    _, rows = read_csv(out / "scan.csv")
-    for row in rows:
-        # raw correlators are +/-1, so the combinations are odd integers
-        assert float(row[1]) in (-3.0, -1.0, 1.0, 3.0)
-        assert row[4] == "nan"
+    assert code == 2
+    assert "--shots" in capsys.readouterr().err
+    config = write_config(
+        tmp_path / "one_shot.json",
+        {
+            "scenario": "single_qubit",
+            "parameters": {"gamma": 1.0},
+            "engine": {"kind": "sampled", "shots": 1, "seed": 3, "mitigate": True},
+        },
+    )
+    assert main(["scan", config, "--out", str(out)]) == 2
+    assert "engine.shots" in capsys.readouterr().err
+    assert not (out / "scan.csv").exists()
+    # an exact scan never reads the shot count
+    assert main(["scan", single_qubit_config, "--shots", "1", "--out", str(out)]) == 0
 
 
 def test_scan_missing_parameter_names_the_key(tmp_path, capsys):
@@ -134,6 +144,25 @@ def test_env_seed_fallback(tmp_path, monkeypatch):
     assert manifest["seed"] == 12345
 
 
+def test_drawn_seed_reruns_from_manifest(tmp_path, monkeypatch):
+    # a drawn seed is a 128-bit integer; the manifest must replay every digit
+    monkeypatch.delenv("LGSIM_SEED", raising=False)
+    config = write_config(
+        tmp_path / "config.json",
+        {
+            "scenario": "single_qubit",
+            "parameters": {"gamma": 1.0},
+            "engine": {"kind": "sampled", "shots": 64},
+            "grid": {"n_points": 4},
+        },
+    )
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert main(["scan", config, "--out", str(a)]) == 0
+    assert json.loads((a / "manifest.json").read_text())["seed"] >= 2**64
+    assert main(["scan", str(a / "manifest.json"), "--out", str(b)]) == 0
+    assert (a / "scan.csv").read_bytes() == (b / "scan.csv").read_bytes()
+
+
 NAN, INF = float("nan"), float("inf")
 
 
@@ -168,16 +197,30 @@ NAN, INF = float("nan"), float("inf")
             {"noise": {"readout_confusion": {"num_bits": 1.5, "matrix": [[1, 0], [0, 1]]}}},
             "num_bits",
         ),
+        ("single_qubit", {"gamma": 1.0}, {"engine": {"kind": "sampled", "seed": -4}}, "engine.seed"),
+        ("single_qubit", {"gamma": 1.0}, {"engine": {"kind": "sampled", "seed": 1.5}}, "engine.seed"),
+        ("single_qubit", {"gamma": 1.0}, {"engine": {"kind": "sampled"}, "argv": ["--seed", "-1"]},
+         "--seed"),
+        ("single_qubit", {"gamma": 1.0}, {"engine": {"kind": "sampled"}, "env": "-3"}, "LGSIM_SEED"),
+        ("single_qubit", {"gamma": 1.0}, {"engine": {"kind": "sampled"}, "env": "1.5"}, "LGSIM_SEED"),
+        ("single_qubit", {"gamma": 1.0}, {"grid": {"tau_max": 1e300}}, "grid.tau_max"),
+        ("transmon", {"omega_eff": 1.0, "t2": None}, {"grid": {"tau_max": 3.1e7}}, "grid.tau_max"),
     ],
 )
 def test_scan_rejects_unphysical_config_naming_the_key(
-    tmp_path, capsys, scenario, parameters, extra, key
+    tmp_path, capsys, monkeypatch, scenario, parameters, extra, key
 ):
+    # "argv" holds extra command-line flags and "env" a value for LGSIM_SEED
+    extra = dict(extra)
+    argv = extra.pop("argv", [])
+    monkeypatch.delenv("LGSIM_SEED", raising=False)
+    if "env" in extra:
+        monkeypatch.setenv("LGSIM_SEED", extra.pop("env"))
     config = write_config(
         tmp_path / "bad.json", {"scenario": scenario, "parameters": parameters, **extra}
     )
     out = tmp_path / "o"
-    assert main(["scan", config, "--out", str(out)]) == 2
+    assert main(["scan", config, *argv, "--out", str(out)]) == 2
     assert key in capsys.readouterr().err
     assert not (out / "scan.csv").exists()
 

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -483,3 +485,103 @@ def test_invalid_shot_count():
     obs = sigma_z_observable(0, 1)
     with pytest.raises(ValueError):
         sampled_correlator(rho, x_rotation(1.0), MeasurementSchedule((0.0, 1.0), obs, obs), 0)
+
+
+# --- recorded law of the sampled engine ---------------------------------------
+
+PAIR_SIGNS = np.array([1.0, -1.0, -1.0, 1.0])  # q_i * q_j in OUTCOME_KEYS order
+
+
+@settings(max_examples=80, deadline=None)
+@given(correlator_cases())
+@example((4, True, "bitwise", True, True, 21))
+@example((3, False, "parity", False, True, 22))
+@example((2, False, "x", False, False, 23))
+def test_recorded_law_mean_is_the_exact_correlator(case):
+    # without readout the sampled engine's law has the exact correlator as
+    # its mean, for every collapse kind, dynamics and noise
+    rho, dynamics, sched, noise, *_ = build_correlator_case(case)
+    law = observables._recorded_law(rho, dynamics, sched, noise)
+    assert law.shape == (4,) and law.min() >= 0.0
+    assert abs(law.sum() - 1.0) <= 1e-12
+    exact = exact_correlator(rho, dynamics, sched, noise).value
+    assert abs(law @ PAIR_SIGNS - exact) <= 1e-12
+
+
+def with_readout(case, kind):
+    """A drawn correlator case with readout confusion added: asymmetric
+    per-bit flips, or a random m-bit matrix (the second observable then
+    reads as many qubits as the first)."""
+    rho, dynamics, sched, noise, *_ = build_correlator_case(case)
+    rng = np.random.default_rng(case[-1] + 1)
+    first, second = sched.first_observable, sched.second_observable
+    n = rho.num_qubits
+    if kind == "per_bit":
+        readout = ConfusionMatrix.from_flip_probs(*rng.uniform(0.0, 0.3, size=2))
+    else:
+        m = len(first.qubits)
+        dim = 2**m
+        mixing = rng.dirichlet(np.ones(dim), size=dim).T
+        readout = ConfusionMatrix(m, 0.7 * np.eye(dim) + 0.3 * mixing)
+        qubits = [int(q) for q in rng.permutation(n)[:m]]
+        second = parity_observable(qubits, n, bitwise_collapse=False)
+    noise = replace(noise or NoiseModel(), readout_confusion=readout)
+    return rho, dynamics, MeasurementSchedule(sched.times, first, second), noise
+
+
+# Statistical tests run a fixed set of drawn examples, so that a rare
+# five-sigma excursion cannot make the suite flaky.
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(correlator_cases(), st.sampled_from(("per_bit", "m_bit")))
+@example((3, True, "bitwise", True, True, 31), "per_bit")
+@example((3, False, "parity", False, True, 32), "per_bit")
+@example((3, False, "bitwise", False, False, 33), "m_bit")
+@example((2, False, "x", False, True, 34), "m_bit")
+def test_recorded_law_matches_per_shot_oracle(case, kind):
+    # every cell of the law against the frequencies of the former per-shot
+    # sampler, which draws and flips the bits of every shot one by one
+    rho, dynamics, sched, noise = with_readout(case, kind)
+    shots = 20_000
+    law = observables._recorded_law(rho, dynamics, sched, noise)
+    _, counts = bf.per_shot_correlator(rho, dynamics, sched, shots, noise, seed=case[-1])
+    sigma = np.sqrt(law * (1.0 - law) / shots)
+    assert np.all(np.abs(counts.vector() / shots - law) <= 5.0 * sigma + 1e-12)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(correlator_cases())
+def test_sampled_within_five_sigma_of_exact(case):
+    rho, dynamics, sched, noise, *_ = build_correlator_case(case)
+    shots = 4096
+    exact = exact_correlator(rho, dynamics, sched, noise).value
+    est, counts = sampled_correlator(rho, dynamics, sched, shots, noise, seed=case[-1])
+    assert counts.n_shots == shots == est.n_shots
+    sigma = np.sqrt(max(1.0 - exact**2, 0.0) / shots)
+    assert abs(est.value - exact) <= 5.0 * sigma + 1e-12
+
+
+def test_std_error_is_the_per_shot_sample_deviation():
+    rho = prepare_state("plus", 1).density_matrix()
+    obs = sigma_z_observable(0, 1)
+    sched = MeasurementSchedule((0.2, 0.9), obs, obs)
+    est, counts = sampled_correlator(rho, x_rotation(1.3), sched, 300, seed=4)
+    products = np.repeat(PAIR_SIGNS, counts.vector().astype(int))
+    assert est.value == products.mean()
+    assert abs(est.std_error - products.std(ddof=1) / np.sqrt(300)) <= 1e-15
+
+
+@pytest.mark.parametrize("scale", [1.0 + 1e-9, 1.0 - 1e-9])
+def test_recorded_law_is_checked(monkeypatch, scale):
+    # branches whose evolution lost or gained trace must not be sampled
+    evolve = observables._evolve_segment
+
+    def leaky(rho, *args):
+        out = evolve(rho, *args)
+        return DensityMatrix._trusted(out.num_qubits, scale * out.matrix)
+
+    monkeypatch.setattr(observables, "_evolve_segment", leaky)
+    rho = prepare_state("bell", 2).density_matrix()
+    obs = parity_observable([0, 1], 2)
+    sched = MeasurementSchedule((0.3, 0.9), obs, obs)
+    with pytest.raises(InvalidState, match="law"):
+        sampled_correlator(rho, two_qubit_rotations(1.0, 0.4), sched, 64)

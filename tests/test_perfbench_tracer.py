@@ -15,6 +15,7 @@ from lgsim import (
     ConfusionMatrix,
     CountsTable,
     DensityMatrix,
+    Engine,
     NoiseModel,
     TrotterEvolution,
     evolve_density,
@@ -22,7 +23,7 @@ from lgsim import (
     trotter_plan,
     violation_region_scan,
 )
-from lgsim.scenarios import ising_chain_hamiltonian
+from lgsim.scenarios import ising_chain_hamiltonian, run_bell_pair
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
@@ -116,4 +117,38 @@ def test_region_scan_hooks_each_see_calls(monkeypatch):
         DensityMatrix, "__post_init__", counting("check", DensityMatrix.__post_init__)
     )
     violation_region_scan(3, [0.5, 1.5], np.linspace(0.0, 1.0, 3))
+    assert all(count > 0 for count in calls.values()), calls
+
+
+def test_sampled_scan_hooks_each_see_calls(monkeypatch):
+    # sampled_mitigated's traced run requires calls into observables.sampled,
+    # core.evolution, core.states and mitigation, which the tracer counts at
+    # these names; branch evolutions go through the untraced _evolve_segment,
+    # so each first segment and its state check must still be seen
+    calls = {"sampled": 0, "evolve": 0, "check": 0, "mitigate": 0}
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return counted
+
+    monkeypatch.setattr(
+        inequalities, "sampled_correlator", counting("sampled", inequalities.sampled_correlator)
+    )
+    monkeypatch.setattr(
+        observables, "evolve_density", counting("evolve", observables.evolve_density)
+    )
+    monkeypatch.setattr(
+        DensityMatrix, "__post_init__", counting("check", DensityMatrix.__post_init__)
+    )
+    monkeypatch.setattr(mitigation, "mitigate", counting("mitigate", mitigation.mitigate))
+    run_bell_pair(
+        "lgi_global",
+        (1.0, 0.8),
+        Engine.sampled(256, seed=3, mitigate=True),
+        NoiseModel(readout_confusion=ConfusionMatrix.symmetric(0.03)),
+        np.linspace(0.0, 1.0, 3),
+    )
     assert all(count > 0 for count in calls.values()), calls
