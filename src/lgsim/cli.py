@@ -18,12 +18,7 @@ from pathlib import Path
 from . import __version__
 from .core.channels import NoiseModel
 from .errors import ConfigError, InvalidDistribution, LgsimError
-from .inequalities import (
-    RegionScanResult,
-    ScanResult,
-    joint_distribution_oracle,
-    scan_to_csv,
-)
+from .inequalities import joint_distribution_oracle, scan_to_csv
 from .mitigation import ConfusionMatrix, CountsVector, calibrate, mitigate
 from .observables import CountsTable, _count
 from .scenarios import SCENARIOS, ScenarioSpec, _seed
@@ -80,7 +75,7 @@ def _cmd_scan(args: argparse.Namespace) -> int:
         return _fail(str(err), EXIT_USAGE)
 
     try:
-        result = spec.run()
+        scan = spec.run()
     except ConfigError as err:
         return _fail(str(err), EXIT_USAGE)
     except LgsimError as err:
@@ -88,11 +83,6 @@ def _cmd_scan(args: argparse.Namespace) -> int:
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    if isinstance(result, RegionScanResult):
-        scan = result.to_scan_result()
-        scan.metadata.setdefault("config", result.metadata.get("config"))
-    else:
-        scan = result
     # echo the resolved seed so a manifest rerun reproduces the run exactly
     resolved_seed = scan.metadata.get("engine", {}).get("seed", seed)
     config_echo = spec.to_config()

@@ -23,7 +23,6 @@ from .errors import (
     InvalidDistribution,
     InvalidGrid,
     InvalidObservable,
-    MitigationFailed,
     MixedMethodError,
 )
 from .observables import (
@@ -31,6 +30,7 @@ from .observables import (
     CorrelatorEstimate,
     DichotomicObservable,
     MeasurementSchedule,
+    _count,
     exact_correlator,
     sampled_correlator,
     sigma_z_observable,
@@ -55,6 +55,11 @@ class Engine:
             raise ValueError(f"engine kind must be 'exact' or 'sampled', got {self.kind!r}")
         if self.n_shots < 1:
             raise ValueError(f"n_shots must be >= 1, got {self.n_shots}")
+        if self.seed is not None:
+            seed = _count(self.seed, "seed")
+            if seed < 0:
+                raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
+            object.__setattr__(self, "seed", seed)
 
     @classmethod
     def exact(cls) -> "Engine":
@@ -232,45 +237,14 @@ def _child_seed(master: int, point: int, correlator: int) -> int:
     return int(seq.generate_state(1, np.uint64)[0])
 
 
-def _effective_outcome_confusion(obs: DichotomicObservable, noise: NoiseModel) -> np.ndarray:
-    """2x2 confusion of the recorded +/-1 value of one measurement.
-
-    Outcome +1 maps to bit 0. For several measured bits the per-bit flips
-    must be symmetric, in which case the sign flips with probability
-    (1 - (1-2p)^m) / 2 independent of the underlying pattern.
-    """
-    readout = noise.readout_confusion
-    if readout is None:
-        return np.eye(2)
-    m = len(obs.qubits)
-    if m == 1:
-        if readout.num_bits != 1:
-            raise MitigationFailed(
-                "single-bit measurement needs a single-bit confusion matrix"
-            )
-        return readout.matrix
-    if readout.num_bits == 1:
-        p10 = readout.matrix[1, 0]
-        p01 = readout.matrix[0, 1]
-        if abs(p10 - p01) > 1e-12:
-            raise MitigationFailed(
-                "asymmetric per-bit readout cannot be reduced to a fixed "
-                "sign confusion for multi-bit observables"
-            )
-        q = 0.5 * (1.0 - (1.0 - 2.0 * p10) ** m)
-        return np.array([[1 - q, q], [q, 1 - q]])
-    raise MitigationFailed(
-        f"confusion on {readout.num_bits} bits does not match a {m}-bit measurement"
-    )
-
-
 def _pair_confusion(setup: ThreeTimeSetup):
-    from .mitigation import ConfusionMatrix
+    from .mitigation import ConfusionMatrix, _sign_confusion
 
     if setup.noise is None or setup.noise.readout_confusion is None:
         return None
-    first = _effective_outcome_confusion(setup.first_observable, setup.noise)
-    second = _effective_outcome_confusion(setup.second_observable, setup.noise)
+    readout = setup.noise.readout_confusion
+    first = _sign_confusion(setup.first_observable, readout)
+    second = _sign_confusion(setup.second_observable, readout)
     return ConfusionMatrix(2, np.kron(first, second))
 
 
@@ -388,43 +362,32 @@ def scan_to_csv(scan: ScanResult) -> str:
 
 @dataclass(frozen=True)
 class RegionScanResult:
-    """Inequality values and violation maps over a (ratio, tau) grid."""
+    """One exact tau scan per ratio of a (ratio, tau) grid; the value and
+    violation maps are (ratio, tau) views over their results."""
 
     ratios: tuple[float, ...]
     taus: tuple[float, ...]
-    values: dict[str, np.ndarray]
-    violated: dict[str, np.ndarray]
+    scans: tuple[ScanResult, ...]
     metadata: dict = field(default_factory=dict)
+
+    @property
+    def values(self) -> dict[str, np.ndarray]:
+        stacked = np.array([scan.values() for scan in self.scans])
+        return {name: stacked[:, :, c] for c, name in enumerate(_column_names("LGBI"))}
+
+    @property
+    def violated(self) -> dict[str, np.ndarray]:
+        flags = np.array([[r.violations() for r in scan.results] for scan in self.scans])
+        return {name: flags[:, :, c] for c, name in enumerate(_column_names("LGBI"))}
 
     def any_violation_per_ratio(self, name: str) -> np.ndarray:
         return self.violated[name].any(axis=1)
 
     def to_scan_result(self) -> ScanResult:
         """Flatten to (ratio, tau) rows for CSV output."""
-        names = list(self.values)
-        grid = []
-        results = []
-        for i, ratio in enumerate(self.ratios):
-            for j, tau in enumerate(self.taus):
-                grid.append((ratio, tau))
-                vals = [self.values[name][i, j] for name in names]
-                flags = [bool(self.violated[name][i, j]) for name in names]
-                results.append(
-                    InequalityResult(
-                        tau=tau,
-                        mode="LGBI",
-                        method=METHOD_EXACT,
-                        k3=vals[0],
-                        k3_prime=vals[1],
-                        k3_perm=vals[2],
-                        std_error=0.0,
-                        decision_margin=EXACT_MARGIN,
-                        violated_k3=flags[0],
-                        violated_k3_prime=flags[1],
-                        violated_k3_perm=flags[2],
-                    )
-                )
-        return ScanResult(tuple(grid), tuple(results), dict(self.metadata))
+        grid = tuple((ratio, tau) for ratio in self.ratios for tau in self.taus)
+        results = tuple(r for scan in self.scans for r in scan.results)
+        return ScanResult(grid, results, dict(self.metadata))
 
 
 def violation_region_scan(
@@ -451,20 +414,13 @@ def violation_region_scan(
     rho0 = prepare_state("ghz", n_qubits).density_matrix()
     obs_first = sigma_z_observable(0, n_qubits)
     obs_second = sigma_z_observable(n_qubits - 1, n_qubits)
-    names = _column_names("LGBI")
-    shape = (len(ratios), len(taus))
-    values = {name: np.zeros(shape) for name in names}
-    flags = {name: np.zeros(shape, dtype=bool) for name in names}
-    for i, ratio in enumerate(ratios):
+    scans = []
+    for ratio in ratios:
         h = transverse_field_hamiltonian([1.0] * (n_qubits - 1) + [ratio])
         setup = ThreeTimeSetup(
             rho0, h, obs_first, obs_second, mode="LGBI", label=f"ratio={ratio}"
         )
-        scan = tau_scan(setup, taus, Engine.exact())
-        vals = scan.values()
-        for c, name in enumerate(names):
-            values[name][i] = vals[:, c]
-            flags[name][i] = vals[:, c] > 1.0 + EXACT_MARGIN
+        scans.append(tau_scan(setup, taus, Engine.exact()))
     metadata = {
         "mode": "LGBI",
         "label": f"region_scan_{n_qubits}q",
@@ -472,7 +428,7 @@ def violation_region_scan(
         "engine": {"kind": "exact", "n_shots": 0, "seed": None, "mitigate": False},
         "noise_digest": None,
     }
-    return RegionScanResult(tuple(ratios), tuple(taus), values, flags, metadata)
+    return RegionScanResult(tuple(ratios), tuple(taus), tuple(scans), metadata)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,13 @@
 """Readout-error mitigation: confusion-matrix calibration and inversion.
 
-Calibration prepares every basis state (or each bit separately in tensor
-mode), simulates noisy readouts, and tallies a column-stochastic matrix M
-with entry (r, s) = P(read r | prepared s). Mitigation solves M x = y for
+``ConfusionMatrix.on_bits`` is the one readout model: the column-stochastic
+map on m measured bits, entry (r, s) = P(read r | true s), which is the kron
+of m copies of a 1-bit matrix (independent per-bit flips) or an m-bit
+matrix as given. The sampled engine pushes its exact law through it,
+calibration draws every prepared basis state's reads (or each bit's, in
+tensor mode) from its columns, and correlator mitigation lumps it to a 2x2
+confusion of the recorded sign, which exists only when all patterns of one
+sign are misread alike. Mitigation solves M x = y for
 the observed frequency vector y; plain inversion is tried first, and when
 it produces clearly negative quasi-probabilities (an entry below -0.01) an
 exact active-set fit of min ||M x - y||^2 over the probability simplex
@@ -16,6 +21,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import reduce
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -30,7 +36,10 @@ from .observables import (
     OUTCOME_KEYS,
     CorrelatorEstimate,
     CountsTable,
+    DichotomicObservable,
     _count,
+    _readout_on,
+    _to_signs,
 )
 
 if TYPE_CHECKING:
@@ -80,11 +89,8 @@ class ConfusionMatrix:
         """Independent symmetric bit flips with the same probability."""
         if not 0.0 <= flip_prob <= 1.0:
             raise InvalidNoiseParameter(f"flip probability {flip_prob} outside [0, 1]")
-        single = np.array([[1 - flip_prob, flip_prob], [flip_prob, 1 - flip_prob]])
-        m = np.array([[1.0]])
-        for _ in range(num_bits):
-            m = np.kron(m, single)
-        return cls(num_bits, m)
+        single = cls(1, [[1 - flip_prob, flip_prob], [flip_prob, 1 - flip_prob]])
+        return cls(num_bits, single.on_bits(num_bits))
 
     @classmethod
     def from_flip_probs(cls, p_read1_given0: float, p_read0_given1: float) -> "ConfusionMatrix":
@@ -101,12 +107,28 @@ class ConfusionMatrix:
     @classmethod
     def tensor(cls, factors: Sequence["ConfusionMatrix"]) -> "ConfusionMatrix":
         """Kronecker product; the first factor owns the most significant bits."""
-        m = np.array([[1.0]])
-        bits = 0
-        for f in factors:
-            m = np.kron(m, f.matrix)
-            bits += f.num_bits
-        return cls(bits, m)
+        return cls(
+            sum(f.num_bits for f in factors),
+            reduce(np.kron, [f.matrix for f in factors], np.eye(1)),
+        )
+
+    def on_bits(self, bits: int) -> np.ndarray:
+        """Column-stochastic map from the true to the read pattern of
+        ``bits`` measured bits, entry (r, s) = P(read r | true s).
+
+        An m-bit matrix serves an m-bit readout as given. A 1-bit matrix
+        flips every bit independently, so its map is the Kronecker product of
+        ``bits`` copies (the tensored model of Bravyi et al.,
+        arXiv:2006.14044). Any other size cannot describe the readout.
+        """
+        if self.num_bits == bits:
+            return self.matrix
+        if self.num_bits == 1 and bits > 1:
+            return reduce(np.kron, [self.matrix] * bits)
+        raise InvalidNoiseParameter(
+            f"readout confusion on {self.num_bits} bits cannot serve a "
+            f"{bits}-bit measurement"
+        )
 
     def condition_number(self) -> float:
         return float(np.linalg.cond(self.matrix))
@@ -160,34 +182,13 @@ class CountsVector:
 
 
 def _simulate_readouts(
-    prepared: int,
-    num_bits: int,
-    shots: int,
-    confusion: ConfusionMatrix | None,
-    rng: np.random.Generator,
+    readout: np.ndarray, shots: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Counts over read patterns for one prepared basis state."""
-    dim = 2**num_bits
-    if confusion is None:
-        out = np.zeros(dim, dtype=np.int64)
-        out[prepared] = shots
-        return out
-    if confusion.num_bits == 1:
-        p10 = confusion.matrix[1, 0]
-        p01 = confusion.matrix[0, 1]
-        reads = np.full(shots, prepared, dtype=np.int64)
-        for k in range(num_bits):
-            bit = (prepared >> k) & 1
-            flip_prob = p10 if bit == 0 else p01
-            flips = rng.random(shots) < flip_prob
-            reads ^= flips.astype(np.int64) << k
-        return np.bincount(reads, minlength=dim)
-    if confusion.num_bits == num_bits:
-        return rng.multinomial(shots, confusion.matrix[:, prepared])
-    raise InvalidNoiseParameter(
-        f"confusion matrix on {confusion.num_bits} bits cannot model a "
-        f"{num_bits}-bit readout"
-    )
+    """Read frequencies of every prepared basis state, one column each:
+    ``shots`` reads per state drawn from the normalised column of the
+    readout map by one multinomial."""
+    columns = readout / readout.sum(axis=0)
+    return rng.multinomial(shots, columns.T).T / shots
 
 
 def calibrate(
@@ -219,24 +220,38 @@ def calibrate(
         raise CalibrationTooLarge(f"cannot materialize a {num_bits}-bit matrix")
 
     confusion = noise.readout_confusion
+    bits = 1 if mode == "tensor" else num_bits
+    readout = np.eye(2**bits) if confusion is None else confusion.on_bits(bits)
     rng = np.random.default_rng(seed)
     if mode == "tensor":
-        factors = []
-        for _ in range(num_bits):
-            cols = []
-            for prepared in (0, 1):
-                counts = _simulate_readouts(prepared, 1, shots_per_state, confusion, rng)
-                cols.append(counts / shots_per_state)
-            factors.append(ConfusionMatrix(1, np.column_stack(cols)))
+        factors = [
+            ConfusionMatrix(1, _simulate_readouts(readout, shots_per_state, rng))
+            for _ in range(num_bits)
+        ]
         # highest bit first so entry (r, s) indexes whole patterns
-        return ConfusionMatrix.tensor(list(reversed(factors)))
+        return ConfusionMatrix.tensor(factors[::-1])
+    return ConfusionMatrix(num_bits, _simulate_readouts(readout, shots_per_state, rng))
 
-    dim = 2**num_bits
-    matrix = np.zeros((dim, dim))
-    for prepared in range(dim):
-        counts = _simulate_readouts(prepared, num_bits, shots_per_state, confusion, rng)
-        matrix[:, prepared] = counts / shots_per_state
-    return ConfusionMatrix(num_bits, matrix)
+
+def _sign_confusion(obs: DichotomicObservable, readout: ConfusionMatrix) -> np.ndarray:
+    """2x2 confusion of the recorded sign of ``obs`` (+1 first).
+
+    The readout map on the measured bits is lumped to signs by the parity
+    coarse-graining of the sampled law. The lumped map is a sign confusion
+    only when every true pattern of one sign is read as each sign with the
+    same probability, as under symmetric per-bit flips, where the sign flips
+    with probability (1 - (1 - 2p)^m) / 2; otherwise mitigating the recorded
+    signs cannot undo the readout.
+    """
+    to_signs = _to_signs(len(obs.qubits))
+    lumped = to_signs.T @ _readout_on(obs, readout)
+    columns = [lumped[:, to_signs[:, s] == 1] for s in (0, 1)]
+    if any(np.abs(c - c[:, :1]).max() > COLUMN_TOL for c in columns):
+        raise MitigationFailed(
+            f"readout of {obs.label} has no sign confusion: patterns of one "
+            f"sign are misread with different probabilities"
+        )
+    return np.column_stack([c[:, 0] for c in columns])
 
 
 def _constrained_fit(matrix: np.ndarray, target: np.ndarray) -> np.ndarray:

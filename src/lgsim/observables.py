@@ -11,9 +11,12 @@ so one evolution of the signed operator M(rho_i) replaces one evolution per
 branch; for a two-outcome collapse M(rho) = {Q_i, rho} / 2 (Emary, Lambert
 and Nori, arXiv:1304.5133). ``sampled_correlator`` computes the exact law of
 the recorded (Q_i, Q_j) pair of the same protocol, one evolved branch per
-first-measurement outcome and every read bit optionally passed through a
-readout confusion matrix, and draws all the shot counts from it with one
-multinomial.
+first-measurement outcome and each measurement's bit patterns optionally
+passed through the readout map ``ConfusionMatrix.on_bits`` (per-bit flips
+as a kron of 2x2 matrices, or an m-bit matrix as given), and draws all the
+shot counts from it with one multinomial. The patterns are then
+coarse-grained to signs by their parity, the same lumping that readout
+mitigation applies to the readout map.
 
 Collapse granularity: a single-qubit observable always collapses onto its
 two outcome projectors. A multi-qubit parity observable built with
@@ -29,7 +32,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -38,7 +41,6 @@ from .core.evolution import Dynamics, _evolve_segment, evolve_density
 from .core.states import NORM_TOL, DensityMatrix
 from .errors import (
     InvalidGrid,
-    InvalidNoiseParameter,
     InvalidObservable,
     InvalidState,
 )
@@ -364,18 +366,17 @@ def exact_correlator(
     return CorrelatorEstimate(value, 0.0, 0, METHOD_EXACT)
 
 
-def _readout_map(readout: "ConfusionMatrix", bits: int) -> np.ndarray:
-    """Column-stochastic map from the true to the read pattern of ``bits``
-    bits: per-bit flips are the kron of the 2x2 matrix, the model that
-    mitigation inverts, and an m-bit matrix is used as given."""
-    if readout.num_bits == bits:
-        return readout.matrix
-    if readout.num_bits == 1:
-        return reduce(np.kron, [readout.matrix] * bits)
-    raise InvalidNoiseParameter(
-        f"readout confusion on {readout.num_bits} bits cannot serve a "
-        f"{bits}-bit measurement"
-    )
+def _readout_on(obs: DichotomicObservable, readout: "ConfusionMatrix") -> np.ndarray:
+    """Readout map on the bit patterns of ``obs``'s qubits. Reading several
+    qubits bit by bit needs computational-basis projectors."""
+    if len(obs.qubits) > 1 and not obs.z_diagonal:
+        raise InvalidObservable("bit-level readout error needs computational-basis observables")
+    return readout.on_bits(len(obs.qubits))
+
+
+def _to_signs(bits: int) -> np.ndarray:
+    """(2^bits, 2) coarse-graining of bit patterns to signs, +1 first."""
+    return np.eye(2)[(1 - _pattern_signs(bits)) // 2]
 
 
 def _true_law(y: np.ndarray, obs: DichotomicObservable, bits: int) -> np.ndarray:
@@ -400,17 +401,14 @@ def _recorded_law(
     branches. A measurement is resolved into bit patterns where a readout
     flips bits or a bitwise collapse needs them. The law must be
     non-negative and sum to 1 within ``NORM_TOL``; it then goes through the
-    readout confusion and is coarse-grained to signs.
+    readout map of each measurement and is coarse-grained to signs.
     """
     _check_register(rho0, sched)
     obs1, obs2 = sched.first_observable, sched.second_observable
     readout = noise.readout_confusion if noise is not None else None
+    if readout is not None:
+        maps = [_readout_on(obs, readout) for obs in (obs1, obs2)]
     m1, m2 = len(obs1.qubits), len(obs2.qubits)
-    for obs, m in ((obs1, m1), (obs2, m2)):
-        if readout is not None and m > 1 and not obs.z_diagonal:
-            raise InvalidObservable(
-                "bit-level readout error needs computational-basis observables"
-            )
     bitwise = obs1.bitwise_collapse and m1 > 1
     bits1 = m1 if m1 > 1 and (readout is not None or bitwise) else 1
     bits2 = m2 if m2 > 1 and readout is not None else 1
@@ -447,10 +445,8 @@ def _recorded_law(
             f"sum {total} (tolerance {NORM_TOL})"
         )
     if readout is not None:
-        law = _readout_map(readout, bits1) @ law @ _readout_map(readout, bits2).T
-    to_sign1 = np.eye(2)[(1 - _pattern_signs(bits1)) // 2]
-    to_sign2 = np.eye(2)[(1 - _pattern_signs(bits2)) // 2]
-    pairs = np.clip(to_sign1.T @ law @ to_sign2, 0.0, None).ravel()
+        law = maps[0] @ law @ maps[1].T
+    pairs = np.clip(_to_signs(bits1).T @ law @ _to_signs(bits2), 0.0, None).ravel()
     return pairs / pairs.sum()
 
 

@@ -46,13 +46,6 @@ DEFAULT_TFIC_POINTS = 50
 DEFAULT_TRANSMON_TAU_MAX = 30.0
 TAU_MAX_WINDOWS = 1e6
 
-# characterization defaults for a hardware-like noise model
-DEFAULT_GATE_DEPOL_1Q = 0.0003
-DEFAULT_GATE_DEPOL_2Q = 0.01
-DEFAULT_READOUT_FLIP = 0.03
-DEFAULT_T1 = 140.0
-DEFAULT_T2 = 60.0
-
 
 def transverse_field_hamiltonian(gammas: Sequence[float]) -> PauliSumHamiltonian:
     """Independent x rotations: sum_i (gamma_i / 2) X_i."""
@@ -96,23 +89,6 @@ def transmon_closed_form(omega: float, t2: float | None, tau):
     c1 = np.cos(omega * tau)
     c2 = np.cos(2.0 * omega * tau)
     return 2 * u * c1 - u**2 * c2, -2 * u * c1 - u**2 * c2, u**2 * c2
-
-
-def hardware_noise_model(
-    readout_flip: float = DEFAULT_READOUT_FLIP,
-    gate_depolarizing_1q: float = DEFAULT_GATE_DEPOL_1Q,
-    gate_depolarizing_2q: float = DEFAULT_GATE_DEPOL_2Q,
-    t1: float | None = None,
-    t2: float | None = None,
-) -> NoiseModel:
-    """Noise model with device-characterization-style defaults."""
-    return NoiseModel(
-        t1=t1,
-        t2=t2,
-        gate_depolarizing_1q=gate_depolarizing_1q,
-        gate_depolarizing_2q=gate_depolarizing_2q,
-        readout_confusion=ConfusionMatrix.symmetric(readout_flip) if readout_flip else None,
-    )
 
 
 def default_tau_grid(gamma: float = 1.0, n_points: int = DEFAULT_TAU_POINTS) -> np.ndarray:
@@ -390,11 +366,11 @@ def _build_tfic(spec: "ScenarioSpec") -> ScanResult:
     )
 
 
-def _build_param_scan(spec: "ScenarioSpec") -> RegionScanResult:
+def _build_param_scan(spec: "ScenarioSpec") -> ScanResult:
     p = spec.parameters
     taus = spec._tau_grid(2.0 * np.pi, DEFAULT_TAU_POINTS)
     n_qubits = _integer(p["n_qubits"], "n_qubits")
-    return run_param_scan(n_qubits, _finite_list(p["ratios"], "ratios"), taus)
+    return run_param_scan(n_qubits, _finite_list(p["ratios"], "ratios"), taus).to_scan_result()
 
 
 class Scenario(NamedTuple):
@@ -403,7 +379,7 @@ class Scenario(NamedTuple):
 
     description: str
     required: tuple[str, ...]
-    build: Callable[["ScenarioSpec"], "ScanResult | RegionScanResult"]
+    build: Callable[["ScenarioSpec"], ScanResult]
 
 
 SCENARIOS = {
@@ -593,7 +569,7 @@ class ScenarioSpec:
             )
         return np.linspace(0.0, tau_max, n_points)
 
-    def run(self) -> ScanResult | RegionScanResult:
+    def run(self) -> ScanResult:
         result = SCENARIOS[self.name].build(self)
         result.metadata["config"] = self.to_config()
         return result

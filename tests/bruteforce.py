@@ -253,6 +253,35 @@ def bootstrap_correlator(counts, n_shots, seed, matrix, fit):
 
 
 # ---------------------------------------------------------------------------
+# readout model
+
+
+def per_bit_map(single, m):
+    """Entry (r, s) = prod_k single[bit k of r, bit k of s]: independent
+    flips of m bits, enumerated pattern by pattern."""
+    out = np.ones((2**m, 2**m))
+    for r in range(2**m):
+        for s in range(2**m):
+            for k in range(m):
+                out[r, s] *= single[(r >> k) & 1, (s >> k) & 1]
+    return out
+
+
+def sign_flip_confusion(p, m):
+    """Sign confusion of an m-bit parity read under symmetric flips with
+    probability p per bit: the sign flips with probability (1 - (1-2p)^m) / 2."""
+    q = 0.5 * (1.0 - (1.0 - 2.0 * p) ** m)
+    return np.array([[1 - q, q], [q, 1 - q]])
+
+
+def per_shot_readouts(prepared, m, readout, shots, rng):
+    """Read-pattern counts of ``shots`` reads of the basis state ``prepared``,
+    each shot's bits flipped one at a time (the former calibration loop)."""
+    patterns = np.full(shots, prepared, dtype=np.int64)
+    return np.bincount(_record_patterns(patterns, m, readout, rng), minlength=2**m)
+
+
+# ---------------------------------------------------------------------------
 # per-shot sampler
 
 UNREACHABLE_PROB = 1e-12

@@ -276,6 +276,23 @@ def test_scan_mitigate_flag_runs(tmp_path):
     assert manifest["config"]["engine"]["mitigate"] is True
 
 
+def test_scan_mitigates_a_two_bit_confusion_on_the_global_parity(tmp_path):
+    matrix = ConfusionMatrix.symmetric(0.03, 2).matrix.tolist()
+    config = write_config(
+        tmp_path / "config.json",
+        {
+            "scenario": "bell_pair_lgi_global",
+            "parameters": {"gamma1": 1.0, "gamma2": 0.8},
+            "engine": {"kind": "sampled", "shots": 2048, "seed": 4, "mitigate": True},
+            "grid": {"n_points": 5},
+            "noise": {"readout_confusion": {"num_bits": 2, "matrix": matrix}},
+        },
+    )
+    out = tmp_path / "run"
+    assert main(["scan", config, "--out", str(out)]) == 0
+    assert len((out / "scan.csv").read_text().splitlines()) == 1 + 5
+
+
 NO_SCIPY_SCRIPT = """
 import sys
 

@@ -14,7 +14,7 @@ from lgsim.cli import main
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden"
 CONFIGS = sorted(p.stem for p in (ROOT / "configs").glob("*.json"))
-SEEDED = {"single_qubit_sampled"}
+SEEDED = {"bell_global_sampled", "single_qubit_sampled"}
 EXACT_TOL = 1e-12
 
 

@@ -213,6 +213,21 @@ def test_scan_metadata_records_engine_and_mode():
     assert scan.metadata["engine"]["n_shots"] == 256
 
 
+@pytest.mark.parametrize("seed", [-1, 1.5, "x", float("nan")])
+def test_engine_rejects_a_seed_that_is_not_a_non_negative_integer(seed):
+    with pytest.raises(ValueError, match="seed"):
+        Engine.sampled(64, seed=seed)
+
+
+def test_engine_keeps_an_integral_seed_exact():
+    big = 2**127 + 1
+    scan = tau_scan(single_qubit_setup(), [0.0, 0.5], Engine.sampled(64, seed=big))
+    assert scan.metadata["engine"]["seed"] == big
+    for seed, want in ((3.0, 3), (np.int64(4), 4)):
+        got = Engine.sampled(64, seed=seed).seed
+        assert type(got) is int and got == want
+
+
 # --- CSV ----------------------------------------------------------------------
 
 

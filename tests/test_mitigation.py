@@ -17,7 +17,8 @@ from lgsim import (
     mitigate_correlator,
 )
 import lgsim.mitigation as mitigation
-from lgsim.mitigation import _constrained_fit, _mitigate_rows
+from lgsim.mitigation import _constrained_fit, _mitigate_rows, _sign_confusion
+from lgsim.observables import parity_observable
 from lgsim.scenarios import ScenarioSpec
 
 
@@ -129,6 +130,94 @@ def test_calibration_determinism():
     a = calibrate(noise, num_bits=2, shots_per_state=1000, seed=6)
     b = calibrate(noise, num_bits=2, shots_per_state=1000, seed=6)
     assert np.array_equal(a.matrix, b.matrix)
+
+
+# --- the per-bit readout model ---------------------------------------------------
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 4), st.floats(0.0, 0.5), st.floats(0.0, 0.5))
+def test_readout_map_is_the_per_bit_enumeration(m, p10, p01):
+    single = ConfusionMatrix.from_flip_probs(p10, p01)
+    got = single.on_bits(m)
+    assert np.allclose(got, bf.per_bit_map(single.matrix, m), rtol=0.0, atol=1e-15)
+    full = ConfusionMatrix(m, got)
+    assert full.on_bits(m) is full.matrix
+    if m > 1:
+        with pytest.raises(InvalidNoiseParameter, match=f"{m} bits"):
+            full.on_bits(m + 1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 4), st.floats(0.0, 0.5))
+def test_sign_confusion_matches_the_closed_form_under_symmetric_flips(m, p):
+    obs = parity_observable(list(range(m)), m)
+    expected = bf.sign_flip_confusion(p, m)
+    for readout in (ConfusionMatrix.symmetric(p), ConfusionMatrix.symmetric(p, m)):
+        assert np.allclose(_sign_confusion(obs, readout), expected, rtol=0.0, atol=1e-12)
+
+
+def test_calibration_columns_follow_the_per_bit_law():
+    # the one-multinomial calibration and the former per-shot flip loop draw
+    # every column from the same per-bit law
+    single = ConfusionMatrix.from_flip_probs(0.06, 0.02)
+    law = bf.per_bit_map(single.matrix, 3)
+    shots = 20_000
+    sigma = np.sqrt(law * (1 - law) / shots)
+    noise = NoiseModel(readout_confusion=single)
+    calibrated = calibrate(noise, num_bits=3, shots_per_state=shots, seed=8).matrix
+    assert (np.abs(calibrated - law) <= 5 * sigma + 1e-12).all()
+    rng = np.random.default_rng(9)
+    for prepared in range(8):
+        counts = bf.per_shot_readouts(prepared, 3, single, shots, rng)
+        assert (np.abs(counts / shots - law[:, prepared]) <= 5 * sigma[:, prepared] + 1e-12).all()
+
+
+def bell_global_config(noise, engine):
+    return {
+        "scenario": "bell_pair_lgi_global",
+        "parameters": {"gamma1": 1.0, "gamma2": 0.8},
+        "grid": {"n_points": 8},
+        "engine": engine,
+        "noise": noise,
+    }
+
+
+def test_asymmetric_per_bit_flips_on_a_parity_cannot_be_mitigated():
+    matrix = ConfusionMatrix.from_flip_probs(0.05, 0.02).matrix.tolist()
+    noise = {"readout_confusion": {"num_bits": 1, "matrix": matrix}}
+    engine = {"kind": "sampled", "shots": 1024, "seed": 2}
+    ScenarioSpec.from_config(bell_global_config(noise, engine)).run()
+    mitigated = bell_global_config(noise, {**engine, "mitigate": True})
+    with pytest.raises(MitigationFailed, match="parity_0_1"):
+        ScenarioSpec.from_config(mitigated).run()
+
+
+def test_lumpable_two_bit_matrix_mitigates_the_global_parity():
+    matrix = ConfusionMatrix.symmetric(0.03, 2).matrix.tolist()
+    noise = {"readout_confusion": {"num_bits": 2, "matrix": matrix}}
+    engine = {"kind": "sampled", "shots": 8192, "seed": 17, "mitigate": True}
+    sampled = ScenarioSpec.from_config(bell_global_config(noise, engine)).run()
+    exact = ScenarioSpec.from_config(bell_global_config(None, {"kind": "exact"})).run()
+    for got, want in zip(sampled.results, exact.results):
+        assert got.method == "sampled_mitigated"
+        for a, b in zip(got.combinations(), want.combinations()):
+            assert abs(a - b) <= 5.0 * got.std_error
+
+
+def test_two_bit_matrix_cannot_read_one_qubit():
+    matrix = ConfusionMatrix.symmetric(0.03, 2).matrix.tolist()
+    noise = {"readout_confusion": {"num_bits": 2, "matrix": matrix}}
+    config = {
+        "scenario": "single_qubit",
+        "parameters": {"gamma": 1.0},
+        "grid": {"n_points": 3},
+        "noise": noise,
+    }
+    for mitigate in (False, True):
+        engine = {"kind": "sampled", "shots": 256, "seed": 1, "mitigate": mitigate}
+        with pytest.raises(InvalidNoiseParameter, match="2 bits"):
+            ScenarioSpec.from_config({**config, "engine": engine}).run()
 
 
 # --- mitigation ----------------------------------------------------------------

@@ -17,7 +17,6 @@ from lgsim import (
 from lgsim.mitigation import ConfusionMatrix
 from lgsim.scenarios import (
     SCENARIOS,
-    hardware_noise_model,
     noise_from_config,
     noise_to_config,
     trotter_layer_depths,
@@ -134,13 +133,6 @@ def test_param_scan_runner():
     assert result.values["T3"].shape == (2, 31)
 
 
-def test_hardware_noise_model_defaults():
-    noise = hardware_noise_model()
-    assert noise.gate_depolarizing_1q == 0.0003
-    assert noise.gate_depolarizing_2q == 0.01
-    assert np.allclose(noise.readout_confusion.matrix, [[0.97, 0.03], [0.03, 0.97]])
-
-
 # --- config round trips ------------------------------------------------------
 
 
@@ -149,7 +141,11 @@ def test_scenario_spec_round_trip():
         name="single_qubit",
         parameters={"gamma": 1.0},
         engine=Engine.sampled(2048, seed=5, mitigate=True),
-        noise=hardware_noise_model(),
+        noise=NoiseModel(
+            gate_depolarizing_1q=3e-4,
+            gate_depolarizing_2q=1e-2,
+            readout_confusion=ConfusionMatrix.symmetric(0.03),
+        ),
         grid={"n_points": 10, "tau_max": 3.0},
     )
     config = spec.to_config()
