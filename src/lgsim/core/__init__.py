@@ -11,12 +11,7 @@ from .channels import (
     identity_channel,
     relaxation_channels,
 )
-from .evolution import (
-    TrotterEvolution,
-    TrotterPlan,
-    evolve_density,
-    trotter_plan,
-)
+from .evolution import TrotterEvolution, evolve_density
 from .paulis import (
     MAX_QUBITS,
     PAULI_MATRICES,
@@ -37,7 +32,6 @@ __all__ = [
     "PauliTerm",
     "PureState",
     "TrotterEvolution",
-    "TrotterPlan",
     "amplitude_damping_channel",
     "apply_channel",
     "dephasing_channel",
@@ -48,5 +42,4 @@ __all__ = [
     "pauli_string_matrix",
     "prepare_state",
     "relaxation_channels",
-    "trotter_plan",
 ]

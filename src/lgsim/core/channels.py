@@ -238,9 +238,6 @@ class NoiseModel:
     def qubit_t2(self, qubit: int) -> float | None:
         return _lookup_time(self.t2, qubit)
 
-    def has_gate_noise(self) -> bool:
-        return self.gate_depolarizing_1q > 0 or self.gate_depolarizing_2q > 0
-
     def digest(self) -> str:
         """Short stable hash of the model, for run manifests."""
         payload = {

@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .core.channels import NoiseModel
-from .core.evolution import TrotterEvolution, trotter_plan
+from .core.evolution import TrotterEvolution
 from .core.paulis import PauliSumHamiltonian
 from .core.states import DensityMatrix, prepare_state
 from .errors import (
@@ -53,8 +53,10 @@ class Engine:
     def __post_init__(self) -> None:
         if self.kind not in ("exact", "sampled"):
             raise ValueError(f"engine kind must be 'exact' or 'sampled', got {self.kind!r}")
-        if self.n_shots < 1:
+        n_shots = _count(self.n_shots, "n_shots")
+        if n_shots < 1:
             raise ValueError(f"n_shots must be >= 1, got {self.n_shots}")
+        object.__setattr__(self, "n_shots", n_shots)
         if self.seed is not None:
             seed = _count(self.seed, "seed")
             if seed < 0:
@@ -265,20 +267,15 @@ def tau_scan(
     master_seed = engine.seed
     if engine.kind == "sampled" and master_seed is None:
         master_seed = int(np.random.SeedSequence().entropy)
-    plan = None
-    if setup.trotter_steps_per_tau is not None:
-        plan = trotter_plan(setup.hamiltonian, setup.trotter_steps_per_tau)
     pair_confusion = _pair_confusion(setup) if engine.mitigate else None
     rho0 = setup.rho0
 
     results = []
     for index, tau in enumerate(taus):
-        if plan is None:
+        if setup.trotter_steps_per_tau is None:
             dynamics = setup.hamiltonian
         else:
-            dynamics = TrotterEvolution(
-                setup.hamiltonian, plan, tau / setup.trotter_steps_per_tau
-            )
+            dynamics = TrotterEvolution(setup.hamiltonian, tau / setup.trotter_steps_per_tau)
         windows = ((0.0, tau), (tau, 2.0 * tau), (0.0, 2.0 * tau))
         estimates = []
         for c_index, (ta, tb) in enumerate(windows):

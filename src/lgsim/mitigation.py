@@ -33,7 +33,6 @@ from .errors import (
 )
 from .observables import (
     METHOD_SAMPLED_MITIGATED,
-    OUTCOME_KEYS,
     CorrelatorEstimate,
     CountsTable,
     DichotomicObservable,

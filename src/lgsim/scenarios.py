@@ -8,8 +8,8 @@ Each runner reproduces one desk-scale experiment family end to end:
   metadata for comparison.
 * ``bell_pair_*``: two independently rotating qubits prepared in a Bell
   state, measured per mode (one qubit, global parity, or two locations).
-* ``tfic``: five-qubit Ising chain in a transverse field, GHZ start,
-  Trotterized evolution, end-qubit pair readout.
+* ``tfic``: Ising chain of n >= 2 qubits (one per ``gammas`` entry) in a
+  transverse field, GHZ start, Trotterized evolution, end-qubit pair readout.
 * ``param_scan``: violation-region map over the frequency ratio of the last
   qubit for independently rotating registers.
 """
@@ -367,6 +367,15 @@ def _build_tfic(spec: "ScenarioSpec") -> ScanResult:
 
 
 def _build_param_scan(spec: "ScenarioSpec") -> ScanResult:
+    # the region map is exact and noiseless; refuse what it would drop
+    if spec.engine.kind != "exact":
+        raise ConfigError(
+            f"param_scan runs the exact engine only, got engine.kind={spec.engine.kind!r}"
+        )
+    if spec.engine.mitigate:
+        raise ConfigError("param_scan has no readout to mitigate, got engine.mitigate=true")
+    if spec.noise is not None:
+        raise ConfigError("param_scan is noiseless, so it takes no noise block")
     p = spec.parameters
     taus = spec._tau_grid(2.0 * np.pi, DEFAULT_TAU_POINTS)
     n_qubits = _integer(p["n_qubits"], "n_qubits")
@@ -409,7 +418,7 @@ SCENARIOS = {
         _build_bell_pair,
     ),
     "tfic": Scenario(
-        "5-qubit transverse-field Ising chain, Trotterized, chain-end readout",
+        "n-qubit transverse-field Ising chain, Trotterized, chain-end readout",
         ("j", "gammas", "k"),
         _build_tfic,
     ),

@@ -205,6 +205,15 @@ NAN, INF = float("nan"), float("inf")
         ("single_qubit", {"gamma": 1.0}, {"engine": {"kind": "sampled"}, "env": "1.5"}, "LGSIM_SEED"),
         ("single_qubit", {"gamma": 1.0}, {"grid": {"tau_max": 1e300}}, "grid.tau_max"),
         ("transmon", {"omega_eff": 1.0, "t2": None}, {"grid": {"tau_max": 3.1e7}}, "grid.tau_max"),
+        ("param_scan", {"n_qubits": 2, "ratios": [1.0]}, {"engine": {"kind": "sampled"}},
+         "engine.kind"),
+        ("param_scan", {"n_qubits": 2, "ratios": [1.0]}, {"engine": {"mitigate": True}},
+         "engine.mitigate"),
+        ("param_scan", {"n_qubits": 2, "ratios": [1.0]}, {"argv": ["--engine", "sampled"]},
+         "engine.kind"),
+        ("param_scan", {"n_qubits": 2, "ratios": [1.0]}, {"argv": ["--mitigate"]},
+         "engine.mitigate"),
+        ("param_scan", {"n_qubits": 2, "ratios": [1.0]}, {"noise": {"t2": 5.0}}, "noise"),
     ],
 )
 def test_scan_rejects_unphysical_config_naming_the_key(

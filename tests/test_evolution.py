@@ -1,5 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 import bruteforce as bf
@@ -14,7 +18,6 @@ from lgsim import (
     TrotterEvolution,
     evolve_density,
     prepare_state,
-    trotter_plan,
 )
 
 X = bf.X
@@ -118,38 +121,28 @@ def test_matches_scipy_expm_on_random_hamiltonians():
 
 def test_auto_partition_splits_bonds_by_parity():
     h = tfic_hamiltonian()
-    plan = trotter_plan(h, 3)
-    even_supports = {t.support() for t in plan.even_terms}
-    odd_supports = {t.support() for t in plan.odd_terms}
-    assert even_supports == {(0, 1), (2, 3)}
-    assert odd_supports == {(1, 2), (3, 4)}
-    assert len(plan.single_site_terms) == 5
-    assert plan.steps == 3
+    odd, even = TrotterEvolution(h, 0.1).layers
+    assert [t.support() for t in even.terms] == [(0, 1), (2, 3)]
+    # odd bonds first, then the single-site fields, each in term order
+    assert [t.support() for t in odd.terms] == [(1, 2), (3, 4)] + [(q,) for q in range(5)]
 
 
 def test_partition_with_non_commuting_layer_rejected():
-    from lgsim import TrotterPlan
-
     # ZZ and ZX on the same bond differ on exactly one site, so they anticommute
-    with pytest.raises(InvalidTrotterPlan):
-        TrotterPlan(
-            2,
-            1,
-            even_terms=(PauliTerm(1.0, "ZZ"), PauliTerm(0.5, "ZX")),
-            odd_terms=(),
-            single_site_terms=(),
-        )
+    h = PauliSumHamiltonian(2, (PauliTerm(1.0, "ZZ"), PauliTerm(0.5, "ZX")))
+    with pytest.raises(InvalidTrotterPlan, match="non-commuting"):
+        TrotterEvolution(h, 0.1)
 
 
 def test_auto_partition_rejects_long_range_terms():
     h = PauliSumHamiltonian.from_terms(3, [(1.0, "ZIZ")])
     with pytest.raises(InvalidTrotterPlan):
-        trotter_plan(h, 1)
+        TrotterEvolution(h, 0.1)
 
 
 def trotterized(h, rho, k, total_time):
     """``k`` Trotter steps of the one evolution path over [0, total_time]."""
-    evo = TrotterEvolution(h, trotter_plan(h, k), total_time / k)
+    evo = TrotterEvolution(h, total_time / k)
     return evolve_density(rho, evo, 0.0, total_time)
 
 
@@ -193,18 +186,153 @@ def test_trotter_error_halves_when_steps_double():
         assert 0.35 <= ratio <= 0.65
 
 
-def test_trotter_evolution_rejects_foreign_plan():
-    h = tfic_hamiltonian()
-    other = PauliSumHamiltonian.from_terms(5, [(1.0, "XIIII")])
-    plan = trotter_plan(other, 2)
-    with pytest.raises(InvalidTrotterPlan):
-        TrotterEvolution(h, plan, 0.15)
+PAIRS = ["".join(p) for p in itertools.product("XYZ", repeat=2)]
+coefficients = st.floats(-1.5, 1.5)
+
+
+def on(n, paulis):
+    return "".join(paulis.get(q, "I") for q in range(n))
+
+
+@st.composite
+def nearest_neighbour_terms(draw, min_qubits=1):
+    """(n, terms): fields and nearest-neighbour bonds in a drawn order, the
+    bonds on one pair mutually commuting, sometimes with an identity term."""
+    n = draw(st.integers(min_qubits, 4))
+    terms = []
+    for q in range(n):
+        for p in draw(st.lists(st.sampled_from("XYZ"), max_size=2)):
+            terms.append(PauliTerm(draw(coefficients), on(n, {q: p})))
+    for q in range(n - 1):
+        kept = []
+        for a, b in draw(st.lists(st.sampled_from(PAIRS), max_size=2)):
+            term = PauliTerm(draw(coefficients), on(n, {q: a, q + 1: b}))
+            if all(term.commutes_with(k) for k in kept):
+                kept.append(term)
+        terms += kept
+    if draw(st.booleans()):
+        terms.append(PauliTerm(draw(coefficients), "I" * n))
+    return n, draw(st.permutations(terms))
+
+
+def depolarizing_ops(p, m):
+    """Kraus operators sqrt(w) P of uniform depolarizing on m qubits."""
+    ops = []
+    for labels in itertools.product("IXYZ", repeat=m):
+        w = 1 - p * (4**m - 1) / 4**m if set(labels) == {"I"} else p / 4**m
+        ops.append(np.sqrt(w) * bf.pauli_string("".join(labels)))
+    return ops
+
+
+def relaxation_ops(t1, t2, dt):
+    """Kraus lists on one qubit: amplitude damping for t1, then dephasing at
+    the pure-dephasing rate 1/t2 - 1/(2 t1)."""
+    channels = []
+    if t1 is not None:
+        g = 1 - np.exp(-dt / t1)
+        channels.append(
+            [np.array([[1, 0], [0, np.sqrt(1 - g)]]), np.array([[0, np.sqrt(g)], [0, 0]])]
+        )
+    if t2 is not None:
+        rate = 1 / t2 - (0.5 / t1 if t1 is not None else 0.0)
+        p = 0.5 * (1 - np.exp(-dt * max(rate, 0.0)))
+        channels.append([np.sqrt(1 - p) * bf.I2, np.sqrt(p) * bf.Z])
+    return channels
+
+
+def literal_trotter(rho, n, terms, dt, steps, p1=0.0, p2=0.0, t1=None, t2=None):
+    """``steps`` literal first-order steps: expm of the odd layer (odd bonds,
+    then fields, in term order), a dense Kraus sum per gate, the same for the
+    even layer, then relaxation on every qubit."""
+    bonds = [t for t in terms if len(t.support()) == 2]
+    fields = [t for t in terms if len(t.support()) == 1]
+    odd = [t for t in bonds if t.support()[0] % 2] + fields
+    even = [t for t in bonds if t.support()[0] % 2 == 0]
+    step = []  # full-register Kraus lists, applied in order
+    for layer in (odd, even):
+        h = bf.hamiltonian(n, [(t.coefficient, t.paulis) for t in layer])
+        step.append([expm(-1j * h * dt)])
+        for t in layer:
+            support = t.support()
+            ops = depolarizing_ops(p2 if len(support) == 2 else p1, len(support))
+            step.append([bf.local_operator(k, support, n) for k in ops])
+    for q in range(n):
+        for ops in relaxation_ops(t1, t2, dt):
+            step.append([bf.local_operator(k, (q,), n) for k in ops])
+    out = rho
+    for _ in range(steps):
+        for ops in step:
+            out = sum(k @ out @ k.conj().T for k in ops)
+    return out
+
+
+@st.composite
+def noise_models(draw):
+    if not draw(st.booleans()):
+        return None
+    t1 = draw(st.none() | st.floats(0.5, 5.0))
+    t2 = draw(st.none() | st.floats(0.2, 2.0))
+    return NoiseModel(
+        t1=t1,
+        t2=None if t2 is None else t2 * (t1 if t1 is not None else 2.5),
+        gate_depolarizing_1q=draw(st.just(0.0) | st.floats(0.0, 0.1)),
+        gate_depolarizing_2q=draw(st.just(0.0) | st.floats(0.0, 0.2)),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    nearest_neighbour_terms(),
+    st.floats(0.01, 0.5),
+    st.integers(1, 4),
+    noise_models(),
+    st.integers(0, 2**32 - 1),
+)
+def test_trotter_evolution_matches_literal_layers_and_kraus_sums(case, dt, steps, noise, seed):
+    n, terms = case
+    rho = random_rho(n, np.random.default_rng(seed))
+    evo = TrotterEvolution(PauliSumHamiltonian(n, terms), dt)
+    out = evolve_density(rho, evo, 0.0, steps * dt, noise)
+    kwargs = {}
+    if noise is not None:
+        kwargs = dict(
+            p1=noise.gate_depolarizing_1q, p2=noise.gate_depolarizing_2q, t1=noise.t1, t2=noise.t2
+        )
+    expected = literal_trotter(rho.matrix, n, terms, dt, steps, **kwargs)
+    assert np.abs(out.matrix - expected).max() < 1e-10
+
+
+@settings(max_examples=40, deadline=None)
+@given(nearest_neighbour_terms(min_qubits=2), st.integers(0, 2**32 - 1))
+def test_trotter_error_is_first_order_in_the_step(case, seed):
+    # first-order Trotter error is O(dt) at a fixed total time (Childs et al.,
+    # arXiv:1912.08854), so doubling the steps halves it
+    n, terms = case
+    h = PauliSumHamiltonian(n, terms)
+    rho = random_rho(n, np.random.default_rng(seed))
+    exact = evolve_density(rho, h, 0.0, 1.0).matrix
+    err = {k: np.abs(trotterized(h, rho, k, 1.0).matrix - exact).max() for k in (8, 16, 32)}
+    if err[8] > 1e-9:
+        for k in (8, 16):
+            assert 0.35 <= err[2 * k] / err[k] <= 0.65
+
+
+def test_duplicated_term_trotterizes_as_its_sum():
+    rho = random_rho(3, np.random.default_rng(12))
+    listed = PauliSumHamiltonian.from_terms(
+        3, [(0.3, "ZZI"), (0.7, "XII"), (0.2, "ZZI"), (-0.4, "IYZ"), (0.1, "XII")]
+    )
+    summed = PauliSumHamiltonian.from_terms(3, [(0.5, "ZZI"), (0.8, "XII"), (-0.4, "IYZ")])
+    # relaxation acts once per step; gate noise would act once per listed term
+    noise = NoiseModel(t1=4.0, t2=3.0)
+    got = evolve_density(rho, TrotterEvolution(listed, 0.2), 0.0, 0.6, noise).matrix
+    want = evolve_density(rho, TrotterEvolution(summed, 0.2), 0.0, 0.6, noise).matrix
+    assert np.abs(got - want).max() < 1e-12
 
 
 def test_segment_steps_follow_fixed_dt():
     h = tfic_hamiltonian()
-    plan = trotter_plan(h, 4)
-    evo = TrotterEvolution(h, plan, dt=0.25)
+    evo = TrotterEvolution(h, dt=0.25)
     assert evo.segment_steps(1.0) == 4
     assert evo.segment_steps(2.0) == 8
     assert evo.segment_steps(0.0) == 0
@@ -240,7 +368,7 @@ def test_each_non_empty_segment_checks_its_state_once(monkeypatch):
     # intermediate states inside a segment skip validation; the segment's
     # result goes through the full DensityMatrix check exactly once
     h = tfic_hamiltonian(gammas=(1, 1, 1, 2.0))
-    evo = TrotterEvolution(h, trotter_plan(h, 1), 0.1)
+    evo = TrotterEvolution(h, 0.1)
     noise = NoiseModel(t2=50.0, gate_depolarizing_1q=0.001, gate_depolarizing_2q=0.01)
     rho = prepare_state("ghz", 4).density_matrix()
     checks = []

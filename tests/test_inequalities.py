@@ -228,6 +228,17 @@ def test_engine_keeps_an_integral_seed_exact():
         assert type(got) is int and got == want
 
 
+@pytest.mark.parametrize("n_shots", [100.5, 0, float("nan"), "x"])
+def test_engine_rejects_a_shot_count_that_is_not_a_positive_integer(n_shots):
+    with pytest.raises(ValueError, match="n_shots"):
+        Engine.sampled(n_shots, seed=1)
+
+
+def test_engine_keeps_an_integral_shot_count():
+    got = Engine.sampled(3.0, seed=1).n_shots
+    assert type(got) is int and got == 3
+
+
 # --- CSV ----------------------------------------------------------------------
 
 

@@ -24,7 +24,6 @@ from lgsim import (
     sampled_correlator,
     sigma_x_observable,
     sigma_z_observable,
-    trotter_plan,
 )
 from lgsim.mitigation import ConfusionMatrix
 
@@ -229,7 +228,7 @@ def build_correlator_case(case):
     rng = np.random.default_rng(seed)
     rho = DensityMatrix(n, bf.random_density_matrix(n, rng))
     if trotter:
-        # nearest-neighbour terms, each Pauli string once, as trotter_plan needs
+        # nearest-neighbour terms, each Pauli string once
         strings = []
         for q in range(n):
             strings += [_on(n, {q: "X"}), _on(n, {q: "Z"})]
@@ -241,7 +240,7 @@ def build_correlator_case(case):
     h = PauliSumHamiltonian.from_terms(n, terms)
     if trotter:
         dt = float(rng.uniform(0.05, 0.4))
-        dynamics = TrotterEvolution(h, trotter_plan(h, 1), dt)
+        dynamics = TrotterEvolution(h, dt)
         t_i = int(rng.integers(0, 4)) * dt
         t_j = t_i + int(rng.integers(0, 4)) * dt
         h_dense = None

@@ -20,7 +20,6 @@ from lgsim import (
     TrotterEvolution,
     evolve_density,
     prepare_state,
-    trotter_plan,
     violation_region_scan,
 )
 from lgsim.scenarios import ising_chain_hamiltonian, run_bell_pair
@@ -59,7 +58,7 @@ def test_channel_hook_sees_a_state_and_a_kraus_channel(monkeypatch):
 
     monkeypatch.setattr(evolution, "apply_channel", counting)
     h = ising_chain_hamiltonian(0.1, [1.0, 1.0, 2.0])
-    evo = TrotterEvolution(h, trotter_plan(h, 1), 0.25)
+    evo = TrotterEvolution(h, 0.25)
     rho = prepare_state("ghz", 3).density_matrix()
     evolve_density(rho, evo, 0.0, 0.5, NoiseModel(gate_depolarizing_2q=0.01))
     assert calls
