@@ -63,8 +63,8 @@ class TrotterEvolution:
     )
 
     def __post_init__(self) -> None:
-        if self.dt < 0:
-            raise InvalidTrotterPlan(f"dt must be nonnegative, got {self.dt}")
+        if not 0 <= self.dt < float("inf"):  # NaN fails too
+            raise InvalidTrotterPlan(f"dt must be finite and nonnegative, got {self.dt}")
         odd_bonds: list[PauliTerm] = []
         even_bonds: list[PauliTerm] = []
         single: list[PauliTerm] = []

@@ -93,7 +93,7 @@ class InequalityResult:
             raise ValueError(f"unknown mode {self.mode!r}")
         slack = 1e-9 + 3.0 * (self.std_error if math.isfinite(self.std_error) else 0.0)
         for v in (self.k3, self.k3_prime, self.k3_perm):
-            if abs(v) > 3.0 + slack:
+            if not abs(v) <= 3.0 + slack:  # NaN fails too
                 raise ValueError(f"combination value {v} outside [-3, 3] plus tolerance")
 
     def combinations(self) -> tuple[float, float, float]:

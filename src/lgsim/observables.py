@@ -18,6 +18,9 @@ shot counts from it with one multinomial. The patterns are then
 coarse-grained to signs by their parity, the same lumping that readout
 mitigation applies to the readout map.
 
+An observable is stored as a signed bit flip (``DichotomicObservable``), so
+both engines apply it by indexing the state, never as a 2^n x 2^n matrix.
+
 Collapse granularity: a single-qubit observable always collapses onto its
 two outcome projectors. A multi-qubit parity observable built with
 ``bitwise_collapse=True`` (the default, matching a hardware readout of every
@@ -31,7 +34,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import TYPE_CHECKING
 
@@ -49,8 +52,6 @@ if TYPE_CHECKING:
     from .core.channels import NoiseModel
     from .mitigation import ConfusionMatrix
 
-PROJECTOR_TOL = 1e-10
-
 OUTCOME_KEYS = ("++", "+-", "-+", "--")
 
 METHOD_EXACT = "exact"
@@ -60,20 +61,22 @@ METHOD_SAMPLED_MITIGATED = "sampled_mitigated"
 
 @dataclass(frozen=True)
 class DichotomicObservable:
-    """A +/-1-valued observable as a pair of orthogonal projectors.
-
-    ``z_diagonal`` marks observables whose value is the parity of the
-    computational-basis bits of ``qubits``; only those support bit-level
-    readout-error injection for more than one measured qubit.
+    """A +/-1-valued observable Q, the product of Z (``basis`` "z") or X
+    (``basis`` "x") over ``qubits``, stored as a signed bit flip: Q[a, b] =
+    signs[a] if b = a ^ flip, else 0. Both are derived, not settable:
+    ``flip`` is 0 for z and the bitmask of ``qubits`` for x, and ``signs``
+    is the parity sign of the bits of ``qubits`` for z and all ones for x.
+    Only z observables support a bitwise collapse and bit-level readout
+    error on more than one measured qubit.
     """
 
     label: str
     qubits: tuple[int, ...]
     num_qubits: int
-    projector_plus: np.ndarray
-    projector_minus: np.ndarray
-    z_diagonal: bool = False
+    basis: str = "z"
     bitwise_collapse: bool = False
+    flip: int = field(init=False, repr=False, compare=False)
+    signs: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         qubits = tuple(int(q) for q in self.qubits)
@@ -81,38 +84,21 @@ class DichotomicObservable:
             raise InvalidObservable(f"duplicate or empty qubit list {qubits}")
         if any(q < 0 or q >= self.num_qubits for q in qubits):
             raise InvalidObservable(f"qubits {qubits} outside register of {self.num_qubits}")
+        if self.basis not in ("z", "x"):
+            raise InvalidObservable(f"basis must be 'z' or 'x', got {self.basis!r}")
+        if self.bitwise_collapse and self.basis != "z":
+            raise InvalidObservable("a bitwise collapse needs a z-basis observable")
         object.__setattr__(self, "qubits", qubits)
         dim = 2**self.num_qubits
-        mats = []
-        for name, proj in (("plus", self.projector_plus), ("minus", self.projector_minus)):
-            m = np.array(proj, dtype=complex)
-            if m.shape != (dim, dim):
-                raise InvalidObservable(f"projector_{name} shape {m.shape} != ({dim}, {dim})")
-            if np.abs(m @ m - m).max() > PROJECTOR_TOL:
-                raise InvalidObservable(f"projector_{name} is not idempotent")
-            m.setflags(write=False)
-            mats.append(m)
-        plus, minus = mats
-        if np.abs(plus @ minus).max() > PROJECTOR_TOL:
-            raise InvalidObservable("projectors are not orthogonal")
-        if np.abs(plus + minus - np.eye(dim)).max() > PROJECTOR_TOL:
-            raise InvalidObservable("projectors do not sum to the identity")
-        if self.z_diagonal and np.abs(plus - np.diag(np.diagonal(plus))).max() > PROJECTOR_TOL:
-            raise InvalidObservable("a z-diagonal observable needs diagonal projectors")
-        object.__setattr__(self, "projector_plus", plus)
-        object.__setattr__(self, "projector_minus", minus)
-
-    def operator(self) -> np.ndarray:
-        return self.projector_plus - self.projector_minus
-
-
-def _parity_mask(qubits: tuple[int, ...], num_qubits: int) -> np.ndarray:
-    """Boolean vector: True where the selected bits have even parity."""
-    idx = np.arange(2**num_qubits)
-    acc = np.zeros_like(idx)
-    for q in qubits:
-        acc ^= (idx >> q) & 1
-    return acc == 0
+        if self.basis == "z":
+            flip = 0
+            signs = _pattern_signs(len(qubits))[_pattern_keys(dim, qubits)].astype(float)
+        else:
+            flip = sum(1 << q for q in qubits)
+            signs = np.ones(dim)
+        signs.setflags(write=False)
+        object.__setattr__(self, "flip", flip)
+        object.__setattr__(self, "signs", signs)
 
 
 def parity_observable(
@@ -126,22 +112,9 @@ def parity_observable(
     two-qubit parity product of z operators.
     """
     qubits = tuple(int(q) for q in qubits)
-    if len(set(qubits)) != len(qubits) or not qubits:
-        raise InvalidObservable(f"duplicate or empty qubit list {qubits}")
-    even = _parity_mask(qubits, num_qubits)
-    plus = np.diag(even.astype(complex))
-    minus = np.diag((~even).astype(complex))
-    label = "z" + "".join(f"_{q}" for q in qubits) if len(qubits) == 1 else (
-        "parity" + "".join(f"_{q}" for q in qubits)
-    )
+    label = ("z" if len(qubits) == 1 else "parity") + "".join(f"_{q}" for q in qubits)
     return DichotomicObservable(
-        label,
-        qubits,
-        num_qubits,
-        plus,
-        minus,
-        z_diagonal=True,
-        bitwise_collapse=bitwise_collapse and len(qubits) > 1,
+        label, qubits, num_qubits, bitwise_collapse=bitwise_collapse and len(qubits) > 1
     )
 
 
@@ -152,13 +125,7 @@ def sigma_z_observable(qubit: int, num_qubits: int) -> DichotomicObservable:
 def sigma_x_observable(qubit: int, num_qubits: int) -> DichotomicObservable:
     """x-basis observable: +1 on |+>, -1 on |->. Its readout bit is 0 for the
     +1 outcome, as if a basis-change gate preceded a z readout."""
-    from .core.paulis import embed_operator
-
-    plus_local = 0.5 * np.array([[1, 1], [1, 1]], dtype=complex)
-    minus_local = 0.5 * np.array([[1, -1], [-1, 1]], dtype=complex)
-    plus = embed_operator(plus_local, (qubit,), num_qubits)
-    minus = embed_operator(minus_local, (qubit,), num_qubits)
-    return DichotomicObservable(f"x_{qubit}", (qubit,), num_qubits, plus, minus)
+    return DichotomicObservable(f"x_{qubit}", (qubit,), num_qubits, basis="x")
 
 
 @dataclass(frozen=True)
@@ -212,7 +179,7 @@ class CorrelatorEstimate:
         slack = 1e-9
         if self.method != METHOD_EXACT and np.isfinite(self.std_error):
             slack = max(slack, 3.0 * self.std_error)
-        if abs(self.value) > 1.0 + slack:
+        if not abs(self.value) <= 1.0 + slack:  # NaN fails too
             raise ValueError(f"correlator value {self.value} outside [-1, 1] plus tolerance")
 
     def variance(self) -> float:
@@ -314,18 +281,24 @@ def _signed_collapse(rho: np.ndarray, obs: DichotomicObservable) -> np.ndarray:
 
     A bitwise collapse keeps the blocks of ``rho`` between basis states with
     the same bit pattern of the measured qubits, each signed by its pattern's
-    parity. A z-diagonal observable with values q_a on the basis states gives
-    M(rho)_ab = (q_a + q_b) / 2 rho_ab, and any other one {Q, rho} / 2.
+    parity. A two-outcome collapse gives {Q, rho} / 2: with s = ``signs`` and
+    f = ``flip``, (Q rho)_ab = s_a rho_{a^f, b} and (rho Q)_ab = rho_{a, b^f} s_b,
+    so a z observable (f = 0) gives M(rho)_ab = (s_a + s_b) / 2 rho_ab.
     """
+    s = obs.signs
     if obs.bitwise_collapse and len(obs.qubits) > 1:
         keys = _pattern_keys(rho.shape[0], obs.qubits)
-        signs = _pattern_signs(len(obs.qubits))[keys]
-        return np.where(keys[:, None] == keys[None, :], signs[:, None] * rho, 0.0)
-    if obs.z_diagonal:
-        q = np.real(np.diagonal(obs.projector_plus) - np.diagonal(obs.projector_minus))
-        return 0.5 * (q[:, None] + q[None, :]) * rho
-    q = obs.operator()
-    return 0.5 * (q @ rho + rho @ q)
+        return np.where(keys[:, None] == keys, s[:, None] * rho, 0.0)
+    if not obs.flip:
+        return 0.5 * (s[:, None] + s) * rho
+    flipped = np.arange(rho.shape[0]) ^ obs.flip
+    return 0.5 * (s[:, None] * rho[flipped] + rho[:, flipped] * s)
+
+
+def _expectation(y: np.ndarray, obs: DichotomicObservable) -> float:
+    """Re Tr[Q y] = Re sum_a signs[a] y[a ^ flip, a]."""
+    idx = np.arange(y.shape[0])
+    return float(np.real(obs.signs @ y[idx ^ obs.flip, idx]))
 
 
 def exact_correlator(
@@ -362,14 +335,13 @@ def exact_correlator(
             f"evolved first-measurement operator drifted: Hermiticity {deviation}, "
             f"trace {drift} (tolerance {NORM_TOL})"
         )
-    value = float(np.real(np.sum(sched.second_observable.operator().T * y)))
-    return CorrelatorEstimate(value, 0.0, 0, METHOD_EXACT)
+    return CorrelatorEstimate(_expectation(y, sched.second_observable), 0.0, 0, METHOD_EXACT)
 
 
 def _readout_on(obs: DichotomicObservable, readout: "ConfusionMatrix") -> np.ndarray:
     """Readout map on the bit patterns of ``obs``'s qubits. Reading several
     qubits bit by bit needs computational-basis projectors."""
-    if len(obs.qubits) > 1 and not obs.z_diagonal:
+    if len(obs.qubits) > 1 and obs.basis != "z":
         raise InvalidObservable("bit-level readout error needs computational-basis observables")
     return readout.on_bits(len(obs.qubits))
 
@@ -381,11 +353,34 @@ def _to_signs(bits: int) -> np.ndarray:
 
 def _true_law(y: np.ndarray, obs: DichotomicObservable, bits: int) -> np.ndarray:
     """Weights Tr[P y] of the outcomes of ``obs`` on the operator ``y``: one
-    per bit pattern of its qubits when ``bits`` > 1, else plus then minus."""
+    per bit pattern of its qubits when ``bits`` > 1, else plus then minus,
+    (Tr y +/- Tr[Q y]) / 2."""
     if bits > 1:
         keys = _pattern_keys(y.shape[0], obs.qubits)
         return np.bincount(keys, weights=np.real(np.diagonal(y)), minlength=2**bits)
-    return np.array([np.vdot(p, y).real for p in (obs.projector_plus, obs.projector_minus)])
+    total, value = np.real(np.trace(y)), _expectation(y, obs)
+    return np.array([total + value, total - value]) / 2
+
+
+def _collapse_branches(rho: np.ndarray, obs: DichotomicObservable) -> list[np.ndarray]:
+    """Unnormalised branches P_a rho P_a of a first measurement of ``obs``:
+    one per bit pattern of its qubits for a bitwise collapse, else plus then
+    minus with P = (I +/- Q) / 2.
+
+    A z collapse keeps the blocks of ``rho`` within one bit pattern or one
+    sign. An x collapse is P rho P = (rho +/- 2 M(rho) + Q rho Q) / 4, with
+    (Q rho Q)_ab = s_a rho_{a^f, b^f} s_b.
+    """
+    if obs.flip:
+        s, flipped = obs.signs, np.arange(rho.shape[0]) ^ obs.flip
+        collapse = _signed_collapse(rho, obs)
+        conjugated = s[:, None] * rho[np.ix_(flipped, flipped)] * s
+        return [(rho + 2 * sign * collapse + conjugated) / 4 for sign in (1, -1)]
+    if obs.bitwise_collapse and len(obs.qubits) > 1:
+        labels, count = _pattern_keys(rho.shape[0], obs.qubits), 2 ** len(obs.qubits)
+    else:
+        labels, count = obs.signs < 0, 2
+    return [np.where((labels == a)[:, None] & (labels == a), rho, 0.0) for a in range(count)]
 
 
 def _recorded_law(
@@ -414,14 +409,7 @@ def _recorded_law(
     bits2 = m2 if m2 > 1 and readout is not None else 1
 
     rho_i = evolve_density(rho0, dynamics, 0.0, sched.t_first, noise).matrix
-    if bitwise:
-        keys = _pattern_keys(rho_i.shape[0], obs1.qubits)
-        branches = [
-            np.where((keys == a)[:, None] & (keys == a)[None, :], rho_i, 0.0)
-            for a in range(2**m1)
-        ]
-    else:
-        branches = [p @ rho_i @ p for p in (obs1.projector_plus, obs1.projector_minus)]
+    branches = _collapse_branches(rho_i, obs1)
     duration = sched.t_second - sched.t_first
     rows = []
     for branch in branches:

@@ -74,6 +74,18 @@ def x_pair(qubit, n):
     return [(+1, op_on(plus, qubit, n)), (-1, op_on(minus, qubit, n))]
 
 
+def observable_pair(obs):
+    """(value, projector) branches (I +/- Q) / 2 of a ``DichotomicObservable``,
+    with Q the Kronecker product of its Pauli string: Z (basis "z") or X
+    (basis "x") on each listed qubit."""
+    paulis = ["I"] * obs.num_qubits
+    for q in obs.qubits:
+        paulis[q] = obs.basis.upper()
+    q_op = pauli_string("".join(paulis))
+    eye = np.eye(q_op.shape[0])
+    return [(+1, (eye + q_op) / 2), (-1, (eye - q_op) / 2)]
+
+
 def bitwise_parity_branches(qubits, n):
     """Fine branches: one projector per bit pattern of the measured qubits,
     valued by the pattern's parity (a full readout of those qubits)."""
@@ -326,7 +338,7 @@ def _first_branches(rho: DensityMatrix, obs: DichotomicObservable):
             out.append((int(signs[pattern]), p, rho_b))
         return out
     out = []
-    for value, proj in ((+1, obs.projector_plus), (-1, obs.projector_minus)):
+    for value, proj in observable_pair(obs):
         p = float(np.trace(proj @ rho.matrix).real)
         if p > UNREACHABLE_PROB:
             out.append((value, p, DensityMatrix(rho.num_qubits, proj @ rho.matrix @ proj / p)))
@@ -422,7 +434,7 @@ def per_shot_correlator(
     readout = noise.readout_confusion if noise is not None else None
     m1, m2 = len(obs1.qubits), len(obs2.qubits)
     for obs, m in ((obs1, m1), (obs2, m2)):
-        if readout is not None and m > 1 and not obs.z_diagonal:
+        if readout is not None and m > 1 and obs.basis != "z":
             raise InvalidObservable(
                 "bit-level readout error needs computational-basis observables"
             )
@@ -440,7 +452,7 @@ def per_shot_correlator(
         q1 = signs1[patterns1]
         branch_ids = patterns1 if obs1.bitwise_collapse else q1
     else:
-        p_plus = float(np.trace(obs1.projector_plus @ rho_i.matrix).real)
+        p_plus = float(np.trace(observable_pair(obs1)[0][1] @ rho_i.matrix).real)
         q1 = np.where(u1 < p_plus, 1, -1)
         patterns1 = ((1 - q1) // 2).astype(np.int64)
         branch_ids = q1
@@ -480,7 +492,7 @@ def per_shot_correlator(
             patterns2[mask] = _draw_categorical(dist2, u2[mask])
             q2[mask] = signs2[patterns2[mask]]
         else:
-            p_plus2 = float(np.trace(obs2.projector_plus @ rho_j.matrix).real)
+            p_plus2 = float(np.trace(observable_pair(obs2)[0][1] @ rho_j.matrix).real)
             q2[mask] = np.where(u2[mask] < p_plus2, 1, -1)
             patterns2[mask] = (1 - q2[mask]) // 2
 

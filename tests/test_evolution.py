@@ -340,6 +340,12 @@ def test_segment_steps_follow_fixed_dt():
         evo.segment_steps(0.37)
 
 
+@pytest.mark.parametrize("dt", [float("nan"), float("inf"), -0.1])
+def test_trotter_step_must_be_finite_and_nonnegative(dt):
+    with pytest.raises(InvalidTrotterPlan, match="dt"):
+        TrotterEvolution(tfic_hamiltonian(), dt)
+
+
 def test_pure_state_and_density_matrix_evolution_agree():
     rng = np.random.default_rng(99)
     for _ in range(50):

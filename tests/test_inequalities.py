@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -89,6 +91,21 @@ def test_single_shot_estimates_never_flag():
     )
     assert res.k3 == 3.0
     assert not res.violated_k3
+
+
+def test_non_finite_correlator_rejected():
+    for value in (float("nan"), float("inf"), 1.1):
+        with pytest.raises(ValueError, match="outside"):
+            CorrelatorEstimate(value, 0.0, 0, "exact")
+    with pytest.raises(ValueError, match="outside"):
+        CorrelatorEstimate(float("nan"), 0.01, 8192, "sampled")
+
+
+def test_non_finite_combination_rejected():
+    ok = assemble_third_order(exact_est(0.5), exact_est(0.5), exact_est(-0.5), "LGI_single")
+    for value in (float("nan"), float("inf"), 3.1):
+        with pytest.raises(ValueError, match="outside"):
+            replace(ok, k3=value)
 
 
 # --- closed form --------------------------------------------------------------

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -41,25 +42,32 @@ def two_qubit_rotations(g1, g2):
 # --- observable construction ------------------------------------------------
 
 
+def dense(obs):
+    """Q = P_+ - P_- from the brute-force projector pair."""
+    (_, plus), (_, minus) = bf.observable_pair(obs)
+    return plus - minus
+
+
 def test_parity_of_single_qubit_is_z():
     obs = parity_observable([0], 1)
-    assert np.abs(obs.operator() - bf.Z).max() < 1e-12
+    assert np.abs(dense(obs) - bf.Z).max() < 1e-12
+    assert (obs.basis, obs.flip) == ("z", 0)
+    assert list(obs.signs) == [1.0, -1.0]
     assert not obs.bitwise_collapse
 
 
 def test_two_qubit_parity_values_on_basis_states():
     obs = parity_observable([0, 1], 2)
-    op = obs.operator()
-    assert op[0, 0].real == 1.0  # |00>
-    assert op[1, 1].real == -1.0  # |01>
-    assert op[2, 2].real == -1.0
-    assert op[3, 3].real == 1.0
+    # |00>, |01>, |10>, |11>
+    assert list(obs.signs) == [1.0, -1.0, -1.0, 1.0]
+    assert np.array_equal(dense(obs), np.diag(obs.signs))
 
 
 def test_bell_state_parity_expectation_is_one():
     rho = prepare_state("bell", 2).density_matrix()
     obs = parity_observable([0, 1], 2)
-    assert abs(np.trace(obs.operator() @ rho.matrix).real - 1.0) < 1e-12
+    assert abs(observables._expectation(rho.matrix, obs) - 1.0) < 1e-12
+    assert abs(np.trace(dense(obs) @ rho.matrix).real - 1.0) < 1e-12
 
 
 def test_duplicate_qubits_rejected():
@@ -68,24 +76,81 @@ def test_duplicate_qubits_rejected():
 
 
 def test_projector_algebra_validated():
-    bad = np.diag([1.0, 0.3]).astype(complex)
-    good = np.diag([0.0, 1.0]).astype(complex)
-    with pytest.raises(InvalidObservable):
-        DichotomicObservable("bad", (0,), 1, bad, good)
-    overlapping = np.diag([1.0, 1.0]).astype(complex)
-    with pytest.raises(InvalidObservable):
-        DichotomicObservable("bad", (0,), 1, overlapping, good)
-    # the exact engine collapses a z-diagonal observable elementwise
-    x = sigma_x_observable(0, 1)
-    with pytest.raises(InvalidObservable, match="diagonal"):
-        DichotomicObservable(
-            "bad", (0,), 1, x.projector_plus, x.projector_minus, z_diagonal=True
-        )
+    # every observable is a Z or X product, so only its description is checked
+    with pytest.raises(InvalidObservable, match="basis"):
+        DichotomicObservable("y_0", (0,), 1, basis="y")
+    with pytest.raises(InvalidObservable, match="bitwise"):
+        DichotomicObservable("x_0_1", (0, 1), 2, basis="x", bitwise_collapse=True)
+    with pytest.raises(InvalidObservable, match="duplicate"):
+        DichotomicObservable("z", (1, 1), 2)
+    with pytest.raises(InvalidObservable, match="outside"):
+        DichotomicObservable("z", (2,), 2)
+    with pytest.raises(InvalidObservable, match="outside"):
+        DichotomicObservable("z", (-1,), 2)
+    # the derived fields are not settable
+    with pytest.raises(TypeError):
+        DichotomicObservable("z", (0,), 1, flip=1)
+    with pytest.raises(ValueError):
+        parity_observable([0], 1).signs[0] = -1.0
 
 
 def test_sigma_x_observable_projects_onto_plus_minus():
-    obs = sigma_x_observable(0, 1)
-    assert np.abs(obs.operator() - bf.X).max() < 1e-12
+    obs = sigma_x_observable(1, 2)
+    assert (obs.basis, obs.flip, list(obs.signs)) == ("x", 2, [1.0] * 4)
+    assert np.abs(dense(obs) - bf.op_on(bf.X, 1, 2)).max() < 1e-12
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(1, 4),
+    st.sampled_from(("z", "x", "x_product", "parity", "bitwise")),
+    st.integers(0, 2**32 - 1),
+)
+def test_index_kernels_match_dense_projectors(n, kind, seed):
+    # the collapse, Tr[Q y], the outcome weights and the collapse branches,
+    # all computed by indexing, against the dense Kronecker-product oracle
+    rng = np.random.default_rng(seed)
+    qubits = [int(q) for q in rng.permutation(n)[: int(rng.integers(1, n + 1))]]
+    obs = {
+        "z": sigma_z_observable(qubits[0], n),
+        "x": sigma_x_observable(qubits[0], n),
+        "x_product": DichotomicObservable("x", tuple(qubits), n, basis="x"),
+        "parity": parity_observable(qubits, n, bitwise_collapse=False),
+        "bitwise": parity_observable(qubits, n),
+    }[kind]
+    a = rng.normal(size=(2**n, 2**n)) + 1j * rng.normal(size=(2**n, 2**n))
+    rho = (a + a.conj().T) / 2
+    q = dense(obs)
+    pairs = bf.observable_pair(obs)
+    if obs.bitwise_collapse:
+        pairs = bf.bitwise_parity_branches(qubits, n)
+    else:
+        anticommutator = (q @ rho + rho @ q) / 2
+        assert np.abs(observables._signed_collapse(rho, obs) - anticommutator).max() <= 1e-12
+    collapse = sum(v * p @ rho @ p for v, p in pairs)
+    assert np.abs(observables._signed_collapse(rho, obs) - collapse).max() <= 1e-12
+    branches = observables._collapse_branches(rho, obs)
+    assert len(branches) == len(pairs)
+    for branch, (_, p) in zip(branches, pairs):
+        assert np.abs(branch - p @ rho @ p).max() <= 1e-12
+    assert abs(observables._expectation(rho, obs) - np.trace(q @ rho).real) <= 1e-12
+    weights = [np.trace(p @ rho).real for _, p in bf.observable_pair(obs)]
+    assert np.abs(observables._true_law(rho, obs, 1) - weights).max() <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "build", [lambda: parity_observable([0, 11], 12), lambda: sigma_x_observable(0, 12)]
+)
+def test_twelve_qubit_observable_builds_without_dense_matrices(build):
+    # one dense 2^12 x 2^12 complex projector alone would take 268 MB
+    tracemalloc.start()
+    try:
+        obs = build()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert obs.signs.shape == (2**12,)
+    assert peak < 1_000_000
 
 
 def test_schedule_ordering():
@@ -185,25 +250,6 @@ def test_exact_correlator_random_instances_vs_bruteforce():
         )
         assert abs(est.value - expected) < 1e-10
         assert abs(est.value) <= 1.0 + 1e-9
-
-
-def test_label_swap_on_both_observables_preserves_value():
-    rho = prepare_state("bell", 2).density_matrix()
-    h = two_qubit_rotations(1.0, 0.7)
-    first = sigma_z_observable(0, 2)
-    second = sigma_z_observable(1, 2)
-    swapped_first = DichotomicObservable(
-        "swapped", (0,), 2, first.projector_minus, first.projector_plus, z_diagonal=False
-    )
-    swapped_second = DichotomicObservable(
-        "swapped", (1,), 2, second.projector_minus, second.projector_plus, z_diagonal=False
-    )
-    for tau in (0.4, 1.3):
-        a = exact_correlator(rho, h, MeasurementSchedule((0.0, tau), first, second))
-        b = exact_correlator(
-            rho, h, MeasurementSchedule((0.0, tau), swapped_first, swapped_second)
-        )
-        assert abs(a.value - b.value) < 1e-12
 
 
 @st.composite
