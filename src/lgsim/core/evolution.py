@@ -1,4 +1,4 @@
-"""Exact and first-order Trotter segment evolution of density matrices, with noise.
+"""Exact and first-order Trotter segment evolution of states, with noise.
 
 Both kinds of dynamics run through one step loop. Exact dynamics is one step
 of the whole Hamiltonian over the segment; a ``TrotterEvolution`` is a
@@ -7,16 +7,22 @@ and its even layer, each followed by its gate noise. Every step ends with
 the relaxation channels for its length. Each layer propagator is exp(-i H t)
 from a Hermitian eigendecomposition (cached per Hamiltonian), which keeps it
 unitary to machine precision for the register sizes handled here.
+
+A noise model without a channel leaves every map unitary, so state vectors
+can be evolved instead of density matrices (``_evolve_vectors``): exact
+dynamics in the eigenbasis of H, without building a propagator, and Trotter
+dynamics by the same layer propagators.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
-from ..errors import InvalidGrid, InvalidTrotterPlan
+from ..errors import InvalidGrid, InvalidState, InvalidTrotterPlan
 from .channels import (
     NoiseModel,
     apply_channel,
@@ -24,7 +30,8 @@ from .channels import (
     relaxation_channels,
 )
 from .paulis import PauliSumHamiltonian, PauliTerm
-from .states import DensityMatrix
+from .states import DensityMatrix, PureState
+
 
 @lru_cache(maxsize=512)
 def _eigensystem(h: PauliSumHamiltonian) -> tuple[np.ndarray, np.ndarray]:
@@ -122,6 +129,33 @@ def _layer_channels(noise: NoiseModel, terms: tuple[PauliTerm, ...]) -> list:
     return channels
 
 
+def _has_channel(noise: NoiseModel | None) -> bool:
+    """Whether ``noise`` applies any channel between or inside segments: a
+    t1 or t2 time, or gate depolarizing. Readout confusion is no channel."""
+    return noise is not None and (
+        noise.t1 is not None
+        or noise.t2 is not None
+        or noise.gate_depolarizing_1q > 0
+        or noise.gate_depolarizing_2q > 0
+    )
+
+
+def _segment_layers(
+    dynamics: Dynamics, duration: float, noise: NoiseModel | None
+) -> tuple[int, float, list]:
+    """Step count, step length and (propagator, gate channels) per layer of
+    one segment: one step of the whole Hamiltonian, without gate noise, for
+    exact dynamics, else ``segment_steps`` steps of the two Trotter layers."""
+    if isinstance(dynamics, PauliSumHamiltonian):
+        return 1, duration, [(_expm_hermitian(dynamics, duration), [])]
+    dt = dynamics.dt
+    layers = [
+        (_expm_hermitian(h, dt), _layer_channels(noise, h.terms) if noise is not None else [])
+        for h in dynamics.layers
+    ]
+    return dynamics.segment_steps(duration), dt, layers
+
+
 def _evolve_segment(
     rho: DensityMatrix,
     dynamics: Dynamics,
@@ -137,15 +171,7 @@ def _evolve_segment(
     Every step is linear in ``rho``, which need not be a state; the caller
     checks the result.
     """
-    if isinstance(dynamics, PauliSumHamiltonian):
-        steps, dt = 1, duration
-        layers = [(_expm_hermitian(dynamics, dt), [])]
-    else:
-        steps, dt = dynamics.segment_steps(duration), dynamics.dt
-        layers = [
-            (_expm_hermitian(h, dt), _layer_channels(noise, h.terms) if noise is not None else [])
-            for h in dynamics.layers
-        ]
+    steps, dt, layers = _segment_layers(dynamics, duration, noise)
     relax = relaxation_channels(noise, rho.num_qubits, dt) if noise is not None else []
     out = rho
     for _ in range(steps):
@@ -158,23 +184,51 @@ def _evolve_segment(
     return out
 
 
+def _evolve_vectors(psi: np.ndarray, dynamics: Dynamics, duration: float) -> np.ndarray:
+    """Apply one noiseless segment to the columns of ``psi``, unchecked.
+
+    Exact dynamics multiplies by V (e^{-iwt} o V^dagger psi) with the cached
+    eigensystem (w, V) of H, so no propagator is built; Trotter dynamics
+    applies the layer propagators of ``_segment_layers`` step by step.
+    """
+    if isinstance(dynamics, PauliSumHamiltonian):
+        w, v = _eigensystem(dynamics)
+        # V^dagger psi as conj(V^T conj(psi)), without copying V
+        coefficients = (v.T @ psi.conj()).conj()
+        return v @ (np.exp(-1j * w * duration)[:, None] * coefficients)
+    steps, _, layers = _segment_layers(dynamics, duration, None)
+    for _ in range(steps):
+        for u, _gate_noise in layers:
+            psi = u @ psi
+    return psi
+
+
 def evolve_density(
-    rho: DensityMatrix,
+    rho: DensityMatrix | PureState,
     dynamics: Dynamics,
     t_start: float,
     t_end: float,
     noise: NoiseModel | None = None,
-) -> DensityMatrix:
+) -> DensityMatrix | PureState:
     """Evolve one segment, interleaving decoherence channels with the
     coherent dynamics (see ``_evolve_segment`` for the order).
 
-    Intermediate states skip validation; the result of every non-empty
-    segment is checked once.
+    A ``PureState`` is evolved as a vector and stays one; it needs a noise
+    model without channels (``_has_channel``). Intermediate states skip
+    validation; the result of every non-empty segment is checked once.
     """
+    for name, t in (("t_start", t_start), ("t_end", t_end)):
+        if not math.isfinite(t):
+            raise InvalidGrid(f"{name}={t} is not a finite time")
     if t_end < t_start:
         raise InvalidGrid(f"t_end={t_end} earlier than t_start={t_start}")
     duration = t_end - t_start
+    if isinstance(rho, PureState) and _has_channel(noise):
+        raise InvalidState("a noise channel needs a density matrix, not a pure state")
     if duration == 0:
         return rho
+    if isinstance(rho, PureState):
+        psi = _evolve_vectors(rho.amplitudes[:, None], dynamics, duration)
+        return PureState(rho.num_qubits, psi[:, 0])
     out = _evolve_segment(rho, dynamics, duration, noise)
     return DensityMatrix(out.num_qubits, out.matrix)

@@ -4,14 +4,14 @@ Conventions used throughout the package:
 
 * Qubit 0 is the least significant bit of a basis index, so basis state
   ``|b_{n-1} ... b_1 b_0>`` has index ``sum(b_k * 2**k)``.
-* Character ``k`` of a Pauli string acts on qubit ``k``; the full matrix is
-  the Kronecker chain ``P[s[n-1]] (x) ... (x) P[s[0]]``.
+* Character ``k`` of a Pauli string acts on qubit ``k``; the full matrix
+  equals the Kronecker chain ``P[s[n-1]] (x) ... (x) P[s[0]]``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -38,9 +38,25 @@ def check_register_size(num_qubits: int) -> None:
 
 
 def pauli_string_matrix(paulis: str) -> np.ndarray:
-    """Dense matrix of a Pauli string (character k acts on qubit k)."""
-    factors = [PAULI_MATRICES[c] for c in reversed(paulis)]
-    return reduce(np.kron, factors)
+    """Dense matrix of a Pauli string (character k acts on qubit k).
+
+    Built by index arithmetic rather than a Kronecker chain. Per qubit
+    Y = iXZ, so the string is i^{#Y} X^x Z^z, with x the mask of its X and Y
+    qubits and z the mask of its Z and Y qubits. Row a holds a single entry,
+    in column b = a ^ x, equal to i^{#Y} (-1)^{popcount(b & z)}: a Z string
+    is a +/-1 diagonal and an X string a permutation.
+    """
+    x = sum(1 << k for k, c in enumerate(paulis) if c in "XY")
+    z = sum(1 << k for k, c in enumerate(paulis) if c in "YZ")
+    rows = np.arange(2 ** len(paulis))
+    cols = rows ^ x
+    parity = np.zeros_like(rows)
+    for k in range(len(paulis)):
+        if z >> k & 1:
+            parity ^= (cols >> k) & 1
+    out = np.zeros((len(rows), len(rows)), dtype=complex)
+    out[rows, cols] = (1 - 2 * parity) * 1j ** paulis.count("Y")
+    return out
 
 
 def embed_operator(op: np.ndarray, targets: Sequence[int], num_qubits: int) -> np.ndarray:

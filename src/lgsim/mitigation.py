@@ -20,7 +20,7 @@ negative get the fit, one at a time.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import reduce
 from typing import TYPE_CHECKING, Sequence
 
@@ -59,6 +59,8 @@ class ConfusionMatrix:
 
     num_bits: int
     matrix: np.ndarray
+    # the maps of on_bits, by bit count, built once per matrix
+    _maps: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         m = np.array(self.matrix, dtype=float)
@@ -92,18 +94,6 @@ class ConfusionMatrix:
         return cls(num_bits, single.on_bits(num_bits))
 
     @classmethod
-    def from_flip_probs(cls, p_read1_given0: float, p_read0_given1: float) -> "ConfusionMatrix":
-        return cls(
-            1,
-            np.array(
-                [
-                    [1 - p_read1_given0, p_read0_given1],
-                    [p_read1_given0, 1 - p_read0_given1],
-                ]
-            ),
-        )
-
-    @classmethod
     def tensor(cls, factors: Sequence["ConfusionMatrix"]) -> "ConfusionMatrix":
         """Kronecker product; the first factor owns the most significant bits."""
         return cls(
@@ -118,12 +108,17 @@ class ConfusionMatrix:
         An m-bit matrix serves an m-bit readout as given. A 1-bit matrix
         flips every bit independently, so its map is the Kronecker product of
         ``bits`` copies (the tensored model of Bravyi et al.,
-        arXiv:2006.14044). Any other size cannot describe the readout.
+        arXiv:2006.14044). Any other size cannot describe the readout. Each
+        map is built once and cached, so it is read-only.
         """
         if self.num_bits == bits:
             return self.matrix
         if self.num_bits == 1 and bits > 1:
-            return reduce(np.kron, [self.matrix] * bits)
+            if bits not in self._maps:
+                kron = reduce(np.kron, [self.matrix] * bits)
+                kron.setflags(write=False)
+                self._maps[bits] = kron
+            return self._maps[bits]
         raise InvalidNoiseParameter(
             f"readout confusion on {self.num_bits} bits cannot serve a "
             f"{bits}-bit measurement"

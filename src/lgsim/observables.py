@@ -9,8 +9,16 @@ where E are the (possibly noisy) segment evolution maps, P_n the projection
 branches of the first measurement and q_n = +/-1 their values. M is linear,
 so one evolution of the signed operator M(rho_i) replaces one evolution per
 branch; for a two-outcome collapse M(rho) = {Q_i, rho} / 2 (Emary, Lambert
-and Nori, arXiv:1304.5133). ``sampled_correlator`` computes the exact law of
-the recorded (Q_i, Q_j) pair of the same protocol, one evolved branch per
+and Nori, arXiv:1304.5133). When rho_0 has rank one and the noise model has
+no channel (no t1, no t2, no gate depolarizing), every map is unitary and
+the same value is C = sum_n q_n <phi_n| Q_j |phi_n> on state vectors, with
+phi_n = U(t_j - t_i) P_n U(t_i) |psi_0>; the branches are the columns of one
+block, evolved together. That path checks the evolved first-measurement
+state (a ``PureState``, norm within ``NORM_TOL``) and that the branch norms
+still sum to its norm after the second segment.
+
+``sampled_correlator`` computes the exact law of the recorded (Q_i, Q_j)
+pair of the same protocol on density matrices, one evolved branch per
 first-measurement outcome and each measurement's bit patterns optionally
 passed through the readout map ``ConfusionMatrix.on_bits`` (per-bit flips
 as a kron of 2x2 matrices, or an m-bit matrix as given), and draws all the
@@ -40,8 +48,14 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .core.evolution import Dynamics, _evolve_segment, evolve_density
-from .core.states import NORM_TOL, DensityMatrix
+from .core.evolution import (
+    Dynamics,
+    _evolve_segment,
+    _evolve_vectors,
+    _has_channel,
+    evolve_density,
+)
+from .core.states import NORM_TOL, DensityMatrix, PureState
 from .errors import (
     InvalidGrid,
     InvalidObservable,
@@ -57,6 +71,10 @@ OUTCOME_KEYS = ("++", "+-", "-+", "--")
 METHOD_EXACT = "exact"
 METHOD_SAMPLED = "sampled"
 METHOD_SAMPLED_MITIGATED = "sampled_mitigated"
+
+# |Tr[rho^2] - Tr[rho]^2| below which a density matrix counts as rank one;
+# the rounding of an exactly pure 12-qubit state reaches about 3e-15
+_RANK_ONE_TOL = 1e-13
 
 
 @dataclass(frozen=True)
@@ -142,6 +160,9 @@ class MeasurementSchedule:
 
     def __post_init__(self) -> None:
         t_i, t_j = (float(self.times[0]), float(self.times[1]))
+        for name, t in (("first", t_i), ("second", t_j)):
+            if not math.isfinite(t):
+                raise InvalidGrid(f"{name} measurement time {t} is not finite")
         if t_i < 0:
             raise InvalidGrid(f"first measurement time {t_i} is negative")
         if t_j < t_i:
@@ -301,6 +322,61 @@ def _expectation(y: np.ndarray, obs: DichotomicObservable) -> float:
     return float(np.real(obs.signs @ y[idx ^ obs.flip, idx]))
 
 
+def _apply(obs: DichotomicObservable, x: np.ndarray) -> np.ndarray:
+    """Q x for the columns of ``x``: (Q x)_a = signs[a] x[a ^ flip]."""
+    if obs.flip:
+        x = x[np.arange(x.shape[0]) ^ obs.flip]
+    return obs.signs[:, None] * x
+
+
+def _state_vector(rho: DensityMatrix) -> PureState | None:
+    """The state vector of a rank-one ``rho``, up to a global phase, else None.
+
+    rho is PSD, so it has rank one exactly when Tr[rho^2] = Tr[rho]^2; the
+    vector is then the column of its largest diagonal entry over that
+    entry's square root.
+    """
+    m = rho.matrix
+    if abs(np.vdot(m, m).real - np.trace(m).real ** 2) > _RANK_ONE_TOL:
+        return None
+    k = int(np.argmax(np.diagonal(m).real))
+    return PureState(rho.num_qubits, m[:, k] / math.sqrt(m[k, k].real))
+
+
+def _branch_vectors(psi: np.ndarray, obs: DichotomicObservable) -> tuple[np.ndarray, np.ndarray]:
+    """Branches P_n psi of a first measurement of ``obs`` as the columns of
+    one block, and their values q_n: one branch per bit pattern of its qubits
+    for a bitwise collapse, else (psi +/- Q psi) / 2 with values +1, -1."""
+    column = psi[:, None]
+    if obs.bitwise_collapse and len(obs.qubits) > 1:
+        m = len(obs.qubits)
+        keys = _pattern_keys(len(psi), obs.qubits)
+        return np.where(keys[:, None] == np.arange(2**m), column, 0.0), _pattern_signs(m)
+    flipped = _apply(obs, column)
+    return np.hstack([column + flipped, column - flipped]) / 2, np.array([1.0, -1.0])
+
+
+def _pure_correlator(
+    psi0: PureState, dynamics: Dynamics, sched: MeasurementSchedule
+) -> CorrelatorEstimate:
+    """C = sum_n q_n <phi_n| Q_j |phi_n>, phi_n = U(t_j - t_i) P_n U(t_i) psi0,
+    for a noise model without channels. psi_i comes checked from
+    ``evolve_density``; the branch norms must still sum to its norm after
+    the second segment, within ``NORM_TOL``."""
+    psi_i = evolve_density(psi0, dynamics, 0.0, sched.t_first).amplitudes
+    phi, values = _branch_vectors(psi_i, sched.first_observable)
+    duration = sched.t_second - sched.t_first
+    if duration > 0:
+        phi = _evolve_vectors(phi, dynamics, duration)
+    drift = abs(np.vdot(phi, phi).real - np.vdot(psi_i, psi_i).real)
+    if not drift <= NORM_TOL:  # NaN fails too
+        raise InvalidState(
+            f"evolved first-measurement branches drifted: norm {drift} (tolerance {NORM_TOL})"
+        )
+    branch_values = np.real(np.sum(phi.conj() * _apply(sched.second_observable, phi), axis=0))
+    return CorrelatorEstimate(float(values @ branch_values), 0.0, 0, METHOD_EXACT)
+
+
 def exact_correlator(
     rho0: DensityMatrix,
     dynamics: Dynamics,
@@ -311,15 +387,19 @@ def exact_correlator(
     channels interleaved between the evolution segments when a noise model
     is given. Readout confusion never enters the exact value.
 
-    rho_i comes checked from ``evolve_density``. The signed operator M(rho_i)
-    is evolved once over the second segment and checked there: its image
-    must stay Hermitian and keep its trace <Q_i>, both within ``NORM_TOL``.
-    The branch states P_n rho_i P_n that M(rho_i) sums are PSD because rho_i
-    is, and every segment map is unitary or a complete channel, so they stay
-    PSD without a check of their own; |C| <= 1 is checked by
-    ``CorrelatorEstimate``.
+    A rank-one rho0 under a noise model without channels is evaluated on
+    state vectors (``_pure_correlator``). Otherwise rho_i comes checked from
+    ``evolve_density``, and the signed operator M(rho_i) is evolved once over
+    the second segment and checked there: its image must stay Hermitian and
+    keep its trace <Q_i>, both within ``NORM_TOL``. The branch states
+    P_n rho_i P_n that M(rho_i) sums are PSD because rho_i is, and every
+    segment map is unitary or a complete channel, so they stay PSD without a
+    check of their own; |C| <= 1 is checked by ``CorrelatorEstimate``.
     """
     _check_register(rho0, sched)
+    psi0 = None if _has_channel(noise) else _state_vector(rho0)
+    if psi0 is not None:
+        return _pure_correlator(psi0, dynamics, sched)
     rho_i = evolve_density(rho0, dynamics, 0.0, sched.t_first, noise)
     x = _signed_collapse(rho_i.matrix, sched.first_observable)
     y = x

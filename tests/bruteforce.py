@@ -13,6 +13,8 @@ functions that use it, so the module loads without the package.
 
 from __future__ import annotations
 
+from functools import reduce
+
 import numpy as np
 from scipy.linalg import expm
 
@@ -32,11 +34,10 @@ def op_on(op, qubit, n):
 
 
 def pauli_string(s):
-    """Character k of the string acts on qubit k."""
-    out = np.array([[1.0 + 0j]])
-    for c in reversed(s):
-        out = np.kron(out, PAULI[c])
-    return out
+    """Character k of the string acts on qubit k: the Kronecker chain
+    P[s[n-1]] (x) ... (x) P[s[0]], as the package built it before it moved
+    to index arithmetic."""
+    return reduce(np.kron, [PAULI[c] for c in reversed(s)])
 
 
 def hamiltonian(num_qubits, terms):
@@ -266,6 +267,13 @@ def bootstrap_correlator(counts, n_shots, seed, matrix, fit):
 
 # ---------------------------------------------------------------------------
 # readout model
+
+
+def flip_matrix(p_read1_given0, p_read0_given1):
+    """1-bit readout confusion, entry (r, s) = P(read r | true s)."""
+    return np.array(
+        [[1 - p_read1_given0, p_read0_given1], [p_read1_given0, 1 - p_read0_given1]]
+    )
 
 
 def per_bit_map(single, m):

@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -8,17 +9,21 @@ from scipy.linalg import expm
 
 import bruteforce as bf
 from lgsim import (
+    ConfusionMatrix,
     DensityMatrix,
     InvalidGrid,
     InvalidHamiltonian,
+    InvalidState,
     InvalidTrotterPlan,
     NoiseModel,
     PauliSumHamiltonian,
     PauliTerm,
+    PureState,
     TrotterEvolution,
     evolve_density,
     prepare_state,
 )
+from lgsim.core import pauli_string_matrix
 
 X = bf.X
 Z = bf.Z
@@ -80,6 +85,36 @@ def test_non_finite_coefficient_rejected():
         PauliSumHamiltonian.from_terms(1, [(float("nan"), "X")])
     with pytest.raises(InvalidHamiltonian):
         PauliSumHamiltonian.from_terms(1, [(float("inf"), "Z")])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.text(alphabet="IXYZ", min_size=1, max_size=6))
+def test_pauli_string_matrix_matches_the_kron_chain(paulis):
+    # equal entry by entry; the chain's zeros carry IEEE signs of no meaning
+    got = pauli_string_matrix(paulis)
+    want = bf.pauli_string(paulis)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+@st.composite
+def pauli_sums(draw, max_qubits=6):
+    """(n, terms): up to six weighted Pauli strings on n qubits."""
+    n = draw(st.integers(1, max_qubits))
+    strings = st.text(alphabet="IXYZ", min_size=n, max_size=n)
+    return n, draw(st.lists(st.tuples(coefficients, strings), min_size=1, max_size=6))
+
+
+@settings(max_examples=60, deadline=None)
+@given(pauli_sums())
+def test_hamiltonian_matrix_is_bit_identical_to_the_kron_sum(case):
+    # the string matrices differ from the chain at most in the signs of
+    # zeros, which the sum, started from +0, does not keep
+    n, terms = case
+    want = np.zeros((2**n, 2**n), dtype=complex)
+    for coefficient, paulis in terms:
+        want += coefficient * bf.pauli_string(paulis)
+    got = PauliSumHamiltonian.from_terms(n, terms).matrix()
+    assert got.tobytes() == want.tobytes()
 
 
 def test_bad_pauli_string_rejected():
@@ -344,6 +379,37 @@ def test_segment_steps_follow_fixed_dt():
 def test_trotter_step_must_be_finite_and_nonnegative(dt):
     with pytest.raises(InvalidTrotterPlan, match="dt"):
         TrotterEvolution(tfic_hamiltonian(), dt)
+
+
+@pytest.mark.parametrize("trotter", [False, True])
+@pytest.mark.parametrize(
+    "t_start, t_end, name",
+    [(0.0, float("nan"), "t_end"), (float("nan"), 1.0, "t_start"), (0.0, float("inf"), "t_end")],
+)
+def test_non_finite_segment_times_rejected(trotter, t_start, t_end, name):
+    h = tfic_hamiltonian(gammas=(1.0, 2.0))
+    dynamics = TrotterEvolution(h, 0.25) if trotter else h
+    rho = prepare_state("ghz", 2).density_matrix()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidGrid, match=name):
+            evolve_density(rho, dynamics, t_start, t_end)
+
+
+def test_pure_state_evolves_as_a_vector_when_noise_has_no_channel():
+    rng = np.random.default_rng(17)
+    h = tfic_hamiltonian(gammas=(1.0, 0.7, 2.0))
+    amps = rng.normal(size=8) + 1j * rng.normal(size=8)
+    psi = PureState(3, amps / np.linalg.norm(amps))
+    readout = NoiseModel(readout_confusion=ConfusionMatrix.symmetric(0.05))
+    for dynamics in (h, TrotterEvolution(h, 0.2)):
+        out = evolve_density(psi, dynamics, 0.2, 0.8, readout)
+        assert isinstance(out, PureState)
+        want = evolve_density(psi.density_matrix(), dynamics, 0.2, 0.8).matrix
+        assert np.abs(np.outer(out.amplitudes, out.amplitudes.conj()) - want).max() <= 1e-12
+    assert evolve_density(psi, h, 0.5, 0.5) is psi
+    with pytest.raises(InvalidState, match="density matrix"):
+        evolve_density(psi, h, 0.0, 0.5, NoiseModel(t2=3.0))
 
 
 def test_pure_state_and_density_matrix_evolution_agree():

@@ -36,8 +36,7 @@ def test_confusion_matrix_validation():
 def test_confusion_constructors():
     sym = ConfusionMatrix.symmetric(0.03)
     assert np.allclose(sym.matrix, [[0.97, 0.03], [0.03, 0.97]])
-    asym = ConfusionMatrix.from_flip_probs(0.1, 0.02)
-    assert np.allclose(asym.matrix, [[0.9, 0.02], [0.1, 0.98]])
+    asym = ConfusionMatrix(1, bf.flip_matrix(0.1, 0.02))
     pair = ConfusionMatrix.tensor([sym, asym])
     assert pair.num_bits == 2
     assert np.allclose(pair.matrix, np.kron(sym.matrix, asym.matrix))
@@ -138,7 +137,7 @@ def test_calibration_determinism():
 @settings(max_examples=40, deadline=None)
 @given(st.integers(1, 4), st.floats(0.0, 0.5), st.floats(0.0, 0.5))
 def test_readout_map_is_the_per_bit_enumeration(m, p10, p01):
-    single = ConfusionMatrix.from_flip_probs(p10, p01)
+    single = ConfusionMatrix(1, bf.flip_matrix(p10, p01))
     got = single.on_bits(m)
     assert np.allclose(got, bf.per_bit_map(single.matrix, m), rtol=0.0, atol=1e-15)
     full = ConfusionMatrix(m, got)
@@ -160,7 +159,7 @@ def test_sign_confusion_matches_the_closed_form_under_symmetric_flips(m, p):
 def test_calibration_columns_follow_the_per_bit_law():
     # the one-multinomial calibration and the former per-shot flip loop draw
     # every column from the same per-bit law
-    single = ConfusionMatrix.from_flip_probs(0.06, 0.02)
+    single = ConfusionMatrix(1, bf.flip_matrix(0.06, 0.02))
     law = bf.per_bit_map(single.matrix, 3)
     shots = 20_000
     sigma = np.sqrt(law * (1 - law) / shots)
@@ -184,7 +183,7 @@ def bell_global_config(noise, engine):
 
 
 def test_asymmetric_per_bit_flips_on_a_parity_cannot_be_mitigated():
-    matrix = ConfusionMatrix.from_flip_probs(0.05, 0.02).matrix.tolist()
+    matrix = bf.flip_matrix(0.05, 0.02).tolist()
     noise = {"readout_confusion": {"num_bits": 1, "matrix": matrix}}
     engine = {"kind": "sampled", "shots": 1024, "seed": 2}
     ScenarioSpec.from_config(bell_global_config(noise, engine)).run()
@@ -494,7 +493,7 @@ def test_mitigated_single_qubit_k3_within_five_sigma_of_exact(
     if symmetric:
         noise = {"readout_flip": p10}
     else:
-        matrix = ConfusionMatrix.from_flip_probs(p10, p01).matrix.tolist()
+        matrix = bf.flip_matrix(p10, p01).tolist()
         noise = {"readout_confusion": {"num_bits": 1, "matrix": matrix}}
     config = {
         "scenario": "single_qubit",

@@ -7,18 +7,22 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import bruteforce as bf
+import lgsim.core.evolution as evolution
 import lgsim.observables as observables
 from lgsim import (
     CountsTable,
     DensityMatrix,
     DichotomicObservable,
+    Engine,
     InvalidGrid,
     InvalidObservable,
     InvalidState,
     MeasurementSchedule,
     NoiseModel,
     PauliSumHamiltonian,
+    PureState,
     TrotterEvolution,
+    evolve_density,
     exact_correlator,
     parity_observable,
     prepare_state,
@@ -27,6 +31,7 @@ from lgsim import (
     sigma_z_observable,
 )
 from lgsim.mitigation import ConfusionMatrix
+from lgsim.scenarios import run_bell_pair
 
 
 def x_rotation(gamma, n=1, qubit=0):
@@ -160,6 +165,20 @@ def test_schedule_ordering():
         MeasurementSchedule((1.0, 0.5), obs, obs)
     with pytest.raises(InvalidGrid):
         MeasurementSchedule((-0.1, 0.5), obs, obs)
+
+
+@pytest.mark.parametrize(
+    "times, name",
+    [
+        ((0.0, float("nan")), "second"),
+        ((float("nan"), 1.0), "first"),
+        ((0.0, float("inf")), "second"),
+    ],
+)
+def test_schedule_times_must_be_finite(times, name):
+    obs = sigma_z_observable(0, 1)
+    with pytest.raises(InvalidGrid, match=f"{name} measurement time"):
+        MeasurementSchedule(times, obs, obs)
 
 
 def test_register_mismatch_rejected():
@@ -343,7 +362,8 @@ def test_signed_map_matches_branch_formula(case):
 
 @pytest.mark.parametrize("scale, shift", [(1.0 + 1e-9, 0.0), (1.0, 1e-9j)])
 def test_evolved_signed_operator_is_checked(monkeypatch, scale, shift):
-    # a segment map that lost trace or Hermiticity must not yield a value
+    # a segment map that lost trace or Hermiticity must not yield a value; a
+    # mixed start keeps the correlator on the density-matrix path
     evolve = observables._evolve_segment
 
     def leaky(rho, *args):
@@ -351,7 +371,8 @@ def test_evolved_signed_operator_is_checked(monkeypatch, scale, shift):
         return DensityMatrix._trusted(out.num_qubits, scale * out.matrix + shift)
 
     monkeypatch.setattr(observables, "_evolve_segment", leaky)
-    rho = prepare_state("plus", 2).density_matrix()
+    plus = prepare_state("plus", 2).density_matrix().matrix
+    rho = DensityMatrix(2, 0.8 * plus + 0.05 * np.eye(4))
     sched = MeasurementSchedule((0.3, 0.9), sigma_x_observable(0, 2), sigma_z_observable(1, 2))
     with pytest.raises(InvalidState, match="drifted"):
         exact_correlator(rho, two_qubit_rotations(1.0, 0.4), sched)
@@ -362,6 +383,119 @@ def test_evolved_signed_operator_is_checked(monkeypatch, scale, shift):
 def test_noisy_correlator_is_bounded(case):
     rho, dynamics, sched, noise, *_ = build_correlator_case(case)
     assert abs(exact_correlator(rho, dynamics, sched, noise).value) <= 1.0 + 1e-12
+
+
+# --- state-vector path of the exact correlator -------------------------------
+
+
+def random_pure_rho(n, rng):
+    amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+    return PureState(n, amps / np.linalg.norm(amps)).density_matrix()
+
+
+def density_path_value(rho, dynamics, sched, noise=None):
+    """The density-matrix formula of ``exact_correlator``, composed from its
+    parts: rho_i, the signed collapse M(rho_i), one second segment, Tr[Q_j y]."""
+    rho_i = evolve_density(rho, dynamics, 0.0, sched.t_first, noise)
+    y = observables._signed_collapse(rho_i.matrix, sched.first_observable)
+    duration = sched.t_second - sched.t_first
+    if duration > 0:
+        signed = DensityMatrix._trusted(rho.num_qubits, y)
+        y = observables._evolve_segment(signed, dynamics, duration, noise).matrix
+    return observables._expectation(y, sched.second_observable)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(1, 4),
+    st.sampled_from(("z", "x", "parity", "bitwise")),
+    st.booleans(),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+)
+@example(4, "bitwise", True, False, 41)
+@example(3, "x", False, True, 42)
+def test_pure_state_path_matches_the_density_path(n, first, trotter, readout, seed):
+    # random nearest-neighbour Hamiltonian and pure start; readout confusion
+    # is no channel, so it keeps the vector path
+    _, dynamics, sched, *_ = build_correlator_case((n, True, first, False, False, seed))
+    rng = np.random.default_rng(seed + 1)
+    rho = random_pure_rho(n, rng)
+    if not trotter:
+        dynamics = dynamics.hamiltonian
+    noise = NoiseModel(readout_confusion=ConfusionMatrix.symmetric(0.1)) if readout else None
+    assert observables._state_vector(rho) is not None
+    vector = exact_correlator(rho, dynamics, sched, noise).value
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(observables, "_state_vector", lambda rho: None)
+        density = exact_correlator(rho, dynamics, sched, noise).value
+    assert abs(vector - density) <= 1e-12
+
+
+def test_only_mixed_or_noisy_correlators_evolve_density_matrices(monkeypatch):
+    # a noiseless pure start never sends a density matrix through a segment;
+    # a mixed start or a noise channel keeps the density path, bit for bit
+    evolved = []
+
+    def recording(evolve):
+        def record(rho, *args):
+            evolved.append(rho)
+            return evolve(rho, *args)
+
+        return record
+
+    for module in (evolution, observables):
+        monkeypatch.setattr(module, "_evolve_segment", recording(module._evolve_segment))
+    h = two_qubit_rotations(1.0, 0.4)
+    sched = MeasurementSchedule((0.3, 0.9), sigma_x_observable(0, 2), sigma_z_observable(1, 2))
+    pure = prepare_state("plus", 2).density_matrix()
+    readout = NoiseModel(readout_confusion=ConfusionMatrix.symmetric(0.1))
+    for dynamics in (h, TrotterEvolution(h, 0.3)):
+        exact_correlator(pure, dynamics, sched)
+        exact_correlator(pure, dynamics, sched, readout)
+    assert evolved == []
+    mixed = DensityMatrix(2, 0.8 * pure.matrix + 0.05 * np.eye(4))
+    for rho, noise in ((mixed, None), (pure, NoiseModel(t2=2.0))):
+        value = exact_correlator(rho, h, sched, noise).value
+        assert len(evolved) == 2 and all(isinstance(r, DensityMatrix) for r in evolved)
+        assert value == density_path_value(rho, h, sched, noise)
+        evolved.clear()
+
+
+@pytest.mark.parametrize(
+    "module, match", [(evolution, "norm"), (observables, "drifted")]
+)
+@pytest.mark.parametrize("scale", [1.0 + 1e-9, 1.0 - 1e-9])
+def test_evolved_state_vectors_are_checked(monkeypatch, module, match, scale):
+    # a first (evolution) or second (observables) vector segment that gains
+    # or loses norm must not yield a value
+    evolve = module._evolve_vectors
+    monkeypatch.setattr(module, "_evolve_vectors", lambda psi, *args: scale * evolve(psi, *args))
+    rho = prepare_state("plus", 2).density_matrix()
+    sched = MeasurementSchedule((0.3, 0.9), sigma_x_observable(0, 2), sigma_z_observable(1, 2))
+    with pytest.raises(InvalidState, match=match):
+        exact_correlator(rho, two_qubit_rotations(1.0, 0.4), sched)
+
+
+def test_readout_maps_are_built_once_per_scan(monkeypatch):
+    # the 2-bit readout map of a global parity is one kron, shared by every
+    # correlator of the scan; the sign-pair confusion is the other
+    krons = []
+    kron = np.kron
+
+    def counting(*args):
+        krons.append(args)
+        return kron(*args)
+
+    monkeypatch.setattr(np, "kron", counting)
+    run_bell_pair(
+        "lgi_global",
+        (1.0, 0.8),
+        Engine.sampled(256, seed=3, mitigate=True),
+        NoiseModel(readout_confusion=ConfusionMatrix.symmetric(0.03)),
+        np.linspace(0.0, 1.0, 5),
+    )
+    assert len(krons) <= 2
 
 
 # --- sampled correlator -----------------------------------------------------
@@ -468,7 +602,7 @@ def test_asymmetric_readout_on_frozen_ground_state():
     # prepared |0>, never flipped to 1 physically: recording errors come only
     # from the read-1-given-0 channel
     p10 = 0.25
-    noise = NoiseModel(readout_confusion=ConfusionMatrix.from_flip_probs(p10, 0.0))
+    noise = NoiseModel(readout_confusion=ConfusionMatrix(1, bf.flip_matrix(p10, 0.0)))
     rho = prepare_state("zero", 1).density_matrix()
     h = PauliSumHamiltonian.from_terms(1, [(0.0, "X")])
     obs = sigma_z_observable(0, 1)
@@ -562,7 +696,7 @@ def with_readout(case, kind):
     first, second = sched.first_observable, sched.second_observable
     n = rho.num_qubits
     if kind == "per_bit":
-        readout = ConfusionMatrix.from_flip_probs(*rng.uniform(0.0, 0.3, size=2))
+        readout = ConfusionMatrix(1, bf.flip_matrix(*rng.uniform(0.0, 0.3, size=2)))
     else:
         m = len(first.qubits)
         dim = 2**m
