@@ -4,22 +4,30 @@ Decoherence is applied as discrete channels between evolution segments, not
 by integrating a master equation. Relaxation (T1) is available but only acts
 when a qubit has an explicit t1 entry; the default model is pure dephasing.
 
-Every channel acts as a local superoperator: its Kraus operators are folded
-once into S = sum_k K (x) conj(K), a 4^m x 4^m matrix on the m target qubits,
-which multiplies the target row and column axes of ``rho`` without building
-any full-register operator. Channel completeness is checked when a channel
-is built; ``apply_channel`` returns an unchecked intermediate state, and the
-evolution segment that applied it checks its own result once.
+Each channel kind has one kernel, and neither builds a full-register
+operator. Gate depolarizing is applied in closed form,
+(1 - p) rho + p Tr_S(rho) (x) I / 2^m on its m targets S, by slicing the
+diagonal target blocks of a reshaped view of ``rho``; its Kraus operators are
+built only if something reads them. Every other channel (relaxation, or a
+user-built ``KrausChannel``) acts as a local superoperator: its Kraus
+operators are folded once into S = sum_k K (x) conj(K), a 4^m x 4^m matrix,
+which multiplies the target row and column axes of ``rho``. Both kernels are
+linear, so they also serve Hermitian operators that are not states. Channel
+completeness is checked when a channel is built; ``apply_channel`` returns an
+unchecked intermediate state, and the evolution segment that applied it
+checks its own result once.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
+import operator
 from dataclasses import dataclass, field
-from functools import lru_cache
-from typing import TYPE_CHECKING, Mapping, Union
+from functools import cached_property, lru_cache, reduce
+from typing import TYPE_CHECKING, Mapping, Sequence, Union
 
 import numpy as np
 
@@ -79,15 +87,95 @@ class KrausChannel:
         object.__setattr__(self, "superoperator", superop)
 
 
-def apply_channel(rho: DensityMatrix, channel: KrausChannel) -> DensityMatrix:
-    """Apply ``rho -> sum_k K rho K^dagger`` as the channel's local
-    superoperator on the target row and column axes of ``rho``."""
+@dataclass(frozen=True)
+class DepolarizingChannel:
+    """Uniform depolarizing with probability ``p`` on one or two
+    ``target_qubits``: rho -> (1 - p) rho + p Tr_S(rho) (x) I / 2^m.
+
+    ``apply_channel`` uses the closed form. ``kraus_ops``, the 4^m Pauli
+    strings weighted 1 - p (4^m - 1) / 4^m (identity) and p / 4^m (the rest),
+    are built on first read and kept.
+    """
+
+    p: float
+    target_qubits: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        if not 0.0 <= self.p <= 1.0:
+            raise InvalidNoiseParameter(f"depolarizing probability {self.p} outside [0, 1]")
+        targets = self.target_qubits
+        if len(targets) not in (1, 2):
+            raise InvalidChannel("depolarizing channel supports one or two qubits")
+        if len(set(targets)) != len(targets):
+            raise InvalidChannel(f"bad target qubits {targets}")
+
+    @cached_property
+    def kraus_ops(self) -> tuple[np.ndarray, ...]:
+        n_paulis = 4 ** len(self.target_qubits)
+        ops = []
+        for labels in itertools.product("IXYZ", repeat=len(self.target_qubits)):
+            identity = set(labels) == {"I"}
+            weight = 1.0 - self.p * (n_paulis - 1) / n_paulis if identity else self.p / n_paulis
+            op = math.sqrt(weight) * reduce(np.kron, [PAULI_MATRICES[c] for c in labels])
+            op.setflags(write=False)
+            ops.append(op)
+        return tuple(ops)
+
+
+@lru_cache(maxsize=256)
+def _diagonal_blocks(
+    num_qubits: int, targets: tuple[int, ...]
+) -> tuple[tuple[int, ...], tuple[tuple, ...]]:
+    """Shape of a 2^n x 2^n matrix viewed with one row axis and one column
+    axis per run of consecutive qubits, target or not, and the index of each
+    diagonal block (s, s) of the targets in that view."""
+    half: list[int] = []
+    target_axes: list[int] = []
+    # qubit q is bit q of an index, so the runs go from qubit n-1 down
+    runs = itertools.groupby(range(num_qubits - 1, -1, -1), key=lambda q: q in targets)
+    for is_target, run in runs:
+        if is_target:
+            target_axes.append(len(half))
+        half.append(2 ** len(list(run)))
+    blocks = []
+    for bits in itertools.product(*(range(half[a]) for a in target_axes)):
+        index: list = [slice(None)] * len(half)
+        for a, b in zip(target_axes, bits):
+            index[a] = b
+        blocks.append(tuple(index) * 2)
+    return tuple(half) * 2, tuple(blocks)
+
+
+def _depolarize(rho: DensityMatrix, channel: DepolarizingChannel) -> DensityMatrix:
+    """(1 - p) rho + p Tr_S(rho) (x) I / 2^m: the partial trace is the sum of
+    the 2^m diagonal target blocks, added back to each of them."""
+    shape, blocks = _diagonal_blocks(rho.num_qubits, channel.target_qubits)
+    view = rho.matrix.reshape(shape)
+    reduced = view[blocks[0]] + view[blocks[1]]
+    for b in blocks[2:]:
+        reduced += view[b]
+    reduced *= channel.p / len(blocks)
+    out = (1.0 - channel.p) * rho.matrix
+    out_view = out.reshape(shape)
+    for b in blocks:
+        out_view[b] += reduced
+    return DensityMatrix._trusted(rho.num_qubits, out)
+
+
+def apply_channel(
+    rho: DensityMatrix, channel: KrausChannel | DepolarizingChannel
+) -> DensityMatrix:
+    """Apply ``rho -> sum_k K rho K^dagger``: in closed form for a
+    ``DepolarizingChannel``, else as the channel's local superoperator on the
+    target row and column axes of ``rho``."""
     n = rho.num_qubits
     if any(not 0 <= q < n for q in channel.target_qubits):
         raise InvalidChannel(
             f"channel targets {channel.target_qubits} outside register "
             f"of {n} qubits"
         )
+    if isinstance(channel, DepolarizingChannel):
+        return _depolarize(rho, channel)
     # qubit q is row axis n-1-q of rho viewed as (2,)*2n (qubit 0 is the least
     # significant bit); reversed targets put target_qubits[k] on local bit k
     rows = [n - 1 - q for q in reversed(channel.target_qubits)]
@@ -137,33 +225,24 @@ def amplitude_damping_channel(t1: float, duration: float, qubit: int) -> KrausCh
     return KrausChannel((qubit,), (k0, k1))
 
 
-@lru_cache(maxsize=4096)
-def depolarizing_channel(p: float, qubits: tuple[int, ...]) -> KrausChannel:
+def depolarizing_channel(p: float, qubits: Sequence[int]) -> DepolarizingChannel:
     """Uniform depolarizing with probability ``p`` on one or two qubits.
 
-    At p = 1 a single qubit is replaced by the maximally mixed state.
+    At p = 1 the targets are replaced by the maximally mixed state. Channels
+    are cached per (p, qubits), so each keeps its Kraus operators once read.
     """
-    if not 0.0 <= p <= 1.0:
-        raise InvalidNoiseParameter(f"depolarizing probability {p} outside [0, 1]")
-    qubits = tuple(qubits)
-    m = len(qubits)
-    if m not in (1, 2):
-        raise InvalidChannel("depolarizing channel supports one or two qubits")
-    n_paulis = 4**m
-    labels = ["I", "X", "Y", "Z"]
-    ops = []
-    for idx in range(n_paulis):
-        factors = []
-        rem = idx
-        for _ in range(m):
-            factors.append(labels[rem % 4])
-            rem //= 4
-        mat = np.array([[1.0 + 0j]])
-        for c in reversed(factors):
-            mat = np.kron(mat, PAULI_MATRICES[c])
-        weight = 1.0 - p * (n_paulis - 1) / n_paulis if idx == 0 else p / n_paulis
-        ops.append(math.sqrt(weight) * mat)
-    return KrausChannel(qubits, tuple(ops))
+    try:
+        targets = tuple(operator.index(q) for q in qubits)
+    except TypeError:
+        raise InvalidChannel(
+            f"qubits must be a sequence of qubit indices, got {qubits!r}"
+        ) from None
+    return _depolarizing_channel(p, targets)
+
+
+@lru_cache(maxsize=4096)
+def _depolarizing_channel(p: float, targets: tuple[int, ...]) -> DepolarizingChannel:
+    return DepolarizingChannel(p, targets)
 
 
 def _normalize_times(value: TimeSpec, what: str) -> float | tuple[tuple[int, float], ...] | None:

@@ -4,9 +4,12 @@ Both kinds of dynamics run through one step loop. Exact dynamics is one step
 of the whole Hamiltonian over the segment; a ``TrotterEvolution`` is a
 number of ``dt`` steps of its odd layer (odd bonds plus single-site fields)
 and its even layer, each followed by its gate noise. Every step ends with
-the relaxation channels for its length. Each layer propagator is exp(-i H t)
-from a Hermitian eigendecomposition (cached per Hamiltonian), which keeps it
-unitary to machine precision for the register sizes handled here.
+the relaxation channels for its length. Each propagator is exp(-i H t) from
+a Hermitian eigendecomposition (cached per Hamiltonian), which keeps it
+unitary to machine precision for the register sizes handled here. A
+``TrotterEvolution`` builds its two layer propagators once, on first use,
+and holds them for its own lifetime; an exact segment builds its propagator
+for its own duration.
 
 A noise model without a channel leaves every map unitary, so state vectors
 can be evolved instead of density matrices (``_evolve_vectors``): exact
@@ -18,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -60,7 +63,9 @@ class TrotterEvolution:
 
     A segment of duration d uses round(d / dt) steps, so a correlator whose
     second window is twice as long simply applies twice as many steps, the
-    same way per-step circuits compose on hardware.
+    same way per-step circuits compose on hardware. The two layer
+    propagators exp(-i dt H_layer) are built on first use and held by the
+    instance, outside its equality and hash, for every segment it evolves.
     """
 
     hamiltonian: PauliSumHamiltonian
@@ -113,6 +118,11 @@ class TrotterEvolution:
             )
         return steps
 
+    @cached_property
+    def _propagators(self) -> tuple[np.ndarray, np.ndarray]:
+        odd, even = self.layers
+        return _expm_hermitian(odd, self.dt), _expm_hermitian(even, self.dt)
+
 
 Dynamics = PauliSumHamiltonian | TrotterEvolution
 
@@ -148,12 +158,11 @@ def _segment_layers(
     exact dynamics, else ``segment_steps`` steps of the two Trotter layers."""
     if isinstance(dynamics, PauliSumHamiltonian):
         return 1, duration, [(_expm_hermitian(dynamics, duration), [])]
-    dt = dynamics.dt
     layers = [
-        (_expm_hermitian(h, dt), _layer_channels(noise, h.terms) if noise is not None else [])
-        for h in dynamics.layers
+        (u, _layer_channels(noise, h.terms) if noise is not None else [])
+        for u, h in zip(dynamics._propagators, dynamics.layers)
     ]
-    return dynamics.segment_steps(duration), dt, layers
+    return dynamics.segment_steps(duration), dynamics.dt, layers
 
 
 def _evolve_segment(
@@ -173,10 +182,11 @@ def _evolve_segment(
     """
     steps, dt, layers = _segment_layers(dynamics, duration, noise)
     relax = relaxation_channels(noise, rho.num_qubits, dt) if noise is not None else []
+    layers = [(u, u.conj().T, gate_noise) for u, gate_noise in layers]
     out = rho
     for _ in range(steps):
-        for u, gate_noise in layers:
-            out = DensityMatrix._trusted(out.num_qubits, u @ out.matrix @ u.conj().T)
+        for u, u_dagger, gate_noise in layers:
+            out = DensityMatrix._trusted(out.num_qubits, u @ out.matrix @ u_dagger)
             for ch in gate_noise:
                 out = apply_channel(out, ch)
         for ch in relax:

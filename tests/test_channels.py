@@ -131,28 +131,65 @@ def test_non_finite_kraus_operator_rejected():
         KrausChannel((0,), ([[np.nan, 0], [0, 1]],))
 
 
+def test_depolarizing_targets_may_be_any_sequence_of_qubit_indices():
+    assert depolarizing_channel(0.1, [0, 1]) is depolarizing_channel(0.1, (0, 1))
+    assert depolarizing_channel(0.1, np.array([2])) is depolarizing_channel(0.1, (2,))
+
+
+@pytest.mark.parametrize("qubits", [0, "01", (0.0,), None])
+def test_depolarizing_targets_must_be_qubit_indices(qubits):
+    with pytest.raises(InvalidChannel, match="qubits"):
+        depolarizing_channel(0.1, qubits)
+
+
+def test_depolarizing_kraus_operators_are_built_when_read():
+    ch = depolarizing_channel(0.37, (4, 1))
+    assert "kraus_ops" not in vars(ch)
+    assert len(ch.kraus_ops) == 16
+    assert ch.kraus_ops is ch.kraus_ops
+
+
 @st.composite
 def channel_cases(draw):
+    """A channel of either kind on 1 or 2 of n qubits, in any order: a
+    random Kraus set of some rank, or depolarizing with probability p."""
     n = draw(st.integers(1, 5))
     m = draw(st.integers(1, min(2, n)))
     targets = tuple(draw(st.permutations(range(n)))[:m])
-    rank = draw(st.integers(1, 4**m))
+    kind = draw(st.sampled_from(["kraus", "depolarizing"]))
+    if kind == "kraus":
+        param = draw(st.integers(1, 4**m))
+    else:
+        param = draw(st.floats(0.0, 1.0))
     seed = draw(st.integers(0, 2**32 - 1))
-    return n, targets, rank, seed
+    return n, targets, kind, param, seed
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=80, deadline=None)
 @given(channel_cases())
-@example((5, (3, 1), 3, 7))
-@example((4, (0, 3), 16, 8))
-@example((3, (2,), 2, 9))
-def test_local_superoperator_matches_dense_kraus_sum(case):
-    n, targets, rank, seed = case
+@example((5, (3, 1), "kraus", 3, 7))
+@example((4, (0, 3), "kraus", 16, 8))
+@example((3, (2,), "kraus", 2, 9))
+@example((5, (4, 1), "depolarizing", 0.0, 10))
+@example((4, (3, 0), "depolarizing", 1.0, 11))
+@example((3, (1,), "depolarizing", 1.0, 12))
+@example((1, (0,), "depolarizing", 0.3, 13))
+def test_channel_kernels_match_dense_kraus_sum(case):
+    # both kernels are linear, so the input is a Hermitian matrix that is
+    # not positive semidefinite, like the signed operator M(rho)
+    n, targets, kind, param, seed = case
     rng = np.random.default_rng(seed)
-    ops = bf.random_kraus_ops(len(targets), rank, rng)
-    rho = bf.random_density_matrix(n, rng)
-    out = apply_channel(DensityMatrix(n, rho), KrausChannel(targets, tuple(ops)))
-    assert np.abs(out.matrix - bf.kraus_sum(rho, ops, targets)).max() < 1e-12
+    if kind == "kraus":
+        channel = KrausChannel(targets, tuple(bf.random_kraus_ops(len(targets), param, rng)))
+    else:
+        channel = depolarizing_channel(param, targets)
+    a = rng.normal(size=(2**n, 2**n)) + 1j * rng.normal(size=(2**n, 2**n))
+    v, _ = np.linalg.qr(a)
+    w = rng.normal(size=2**n)
+    w[0] = -abs(w[0]) - 0.1
+    signed = (v * w) @ v.conj().T
+    out = apply_channel(DensityMatrix._trusted(n, signed), channel)
+    assert np.abs(out.matrix - bf.kraus_sum(signed, channel.kraus_ops, targets)).max() < 1e-12
 
 
 # --- noise model -----------------------------------------------------------

@@ -457,3 +457,24 @@ def test_each_non_empty_segment_checks_its_state_once(monkeypatch):
     assert checks == [4, 4]
     assert evolve_density(out, evo, 0.2, 0.2, noise) is out
     assert checks == [4, 4]
+
+
+def test_trotter_layer_propagators_are_built_once_per_evolution(monkeypatch):
+    # the two layer propagators depend only on the layers and dt, so three
+    # noisy segments over one TrotterEvolution build each of them once
+    from lgsim.core import evolution
+
+    built = []
+    expm_hermitian = evolution._expm_hermitian
+
+    def counting(h, duration):
+        built.append((h, duration))
+        return expm_hermitian(h, duration)
+
+    monkeypatch.setattr(evolution, "_expm_hermitian", counting)
+    evo = TrotterEvolution(tfic_hamiltonian(gammas=(1, 1, 2.0)), 0.1)
+    noise = NoiseModel(t2=50.0, gate_depolarizing_1q=0.001, gate_depolarizing_2q=0.01)
+    rho = prepare_state("ghz", 3).density_matrix()
+    for t_start, t_end in ((0.0, 0.3), (0.3, 0.5), (0.5, 1.0)):
+        rho = evolve_density(rho, evo, t_start, t_end, noise)
+    assert built == [(evo.layers[0], 0.1), (evo.layers[1], 0.1)]
