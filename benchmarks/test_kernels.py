@@ -1,7 +1,8 @@
 """Kernel microbenchmarks at n = 5, 8 and 10 qubits: ``apply_channel`` for
 each channel kind on the noisy Trotter path (one- and two-qubit gate
-depolarizing, dephasing) and one noisy first-order Trotter step of the
-transverse-field Ising chain.
+depolarizing, dephasing), one noisy first-order Trotter step of the
+transverse-field Ising chain, and one batched exact ``exact_correlator``
+call over a tau grid.
 
 They are not part of the test suite (``testpaths`` is ``tests``). Run them
 from the repository root with pytest-benchmark installed:
@@ -16,10 +17,18 @@ is linear and its cost does not depend on the values.
 import numpy as np
 import pytest
 
-from lgsim import DensityMatrix, NoiseModel, TrotterEvolution
+from lgsim import (
+    DensityMatrix,
+    MeasurementSchedule,
+    NoiseModel,
+    TrotterEvolution,
+    exact_correlator,
+    prepare_state,
+    sigma_z_observable,
+)
 from lgsim.core import dephasing_channel, depolarizing_channel
 from lgsim.core.evolution import _evolve_segment, apply_channel
-from lgsim.scenarios import ising_chain_hamiltonian
+from lgsim.scenarios import ising_chain_hamiltonian, transverse_field_hamiltonian
 
 SIZES = (5, 8, 10)
 DT = 1.0 / 3.0
@@ -55,3 +64,20 @@ def test_noisy_trotter_step(benchmark, n):
     rho = hermitian(n)
     _evolve_segment(rho, evo, DT, NOISE)
     benchmark(_evolve_segment, rho, evo, DT, NOISE)
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_exact_tau_grid_batch(benchmark, n):
+    # the three windows of 75 taus in one call, as a region scan evaluates
+    # one ratio: GHZ start, z read on the first and last qubit, the last
+    # qubit rotating at twice the rate; the eigensystem of H is cached first
+    h = transverse_field_hamiltonian([1.0] * (n - 1) + [2.0])
+    rho = prepare_state("ghz", n).density_matrix()
+    first, second = sigma_z_observable(0, n), sigma_z_observable(n - 1, n)
+    schedules = [
+        MeasurementSchedule(window, first, second)
+        for tau in np.linspace(0.0, 2.0 * np.pi, 75)
+        for window in ((0.0, tau), (tau, 2.0 * tau), (0.0, 2.0 * tau))
+    ]
+    exact_correlator(rho, h, schedules)
+    benchmark(exact_correlator, rho, h, schedules)

@@ -14,7 +14,8 @@ for its own duration.
 A noise model without a channel leaves every map unitary, so state vectors
 can be evolved instead of density matrices (``_evolve_vectors``): exact
 dynamics in the eigenbasis of H, without building a propagator, and Trotter
-dynamics by the same layer propagators.
+dynamics by the same layer propagators. One call evolves a block of columns,
+each over its own duration.
 """
 
 from __future__ import annotations
@@ -194,23 +195,40 @@ def _evolve_segment(
     return out
 
 
-def _evolve_vectors(psi: np.ndarray, dynamics: Dynamics, duration: float) -> np.ndarray:
-    """Apply one noiseless segment to the columns of ``psi``, unchecked.
+def _evolve_vectors(
+    psi: np.ndarray, dynamics: Dynamics, durations: np.ndarray, columns: np.ndarray
+) -> np.ndarray:
+    """Column k of the result is column ``columns[k]`` of ``psi`` evolved by
+    a noiseless segment of ``durations[k]`` > 0, unchecked.
 
     Exact dynamics multiplies by V (e^{-iwt} o V^dagger psi) with the cached
-    eigensystem (w, V) of H, so no propagator is built; Trotter dynamics
-    applies the layer propagators of ``_segment_layers`` step by step.
+    eigensystem (w, V) of H, so no propagator is built, and every column goes
+    through one stacked product with V. Trotter dynamics applies the two
+    layer propagators to all of ``psi`` step by step and reads each column
+    off at its own step count, so a longer segment continues from the end of
+    a shorter one.
     """
     if isinstance(dynamics, PauliSumHamiltonian):
         w, v = _eigensystem(dynamics)
         # V^dagger psi as conj(V^T conj(psi)), without copying V
         coefficients = (v.T @ psi.conj()).conj()
-        return v @ (np.exp(-1j * w * duration)[:, None] * coefficients)
-    steps, _, layers = _segment_layers(dynamics, duration, None)
-    for _ in range(steps):
-        for u, _gate_noise in layers:
-            psi = u @ psi
-    return psi
+        # one phase column per distinct duration, shared by the columns
+        distinct: dict[float, int] = {}
+        inverse = [distinct.setdefault(d, len(distinct)) for d in durations.tolist()]
+        block = np.exp(np.multiply.outer(-1j * w, list(distinct)))[:, inverse]
+        block *= coefficients[:, columns]
+        return v @ block
+    steps = np.array([dynamics.segment_steps(d) for d in durations])
+    out = np.empty((psi.shape[0], len(steps)), dtype=complex)
+    done = 0
+    for target in np.unique(steps):
+        for _ in range(target - done):
+            for u in dynamics._propagators:
+                psi = u @ psi
+        done = target
+        read = steps == target
+        out[:, read] = psi[:, columns[read]]
+    return out
 
 
 def evolve_density(
@@ -238,7 +256,8 @@ def evolve_density(
     if duration == 0:
         return rho
     if isinstance(rho, PureState):
-        psi = _evolve_vectors(rho.amplitudes[:, None], dynamics, duration)
+        psi = rho.amplitudes[:, None]
+        psi = _evolve_vectors(psi, dynamics, np.array([duration]), np.zeros(1, dtype=int))
         return PureState(rho.num_qubits, psi[:, 0])
     out = _evolve_segment(rho, dynamics, duration, noise)
     return DensityMatrix(out.num_qubits, out.matrix)

@@ -12,10 +12,21 @@ branch; for a two-outcome collapse M(rho) = {Q_i, rho} / 2 (Emary, Lambert
 and Nori, arXiv:1304.5133). When rho_0 has rank one and the noise model has
 no channel (no t1, no t2, no gate depolarizing), every map is unitary and
 the same value is C = sum_n q_n <phi_n| Q_j |phi_n> on state vectors, with
-phi_n = U(t_j - t_i) P_n U(t_i) |psi_0>; the branches are the columns of one
-block, evolved together. That path checks the evolved first-measurement
-state (a ``PureState``, norm within ``NORM_TOL``) and that the branch norms
-still sum to its norm after the second segment.
+phi_n = U(t_j - t_i) P_n U(t_i) |psi_0>.
+
+``exact_correlator`` takes a batch of schedules that share rho_0, the
+dynamics and the noise model, and returns one estimate per schedule, in
+order. What the batch shares: the register check of every schedule runs
+before any evolution, the rank-one test runs once, each distinct first time
+t_i gets one checked rho_i (or psi_i) from ``evolve_density``, and each
+distinct first measurement (t_i, Q_i) one signed collapse M(rho_i) (or one
+block of branch columns). Under Trotter dynamics a longer second segment
+from the same first measurement continues from the end of a shorter one
+(C13 from C12 in a tau scan); exact segments are not chained. On state
+vectors the branch columns of all schedules are evolved in one stacked
+block. What still runs per schedule: the check of its evolved second
+segment (the branch norms must still sum to the norm of psi_i; M(rho_i)'s
+image must stay Hermitian and keep its trace) and |C| <= 1.
 
 ``sampled_correlator`` computes the exact law of the recorded (Q_i, Q_j)
 pair of the same protocol on density matrices, one evolved branch per
@@ -44,12 +55,13 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from .core.evolution import (
     Dynamics,
+    TrotterEvolution,
     _evolve_segment,
     _evolve_vectors,
     _has_channel,
@@ -356,66 +368,156 @@ def _branch_vectors(psi: np.ndarray, obs: DichotomicObservable) -> tuple[np.ndar
     return np.hstack([column + flipped, column - flipped]) / 2, np.array([1.0, -1.0])
 
 
-def _pure_correlator(
-    psi0: PureState, dynamics: Dynamics, sched: MeasurementSchedule
-) -> CorrelatorEstimate:
-    """C = sum_n q_n <phi_n| Q_j |phi_n>, phi_n = U(t_j - t_i) P_n U(t_i) psi0,
-    for a noise model without channels. psi_i comes checked from
-    ``evolve_density``; the branch norms must still sum to its norm after
-    the second segment, within ``NORM_TOL``."""
-    psi_i = evolve_density(psi0, dynamics, 0.0, sched.t_first).amplitudes
-    phi, values = _branch_vectors(psi_i, sched.first_observable)
-    duration = sched.t_second - sched.t_first
-    if duration > 0:
-        phi = _evolve_vectors(phi, dynamics, duration)
-    drift = abs(np.vdot(phi, phi).real - np.vdot(psi_i, psi_i).real)
-    if not drift <= NORM_TOL:  # NaN fails too
+def _pure_values(
+    first: dict[float, PureState], dynamics: Dynamics, schedules: tuple[MeasurementSchedule, ...]
+) -> np.ndarray:
+    """C = sum_n q_n <phi_n| Q_j |phi_n>, phi_n = U(t_j - t_i) P_n psi_i, for
+    a noise model without channels.
+
+    Each distinct first measurement (t_i, Q_i) gets one branch block, and
+    the branch columns of every schedule go through one ``_evolve_vectors``
+    call; columns of a same-time schedule are not evolved. The Q_j readout
+    and the norm check run on all columns at once: the branch norms of each
+    schedule must still sum to the norm of its psi_i (which comes checked
+    from ``evolve_density``), within ``NORM_TOL``.
+    """
+    blocks: list[np.ndarray] = []
+    branches: dict[tuple, tuple[np.ndarray, np.ndarray, float]] = {}
+    readouts: dict[DichotomicObservable, int] = {}
+    picked, durations, readers = [], [], []
+    width = 0
+    for sched in schedules:
+        key = (sched.t_first, sched.first_observable)
+        if key not in branches:
+            psi_i = first[sched.t_first].amplitudes
+            block, values = _branch_vectors(psi_i, key[1])
+            columns = np.arange(width, width + len(values))
+            branches[key] = (columns, values, np.vdot(psi_i, psi_i).real)
+            blocks.append(block)
+            width += len(values)
+        picked.append(branches[key])
+        durations.append(sched.t_second - sched.t_first)
+        readers.append(readouts.setdefault(sched.second_observable, len(readouts)))
+    columns, signs, expected = zip(*picked)
+    counts = [len(c) for c in columns]
+    starts = np.hstack(blocks)
+    columns = np.concatenate(columns)
+    durations = np.repeat(durations, counts)
+    phi = starts[:, columns]
+    moving = durations > 0
+    if moving.any():
+        phi[:, moving] = _evolve_vectors(starts, dynamics, durations[moving], columns[moving])
+    q_phi = np.empty_like(phi)
+    readers = np.repeat(readers, counts)
+    for obs, index in readouts.items():
+        read = readers == index
+        q_phi[:, read] = _apply(obs, phi[:, read])
+    first_column = np.cumsum(counts) - counts
+    norms = np.add.reduceat(np.real(np.sum(phi.conj() * phi, axis=0)), first_column)
+    drift = np.abs(norms - np.array(expected))
+    if not np.all(drift <= NORM_TOL):  # NaN fails too
         raise InvalidState(
-            f"evolved first-measurement branches drifted: norm {drift} (tolerance {NORM_TOL})"
+            f"evolved first-measurement branches drifted: norm {np.nanmax(drift)} "
+            f"(tolerance {NORM_TOL})"
         )
-    branch_values = np.real(np.sum(phi.conj() * _apply(sched.second_observable, phi), axis=0))
-    return CorrelatorEstimate(float(values @ branch_values), 0.0, 0, METHOD_EXACT)
+    branch_values = np.real(np.sum(phi.conj() * q_phi, axis=0))
+    return np.add.reduceat(np.concatenate(signs) * branch_values, first_column)
+
+
+def _second_segments(
+    signed: DensityMatrix,
+    dynamics: Dynamics,
+    durations: list[float],
+    noise: "NoiseModel | None",
+):
+    """The signed operator ``signed`` evolved over each of the ascending
+    ``durations``, unchecked. A Trotter segment continues from the end of
+    the previous one, through the same steps in the same order. An exact
+    segment starts from ``signed`` each time: with relaxation, relax(t) U(t)
+    applied twice is not relax(2t) U(2t)."""
+    current, done = signed, 0
+    for duration in durations:
+        if isinstance(dynamics, TrotterEvolution):
+            steps = dynamics.segment_steps(duration)
+            if steps > done:
+                current = _evolve_segment(current, dynamics, (steps - done) * dynamics.dt, noise)
+                done = steps
+        elif duration > 0:
+            current = _evolve_segment(signed, dynamics, duration, noise)
+        yield current.matrix
+
+
+def _density_values(
+    first: dict[float, DensityMatrix],
+    dynamics: Dynamics,
+    schedules: tuple[MeasurementSchedule, ...],
+    noise: "NoiseModel | None",
+) -> np.ndarray:
+    """C = Tr[Q_j E_{i->j}(M(rho_i))] on density matrices. Each distinct
+    first measurement (t_i, Q_i) gets one signed collapse M(rho_i), evolved
+    over its schedules' second segments in ascending order
+    (``_second_segments``). Every image must stay Hermitian and keep its
+    trace <Q_i>, both within ``NORM_TOL``."""
+    groups: dict[tuple, list[int]] = {}
+    for index, sched in enumerate(schedules):
+        groups.setdefault((sched.t_first, sched.first_observable), []).append(index)
+    values = np.empty(len(schedules))
+    for (t_first, obs), members in groups.items():
+        x = _signed_collapse(first[t_first].matrix, obs)
+        signed = DensityMatrix._trusted(first[t_first].num_qubits, x)
+        members.sort(key=lambda i: schedules[i].t_second)
+        durations = [schedules[i].t_second - t_first for i in members]
+        for index, y in zip(members, _second_segments(signed, dynamics, durations, noise)):
+            deviation = float(np.abs(y - y.conj().T).max())
+            drift = abs(np.trace(y) - np.trace(x))
+            # written so that NaN or inf entries fail too
+            if not (deviation <= NORM_TOL and drift <= NORM_TOL):
+                raise InvalidState(
+                    f"evolved first-measurement operator drifted: Hermiticity {deviation}, "
+                    f"trace {drift} (tolerance {NORM_TOL})"
+                )
+            values[index] = _expectation(y, schedules[index].second_observable)
+    return values
 
 
 def exact_correlator(
     rho0: DensityMatrix,
     dynamics: Dynamics,
-    sched: MeasurementSchedule,
+    schedules: Sequence[MeasurementSchedule],
     noise: "NoiseModel | None" = None,
-) -> CorrelatorEstimate:
-    """Two-time correlator C = Tr[Q_j E_{i->j}(M(rho_i))], with decoherence
-    channels interleaved between the evolution segments when a noise model
-    is given. Readout confusion never enters the exact value.
+) -> tuple[CorrelatorEstimate, ...]:
+    """Two-time correlators C = Tr[Q_j E_{i->j}(M(rho_i))] of a batch of
+    schedules that share ``rho0``, the dynamics and the noise model, in
+    schedule order. Decoherence channels are interleaved between the
+    evolution segments when a noise model is given; readout confusion never
+    enters the exact value.
 
-    A rank-one rho0 under a noise model without channels is evaluated on
-    state vectors (``_pure_correlator``). Otherwise rho_i comes checked from
-    ``evolve_density``, and the signed operator M(rho_i) is evolved once over
-    the second segment and checked there: its image must stay Hermitian and
-    keep its trace <Q_i>, both within ``NORM_TOL``. The branch states
-    P_n rho_i P_n that M(rho_i) sums are PSD because rho_i is, and every
-    segment map is unitary or a complete channel, so they stay PSD without a
-    check of their own; |C| <= 1 is checked by ``CorrelatorEstimate``.
+    Every schedule's register is checked before anything is evolved, and
+    the rank-one test on rho0 runs once. Each distinct first time t_i gets
+    one rho_i (or psi_i), checked by ``evolve_density``. A rank-one rho0
+    under a noise model without channels is evaluated on state vectors
+    (``_pure_values``), else on density matrices (``_density_values``); in
+    both, each schedule's second segment is checked on its own. The branch
+    states P_n rho_i P_n are PSD because rho_i is, and every segment map is
+    unitary or a complete channel, so they stay PSD without a check of their
+    own; |C| <= 1 is checked by ``CorrelatorEstimate``.
     """
-    _check_register(rho0, sched)
-    psi0 = None if _has_channel(noise) else _state_vector(rho0)
-    if psi0 is not None:
-        return _pure_correlator(psi0, dynamics, sched)
-    rho_i = evolve_density(rho0, dynamics, 0.0, sched.t_first, noise)
-    x = _signed_collapse(rho_i.matrix, sched.first_observable)
-    y = x
-    duration = sched.t_second - sched.t_first
-    if duration > 0:
-        signed = DensityMatrix._trusted(rho0.num_qubits, x)
-        y = _evolve_segment(signed, dynamics, duration, noise).matrix
-    deviation = float(np.abs(y - y.conj().T).max())
-    drift = abs(np.trace(y) - np.trace(x))
-    # written so that NaN or inf entries fail too
-    if not (deviation <= NORM_TOL and drift <= NORM_TOL):
-        raise InvalidState(
-            f"evolved first-measurement operator drifted: Hermiticity {deviation}, "
-            f"trace {drift} (tolerance {NORM_TOL})"
-        )
-    return CorrelatorEstimate(_expectation(y, sched.second_observable), 0.0, 0, METHOD_EXACT)
+    schedules = tuple(schedules)
+    for sched in schedules:
+        _check_register(rho0, sched)
+    if not schedules:
+        return ()
+    start = None if _has_channel(noise) else _state_vector(rho0)
+    start = rho0 if start is None else start
+    first = {}
+    for sched in schedules:
+        if sched.t_first not in first:
+            first[sched.t_first] = evolve_density(start, dynamics, 0.0, sched.t_first, noise)
+    if isinstance(start, PureState):
+        values = _pure_values(first, dynamics, schedules)
+    else:
+        values = _density_values(first, dynamics, schedules, noise)
+    return tuple(CorrelatorEstimate(float(v), 0.0, 0, METHOD_EXACT) for v in values)
 
 
 def _readout_on(obs: DichotomicObservable, readout: "ConfusionMatrix") -> np.ndarray:

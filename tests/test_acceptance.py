@@ -122,9 +122,9 @@ def test_criterion_06_violation_region_map():
         taus = np.linspace(0.0, 2 * np.pi, 75)
         two = run_param_scan(2, [0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 2.0], taus)
         any_violation = (
-            two.any_violation_per_ratio("T3")
-            | two.any_violation_per_ratio("T3_prime")
-            | two.any_violation_per_ratio("T3_perm")
+            two.violated["T3"].any(axis=1)
+            | two.violated["T3_prime"].any(axis=1)
+            | two.violated["T3_perm"].any(axis=1)
         )
         assert any_violation.all()
 

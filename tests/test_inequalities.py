@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bruteforce as bf
+import lgsim.inequalities as inequalities
+import lgsim.observables as observables
 from lgsim import (
     CorrelatorEstimate,
     DensityMatrix,
@@ -300,11 +302,33 @@ def test_region_scan_shapes_and_flags():
     for name in ("T3", "T3_prime", "T3_perm"):
         assert result.violated[name].dtype == bool
     combined = (
-        result.any_violation_per_ratio("T3")
-        | result.any_violation_per_ratio("T3_prime")
-        | result.any_violation_per_ratio("T3_perm")
+        result.violated["T3"].any(axis=1)
+        | result.violated["T3_prime"].any(axis=1)
+        | result.violated["T3_perm"].any(axis=1)
     )
     assert combined.all()
+
+
+def test_region_scan_makes_one_exact_batch_per_ratio(monkeypatch):
+    # each ratio's tau grid is one exact_correlator call with one rank-one
+    # test, not one of each per correlator (3 * taus * ratios)
+    calls = {"exact": 0, "rank_one": 0}
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return counted
+
+    monkeypatch.setattr(
+        inequalities, "exact_correlator", counting("exact", inequalities.exact_correlator)
+    )
+    monkeypatch.setattr(
+        observables, "_state_vector", counting("rank_one", observables._state_vector)
+    )
+    violation_region_scan(3, [0.5, 1.0, 1.5], np.linspace(0.0, 2.0, 6))
+    assert calls == {"exact": 3, "rank_one": 3}
 
 
 def test_region_scan_csv_has_ratio_column():

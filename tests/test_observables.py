@@ -186,7 +186,7 @@ def test_register_mismatch_rejected():
     obs = sigma_z_observable(0, 2)
     sched = MeasurementSchedule((0.0, 1.0), obs, obs)
     with pytest.raises(InvalidObservable):
-        exact_correlator(rho, x_rotation(1.0), sched)
+        exact_correlator(rho, x_rotation(1.0), [sched])
     with pytest.raises(InvalidObservable):
         sampled_correlator(rho, x_rotation(1.0), sched, 16)
 
@@ -200,7 +200,7 @@ def test_single_qubit_correlator_matches_cosine():
     obs = sigma_z_observable(0, 1)
     h = x_rotation(gamma)
     for t_i, t_j in ((0.0, 0.4), (0.2, 1.9), (1.0, 3.7)):
-        est = exact_correlator(rho, h, MeasurementSchedule((t_i, t_j), obs, obs))
+        (est,) = exact_correlator(rho, h, [MeasurementSchedule((t_i, t_j), obs, obs)])
         assert est.method == "exact"
         assert abs(est.value - np.cos(gamma * (t_j - t_i))) < 1e-10
 
@@ -208,7 +208,7 @@ def test_single_qubit_correlator_matches_cosine():
 def test_same_time_correlator_is_one():
     rho = prepare_state("plus", 1).density_matrix()
     obs = sigma_z_observable(0, 1)
-    est = exact_correlator(rho, x_rotation(0.9), MeasurementSchedule((0.7, 0.7), obs, obs))
+    (est,) = exact_correlator(rho, x_rotation(0.9), [MeasurementSchedule((0.7, 0.7), obs, obs)])
     assert abs(est.value - 1.0) < 1e-12
 
 
@@ -219,7 +219,7 @@ def test_bell_cross_correlator_matches_bruteforce():
     second = sigma_z_observable(1, 2)
     h_dense = bf.hamiltonian(2, [(0.5, "XI"), (0.5, "IX")])
     for tau in (0.3, 1.1, 2.4):
-        est = exact_correlator(rho, h, MeasurementSchedule((0.0, tau), first, second))
+        (est,) = exact_correlator(rho, h, [MeasurementSchedule((0.0, tau), first, second)])
         expected = bf.correlator(
             bf.bell_rho(), h_dense, 0.0, tau, bf.z_pair(0, 2), bf.z_pair(1, 2)
         )
@@ -232,7 +232,7 @@ def test_global_parity_correlator_uses_per_qubit_collapse():
     obs = parity_observable([0, 1], 2)
     h_dense = bf.hamiltonian(2, [(0.5, "XI"), (0.5, "IX")])
     for tau in (0.5, 1.7):
-        est = exact_correlator(rho, h, MeasurementSchedule((0.0, tau), obs, obs))
+        (est,) = exact_correlator(rho, h, [MeasurementSchedule((0.0, tau), obs, obs)])
         fine = bf.correlator(
             bf.bell_rho(), h_dense, 0.0, tau,
             bf.bitwise_parity_branches([0, 1], 2), bf.parity_pair([0, 1], 2),
@@ -241,7 +241,7 @@ def test_global_parity_correlator_uses_per_qubit_collapse():
     # the subspace-collapse variant is available by opting out
     coarse_obs = parity_observable([0, 1], 2, bitwise_collapse=False)
     for tau in (0.5, 1.7):
-        est = exact_correlator(rho, h, MeasurementSchedule((0.0, tau), coarse_obs, coarse_obs))
+        (est,) = exact_correlator(rho, h, [MeasurementSchedule((0.0, tau), coarse_obs, coarse_obs)])
         coarse = bf.correlator(
             bf.bell_rho(), h_dense, 0.0, tau,
             bf.parity_pair([0, 1], 2), bf.parity_pair([0, 1], 2),
@@ -263,7 +263,7 @@ def test_exact_correlator_random_instances_vs_bruteforce():
         sched = MeasurementSchedule(
             (t_i, t_j), sigma_z_observable(q1, n), sigma_z_observable(q2, n)
         )
-        est = exact_correlator(rho, h, sched)
+        (est,) = exact_correlator(rho, h, [sched])
         expected = bf.correlator(
             rho.matrix, bf.hamiltonian(n, terms), t_i, t_j, bf.z_pair(q1, n), bf.z_pair(q2, n)
         )
@@ -284,6 +284,20 @@ def correlator_cases(draw):
 
 def _on(n, paulis):
     return "".join(paulis.get(q, "I") for q in range(n))
+
+
+def first_measurement(kind, n, rng):
+    """A first observable of ``kind`` ("z", "x", "parity" or "bitwise") on
+    qubits drawn from ``rng``, and its brute-force branches."""
+    qubits = [int(q) for q in rng.permutation(n)[: int(rng.integers(min(2, n), n + 1))]]
+    q = qubits[0]
+    if kind == "z":
+        return sigma_z_observable(q, n), bf.z_pair(q, n)
+    if kind == "x":
+        return sigma_x_observable(q, n), bf.x_pair(q, n)
+    if kind == "parity":
+        return parity_observable(qubits, n, bitwise_collapse=False), bf.parity_pair(qubits, n)
+    return parity_observable(qubits, n), bf.bitwise_parity_branches(qubits, n)
 
 
 def build_correlator_case(case):
@@ -323,17 +337,7 @@ def build_correlator_case(case):
             gate_depolarizing_1q=float(rng.uniform(0.0, 0.1)) if depolarize else 0.0,
             gate_depolarizing_2q=float(rng.uniform(0.0, 0.2)) if depolarize else 0.0,
         )
-    qubits = [int(q) for q in rng.permutation(n)[: int(rng.integers(min(2, n), n + 1))]]
-    q = qubits[0]
-    obs1, branches1 = {
-        "z": (sigma_z_observable(q, n), bf.z_pair(q, n)),
-        "x": (sigma_x_observable(q, n), bf.x_pair(q, n)),
-        "parity": (
-            parity_observable(qubits, n, bitwise_collapse=False),
-            bf.parity_pair(qubits, n),
-        ),
-        "bitwise": (parity_observable(qubits, n), bf.bitwise_parity_branches(qubits, n)),
-    }[first]
+    obs1, branches1 = first_measurement(first, n, rng)
     second = [int(q) for q in rng.permutation(n)[: int(rng.integers(1, n + 1))]]
     obs2 = parity_observable(second, n, bitwise_collapse=False)
     sched = MeasurementSchedule((t_i, t_j), obs1, obs2)
@@ -352,7 +356,7 @@ def test_signed_map_matches_branch_formula(case):
     # evolution per renormalised branch, for every collapse kind and noise
     rho, dynamics, sched, noise, branches1, branches2, h_dense = build_correlator_case(case)
     q2 = sum(v * p for v, p in branches2)
-    est = exact_correlator(rho, dynamics, sched, noise)
+    (est,) = exact_correlator(rho, dynamics, [sched], noise)
     oracle = bf.branch_correlator(rho, dynamics, *sched.times, branches1, q2, noise)
     assert abs(est.value - oracle) <= 1e-12
     if noise is None and h_dense is not None:
@@ -375,14 +379,14 @@ def test_evolved_signed_operator_is_checked(monkeypatch, scale, shift):
     rho = DensityMatrix(2, 0.8 * plus + 0.05 * np.eye(4))
     sched = MeasurementSchedule((0.3, 0.9), sigma_x_observable(0, 2), sigma_z_observable(1, 2))
     with pytest.raises(InvalidState, match="drifted"):
-        exact_correlator(rho, two_qubit_rotations(1.0, 0.4), sched)
+        exact_correlator(rho, two_qubit_rotations(1.0, 0.4), [sched])
 
 
 @settings(max_examples=60, deadline=None)
 @given(correlator_cases().filter(lambda case: case[3] or case[4]))
 def test_noisy_correlator_is_bounded(case):
     rho, dynamics, sched, noise, *_ = build_correlator_case(case)
-    assert abs(exact_correlator(rho, dynamics, sched, noise).value) <= 1.0 + 1e-12
+    assert abs(exact_correlator(rho, dynamics, [sched], noise)[0].value) <= 1.0 + 1e-12
 
 
 # --- state-vector path of the exact correlator -------------------------------
@@ -425,10 +429,10 @@ def test_pure_state_path_matches_the_density_path(n, first, trotter, readout, se
         dynamics = dynamics.hamiltonian
     noise = NoiseModel(readout_confusion=ConfusionMatrix.symmetric(0.1)) if readout else None
     assert observables._state_vector(rho) is not None
-    vector = exact_correlator(rho, dynamics, sched, noise).value
+    vector = exact_correlator(rho, dynamics, [sched], noise)[0].value
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(observables, "_state_vector", lambda rho: None)
-        density = exact_correlator(rho, dynamics, sched, noise).value
+        density = exact_correlator(rho, dynamics, [sched], noise)[0].value
     assert abs(vector - density) <= 1e-12
 
 
@@ -451,12 +455,12 @@ def test_only_mixed_or_noisy_correlators_evolve_density_matrices(monkeypatch):
     pure = prepare_state("plus", 2).density_matrix()
     readout = NoiseModel(readout_confusion=ConfusionMatrix.symmetric(0.1))
     for dynamics in (h, TrotterEvolution(h, 0.3)):
-        exact_correlator(pure, dynamics, sched)
-        exact_correlator(pure, dynamics, sched, readout)
+        exact_correlator(pure, dynamics, [sched])
+        exact_correlator(pure, dynamics, [sched], readout)
     assert evolved == []
     mixed = DensityMatrix(2, 0.8 * pure.matrix + 0.05 * np.eye(4))
     for rho, noise in ((mixed, None), (pure, NoiseModel(t2=2.0))):
-        value = exact_correlator(rho, h, sched, noise).value
+        value = exact_correlator(rho, h, [sched], noise)[0].value
         assert len(evolved) == 2 and all(isinstance(r, DensityMatrix) for r in evolved)
         assert value == density_path_value(rho, h, sched, noise)
         evolved.clear()
@@ -474,7 +478,7 @@ def test_evolved_state_vectors_are_checked(monkeypatch, module, match, scale):
     rho = prepare_state("plus", 2).density_matrix()
     sched = MeasurementSchedule((0.3, 0.9), sigma_x_observable(0, 2), sigma_z_observable(1, 2))
     with pytest.raises(InvalidState, match=match):
-        exact_correlator(rho, two_qubit_rotations(1.0, 0.4), sched)
+        exact_correlator(rho, two_qubit_rotations(1.0, 0.4), [sched])
 
 
 def test_readout_maps_are_built_once_per_scan(monkeypatch):
@@ -496,6 +500,114 @@ def test_readout_maps_are_built_once_per_scan(monkeypatch):
         np.linspace(0.0, 1.0, 5),
     )
     assert len(krons) <= 2
+
+
+# --- batches of schedules ----------------------------------------------------
+
+
+@st.composite
+def batch_cases(draw):
+    n = draw(st.integers(1, 3))
+    trotter = draw(st.booleans())
+    start = draw(st.sampled_from(("pure", "mixed", "noisy")))
+    kinds = draw(st.lists(st.sampled_from(("z", "x", "parity", "bitwise")), max_size=6))
+    order = draw(st.permutations(range(len(kinds))))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return n, trotter, start, kinds, order, seed
+
+
+def build_batch(case):
+    """State, dynamics, noise, and a batch of schedules with their
+    brute-force branch lists. First times come from a pool of two, so they
+    repeat, and about a third of the windows are same-time pairs."""
+    n, trotter, start, kinds, _, seed = case
+    noisy = start == "noisy"
+    rho, dynamics, _, noise, *_ = build_correlator_case(
+        (n, trotter, "z", noisy and trotter, noisy, seed)
+    )
+    rng = np.random.default_rng(seed + 1)
+    if start != "mixed":
+        rho = random_pure_rho(n, rng)
+    step = dynamics.dt if trotter else float(rng.uniform(0.2, 0.6))
+    pool = [int(k) * step for k in rng.integers(0, 3, size=2)]
+    batch = []
+    for kind in kinds:
+        t_i = pool[int(rng.integers(0, 2))]
+        t_j = t_i + int(rng.integers(0, 3)) * step
+        obs1, branches1 = first_measurement(kind, n, rng)
+        q = int(rng.integers(0, n))
+        obs2 = sigma_x_observable(q, n) if rng.random() < 0.3 else sigma_z_observable(q, n)
+        batch.append((MeasurementSchedule((t_i, t_j), obs1, obs2), branches1, dense(obs2)))
+    return rho, dynamics, noise, batch
+
+
+@settings(max_examples=60, deadline=None)
+@given(batch_cases())
+@example((3, True, "pure", ["bitwise", "x", "z", "parity", "z", "x"], [5, 3, 1, 0, 2, 4], 51))
+@example((3, False, "mixed", ["z", "bitwise", "x", "z"], [2, 0, 3, 1], 52))
+@example((2, True, "noisy", ["x", "z", "z", "parity", "bitwise"], [4, 1, 0, 3, 2], 53))
+def test_batch_matches_single_calls_and_bruteforce(case):
+    # one call per batch gives what one call per schedule gives, in the order
+    # of the batch, and the branch formula within 1e-12. The density path is
+    # equal bit for bit; on the vector path a BLAS product rounds a column
+    # differently depending on how many columns share it, by about 1e-16
+    rho, dynamics, noise, batch = build_batch(case)
+    schedules = [sched for sched, *_ in batch]
+    values = [est.value for est in exact_correlator(rho, dynamics, schedules, noise)]
+    assert len(values) == len(schedules)
+    singles = [exact_correlator(rho, dynamics, [sched], noise)[0].value for sched in schedules]
+    if observables._state_vector(rho) is None or noise is not None:
+        assert values == singles
+    np.testing.assert_allclose(values, singles, rtol=0, atol=1e-14)
+    for value, (sched, branches1, q2) in zip(values, batch):
+        oracle = bf.branch_correlator(rho, dynamics, *sched.times, branches1, q2, noise)
+        assert abs(value - oracle) <= 1e-12
+    order = case[4]
+    shuffled = exact_correlator(rho, dynamics, [schedules[i] for i in order], noise)
+    np.testing.assert_allclose(
+        [est.value for est in shuffled], [values[i] for i in order], rtol=0, atol=1e-14
+    )
+    assert exact_correlator(rho, dynamics, [], noise) == ()
+
+
+@settings(max_examples=30, deadline=None)
+@given(batch_cases().filter(lambda case: case[3]), st.integers(0, 5))
+def test_register_mismatch_in_a_batch_fails_before_any_evolution(case, position):
+    rho, dynamics, noise, batch = build_batch(case)
+    schedules = [sched for sched, *_ in batch]
+    n = rho.num_qubits
+    wrong = sigma_z_observable(0, n + 1)
+    wrong_sched = MeasurementSchedule((0.0, 0.0), wrong, wrong)
+    schedules.insert(position % (len(schedules) + 1), wrong_sched)
+    evolved = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(observables, "evolve_density", lambda *args: evolved.append(args))
+        with pytest.raises(InvalidObservable, match="do not match state register"):
+            exact_correlator(rho, dynamics, schedules, noise)
+    assert evolved == []
+
+
+def test_trotter_batch_continues_a_longer_second_segment(monkeypatch):
+    # C12 (0, tau) and C13 (0, 2 tau) share M(rho_0): the second runs only the
+    # k steps beyond the first, and both equal their one-schedule calls
+    h = two_qubit_rotations(1.0, 0.4)
+    evo = TrotterEvolution(h, 0.1)
+    plus = prepare_state("plus", 2).density_matrix().matrix
+    rho = DensityMatrix(2, 0.8 * plus + 0.05 * np.eye(4))
+    obs1, obs2 = sigma_x_observable(0, 2), sigma_z_observable(1, 2)
+    schedules = [MeasurementSchedule(w, obs1, obs2) for w in ((0.0, 0.3), (0.3, 0.6), (0.0, 0.6))]
+    singles = [exact_correlator(rho, evo, [s], NoiseModel(t2=2.0))[0].value for s in schedules]
+    steps = []
+    evolve = observables._evolve_segment
+
+    def recording(rho, dynamics, duration, noise):
+        steps.append(dynamics.segment_steps(duration))
+        return evolve(rho, dynamics, duration, noise)
+
+    monkeypatch.setattr(observables, "_evolve_segment", recording)
+    batch = exact_correlator(rho, evo, schedules, NoiseModel(t2=2.0))
+    assert sorted(steps) == [3, 3, 3]
+    assert [est.value for est in batch] == singles
 
 
 # --- sampled correlator -----------------------------------------------------
@@ -545,7 +657,7 @@ def test_sampled_matches_exact_within_four_sigma():
         sched = MeasurementSchedule(
             (t_i, t_j), sigma_z_observable(q1, n), sigma_z_observable(q2, n)
         )
-        exact = exact_correlator(rho, h, sched).value
+        exact = exact_correlator(rho, h, [sched])[0].value
         est, _ = sampled_correlator(rho, h, sched, 4096, seed=1000 + trial)
         sigma = est.std_error if est.std_error > 0 else 1.0 / np.sqrt(4096)
         if abs(est.value - exact) > 4.0 * sigma:
@@ -654,7 +766,7 @@ def test_sampled_global_parity_agrees_with_exact_engine():
     obs = parity_observable([0, 1], 2)
     for tau in (0.6, 1.9):
         sched = MeasurementSchedule((0.0, tau), obs, obs)
-        exact = exact_correlator(rho, h, sched).value
+        exact = exact_correlator(rho, h, [sched])[0].value
         est, _ = sampled_correlator(rho, h, sched, 8192, seed=55)
         assert abs(est.value - exact) < 4 * max(est.std_error, 1e-3)
 
@@ -683,7 +795,7 @@ def test_recorded_law_mean_is_the_exact_correlator(case):
     law = observables._recorded_law(rho, dynamics, sched, noise)
     assert law.shape == (4,) and law.min() >= 0.0
     assert abs(law.sum() - 1.0) <= 1e-12
-    exact = exact_correlator(rho, dynamics, sched, noise).value
+    exact = exact_correlator(rho, dynamics, [sched], noise)[0].value
     assert abs(law @ PAIR_SIGNS - exact) <= 1e-12
 
 
@@ -732,7 +844,7 @@ def test_recorded_law_matches_per_shot_oracle(case, kind):
 def test_sampled_within_five_sigma_of_exact(case):
     rho, dynamics, sched, noise, *_ = build_correlator_case(case)
     shots = 4096
-    exact = exact_correlator(rho, dynamics, sched, noise).value
+    exact = exact_correlator(rho, dynamics, [sched], noise)[0].value
     est, counts = sampled_correlator(rho, dynamics, sched, shots, noise, seed=case[-1])
     assert counts.n_shots == shots == est.n_shots
     sigma = np.sqrt(max(1.0 - exact**2, 0.0) / shots)
