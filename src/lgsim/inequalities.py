@@ -285,17 +285,18 @@ def tau_scan(
             for w in windows
         ]
 
-    if engine.kind == "exact" and setup.trotter_steps_per_tau is None:
-        # one batch for the whole grid: the dynamics does not depend on tau
-        batch = [sched for tau in taus for sched in schedules(tau)]
-        flat = exact_correlator(rho0, setup.hamiltonian, batch, setup.noise)
-        triples = [flat[3 * i : 3 * i + 3] for i in range(len(taus))]
-    elif engine.kind == "exact":
-        triples = [
-            exact_correlator(rho0, dynamics(tau), schedules(tau), setup.noise) for tau in taus
-        ]
+    triples = []
+    if engine.kind == "exact":
+        # one batch per dynamics: the whole grid, or each tau when dt follows it
+        if setup.trotter_steps_per_tau is None:
+            groups = [taus]
+        else:
+            groups = [[tau] for tau in taus]
+        for group in groups:
+            batch = [sched for tau in group for sched in schedules(tau)]
+            flat = exact_correlator(rho0, dynamics(group[0]), batch, setup.noise)
+            triples += [flat[i : i + 3] for i in range(0, len(flat), 3)]
     else:
-        triples = []
         for index, tau in enumerate(taus):
             evolution, estimates = dynamics(tau), []
             for c_index, sched in enumerate(schedules(tau)):

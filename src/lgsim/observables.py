@@ -487,20 +487,17 @@ def exact_correlator(
     noise: "NoiseModel | None" = None,
 ) -> tuple[CorrelatorEstimate, ...]:
     """Two-time correlators C = Tr[Q_j E_{i->j}(M(rho_i))] of a batch of
-    schedules that share ``rho0``, the dynamics and the noise model, in
-    schedule order. Decoherence channels are interleaved between the
-    evolution segments when a noise model is given; readout confusion never
-    enters the exact value.
+    schedules that share ``rho0``, the dynamics and the noise model, one per
+    schedule, in order; the module docstring lists what the batch shares.
+    Decoherence channels are interleaved between the evolution segments when
+    a noise model is given; readout confusion never enters the exact value.
 
-    Every schedule's register is checked before anything is evolved, and
-    the rank-one test on rho0 runs once. Each distinct first time t_i gets
-    one rho_i (or psi_i), checked by ``evolve_density``. A rank-one rho0
-    under a noise model without channels is evaluated on state vectors
-    (``_pure_values``), else on density matrices (``_density_values``); in
-    both, each schedule's second segment is checked on its own. The branch
-    states P_n rho_i P_n are PSD because rho_i is, and every segment map is
-    unitary or a complete channel, so they stay PSD without a check of their
-    own; |C| <= 1 is checked by ``CorrelatorEstimate``.
+    A rank-one rho0 under a noise model without channels is evaluated on
+    state vectors (``_pure_values``), else on density matrices
+    (``_density_values``). The branch states P_n rho_i P_n are PSD because
+    rho_i is, and every segment map is unitary or a complete channel, so
+    they stay PSD without a check of their own; |C| <= 1 is checked by
+    ``CorrelatorEstimate``.
     """
     schedules = tuple(schedules)
     for sched in schedules:
