@@ -69,8 +69,10 @@ def _cmd_scan(args: argparse.Namespace) -> int:
         seed = _resolve_seed(args.seed, engine.seed)
         engine = replace(engine, seed=seed)
         spec.engine = engine
-    except FileNotFoundError:
-        return _fail(f"config file not found: {args.config}", EXIT_USAGE)
+        out_dir = Path(args.out)
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        return _fail(f"cannot use {err.filename}: {err.strerror}", EXIT_USAGE)
     except (ConfigError, ValueError) as err:
         return _fail(str(err), EXIT_USAGE)
 
@@ -81,8 +83,6 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     except LgsimError as err:
         return _fail(str(err), EXIT_RUNTIME)
 
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     # echo the resolved seed so a manifest rerun reproduces the run exactly
     resolved_seed = scan.metadata.get("engine", {}).get("seed", seed)
     config_echo = spec.to_config()
@@ -120,6 +120,8 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
     try:
         if (args.flip_prob is None) == (args.matrix is None):
             raise ConfigError("provide exactly one of --flip-prob or --matrix")
+        if args.shots < 1:
+            raise ConfigError(f"--shots must be at least 1, got {args.shots}")
         if args.matrix is not None:
             confusion = ConfusionMatrix.from_json(Path(args.matrix).read_text())
         else:
@@ -128,15 +130,15 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
         estimated = calibrate(
             noise, args.bits, shots_per_state=args.shots, seed=args.seed, mode=args.mode
         )
-    except FileNotFoundError as err:
-        return _fail(str(err), EXIT_USAGE)
+        out = Path(args.out)
+        out.parent.mkdir(parents=True, exist_ok=True)
+        out.write_text(estimated.to_json() + "\n")
+    except OSError as err:
+        return _fail(f"cannot use {err.filename}: {err.strerror}", EXIT_USAGE)
     except LgsimError as err:
         return _fail(str(err), EXIT_USAGE)
     except (KeyError, TypeError, ValueError) as err:
         return _fail(f"bad matrix file: {err}", EXIT_USAGE)
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(estimated.to_json() + "\n")
     print(f"calibrated {args.bits}-bit confusion matrix; condition number "
           f"{estimated.condition_number():.6g}; wrote {out}")
     return EXIT_OK
@@ -157,8 +159,8 @@ def _cmd_mitigate(args: argparse.Namespace) -> int:
     try:
         raw = _load_counts(Path(args.counts))
         matrix = ConfusionMatrix.from_json(Path(args.matrix).read_text())
-    except FileNotFoundError as err:
-        return _fail(str(err), EXIT_USAGE)
+    except OSError as err:
+        return _fail(f"cannot use {err.filename}: {err.strerror}", EXIT_USAGE)
     except (KeyError, TypeError, ValueError, OverflowError, LgsimError) as err:
         return _fail(f"bad input file: {err}", EXIT_USAGE)
     try:
@@ -173,10 +175,11 @@ def _cmd_mitigate(args: argparse.Namespace) -> int:
         },
     }
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    with open(out, "w") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+    try:
+        out.parent.mkdir(parents=True, exist_ok=True)
+        out.write_text(json.dumps(payload, indent=2) + "\n")
+    except OSError as err:
+        return _fail(f"cannot use {err.filename}: {err.strerror}", EXIT_USAGE)
     print(f"mitigated {raw.total} counts via {method}; wrote {out}")
     return EXIT_OK
 
@@ -185,8 +188,8 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     try:
         data = json.loads(Path(args.distribution).read_text())
         result = joint_distribution_oracle(data)
-    except FileNotFoundError as err:
-        return _fail(str(err), EXIT_USAGE)
+    except OSError as err:
+        return _fail(f"cannot use {err.filename}: {err.strerror}", EXIT_USAGE)
     except (InvalidDistribution, ValueError) as err:
         return _fail(f"bad distribution: {err}", EXIT_USAGE)
     print(f"C12 = {result.c12:.12g}")

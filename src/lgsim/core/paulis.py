@@ -11,7 +11,6 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -147,13 +146,7 @@ class PauliSumHamiltonian:
         return 2**self.num_qubits
 
     def matrix(self) -> np.ndarray:
-        return _hamiltonian_matrix(self)
-
-
-@lru_cache(maxsize=512)
-def _hamiltonian_matrix(h: PauliSumHamiltonian) -> np.ndarray:
-    out = np.zeros((h.dim, h.dim), dtype=complex)
-    for t in h.terms:
-        out += t.matrix()
-    out.setflags(write=False)
-    return out
+        out = np.zeros((self.dim, self.dim), dtype=complex)
+        for t in self.terms:
+            out += t.matrix()
+        return out

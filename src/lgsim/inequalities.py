@@ -406,14 +406,15 @@ class RegionScanResult:
 def violation_region_scan(
     n_qubits: int,
     gamma_ratio_grid: Sequence[float],
-    tau_grid: Sequence[float] | None = None,
+    tau_grid: Sequence[float] = (),
 ) -> RegionScanResult:
     """Map spatio-temporal violations for independently rotating qubits.
 
     The register starts in the n-qubit GHZ state, every qubit rotates about
     x with rate gamma_i / 2 where gamma_1..gamma_{n-1} = 1 and the last
     qubit's rate is scaled by the grid ratio; the first and last qubits are
-    read out. Exact engine only.
+    read out. Exact engine only. The tau grid has no default: an omitted one
+    is empty and rejected.
     """
     from .scenarios import transverse_field_hamiltonian
 
@@ -422,7 +423,7 @@ def violation_region_scan(
     ratios = [float(r) for r in gamma_ratio_grid]
     if not ratios:
         raise InvalidGrid("empty ratio grid")
-    taus = _validate_grid(tau_grid if tau_grid is not None else np.linspace(0.0, 2.0 * np.pi, 75))
+    taus = _validate_grid(tau_grid)
 
     rho0 = prepare_state("ghz", n_qubits).density_matrix()
     obs_first = sigma_z_observable(0, n_qubits)

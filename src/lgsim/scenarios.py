@@ -91,10 +91,6 @@ def transmon_closed_form(omega: float, t2: float | None, tau):
     return 2 * u * c1 - u**2 * c2, -2 * u * c1 - u**2 * c2, u**2 * c2
 
 
-def default_tau_grid(gamma: float = 1.0, n_points: int = DEFAULT_TAU_POINTS) -> np.ndarray:
-    return np.linspace(0.0, 2.0 * np.pi / gamma, n_points)
-
-
 # ---------------------------------------------------------------------------
 # runners
 
@@ -103,12 +99,12 @@ def run_single_qubit(
     gamma: float,
     engine: Engine,
     noise: NoiseModel | None = None,
-    tau_grid: Sequence[float] | None = None,
+    n_points: int = DEFAULT_TAU_POINTS,
+    tau_max: float | None = None,
 ) -> ScanResult:
-    """Temporal scan for one qubit rotating about x, read along z."""
-    if gamma <= 0:
-        raise ConfigError(f"gamma must be positive, got {gamma}")
-    taus = tau_grid if tau_grid is not None else default_tau_grid(gamma)
+    """One qubit rotating about x, read along z; default tau_max 2 pi / gamma."""
+    gamma = _positive(gamma, "gamma")
+    taus = _tau_grid(n_points, tau_max, 2.0 * np.pi / gamma)
     setup = ThreeTimeSetup(
         rho0=prepare_state("zero", 1).density_matrix(),
         hamiltonian=transverse_field_hamiltonian([gamma]),
@@ -129,25 +125,20 @@ def run_transmon(
     t2: float | None,
     engine: Engine,
     noise: NoiseModel | None = None,
-    tau_grid: Sequence[float] | None = None,
+    n_points: int = DEFAULT_TAU_POINTS,
+    tau_max: float | None = None,
 ) -> ScanResult:
-    """Free precession from the equal superposition with dephasing.
+    """Free precession from |+> with dephasing; default tau_max 30.
 
     The x-basis readout of a z-precessing qubit is unitarily equivalent to
     the z readout of an x-rotating qubit, so the undamped curves coincide
     with the single-qubit closed form; dephasing multiplies each correlator
     by exp(-window / t2). Both analytic references are stored in the scan
-    metadata.
+    metadata. A ``t2`` of None or Infinity means no dephasing.
     """
-    if omega_eff <= 0:
-        raise ConfigError(f"omega_eff must be positive, got {omega_eff}")
-    if t2 is not None and not t2 > 0:
-        raise ConfigError(f"t2 must be positive, got {t2}")
-    taus = (
-        np.asarray(tau_grid, dtype=float)
-        if tau_grid is not None
-        else np.linspace(0.0, DEFAULT_TRANSMON_TAU_MAX, DEFAULT_TAU_POINTS)
-    )
+    omega_eff = _positive(omega_eff, "omega_eff")
+    t2 = None if t2 is None else _time(t2, "t2")
+    taus = _tau_grid(n_points, tau_max, DEFAULT_TRANSMON_TAU_MAX)
     if t2 is not None and np.isfinite(t2):
         noise = replace(noise, t2={0: t2}) if noise is not None else NoiseModel(t2={0: t2})
     setup = ThreeTimeSetup(
@@ -178,12 +169,14 @@ BELL_MODES = {
 
 def run_bell_pair(
     mode: str,
-    gammas: tuple[float, float],
+    gamma1: float,
+    gamma2: float,
     engine: Engine,
     noise: NoiseModel | None = None,
-    tau_grid: Sequence[float] | None = None,
+    n_points: int = DEFAULT_TAU_POINTS,
+    tau_max: float | None = None,
 ) -> ScanResult:
-    """Bell-state pair under independent x rotations, measured per mode.
+    """Bell pair under independent x rotations; default tau_max 2 pi / gamma1.
 
     ``lgi_single`` reads qubit 0 at both times; ``lgi_global`` reads the
     two-qubit parity (a full readout of both qubits, so the intermediate
@@ -191,8 +184,8 @@ def run_bell_pair(
     """
     if mode not in BELL_MODES:
         raise ConfigError(f"unknown bell-pair mode {mode!r}; choose from {sorted(BELL_MODES)}")
-    g1, g2 = (float(g) for g in gammas)
-    taus = tau_grid if tau_grid is not None else default_tau_grid(g1)
+    g1, g2 = _positive(gamma1, "gamma1"), _finite(gamma2, "gamma2")
+    taus = _tau_grid(n_points, tau_max, 2.0 * np.pi / g1)
     if mode == "lgi_single":
         first = second = sigma_z_observable(0, 2)
     elif mode == "lgi_global":
@@ -228,32 +221,29 @@ def run_tfic(
     k: int,
     engine: Engine,
     noise: NoiseModel | None = None,
-    tau_grid: Sequence[float] | None = None,
+    n_points: int = DEFAULT_TFIC_POINTS,
+    tau_max: float | None = None,
 ) -> ScanResult:
     """Transverse-field Ising chain from a GHZ state, spatio-temporal mode
-    between the chain ends, evolved with k Trotter steps per tau.
+    between the chain ends, k Trotter steps per tau; default tau_max 1 / gammas[0].
 
     The metadata carries the noiseless exact-evolution reference curve and
     the abstract per-correlator layer counts.
     """
-    if not 1 <= int(k) <= 50:
+    j = _finite(j, "j")
+    gammas = _finite_list(gammas, "gammas", min_len=2)
+    k = _integer(k, "k")
+    if not 1 <= k <= 50:
         raise ConfigError(f"k must be in 1..50, got {k}")
-    gammas = [float(g) for g in gammas]
+    taus = _tau_grid(n_points, tau_max, 1.0 / _positive(gammas[0], "gammas[0]"))
     n = len(gammas)
-    if n < 2:
-        raise ConfigError("tfic needs at least two qubits")
-    taus = (
-        np.asarray(tau_grid, dtype=float)
-        if tau_grid is not None
-        else np.linspace(0.0, 1.0 / gammas[0], DEFAULT_TFIC_POINTS)
-    )
     h = ising_chain_hamiltonian(j, gammas)
     rho0 = prepare_state("ghz", n).density_matrix()
     first = sigma_z_observable(0, n)
     second = sigma_z_observable(n - 1, n)
     setup = ThreeTimeSetup(
         rho0, h, first, second, mode="LGBI", noise=noise,
-        trotter_steps_per_tau=int(k), label=f"tfic_k{k}",
+        trotter_steps_per_tau=k, label=f"tfic_k{k}",
     )
     scan = tau_scan(setup, taus, engine)
     reference_setup = ThreeTimeSetup(
@@ -261,21 +251,25 @@ def run_tfic(
     )
     reference = tau_scan(reference_setup, taus, Engine.exact())
     scan.metadata["scenario"] = "tfic"
-    scan.metadata["parameters"] = {"j": j, "gammas": gammas, "k": int(k)}
+    scan.metadata["parameters"] = {"j": j, "gammas": gammas, "k": k}
     scan.metadata["exact_reference"] = reference.values().tolist()
-    scan.metadata["depths"] = trotter_layer_depths(int(k))
+    scan.metadata["depths"] = trotter_layer_depths(k)
     return scan
 
 
 def run_param_scan(
     n_qubits: int,
     ratios: Sequence[float],
-    tau_grid: Sequence[float] | None = None,
+    n_points: int = DEFAULT_TAU_POINTS,
+    tau_max: float | None = None,
 ) -> RegionScanResult:
-    """Violation-region map over the last qubit's frequency ratio."""
-    result = violation_region_scan(n_qubits, ratios, tau_grid)
+    """Violation-region map over the last qubit's frequency ratio; default tau_max 2 pi."""
+    n_qubits = _integer(n_qubits, "n_qubits")
+    ratios = _finite_list(ratios, "ratios")
+    taus = _tau_grid(n_points, tau_max, 2.0 * np.pi)
+    result = violation_region_scan(n_qubits, ratios, taus)
     result.metadata["scenario"] = "param_scan"
-    result.metadata["parameters"] = {"n_qubits": n_qubits, "ratios": list(ratios)}
+    result.metadata["parameters"] = {"n_qubits": n_qubits, "ratios": ratios}
     return result
 
 
@@ -284,9 +278,10 @@ def run_param_scan(
 
 
 def _finite(value, key: str) -> float:
-    """``value`` as a finite float, or a config error naming ``key``."""
+    """``value`` as a finite float, or a config error naming ``key``; a
+    boolean is not a number here."""
     try:
-        number = float(value)
+        number = math.nan if isinstance(value, (bool, np.bool_)) else float(value)
     except (TypeError, ValueError):
         number = math.nan
     if not math.isfinite(number):
@@ -298,7 +293,7 @@ def _integer(value, key: str) -> int:
     """``value`` as an int, or a config error naming ``key``; integral
     floats such as 3.0 are accepted, and 2.7 is rejected, not truncated.
     An int is returned as it is, so a 128-bit seed keeps every digit."""
-    if isinstance(value, (int, np.integer)):
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
         return int(value)
     number = _finite(value, key)
     if not number.is_integer():
@@ -326,101 +321,109 @@ def _positive(value, key: str) -> float:
 
 def _finite_list(value, key: str, min_len: int = 1) -> list[float]:
     """``value`` as a list of at least ``min_len`` finite floats."""
-    if not isinstance(value, (list, tuple)) or len(value) < min_len:
+    if not isinstance(value, (list, tuple, np.ndarray)) or len(value) < min_len:
         raise ConfigError(f"{key} must be a list of at least {min_len} numbers, got {value!r}")
     return [_finite(v, key) for v in value]
 
 
-def _build_single_qubit(spec: "ScenarioSpec") -> ScanResult:
-    gamma = _positive(spec.parameters["gamma"], "gamma")
-    taus = spec._tau_grid(2.0 * np.pi / gamma, DEFAULT_TAU_POINTS)
-    return run_single_qubit(gamma, spec.engine, spec.noise, taus)
+def _time(value, key: str) -> float:
+    """A decay time: a finite positive number, or Infinity for no decay."""
+    return value if value == math.inf else _positive(value, key)
 
 
-def _build_transmon(spec: "ScenarioSpec") -> ScanResult:
-    t2 = spec.parameters["t2"]
-    return run_transmon(
-        _finite(spec.parameters["omega_eff"], "omega_eff"),
-        None if t2 is None else float(t2),
-        spec.engine,
-        spec.noise,
-        spec._tau_grid(DEFAULT_TRANSMON_TAU_MAX, DEFAULT_TAU_POINTS),
-    )
-
-
-def _build_bell_pair(spec: "ScenarioSpec") -> ScanResult:
-    g1 = _positive(spec.parameters["gamma1"], "gamma1")
-    g2 = _finite(spec.parameters["gamma2"], "gamma2")
-    taus = spec._tau_grid(2.0 * np.pi / g1, DEFAULT_TAU_POINTS)
-    mode = spec.name.removeprefix("bell_pair_")
-    return run_bell_pair(mode, (g1, g2), spec.engine, spec.noise, taus)
-
-
-def _build_tfic(spec: "ScenarioSpec") -> ScanResult:
-    p = spec.parameters
-    gammas = _finite_list(p["gammas"], "gammas", min_len=2)
-    _positive(gammas[0], "gammas[0]")
-    taus = spec._tau_grid(1.0 / gammas[0], DEFAULT_TFIC_POINTS)
-    return run_tfic(
-        _finite(p["j"], "j"), gammas, _integer(p["k"], "k"), spec.engine, spec.noise, taus
-    )
-
-
-def _build_param_scan(spec: "ScenarioSpec") -> ScanResult:
-    # the region map is exact and noiseless; refuse what it would drop
-    if spec.engine.kind != "exact":
+def _tau_grid(n_points, tau_max, window: float) -> np.ndarray:
+    """``n_points`` taus from 0 to ``tau_max``, or to the scenario's default
+    ``window`` when ``tau_max`` is None."""
+    n_points = _integer(n_points, "grid.n_points")
+    tau_max = window if tau_max is None else _finite(tau_max, "grid.tau_max")
+    if n_points < 1 or tau_max <= 0:
+        raise ConfigError(f"bad grid: n_points={n_points}, tau_max={tau_max}")
+    # far beyond the default window the phases are rounding noise
+    if tau_max > TAU_MAX_WINDOWS * window:
         raise ConfigError(
-            f"param_scan runs the exact engine only, got engine.kind={spec.engine.kind!r}"
+            f"grid.tau_max={tau_max} exceeds {TAU_MAX_WINDOWS:g} times the "
+            f"scenario's default window {window:g}"
         )
-    if spec.engine.mitigate:
+    return np.linspace(0.0, tau_max, n_points)
+
+
+CONFIG_KEYS = ("schema_version", "scenario", "parameters", "grid", "engine", "noise")
+GRID_KEYS = ("n_points", "tau_max")
+ENGINE_KEYS = ("kind", "shots", "seed", "mitigate")
+NOISE_KEYS = (
+    "t1", "t2", "gate_depolarizing_1q", "gate_depolarizing_2q",
+    "readout_flip", "readout_confusion",
+)
+
+
+def _mapping(value, key: str, known: Sequence[str]) -> dict:
+    """The config block ``value`` (None: empty) as a dict of ``known`` keys
+    only, or a config error naming ``key`` or the unknown keys."""
+    if value is None:
+        return {}
+    if not isinstance(value, Mapping):
+        raise ConfigError(f"{key} must be a mapping, got {value!r}")
+    unknown = sorted(set(value) - set(known), key=str)
+    if unknown:
+        raise ConfigError(f"{key} has unknown keys {unknown}; known keys are {sorted(known)}")
+    return dict(value)
+
+
+def _build_param_scan(engine: Engine, noise: NoiseModel | None, **kwargs) -> ScanResult:
+    # the region map is exact and noiseless; refuse what it would drop
+    if engine.kind != "exact":
+        raise ConfigError(
+            f"param_scan runs the exact engine only, got engine.kind={engine.kind!r}"
+        )
+    if engine.mitigate:
         raise ConfigError("param_scan has no readout to mitigate, got engine.mitigate=true")
-    if spec.noise is not None:
+    if noise is not None:
         raise ConfigError("param_scan is noiseless, so it takes no noise block")
-    p = spec.parameters
-    taus = spec._tau_grid(2.0 * np.pi, DEFAULT_TAU_POINTS)
-    n_qubits = _integer(p["n_qubits"], "n_qubits")
-    return run_param_scan(n_qubits, _finite_list(p["ratios"], "ratios"), taus).to_scan_result()
+    return run_param_scan(**kwargs).to_scan_result()
 
 
 class Scenario(NamedTuple):
-    """One registry entry: what ``list-scenarios`` prints, the parameters a
-    config must carry, and the builder that turns a spec into a run."""
+    """One registry entry: what ``list-scenarios`` prints, the parameter
+    keys of its runner, and a call of that runner with a config's
+    ``**parameters``, ``engine``, ``noise`` and ``**grid``."""
 
     description: str
-    required: tuple[str, ...]
-    build: Callable[["ScenarioSpec"], ScanResult]
+    parameters: tuple[str, ...]
+    run: Callable[..., ScanResult]
 
 
+# The lambdas look each runner up as a module global at call time, so a
+# rebound name (a tracer's wrapper, a test's counter) also sees config runs.
 SCENARIOS = {
     "single_qubit": Scenario(
         "one qubit rotating about x, z readout, temporal inequalities",
         ("gamma",),
-        _build_single_qubit,
+        lambda **kwargs: run_single_qubit(**kwargs),
     ),
     "transmon": Scenario(
         "free phase precession from |+> with pure dephasing (t2)",
         ("omega_eff", "t2"),
-        _build_transmon,
+        lambda **kwargs: run_transmon(**kwargs),
     ),
     "bell_pair_lgi_single": Scenario(
         "Bell pair, temporal inequalities on one qubit",
         ("gamma1", "gamma2"),
-        _build_bell_pair,
+        lambda **kwargs: run_bell_pair("lgi_single", **kwargs),
     ),
     "bell_pair_lgi_global": Scenario(
         "Bell pair, temporal inequalities on the two-qubit parity",
         ("gamma1", "gamma2"),
-        _build_bell_pair,
+        lambda **kwargs: run_bell_pair("lgi_global", **kwargs),
     ),
     "bell_pair_lgbi": Scenario(
         "Bell pair, spatio-temporal inequalities across the qubits",
         ("gamma1", "gamma2"),
-        _build_bell_pair,
+        lambda **kwargs: run_bell_pair("lgbi", **kwargs),
     ),
     "tfic": Scenario(
         "n-qubit transverse-field Ising chain, Trotterized, chain-end readout",
         ("j", "gammas", "k"),
-        _build_tfic,
+        lambda **kwargs: run_tfic(**kwargs),
     ),
     "param_scan": Scenario(
         "violation-region map over the last qubit's frequency ratio",
@@ -436,12 +439,12 @@ def _times_to_config(spec) -> object:
     return {str(q): t for q, t in spec}
 
 
-def _times_from_config(value) -> object:
-    if value is None or isinstance(value, (int, float)):
-        return value
+def _times_from_config(value, key: str) -> object:
+    if value is None:
+        return None
     if isinstance(value, Mapping):
-        return {int(q): float(t) for q, t in value.items()}
-    raise ConfigError(f"bad decoherence-time spec {value!r}")
+        return {_integer(q, key): _time(t, f"{key}[{q}]") for q, t in value.items()}
+    return _time(value, key)
 
 
 def noise_to_config(noise: NoiseModel | None) -> dict | None:
@@ -464,29 +467,33 @@ def noise_to_config(noise: NoiseModel | None) -> dict | None:
 def noise_from_config(data: Mapping | None) -> NoiseModel | None:
     if data is None:
         return None
-    known = {
-        "t1", "t2", "gate_depolarizing_1q", "gate_depolarizing_2q",
-        "readout_flip", "readout_confusion",
-    }
-    unknown = set(data) - known
-    if unknown:
-        raise ConfigError(f"unknown noise keys {sorted(unknown)}")
+    data = _mapping(data, "noise", NOISE_KEYS)
     confusion = None
     if data.get("readout_confusion") is not None:
-        block = data["readout_confusion"]
-        num_bits = _integer(block["num_bits"], "noise.readout_confusion.num_bits")
-        confusion = ConfusionMatrix(num_bits, np.array(block["matrix"], float))
+        key = "noise.readout_confusion"
+        block = _mapping(data["readout_confusion"], key, ("num_bits", "matrix"))
+        num_bits = _integer(block.get("num_bits"), f"{key}.num_bits")
+        try:
+            matrix = np.array(block["matrix"], float)
+        except (KeyError, TypeError, ValueError) as err:
+            raise ConfigError(
+                f"{key}.matrix must be a matrix of numbers, got {block.get('matrix')!r}"
+            ) from err
+        confusion = ConfusionMatrix(num_bits, matrix)
     elif data.get("readout_flip"):
         flip = _finite(data["readout_flip"], "noise.readout_flip")
         if not 0.0 <= flip <= 1.0:
             raise ConfigError(f"noise.readout_flip={flip} outside [0, 1]")
         confusion = ConfusionMatrix.symmetric(flip)
+    rates = {
+        name: _finite(data.get(name, 0.0), f"noise.{name}")
+        for name in ("gate_depolarizing_1q", "gate_depolarizing_2q")
+    }
     return NoiseModel(
-        t1=_times_from_config(data.get("t1")),
-        t2=_times_from_config(data.get("t2")),
-        gate_depolarizing_1q=float(data.get("gate_depolarizing_1q", 0.0)),
-        gate_depolarizing_2q=float(data.get("gate_depolarizing_2q", 0.0)),
+        t1=_times_from_config(data.get("t1"), "noise.t1"),
+        t2=_times_from_config(data.get("t2"), "noise.t2"),
         readout_confusion=confusion,
+        **rates,
     )
 
 
@@ -502,38 +509,43 @@ class ScenarioSpec:
     schema_version: int = SCHEMA_VERSION
 
     def __post_init__(self) -> None:
-        if self.name not in SCENARIOS:
+        if not isinstance(self.name, str) or self.name not in SCENARIOS:
             raise ConfigError(
                 f"unknown scenario {self.name!r}; choose from {sorted(SCENARIOS)}"
             )
-        for key in SCENARIOS[self.name].required:
+        required = SCENARIOS[self.name].parameters
+        self.parameters = _mapping(self.parameters, "parameters", required)
+        self.grid = _mapping(self.grid, "grid", GRID_KEYS)
+        for key in required:
             if key not in self.parameters:
                 raise ConfigError(f"scenario {self.name!r}: missing required parameter {key!r}")
 
     @classmethod
     def from_config(cls, data: Mapping) -> "ScenarioSpec":
-        if not isinstance(data, Mapping):
-            raise ConfigError("config root must be a mapping")
+        data = _mapping(data, "config", CONFIG_KEYS)
         version = data.get("schema_version", SCHEMA_VERSION)
-        if version != SCHEMA_VERSION:
+        if isinstance(version, bool) or version != SCHEMA_VERSION:
             raise ConfigError(f"unsupported schema_version {version}")
         if "scenario" not in data:
             raise ConfigError("missing required key 'scenario'")
-        engine_block = dict(data.get("engine") or {})
+        engine_block = _mapping(data.get("engine"), "engine", ENGINE_KEYS)
+        mitigate = engine_block.get("mitigate", False)
+        if not isinstance(mitigate, bool):
+            raise ConfigError(f"engine.mitigate must be true or false, got {mitigate!r}")
         engine = Engine(
             kind=engine_block.get("kind", "exact"),
             n_shots=_integer(engine_block.get("shots", 8192), "engine.shots"),
             seed=None if engine_block.get("seed") is None else _seed(
                 engine_block["seed"], "engine.seed"
             ),
-            mitigate=bool(engine_block.get("mitigate", False)),
+            mitigate=mitigate,
         )
         return cls(
             name=data["scenario"],
-            parameters=dict(data.get("parameters") or {}),
+            parameters=data.get("parameters"),
             engine=engine,
             noise=noise_from_config(data.get("noise")),
-            grid=dict(data.get("grid") or {}),
+            grid=data.get("grid"),
             schema_version=version,
         )
 
@@ -564,21 +576,9 @@ class ScenarioSpec:
             "noise": noise_to_config(self.noise),
         }
 
-    def _tau_grid(self, default_max: float, default_points: int) -> np.ndarray:
-        n_points = _integer(self.grid.get("n_points", default_points), "grid.n_points")
-        tau_max = self.grid.get("tau_max")
-        tau_max = _finite(tau_max, "grid.tau_max") if tau_max is not None else default_max
-        if n_points < 1 or tau_max <= 0:
-            raise ConfigError(f"bad grid: n_points={n_points}, tau_max={tau_max}")
-        # far beyond the default window the phases are rounding noise
-        if tau_max > TAU_MAX_WINDOWS * default_max:
-            raise ConfigError(
-                f"grid.tau_max={tau_max} exceeds {TAU_MAX_WINDOWS:g} times the "
-                f"scenario's default window {default_max:g}"
-            )
-        return np.linspace(0.0, tau_max, n_points)
-
     def run(self) -> ScanResult:
-        result = SCENARIOS[self.name].build(self)
+        result = SCENARIOS[self.name].run(
+            **self.parameters, engine=self.engine, noise=self.noise, **self.grid
+        )
         result.metadata["config"] = self.to_config()
         return result

@@ -39,7 +39,7 @@ def test_criterion_01_single_qubit_closed_form():
     with criterion(1, "exact 75-point scan matches the analytic triple to 1e-10 in < 1 s"):
         taus = np.linspace(0.0, 2 * np.pi, 75)
         start = time.perf_counter()
-        scan = run_single_qubit(1.0, Engine.exact(), tau_grid=taus)
+        scan = run_single_qubit(1.0, Engine.exact(), n_points=75, tau_max=2 * np.pi)
         elapsed = time.perf_counter() - start
         closed = np.column_stack(closed_form_k3(1.0, taus))
         assert np.abs(scan.values() - closed).max() < 1e-10
@@ -49,7 +49,7 @@ def test_criterion_01_single_qubit_closed_form():
 def test_criterion_02_quantum_bound():
     with criterion(2, "dense exact scan peaks at 1.5 at phase pi/3; nothing exceeds 1.5 + 1e-9"):
         taus = np.linspace(0.0, 2 * np.pi, 1501)
-        scan = run_single_qubit(1.0, Engine.exact(), tau_grid=taus)
+        scan = run_single_qubit(1.0, Engine.exact(), n_points=1501, tau_max=2 * np.pi)
         values = scan.values()
         step = taus[1] - taus[0]
         # K3 is symmetric about pi, so the 1.5 peak recurs at 5 pi / 3;
@@ -76,7 +76,9 @@ def test_criterion_04_sampled_protocol_fidelity():
     with criterion(4, "8192-shot scan: >= 95% of points within 3 sigma; errors ~ 1e-2; < 2 min"):
         taus = np.linspace(0.0, 2 * np.pi, 75)
         start = time.perf_counter()
-        scan = run_single_qubit(1.0, Engine.sampled(8192, seed=20240601), tau_grid=taus)
+        scan = run_single_qubit(
+            1.0, Engine.sampled(8192, seed=20240601), n_points=75, tau_max=2 * np.pi
+        )
         elapsed = time.perf_counter() - start
         closed = np.column_stack(closed_form_k3(1.0, taus))
         errors = scan.errors()[:, None]
@@ -92,10 +94,14 @@ def test_criterion_05_bell_pair_modes():
     with criterion(5, "Bell modes: single==1q curve, global and two-site violate, two-site max "
                       "exceeds global max, all verified against the brute-force trace oracle"):
         taus = np.linspace(0.0, 2 * np.pi, 75)
-        single = run_single_qubit(1.0, Engine.exact(), tau_grid=taus)
-        lgi_single = run_bell_pair("lgi_single", (1.0, 1.0), Engine.exact(), tau_grid=taus)
-        lgi_global = run_bell_pair("lgi_global", (1.0, 1.0), Engine.exact(), tau_grid=taus)
-        lgbi = run_bell_pair("lgbi", (1.0, 1.0), Engine.exact(), tau_grid=taus)
+        single = run_single_qubit(1.0, Engine.exact(), n_points=75, tau_max=2 * np.pi)
+        lgi_single = run_bell_pair(
+            "lgi_single", 1.0, 1.0, Engine.exact(), n_points=75, tau_max=2 * np.pi
+        )
+        lgi_global = run_bell_pair(
+            "lgi_global", 1.0, 1.0, Engine.exact(), n_points=75, tau_max=2 * np.pi
+        )
+        lgbi = run_bell_pair("lgbi", 1.0, 1.0, Engine.exact(), n_points=75, tau_max=2 * np.pi)
 
         assert np.abs(lgi_single.values() - single.values()).max() < 1e-10
         assert sum(lgi_global.violation_counts().values()) >= 1
@@ -119,8 +125,9 @@ def test_criterion_06_violation_region_map():
     with criterion(6, "region maps: 2q violates in every ratio column; 5q ratio 1 is all-false "
                       "and ratio 2 violates; < 5 min"):
         start = time.perf_counter()
-        taus = np.linspace(0.0, 2 * np.pi, 75)
-        two = run_param_scan(2, [0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 2.0], taus)
+        two = run_param_scan(
+            2, [0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 2.0], n_points=75, tau_max=2 * np.pi
+        )
         any_violation = (
             two.violated["T3"].any(axis=1)
             | two.violated["T3_prime"].any(axis=1)
@@ -128,7 +135,7 @@ def test_criterion_06_violation_region_map():
         )
         assert any_violation.all()
 
-        five = run_param_scan(5, [1.0, 2.0], taus)
+        five = run_param_scan(5, [1.0, 2.0], n_points=75, tau_max=2 * np.pi)
         for name in ("T3", "T3_prime", "T3_perm"):
             assert not five.violated[name][0].any()  # ratio 1 column
         assert any(five.violated[name][1].any() for name in ("T3", "T3_prime", "T3_perm"))
@@ -144,7 +151,7 @@ def test_criterion_07_tfic_trotter():
         trotter_errors = []
         reference = None
         for k in (1, 2, 3, 4, 5):
-            scan = run_tfic(0.1, gammas, k, Engine.exact(), tau_grid=taus)
+            scan = run_tfic(0.1, gammas, k, Engine.exact(), n_points=15, tau_max=1.0)
             reference = np.array(scan.metadata["exact_reference"])
             trotter_errors.append(np.abs(scan.values() - reference).max())
         assert all(b < a for a, b in zip(trotter_errors, trotter_errors[1:]))
@@ -152,7 +159,9 @@ def test_criterion_07_tfic_trotter():
         noise = NoiseModel(gate_depolarizing_1q=0.0003, gate_depolarizing_2q=0.01)
         deviations = []
         for k in (1, 2, 3, 4, 5):
-            scan = run_tfic(0.1, gammas, k, Engine.exact(), noise=noise, tau_grid=taus)
+            scan = run_tfic(
+                0.1, gammas, k, Engine.exact(), noise=noise, n_points=15, tau_max=1.0
+            )
             deviations.append(np.abs(scan.values() - np.array(scan.metadata["exact_reference"])).max())
         assert all(b >= a for a, b in zip(deviations, deviations[1:]))
 
@@ -165,7 +174,7 @@ def test_criterion_08_transmon_decay():
                       "microseconds); the undamped reference violates in every period"):
         omega, t2 = 1.0, 55.0
         taus = np.linspace(0.0, 30.0, 1501)
-        scan = run_transmon(omega, t2, Engine.exact(), tau_grid=taus)
+        scan = run_transmon(omega, t2, Engine.exact(), n_points=1501, tau_max=30.0)
         damped = np.column_stack(transmon_closed_form(omega, t2, taus))
         assert np.abs(scan.values() - damped).max() < 1e-10
 
@@ -201,9 +210,12 @@ def test_criterion_09_mitigation_round_trip():
         raw_maxima, raw_sigmas, mit_maxima, mit_sigmas = [], [], [], []
         improvements = 0
         for seed in range(20):
-            raw = run_single_qubit(1.0, Engine.sampled(8192, seed=seed), noise=noise, tau_grid=taus)
+            raw = run_single_qubit(
+                1.0, Engine.sampled(8192, seed=seed), noise=noise, n_points=75, tau_max=2 * np.pi
+            )
             mit = run_single_qubit(
-                1.0, Engine.sampled(8192, seed=seed, mitigate=True), noise=noise, tau_grid=taus
+                1.0, Engine.sampled(8192, seed=seed, mitigate=True), noise=noise,
+                n_points=75, tau_max=2 * np.pi,
             )
             raw_k3 = raw.values()[:, 0]
             mit_k3 = mit.values()[:, 0]

@@ -214,6 +214,28 @@ NAN, INF = float("nan"), float("inf")
         ("param_scan", {"n_qubits": 2, "ratios": [1.0]}, {"argv": ["--mitigate"]},
          "engine.mitigate"),
         ("param_scan", {"n_qubits": 2, "ratios": [1.0]}, {"noise": {"t2": 5.0}}, "noise"),
+        ("transmon", {"omega_eff": 1.0, "t2": "abc"}, {}, "t2"),
+        ("transmon", {"omega_eff": 1.0, "t2": [1]}, {}, "t2"),
+        # a boolean is not a number, and engine.mitigate takes only a boolean
+        ("transmon", {"omega_eff": 1.0, "t2": True}, {}, "t2"),
+        ("tfic", {"j": 0.1, "gammas": [1, 1, 2], "k": True}, {}, "k"),
+        ("single_qubit", {"gamma": 1.0}, {"schema_version": True}, "schema_version"),
+        ("single_qubit", {"gamma": 1.0}, {"noise": {"t2": True}}, "noise.t2"),
+        ("single_qubit", {"gamma": 1.0}, {"engine": {"kind": "sampled", "mitigate": "no"}},
+         "engine.mitigate"),
+        # misspelt keys in any block
+        ("single_qubit", {"gamma": 1.0, "gama": 2.0}, {}, "gama"),
+        ("single_qubit", {"gamma": 1.0}, {"grid": {"n_point": 5}}, "n_point"),
+        ("single_qubit", {"gamma": 1.0}, {"engine": {"shot": 3}}, "shot"),
+        ("single_qubit", {"gamma": 1.0}, {"nosie": {"t2": 5.0}}, "nosie"),
+        # blocks that are not mappings, or lack a key
+        ("single_qubit", {"gamma": 1.0}, {"grid": [1]}, "grid"),
+        ("single_qubit", [1], {}, "parameters"),
+        ("single_qubit", {"gamma": 1.0}, {"engine": "exact"}, "engine"),
+        ("single_qubit", {"gamma": 1.0}, {"noise": {"readout_confusion": {"num_bits": 1}}},
+         "noise.readout_confusion.matrix"),
+        ("single_qubit", {"gamma": 1.0}, {"noise": {"gate_depolarizing_1q": "x"}},
+         "noise.gate_depolarizing_1q"),
     ],
 )
 def test_scan_rejects_unphysical_config_naming_the_key(
@@ -232,6 +254,41 @@ def test_scan_rejects_unphysical_config_naming_the_key(
     assert main(["scan", config, *argv, "--out", str(out)]) == 2
     assert key in capsys.readouterr().err
     assert not (out / "scan.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["scan", "{dir}"], "{dir}"),
+        (["scan", "{config}", "--out", "{file}"], "{file}"),
+        (["mitigate", "--counts", "{dir}", "--matrix", "{matrix}", "--out", "{tmp}/m.json"],
+         "{dir}"),
+        (["oracle", "--distribution", "{dir}"], "{dir}"),
+        (["calibrate", "--bits", "1", "--flip-prob", "0.03", "--out", "{file}/c.json"], "{file}"),
+        (["calibrate", "--bits", "1", "--flip-prob", "0.03", "--shots", "0",
+          "--out", "{tmp}/c.json"], "--shots"),
+        (["calibrate", "--bits", "1", "--flip-prob", "0.03", "--shots", "-5",
+          "--out", "{tmp}/c.json"], "--shots"),
+    ],
+)
+def test_cli_rejects_unusable_paths_and_flags_naming_them(
+    tmp_path, capsys, single_qubit_config, argv, named
+):
+    # "{dir}" is an existing directory and "{file}" an existing file
+    paths = {
+        "dir": tmp_path / "a_directory",
+        "file": tmp_path / "a_file",
+        "matrix": tmp_path / "matrix.json",
+        "config": single_qubit_config,
+        "tmp": tmp_path,
+    }
+    paths["dir"].mkdir()
+    paths["file"].write_text("{}")
+    paths["matrix"].write_text(ConfusionMatrix.symmetric(0.03).to_json())
+    fill = {key: str(path) for key, path in paths.items()}
+    assert main([arg.format(**fill) for arg in argv]) == 2
+    assert named.format(**fill) in capsys.readouterr().err
+    assert not (tmp_path / "c.json").exists()
 
 
 def test_scan_accepts_integral_floats(tmp_path):

@@ -494,10 +494,12 @@ def test_readout_maps_are_built_once_per_scan(monkeypatch):
     monkeypatch.setattr(np, "kron", counting)
     run_bell_pair(
         "lgi_global",
-        (1.0, 0.8),
+        1.0,
+        0.8,
         Engine.sampled(256, seed=3, mitigate=True),
         NoiseModel(readout_confusion=ConfusionMatrix.symmetric(0.03)),
-        np.linspace(0.0, 1.0, 5),
+        n_points=5,
+        tau_max=1.0,
     )
     assert len(krons) <= 2
 

@@ -145,9 +145,11 @@ def test_sampled_scan_hooks_each_see_calls(monkeypatch):
     monkeypatch.setattr(mitigation, "mitigate", counting("mitigate", mitigation.mitigate))
     run_bell_pair(
         "lgi_global",
-        (1.0, 0.8),
+        1.0,
+        0.8,
         Engine.sampled(256, seed=3, mitigate=True),
         NoiseModel(readout_confusion=ConfusionMatrix.symmetric(0.03)),
-        np.linspace(0.0, 1.0, 3),
+        n_points=3,
+        tau_max=1.0,
     )
     assert all(count > 0 for count in calls.values()), calls

@@ -1,6 +1,9 @@
+import re
+
 import numpy as np
 import pytest
 
+import lgsim.scenarios as scenarios
 from lgsim import (
     ConfigError,
     Engine,
@@ -35,7 +38,7 @@ def test_single_qubit_peak_sits_at_third_of_pi():
 
 
 def test_single_qubit_quarter_period_point():
-    scan = run_single_qubit(1.0, Engine.exact(), tau_grid=np.linspace(0, 2 * np.pi, 5))
+    scan = run_single_qubit(1.0, Engine.exact(), n_points=5, tau_max=2 * np.pi)
     # grid contains pi/2 exactly; there the permuted combination is cos(pi)
     assert abs(scan.grid[1] - np.pi / 2) < 1e-12
     assert abs(scan.results[1].k3_perm - (-1.0)) < 1e-10
@@ -55,34 +58,32 @@ def test_single_qubit_rejects_bad_gamma():
 
 def test_transmon_without_damping_matches_closed_form():
     taus = np.linspace(0.0, 12.0, 121)
-    scan = run_transmon(1.0, None, Engine.exact(), tau_grid=taus)
+    scan = run_transmon(1.0, None, Engine.exact(), n_points=121, tau_max=12.0)
     closed = np.column_stack(closed_form_k3(1.0, taus))
     assert np.abs(scan.values() - closed).max() < 1e-10
 
 
 def test_transmon_with_dephasing_matches_damped_form():
     taus = np.linspace(0.0, 20.0, 201)
-    scan = run_transmon(1.0, 55.0, Engine.exact(), tau_grid=taus)
+    scan = run_transmon(1.0, 55.0, Engine.exact(), n_points=201, tau_max=20.0)
     damped = np.column_stack(transmon_closed_form(1.0, 55.0, taus))
     assert np.abs(scan.values() - damped).max() < 1e-10
     assert np.array(scan.metadata["undamped_reference"]).shape == (201, 3)
 
 
 def test_transmon_gate_scale_coherence_never_violates():
-    taus = np.linspace(0.0, 30.0, 151)
-    scan = run_transmon(1.0, 0.01, Engine.exact(), tau_grid=taus)
+    scan = run_transmon(1.0, 0.01, Engine.exact(), n_points=151, tau_max=30.0)
     assert not (scan.values() > 1 + 1e-9).any()
 
 
 def test_bell_single_mode_equals_single_qubit_run():
-    taus = np.linspace(0.0, 2 * np.pi, 75)
-    pair = run_bell_pair("lgi_single", (1.0, 1.0), Engine.exact(), tau_grid=taus)
-    single = run_single_qubit(1.0, Engine.exact(), tau_grid=taus)
+    pair = run_bell_pair("lgi_single", 1.0, 1.0, Engine.exact(), n_points=75, tau_max=2 * np.pi)
+    single = run_single_qubit(1.0, Engine.exact(), n_points=75, tau_max=2 * np.pi)
     assert np.abs(pair.values() - single.values()).max() < 1e-10
 
 
 def test_bell_lgbi_boundary_at_zero_separation():
-    scan = run_bell_pair("lgbi", (1.0, 1.0), Engine.exact(), tau_grid=[0.0])
+    scan = run_bell_pair("lgbi", 1.0, 1.0, Engine.exact(), n_points=1)
     res = scan.results[0]
     assert abs(res.k3 - 1.0) < 1e-10
     assert abs(res.k3_prime - (-3.0)) < 1e-10
@@ -90,20 +91,38 @@ def test_bell_lgbi_boundary_at_zero_separation():
 
 
 def test_bell_global_and_lgbi_modes_violate():
-    taus = np.linspace(0.0, 2 * np.pi, 75)
     for mode in ("lgi_global", "lgbi"):
-        scan = run_bell_pair(mode, (1.0, 1.0), Engine.exact(), tau_grid=taus)
+        scan = run_bell_pair(mode, 1.0, 1.0, Engine.exact(), n_points=75, tau_max=2 * np.pi)
         assert sum(scan.violation_counts().values()) > 0
 
 
 def test_bell_mode_name_validated():
     with pytest.raises(ConfigError):
-        run_bell_pair("chsh", (1.0, 1.0), Engine.exact())
+        run_bell_pair("chsh", 1.0, 1.0, Engine.exact())
+
+
+@pytest.mark.parametrize(
+    "call, key",
+    [
+        # a zero rate has no default window; these divided by zero
+        pytest.param(lambda: run_tfic(0.1, [0.0, 1.0], 3, Engine.exact()), "gammas[0]",
+                     id="tfic-zero-rate"),
+        pytest.param(lambda: run_bell_pair("lgbi", 0.0, 1.0, Engine.exact()), "gamma1",
+                     id="bell-zero-rate"),
+        pytest.param(lambda: run_transmon(1.0, True, Engine.exact()), "t2", id="transmon-bool-t2"),
+        pytest.param(lambda: run_single_qubit(1.0, Engine.exact(), n_points=0), "n_points",
+                     id="no-points"),
+        pytest.param(lambda: run_param_scan(2, [1.0], tau_max=-1.0), "tau_max",
+                     id="negative-tau-max"),
+    ],
+)
+def test_runners_reject_bad_inputs_naming_the_key(call, key):
+    with pytest.raises(ConfigError, match=re.escape(key)):
+        call()
 
 
 def test_tfic_reference_and_depths():
-    taus = np.linspace(0.0, 1.0, 11)
-    scan = run_tfic(0.1, [1, 1, 1, 1, 2.0], 3, Engine.exact(), tau_grid=taus)
+    scan = run_tfic(0.1, [1, 1, 1, 1, 2.0], 3, Engine.exact(), n_points=11, tau_max=1.0)
     reference = np.array(scan.metadata["exact_reference"])
     assert reference.shape == (11, 3)
     assert scan.metadata["depths"] == {"C12": 6, "C23": 12, "C13": 12}
@@ -114,21 +133,19 @@ def test_tfic_reference_and_depths():
 
 
 def test_tfic_large_k_approaches_exact_reference():
-    taus = np.linspace(0.0, 1.0, 11)
-    scan = run_tfic(0.1, [1, 1, 1, 1, 2.0], 50, Engine.exact(), tau_grid=taus)
+    scan = run_tfic(0.1, [1, 1, 1, 1, 2.0], 50, Engine.exact(), n_points=11, tau_max=1.0)
     reference = np.array(scan.metadata["exact_reference"])
     assert np.abs(scan.values() - reference).max() < 0.01
 
 
 def test_exact_runs_are_bit_for_bit_reproducible():
-    taus = np.linspace(0.0, 2 * np.pi, 19)
-    a = run_bell_pair("lgbi", (1.0, 1.3), Engine.exact(), tau_grid=taus)
-    b = run_bell_pair("lgbi", (1.0, 1.3), Engine.exact(), tau_grid=taus)
+    a = run_bell_pair("lgbi", 1.0, 1.3, Engine.exact(), n_points=19, tau_max=2 * np.pi)
+    b = run_bell_pair("lgbi", 1.0, 1.3, Engine.exact(), n_points=19, tau_max=2 * np.pi)
     assert np.array_equal(a.values(), b.values())
 
 
 def test_param_scan_runner():
-    result = run_param_scan(2, [0.5, 1.0], np.linspace(0.0, 2 * np.pi, 31))
+    result = run_param_scan(2, [0.5, 1.0], n_points=31, tau_max=2 * np.pi)
     assert result.metadata["scenario"] == "param_scan"
     assert result.values["T3"].shape == (2, 31)
 
@@ -209,6 +226,37 @@ def test_every_scenario_runs_from_config():
         )
         result = spec.run()
         assert result.metadata["config"]["scenario"] == name
+
+
+@pytest.mark.parametrize(
+    "scenario, parameters, runner",
+    [
+        ("single_qubit", {"gamma": 1.0}, "run_single_qubit"),
+        ("transmon", {"omega_eff": 1.0, "t2": 10.0}, "run_transmon"),
+        ("bell_pair_lgi_single", {"gamma1": 1.0, "gamma2": 1.0}, "run_bell_pair"),
+        ("bell_pair_lgi_global", {"gamma1": 1.0, "gamma2": 1.0}, "run_bell_pair"),
+        ("bell_pair_lgbi", {"gamma1": 1.0, "gamma2": 1.0}, "run_bell_pair"),
+        ("tfic", {"j": 0.1, "gammas": [1.0, 2.0], "k": 2}, "run_tfic"),
+        ("param_scan", {"n_qubits": 2, "ratios": [1.0]}, "run_param_scan"),
+    ],
+)
+def test_config_runs_reach_the_runner_through_its_module_global(
+    monkeypatch, scenario, parameters, runner
+):
+    # the benchmark's tracer rebinds these names; a config run must see it
+    calls = []
+    original = getattr(scenarios, runner)
+
+    def counted(*args, **kwargs):
+        calls.append(runner)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(scenarios, runner, counted)
+    spec = ScenarioSpec.from_config(
+        {"scenario": scenario, "parameters": parameters, "grid": {"n_points": 2}}
+    )
+    spec.run()
+    assert calls == [runner]
 
 
 def test_rerunning_a_spec_reproduces_values():
