@@ -1,8 +1,8 @@
 """Kernel microbenchmarks at n = 5, 8 and 10 qubits: ``apply_channel`` for
 each channel kind on the noisy Trotter path (one- and two-qubit gate
-depolarizing, dephasing), one noisy first-order Trotter step of the
-transverse-field Ising chain, and one batched exact ``exact_correlator``
-call over a tau grid.
+depolarizing, dephasing, and relaxation with t1 and t2 fused into one
+channel), one noisy first-order Trotter step of the transverse-field Ising
+chain, and one batched exact ``exact_correlator`` call over a tau grid.
 
 They are not part of the test suite (``testpaths`` is ``tests``). Run them
 from the repository root with pytest-benchmark installed:
@@ -26,7 +26,7 @@ from lgsim import (
     prepare_state,
     sigma_z_observable,
 )
-from lgsim.core import dephasing_channel, depolarizing_channel
+from lgsim.core import dephasing_channel, depolarizing_channel, relaxation_channels
 from lgsim.core.evolution import _evolve_segment, apply_channel
 from lgsim.scenarios import ising_chain_hamiltonian, transverse_field_hamiltonian
 
@@ -45,6 +45,9 @@ CHANNELS = {
     "depolarizing_1q": lambda n: depolarizing_channel(3e-4, (n // 2,)),
     "depolarizing_2q": lambda n: depolarizing_channel(1e-2, (n // 2 - 1, n // 2)),
     "dephasing": lambda n: dephasing_channel(50.0, DT, n // 2),
+    "relaxation": lambda n: relaxation_channels(
+        NoiseModel(t1={n // 2: 80.0}, t2={n // 2: 50.0}), n, DT
+    )[0],
 }
 
 

@@ -20,7 +20,7 @@ from .core.channels import NoiseModel
 from .errors import ConfigError, InvalidDistribution, LgsimError
 from .inequalities import joint_distribution_oracle, scan_to_csv
 from .mitigation import ConfusionMatrix, CountsVector, calibrate, mitigate
-from .observables import CountsTable, _count
+from .observables import CountsTable, _integer
 from .scenarios import SCENARIOS, ScenarioSpec, _seed
 
 EXIT_OK = 0
@@ -151,7 +151,10 @@ def _load_counts(path: Path) -> CountsVector:
         vec = table.vector().astype(int)
         return CountsVector(2, tuple(int(v) for v in vec), int(table.n_shots))
     counts = data["counts"]
-    num_bits = _count(data.get("num_bits") or max(len(k) for k in counts), "num_bits")
+    num_bits = data.get("num_bits")
+    if num_bits is None:
+        num_bits = max(len(k) for k in counts)
+    num_bits = _integer(num_bits, "counts 'num_bits'")
     return CountsVector.from_dict(num_bits, counts)
 
 

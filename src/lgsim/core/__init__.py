@@ -1,14 +1,12 @@
 """Dense state / density-matrix engine: states, Pauli-sum Hamiltonians,
-segment evolution (exact and Trotterized), Kraus channels."""
+segment evolution (exact and Trotterized), noise channels."""
 
 from .channels import (
-    KrausChannel,
     NoiseModel,
     amplitude_damping_channel,
     apply_channel,
     dephasing_channel,
     depolarizing_channel,
-    identity_channel,
     relaxation_channels,
 )
 from .evolution import TrotterEvolution, evolve_density
@@ -17,7 +15,6 @@ from .paulis import (
     PAULI_MATRICES,
     PauliSumHamiltonian,
     PauliTerm,
-    embed_operator,
     pauli_string_matrix,
 )
 from .states import DensityMatrix, PureState, prepare_state
@@ -26,7 +23,6 @@ __all__ = [
     "MAX_QUBITS",
     "PAULI_MATRICES",
     "DensityMatrix",
-    "KrausChannel",
     "NoiseModel",
     "PauliSumHamiltonian",
     "PauliTerm",
@@ -36,9 +32,7 @@ __all__ = [
     "apply_channel",
     "dephasing_channel",
     "depolarizing_channel",
-    "embed_operator",
     "evolve_density",
-    "identity_channel",
     "pauli_string_matrix",
     "prepare_state",
     "relaxation_channels",

@@ -1,21 +1,22 @@
-"""Kraus channels and the composite noise model.
+"""Noise channels and the composite noise model.
 
 Decoherence is applied as discrete channels between evolution segments, not
 by integrating a master equation. Relaxation (T1) is available but only acts
 when a qubit has an explicit t1 entry; the default model is pure dephasing.
 
-Each channel kind has one kernel, and neither builds a full-register
-operator. Gate depolarizing is applied in closed form,
-(1 - p) rho + p Tr_S(rho) (x) I / 2^m on its m targets S, by slicing the
-diagonal target blocks of a reshaped view of ``rho``; its Kraus operators are
-built only if something reads them. Every other channel (relaxation, or a
-user-built ``KrausChannel``) acts as a local superoperator: its Kraus
-operators are folded once into S = sum_k K (x) conj(K), a 4^m x 4^m matrix,
-which multiplies the target row and column axes of ``rho``. Both kernels are
-linear, so they also serve Hermitian operators that are not states. Channel
-completeness is checked when a channel is built; ``apply_channel`` returns an
-unchecked intermediate state, and the evolution segment that applied it
-checks its own result once.
+Every channel kind has one closed-form kernel on a reshaped view of
+``rho``, and no kernel builds a full-register operator: ``rho`` is viewed
+with one row axis and one column axis per run of target or non-target
+qubits, so each target block is a slice. Gate depolarizing,
+(1 - p) rho + p Tr_S(rho) (x) I / 2^m on its m targets S, adds the sum of
+the diagonal target blocks back to each of them. Relaxation of one qubit
+(amplitude damping, dephasing, or both fused) moves a share of the |1><1|
+block into the |0><0| block and scales the two off-diagonal blocks. Each
+channel builds its Kraus operators only if something reads them. Both
+kernels are linear, so they also serve Hermitian operators that are not
+states. A channel's parameters are checked when it is built;
+``apply_channel`` returns an unchecked intermediate state, and the
+evolution segment that applied it checks its own result once.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import itertools
 import json
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 from typing import TYPE_CHECKING, Mapping, Sequence, Union
 
@@ -39,52 +40,8 @@ from .states import DensityMatrix
 if TYPE_CHECKING:  # avoid a runtime cycle with lgsim.mitigation
     from ..mitigation import ConfusionMatrix
 
-COMPLETENESS_TOL = 1e-9
-
 # t1/t2 may be a single number (every qubit), a {qubit: value} mapping, or None
 TimeSpec = Union[float, Mapping[int, float], None]
-
-
-@dataclass(frozen=True)
-class KrausChannel:
-    """Trace-preserving map given by Kraus operators on ``target_qubits``.
-
-    Operators are 2^m x 2^m where m = len(target_qubits); qubit
-    ``target_qubits[k]`` supplies bit k of the local basis index.
-    ``superoperator`` is sum_k K (x) conj(K), acting on the row-major
-    vectorized local block of ``rho``.
-    """
-
-    target_qubits: tuple[int, ...]
-    kraus_ops: tuple[np.ndarray, ...]
-    superoperator: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        targets = tuple(int(q) for q in self.target_qubits)
-        if len(set(targets)) != len(targets) or not targets:
-            raise InvalidChannel(f"bad target qubits {targets}")
-        dim = 2 ** len(targets)
-        ops = []
-        total = np.zeros((dim, dim), dtype=complex)
-        superop = np.zeros((dim * dim, dim * dim), dtype=complex)
-        for k in self.kraus_ops:
-            arr = np.array(k, dtype=complex)
-            if arr.shape != (dim, dim):
-                raise InvalidChannel(
-                    f"Kraus operator shape {arr.shape} does not match {len(targets)} qubits"
-                )
-            if not np.isfinite(arr).all():
-                raise InvalidChannel("Kraus operator has non-finite entries")
-            arr.setflags(write=False)
-            ops.append(arr)
-            total += arr.conj().T @ arr
-            superop += np.kron(arr, arr.conj())
-        if np.abs(total - np.eye(dim)).max() > COMPLETENESS_TOL:
-            raise InvalidChannel("Kraus operators do not satisfy completeness")
-        superop.setflags(write=False)
-        object.__setattr__(self, "target_qubits", targets)
-        object.__setattr__(self, "kraus_ops", tuple(ops))
-        object.__setattr__(self, "superoperator", superop)
 
 
 @dataclass(frozen=True)
@@ -122,13 +79,62 @@ class DepolarizingChannel:
         return tuple(ops)
 
 
+@dataclass(frozen=True)
+class RelaxationChannel:
+    """Relaxation of one ``qubit`` toward |0>: a share ``decay`` of the
+    |1><1| population moves to |0><0|, and both coherences are scaled by
+    ``coherence``. The map is completely positive when
+    0 <= decay <= 1 and 0 <= coherence <= sqrt(1 - decay).
+
+    ``apply_channel`` uses the closed form. ``kraus_ops`` are the products
+    of the amplitude damping pair K0 = diag(1, sqrt(1 - decay)),
+    K1 = sqrt(decay) |0><1| with the dephasing pair sqrt(1 - p) I,
+    sqrt(p) Z that supplies the rest of the coherence factor, in the order
+    sqrt(1 - p) K0, sqrt(p) Z K0, sqrt(1 - p) K1, sqrt(p) Z K1. They are
+    built on first read and kept.
+    """
+
+    qubit: int
+    decay: float
+    coherence: float
+
+    def __post_init__(self) -> None:
+        if not 0.0 <= self.decay <= 1.0:
+            raise InvalidNoiseParameter(f"relaxation decay {self.decay} outside [0, 1]")
+        if not 0.0 <= self.coherence <= math.sqrt(1.0 - self.decay):
+            raise InvalidNoiseParameter(
+                f"relaxation coherence {self.coherence} outside [0, sqrt(1 - decay)]"
+            )
+
+    @property
+    def target_qubits(self) -> tuple[int]:
+        return (self.qubit,)
+
+    @cached_property
+    def kraus_ops(self) -> tuple[np.ndarray, ...]:
+        damped = math.sqrt(1.0 - self.decay)
+        # (1 - 2p) damped = coherence; at full decay there is nothing to dephase
+        p = 0.5 * (1.0 - self.coherence / damped) if damped > 0.0 else 0.0
+        damping = (np.diag([1.0, damped]), math.sqrt(self.decay) * np.eye(2, k=1))
+        dephasing = (math.sqrt(1.0 - p) * PAULI_MATRICES["I"], math.sqrt(p) * PAULI_MATRICES["Z"])
+        ops = []
+        for k in damping:
+            for d in dephasing:
+                op = d @ k
+                op.setflags(write=False)
+                ops.append(op)
+        return tuple(ops)
+
+
 @lru_cache(maxsize=256)
-def _diagonal_blocks(
+def _target_blocks(
     num_qubits: int, targets: tuple[int, ...]
-) -> tuple[tuple[int, ...], tuple[tuple, ...]]:
+) -> tuple[tuple[int, ...], tuple[tuple[tuple, ...], ...]]:
     """Shape of a 2^n x 2^n matrix viewed with one row axis and one column
     axis per run of consecutive qubits, target or not, and the index of each
-    diagonal block (s, s) of the targets in that view."""
+    target block in that view: ``blocks[r][c]`` holds the rows whose target
+    runs read r and the columns whose target runs read c. With one target,
+    r and c are its bit."""
     half: list[int] = []
     target_axes: list[int] = []
     # qubit q is bit q of an index, so the runs go from qubit n-1 down
@@ -137,37 +143,50 @@ def _diagonal_blocks(
         if is_target:
             target_axes.append(len(half))
         half.append(2 ** len(list(run)))
-    blocks = []
+    sides = []
     for bits in itertools.product(*(range(half[a]) for a in target_axes)):
         index: list = [slice(None)] * len(half)
         for a, b in zip(target_axes, bits):
             index[a] = b
-        blocks.append(tuple(index) * 2)
-    return tuple(half) * 2, tuple(blocks)
+        sides.append(tuple(index))
+    return tuple(half) * 2, tuple(tuple(r + c for c in sides) for r in sides)
 
 
 def _depolarize(rho: DensityMatrix, channel: DepolarizingChannel) -> DensityMatrix:
     """(1 - p) rho + p Tr_S(rho) (x) I / 2^m: the partial trace is the sum of
     the 2^m diagonal target blocks, added back to each of them."""
-    shape, blocks = _diagonal_blocks(rho.num_qubits, channel.target_qubits)
+    shape, blocks = _target_blocks(rho.num_qubits, channel.target_qubits)
+    diagonal = [row[s] for s, row in enumerate(blocks)]
     view = rho.matrix.reshape(shape)
-    reduced = view[blocks[0]] + view[blocks[1]]
-    for b in blocks[2:]:
+    reduced = view[diagonal[0]] + view[diagonal[1]]
+    for b in diagonal[2:]:
         reduced += view[b]
-    reduced *= channel.p / len(blocks)
+    reduced *= channel.p / len(diagonal)
     out = (1.0 - channel.p) * rho.matrix
     out_view = out.reshape(shape)
-    for b in blocks:
+    for b in diagonal:
         out_view[b] += reduced
     return DensityMatrix._trusted(rho.num_qubits, out)
 
 
+def _relax(rho: DensityMatrix, channel: RelaxationChannel) -> DensityMatrix:
+    """Move ``decay`` of the |1><1| block into the |0><0| block, keep the
+    rest, and scale the |0><1| and |1><0| blocks by ``coherence``."""
+    shape, ((b00, b01), (b10, b11)) = _target_blocks(rho.num_qubits, channel.target_qubits)
+    out = rho.matrix.copy()
+    view = out.reshape(shape)
+    if channel.decay:
+        view[b00] += channel.decay * view[b11]
+        view[b11] *= 1.0 - channel.decay
+    view[b01] *= channel.coherence
+    view[b10] *= channel.coherence
+    return DensityMatrix._trusted(rho.num_qubits, out)
+
+
 def apply_channel(
-    rho: DensityMatrix, channel: KrausChannel | DepolarizingChannel
+    rho: DensityMatrix, channel: DepolarizingChannel | RelaxationChannel
 ) -> DensityMatrix:
-    """Apply ``rho -> sum_k K rho K^dagger``: in closed form for a
-    ``DepolarizingChannel``, else as the channel's local superoperator on the
-    target row and column axes of ``rho``."""
+    """Apply ``rho -> sum_k K rho K^dagger`` in the channel's closed form."""
     n = rho.num_qubits
     if any(not 0 <= q < n for q in channel.target_qubits):
         raise InvalidChannel(
@@ -176,53 +195,31 @@ def apply_channel(
         )
     if isinstance(channel, DepolarizingChannel):
         return _depolarize(rho, channel)
-    # qubit q is row axis n-1-q of rho viewed as (2,)*2n (qubit 0 is the least
-    # significant bit); reversed targets put target_qubits[k] on local bit k
-    rows = [n - 1 - q for q in reversed(channel.target_qubits)]
-    axes = rows + [n + a for a in rows]
-    front = list(range(len(axes)))
-    local = np.moveaxis(rho.matrix.reshape((2,) * (2 * n)), axes, front)
-    out = channel.superoperator @ local.reshape(len(channel.superoperator), -1)
-    out = np.moveaxis(out.reshape(local.shape), front, axes)
-    return DensityMatrix._trusted(n, out.reshape(rho.matrix.shape))
+    return _relax(rho, channel)
 
 
-def identity_channel(qubit: int = 0) -> KrausChannel:
-    return KrausChannel((qubit,), (np.eye(2, dtype=complex),))
+def _survival(time: float, duration: float, what: str) -> float:
+    """exp(-duration / time) for a positive ``time`` (named ``what``) and a
+    nonnegative ``duration``."""
+    if not time > 0:
+        raise InvalidNoiseParameter(f"{what} must be positive, got {time}")
+    if duration < 0:
+        raise InvalidNoiseParameter(f"duration must be nonnegative, got {duration}")
+    return math.exp(-duration / time)
 
 
-@lru_cache(maxsize=4096)
-def dephasing_channel(t2: float, duration: float, qubit: int) -> KrausChannel:
-    """Phase damping over ``duration`` with coherence time ``t2``.
-
-    Kraus pair {sqrt(1-p) I, sqrt(p) Z} with p = (1 - exp(-duration/t2)) / 2,
-    so off-diagonals shrink by exp(-duration/t2).
+def dephasing_channel(t2: float, duration: float, qubit: int) -> RelaxationChannel:
+    """Phase damping over ``duration`` with coherence time ``t2``: the
+    off-diagonals shrink by exp(-duration/t2). Its Kraus pair is
+    {sqrt(1-p) I, sqrt(p) Z} with p = (1 - exp(-duration/t2)) / 2.
     """
-    if not t2 > 0:
-        raise InvalidNoiseParameter(f"t2 must be positive, got {t2}")
-    if duration < 0:
-        raise InvalidNoiseParameter(f"duration must be nonnegative, got {duration}")
-    p = 0.5 * (1.0 - math.exp(-duration / t2))
-    return KrausChannel(
-        (qubit,),
-        (
-            math.sqrt(1.0 - p) * PAULI_MATRICES["I"],
-            math.sqrt(p) * PAULI_MATRICES["Z"],
-        ),
-    )
+    return RelaxationChannel(qubit, 0.0, _survival(t2, duration, "t2"))
 
 
-@lru_cache(maxsize=4096)
-def amplitude_damping_channel(t1: float, duration: float, qubit: int) -> KrausChannel:
+def amplitude_damping_channel(t1: float, duration: float, qubit: int) -> RelaxationChannel:
     """Relaxation toward |0> with decay probability 1 - exp(-duration/t1)."""
-    if not t1 > 0:
-        raise InvalidNoiseParameter(f"t1 must be positive, got {t1}")
-    if duration < 0:
-        raise InvalidNoiseParameter(f"duration must be nonnegative, got {duration}")
-    g = 1.0 - math.exp(-duration / t1)
-    k0 = np.array([[1.0, 0.0], [0.0, math.sqrt(1.0 - g)]], dtype=complex)
-    k1 = np.array([[0.0, math.sqrt(g)], [0.0, 0.0]], dtype=complex)
-    return KrausChannel((qubit,), (k0, k1))
+    decay = 1.0 - _survival(t1, duration, "t1")
+    return RelaxationChannel(qubit, decay, math.sqrt(1.0 - decay))
 
 
 def depolarizing_channel(p: float, qubits: Sequence[int]) -> DepolarizingChannel:
@@ -334,28 +331,32 @@ class NoiseModel:
 
 def relaxation_channels(
     noise: NoiseModel, num_qubits: int, duration: float
-) -> list[KrausChannel]:
-    """Per-qubit damping/dephasing channels for one evolution segment.
+) -> list[RelaxationChannel]:
+    """One fused damping-and-dephasing channel for each qubit with a t1 or a
+    t2, for one evolution segment.
 
     With both times set the dephasing part uses the pure-dephasing time
-    1/T_phi = 1/t2 - 1/(2 t1), so the combined channel reproduces the
-    requested t1 and t2 envelopes.
+    1/T_phi = 1/t2 - 1/(2 t1), so the channel reproduces the requested t1
+    and t2 envelopes: decay g = 1 - exp(-duration/t1) and coherence
+    sqrt(1 - g) exp(-duration/T_phi). Damping and dephasing of one qubit
+    commute, so one pass applies both.
     """
     if duration <= 0:
         return []
-    channels: list[KrausChannel] = []
+    channels: list[RelaxationChannel] = []
     for q in range(num_qubits):
         t1 = noise.qubit_t1(q)
         t2 = noise.qubit_t2(q)
-        if t1 is not None:
-            channels.append(amplitude_damping_channel(t1, duration, q))
+        if t1 is None and t2 is None:
+            continue
+        decay = 0.0 if t1 is None else 1.0 - _survival(t1, duration, "t1")
+        coherence = math.sqrt(1.0 - decay)
         if t2 is not None:
             if t1 is None:
                 t_phi = t2
             else:
                 rate = 1.0 / t2 - 0.5 / t1
-                if rate <= 1e-15:
-                    continue
-                t_phi = 1.0 / rate
-            channels.append(dephasing_channel(t_phi, duration, q))
+                t_phi = 1.0 / rate if rate > 1e-15 else math.inf
+            coherence *= _survival(t_phi, duration, "t2")
+        channels.append(RelaxationChannel(q, decay, coherence))
     return channels

@@ -26,7 +26,8 @@ class InvalidTrotterPlan(LgsimError, ValueError):
 
 
 class InvalidChannel(LgsimError, ValueError):
-    """Kraus operators are not trace preserving or target invalid qubits."""
+    """Channel targets are not distinct qubit indices of the register, or a
+    depolarizing channel has other than one or two of them."""
 
 
 class InvalidNoiseParameter(LgsimError, ValueError):

@@ -30,7 +30,7 @@ from .observables import (
     CorrelatorEstimate,
     DichotomicObservable,
     MeasurementSchedule,
-    _count,
+    _integer,
     exact_correlator,
     sampled_correlator,
     sigma_z_observable,
@@ -53,12 +53,12 @@ class Engine:
     def __post_init__(self) -> None:
         if self.kind not in ("exact", "sampled"):
             raise ValueError(f"engine kind must be 'exact' or 'sampled', got {self.kind!r}")
-        n_shots = _count(self.n_shots, "n_shots")
+        n_shots = _integer(self.n_shots, "n_shots")
         if n_shots < 1:
             raise ValueError(f"n_shots must be >= 1, got {self.n_shots}")
         object.__setattr__(self, "n_shots", n_shots)
         if self.seed is not None:
-            seed = _count(self.seed, "seed")
+            seed = _integer(self.seed, "seed")
             if seed < 0:
                 raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
             object.__setattr__(self, "seed", seed)

@@ -36,7 +36,7 @@ from .observables import (
     CorrelatorEstimate,
     CountsTable,
     DichotomicObservable,
-    _count,
+    _integer,
     _readout_on,
     _to_signs,
 )
@@ -133,7 +133,8 @@ class ConfusionMatrix:
     @classmethod
     def from_json(cls, text: str) -> "ConfusionMatrix":
         data = json.loads(text)
-        return cls(_count(data["num_bits"], "num_bits"), np.array(data["matrix"], dtype=float))
+        num_bits = _integer(data["num_bits"], "matrix 'num_bits'")
+        return cls(num_bits, np.array(data["matrix"], dtype=float))
 
 
 @dataclass(frozen=True)
@@ -146,7 +147,7 @@ class CountsVector:
 
     def __post_init__(self) -> None:
         counts = tuple(
-            _count(c, format(i, f"0{self.num_bits}b")) for i, c in enumerate(self.counts)
+            _integer(c, f"count '{i:0{self.num_bits}b}'") for i, c in enumerate(self.counts)
         )
         if len(counts) != 2**self.num_bits:
             raise ValueError(f"expected {2**self.num_bits} entries, got {len(counts)}")
@@ -166,7 +167,7 @@ class CountsVector:
                 raise ValueError(f"counts key {key!r} is not a {num_bits}-bit string")
         counts = [0] * (2**num_bits)
         for key, c in table.items():
-            counts[int(key, 2)] = _count(c, key)
+            counts[int(key, 2)] = _integer(c, f"count {key!r}")
         return cls(num_bits, tuple(counts), sum(counts))
 
     def to_dict(self) -> dict[str, int]:

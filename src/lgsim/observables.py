@@ -219,18 +219,19 @@ class CorrelatorEstimate:
         return self.std_error**2 if np.isfinite(self.std_error) else float("nan")
 
 
-def _count(value, key: str) -> int:
-    """``value`` as an int, or a ValueError naming ``key``. Integral floats
-    such as 3.0 are accepted; 2.5 or a non-finite value is rejected, not
-    truncated, as for the integer values of a scenario config."""
-    if isinstance(value, (int, np.integer)):
+def _integer(value, key: str, error: type[Exception] = ValueError) -> int:
+    """``value`` as an int, or ``error`` naming ``key``. Integral floats such
+    as 3.0 are accepted; 2.5, a non-finite value and a boolean are rejected,
+    not truncated or read as 0 or 1. An int is returned as it is, so a
+    128-bit seed keeps every digit."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
         return int(value)
     try:
-        number = float(value)
+        number = math.nan if isinstance(value, (bool, np.bool_)) else float(value)
     except (TypeError, ValueError):
         number = math.nan
     if not (math.isfinite(number) and number.is_integer()):
-        raise ValueError(f"count {key!r} must be an integer, got {value!r}")
+        raise error(f"{key} must be an integer, got {value!r}")
     return int(number)
 
 
@@ -247,7 +248,7 @@ class CountsTable:
     seed: int | None = None
 
     def __post_init__(self) -> None:
-        counts = {k: _count(self.outcomes.get(k, 0), k) for k in OUTCOME_KEYS}
+        counts = {k: _integer(self.outcomes.get(k, 0), f"count {k!r}") for k in OUTCOME_KEYS}
         if any(v < 0 for v in counts.values()):
             raise ValueError("negative counts")
         if sum(counts.values()) != self.n_shots:

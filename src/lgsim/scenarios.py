@@ -37,7 +37,7 @@ from .inequalities import (
     violation_region_scan,
 )
 from .mitigation import ConfusionMatrix
-from .observables import parity_observable, sigma_x_observable, sigma_z_observable
+from .observables import _integer, parity_observable, sigma_x_observable, sigma_z_observable
 
 SCHEMA_VERSION = 1
 
@@ -232,7 +232,7 @@ def run_tfic(
     """
     j = _finite(j, "j")
     gammas = _finite_list(gammas, "gammas", min_len=2)
-    k = _integer(k, "k")
+    k = _integer(k, "k", ConfigError)
     if not 1 <= k <= 50:
         raise ConfigError(f"k must be in 1..50, got {k}")
     taus = _tau_grid(n_points, tau_max, 1.0 / _positive(gammas[0], "gammas[0]"))
@@ -264,7 +264,7 @@ def run_param_scan(
     tau_max: float | None = None,
 ) -> RegionScanResult:
     """Violation-region map over the last qubit's frequency ratio; default tau_max 2 pi."""
-    n_qubits = _integer(n_qubits, "n_qubits")
+    n_qubits = _integer(n_qubits, "n_qubits", ConfigError)
     ratios = _finite_list(ratios, "ratios")
     taus = _tau_grid(n_points, tau_max, 2.0 * np.pi)
     result = violation_region_scan(n_qubits, ratios, taus)
@@ -289,22 +289,10 @@ def _finite(value, key: str) -> float:
     return number
 
 
-def _integer(value, key: str) -> int:
-    """``value`` as an int, or a config error naming ``key``; integral
-    floats such as 3.0 are accepted, and 2.7 is rejected, not truncated.
-    An int is returned as it is, so a 128-bit seed keeps every digit."""
-    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
-        return int(value)
-    number = _finite(value, key)
-    if not number.is_integer():
-        raise ConfigError(f"{key} must be an integer, got {value!r}")
-    return int(number)
-
-
 def _seed(value, key: str) -> int:
     """A random seed: a non-negative integer, or a config error naming
     ``key``."""
-    seed = _integer(value, key)
+    seed = _integer(value, key, ConfigError)
     if seed < 0:
         raise ConfigError(f"{key} must be a non-negative integer, got {value!r}")
     return seed
@@ -334,7 +322,7 @@ def _time(value, key: str) -> float:
 def _tau_grid(n_points, tau_max, window: float) -> np.ndarray:
     """``n_points`` taus from 0 to ``tau_max``, or to the scenario's default
     ``window`` when ``tau_max`` is None."""
-    n_points = _integer(n_points, "grid.n_points")
+    n_points = _integer(n_points, "grid.n_points", ConfigError)
     tau_max = window if tau_max is None else _finite(tau_max, "grid.tau_max")
     if n_points < 1 or tau_max <= 0:
         raise ConfigError(f"bad grid: n_points={n_points}, tau_max={tau_max}")
@@ -443,7 +431,9 @@ def _times_from_config(value, key: str) -> object:
     if value is None:
         return None
     if isinstance(value, Mapping):
-        return {_integer(q, key): _time(t, f"{key}[{q}]") for q, t in value.items()}
+        return {
+            _integer(q, key, ConfigError): _time(t, f"{key}[{q}]") for q, t in value.items()
+        }
     return _time(value, key)
 
 
@@ -472,7 +462,7 @@ def noise_from_config(data: Mapping | None) -> NoiseModel | None:
     if data.get("readout_confusion") is not None:
         key = "noise.readout_confusion"
         block = _mapping(data["readout_confusion"], key, ("num_bits", "matrix"))
-        num_bits = _integer(block.get("num_bits"), f"{key}.num_bits")
+        num_bits = _integer(block.get("num_bits"), f"{key}.num_bits", ConfigError)
         try:
             matrix = np.array(block["matrix"], float)
         except (KeyError, TypeError, ValueError) as err:
@@ -480,11 +470,12 @@ def noise_from_config(data: Mapping | None) -> NoiseModel | None:
                 f"{key}.matrix must be a matrix of numbers, got {block.get('matrix')!r}"
             ) from err
         confusion = ConfusionMatrix(num_bits, matrix)
-    elif data.get("readout_flip"):
+    elif data.get("readout_flip") is not None:
         flip = _finite(data["readout_flip"], "noise.readout_flip")
         if not 0.0 <= flip <= 1.0:
             raise ConfigError(f"noise.readout_flip={flip} outside [0, 1]")
-        confusion = ConfusionMatrix.symmetric(flip)
+        # a zero flip probability is no readout noise, as is a missing one
+        confusion = ConfusionMatrix.symmetric(flip) if flip else None
     rates = {
         name: _finite(data.get(name, 0.0), f"noise.{name}")
         for name in ("gate_depolarizing_1q", "gate_depolarizing_2q")
@@ -534,7 +525,7 @@ class ScenarioSpec:
             raise ConfigError(f"engine.mitigate must be true or false, got {mitigate!r}")
         engine = Engine(
             kind=engine_block.get("kind", "exact"),
-            n_shots=_integer(engine_block.get("shots", 8192), "engine.shots"),
+            n_shots=_integer(engine_block.get("shots", 8192), "engine.shots", ConfigError),
             seed=None if engine_block.get("seed") is None else _seed(
                 engine_block["seed"], "engine.seed"
             ),

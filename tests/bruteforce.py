@@ -204,14 +204,6 @@ def kraus_sum(rho, kraus_ops, targets):
     return out
 
 
-def random_kraus_ops(num_targets, rank, rng):
-    """Complete Kraus set: ``rank`` blocks of a random isometry."""
-    dim = 2**num_targets
-    a = rng.normal(size=(rank * dim, dim)) + 1j * rng.normal(size=(rank * dim, dim))
-    isometry, _ = np.linalg.qr(a)
-    return [isometry[i * dim : (i + 1) * dim] for i in range(rank)]
-
-
 def slsqp_fit(matrix, target):
     """Least-squares fit of ``matrix @ x`` to ``target`` over the probability
     simplex by scipy's SLSQP, started at the uniform point."""

@@ -8,25 +8,19 @@ from lgsim import (
     DensityMatrix,
     InvalidChannel,
     InvalidNoiseParameter,
-    KrausChannel,
     NoiseModel,
     apply_channel,
     dephasing_channel,
     depolarizing_channel,
     prepare_state,
 )
-from lgsim.core import amplitude_damping_channel, identity_channel
+from lgsim.core import amplitude_damping_channel, relaxation_channels
+from lgsim.core.channels import RelaxationChannel
 from lgsim.mitigation import ConfusionMatrix
 
 
 def plus_rho():
     return prepare_state("plus", 1).density_matrix()
-
-
-def test_identity_channel_leaves_state_unchanged():
-    rho = plus_rho()
-    out = apply_channel(rho, identity_channel(0))
-    assert np.abs(out.matrix - rho.matrix).max() < 1e-14
 
 
 def test_dephasing_scales_off_diagonals_only():
@@ -86,15 +80,10 @@ def test_amplitude_damping_decays_excited_population():
     assert abs(out.matrix[1, 1] - np.exp(-duration / t1)) < 1e-12
 
 
-def test_incomplete_kraus_set_rejected():
-    with pytest.raises(InvalidChannel):
-        KrausChannel((0,), (0.5 * np.eye(2),))
-
-
 def test_channel_targets_must_fit_register():
     rho = plus_rho()
     with pytest.raises(InvalidChannel):
-        apply_channel(rho, identity_channel(qubit=3))
+        apply_channel(rho, dephasing_channel(2.0, 0.5, 3))
 
 
 def test_all_builtin_channels_preserve_trace_and_validity():
@@ -104,7 +93,6 @@ def test_all_builtin_channels_preserve_trace_and_validity():
         amplitude_damping_channel(3.0, 0.5, 1),
         depolarizing_channel(0.13, (0,)),
         depolarizing_channel(0.04, (0, 2)),
-        identity_channel(2),
     ]
     for _ in range(10):
         rho = DensityMatrix(3, bf.random_density_matrix(3, rng))
@@ -126,11 +114,6 @@ def test_channel_on_embedded_qubit_matches_explicit_kron():
     assert np.abs(out.matrix - expected).max() < 1e-12
 
 
-def test_non_finite_kraus_operator_rejected():
-    with pytest.raises(InvalidChannel, match="non-finite"):
-        KrausChannel((0,), ([[np.nan, 0], [0, 1]],))
-
-
 def test_depolarizing_targets_may_be_any_sequence_of_qubit_indices():
     assert depolarizing_channel(0.1, [0, 1]) is depolarizing_channel(0.1, (0, 1))
     assert depolarizing_channel(0.1, np.array([2])) is depolarizing_channel(0.1, (2,))
@@ -149,46 +132,92 @@ def test_depolarizing_kraus_operators_are_built_when_read():
     assert ch.kraus_ops is ch.kraus_ops
 
 
+def test_relaxation_kraus_operators_are_complete_and_built_when_read():
+    ch = RelaxationChannel(1, 0.3, 0.5)
+    assert "kraus_ops" not in vars(ch)
+    assert len(ch.kraus_ops) == 4
+    assert ch.kraus_ops is ch.kraus_ops
+    completeness = sum(k.conj().T @ k for k in ch.kraus_ops)
+    assert np.abs(completeness - np.eye(2)).max() < 1e-12
+
+
+@pytest.mark.parametrize(
+    "decay, coherence",
+    [(-0.1, 0.5), (1.1, 0.0), (float("nan"), 0.0), (0.0, -0.2), (0.0, 1.01), (0.75, 0.6),
+     (1.0, 1e-9), (0.0, float("nan"))],
+)
+def test_relaxation_parameters_must_give_a_completely_positive_map(decay, coherence):
+    with pytest.raises(InvalidNoiseParameter, match="relaxation"):
+        RelaxationChannel(0, decay, coherence)
+
+
 @st.composite
 def channel_cases(draw):
-    """A channel of either kind on 1 or 2 of n qubits, in any order: a
-    random Kraus set of some rank, or depolarizing with probability p."""
+    """A channel of either kind on qubits of n, in any order: depolarizing
+    with probability p on 1 or 2 of them, or the relaxation of one of them
+    over some duration with a t1, a t2 (at most 2 t1) or both."""
     n = draw(st.integers(1, 5))
-    m = draw(st.integers(1, min(2, n)))
+    kind = draw(st.sampled_from(["relaxation", "depolarizing"]))
+    m = draw(st.integers(1, min(2, n))) if kind == "depolarizing" else 1
     targets = tuple(draw(st.permutations(range(n)))[:m])
-    kind = draw(st.sampled_from(["kraus", "depolarizing"]))
-    if kind == "kraus":
-        param = draw(st.integers(1, 4**m))
+    if kind == "relaxation":
+        t1 = draw(st.floats(0.1, 10.0))
+        t2 = draw(st.floats(0.05, 2.0)) * t1
+        duration = draw(st.floats(1e-3, 5.0))
+        param = draw(st.sampled_from([(t1, None), (None, t2), (t1, t2)])) + (duration,)
     else:
         param = draw(st.floats(0.0, 1.0))
     seed = draw(st.integers(0, 2**32 - 1))
     return n, targets, kind, param, seed
 
 
+def textbook_relaxation(rho, t1, t2, duration, targets):
+    """Amplitude damping, then dephasing at the pure-dephasing rate
+    1/t2 - 1/(2 t1), each as a literal sum over its Kraus pair."""
+    if t1 is not None:
+        g = 1.0 - np.exp(-duration / t1)
+        damping = [np.diag([1.0, np.sqrt(1.0 - g)]), np.array([[0.0, np.sqrt(g)], [0.0, 0.0]])]
+        rho = bf.kraus_sum(rho, damping, targets)
+    if t2 is not None:
+        rate = max(1.0 / t2 - (0.0 if t1 is None else 0.5 / t1), 0.0)
+        p = 0.5 * (1.0 - np.exp(-duration * rate))
+        rho = bf.kraus_sum(rho, [np.sqrt(1.0 - p) * np.eye(2), np.sqrt(p) * bf.Z], targets)
+    return rho
+
+
 @settings(max_examples=80, deadline=None)
 @given(channel_cases())
-@example((5, (3, 1), "kraus", 3, 7))
-@example((4, (0, 3), "kraus", 16, 8))
-@example((3, (2,), "kraus", 2, 9))
+@example((5, (3,), "relaxation", (2.0, 3.0, 0.7), 7))
+@example((4, (0,), "relaxation", (0.1, None, 5.0), 8))
+@example((3, (2,), "relaxation", (None, 0.4, 1.3), 9))
+@example((2, (1,), "relaxation", (2.0, 4.0, 0.7), 14))
 @example((5, (4, 1), "depolarizing", 0.0, 10))
 @example((4, (3, 0), "depolarizing", 1.0, 11))
 @example((3, (1,), "depolarizing", 1.0, 12))
 @example((1, (0,), "depolarizing", 0.3, 13))
 def test_channel_kernels_match_dense_kraus_sum(case):
     # both kernels are linear, so the input is a Hermitian matrix that is
-    # not positive semidefinite, like the signed operator M(rho)
+    # not positive semidefinite, like the signed operator M(rho); the
+    # closed form must match the textbook Kraus sums and the channel's own
+    # Kraus operators
     n, targets, kind, param, seed = case
     rng = np.random.default_rng(seed)
-    if kind == "kraus":
-        channel = KrausChannel(targets, tuple(bf.random_kraus_ops(len(targets), param, rng)))
-    else:
-        channel = depolarizing_channel(param, targets)
     a = rng.normal(size=(2**n, 2**n)) + 1j * rng.normal(size=(2**n, 2**n))
     v, _ = np.linalg.qr(a)
     w = rng.normal(size=2**n)
     w[0] = -abs(w[0]) - 0.1
     signed = (v * w) @ v.conj().T
+    if kind == "relaxation":
+        t1, t2, duration = param
+        (q,) = targets
+        noise = NoiseModel(t1=None if t1 is None else {q: t1}, t2=None if t2 is None else {q: t2})
+        (channel,) = relaxation_channels(noise, n, duration)
+        expected = textbook_relaxation(signed, t1, t2, duration, targets)
+    else:
+        channel = depolarizing_channel(param, targets)
+        expected = bf.kraus_sum(signed, channel.kraus_ops, targets)
     out = apply_channel(DensityMatrix._trusted(n, signed), channel)
+    assert np.abs(out.matrix - expected).max() < 1e-12
     assert np.abs(out.matrix - bf.kraus_sum(signed, channel.kraus_ops, targets)).max() < 1e-12
 
 

@@ -236,6 +236,13 @@ NAN, INF = float("nan"), float("inf")
          "noise.readout_confusion.matrix"),
         ("single_qubit", {"gamma": 1.0}, {"noise": {"gate_depolarizing_1q": "x"}},
          "noise.gate_depolarizing_1q"),
+        # an empty or boolean flip probability is not read as no readout noise
+        *[
+            ("single_qubit", {"gamma": 1.0},
+             {"engine": {"kind": "sampled", "seed": 1}, "noise": {"readout_flip": flip}},
+             "noise.readout_flip")
+            for flip in ("", False, [])
+        ],
     ],
 )
 def test_scan_rejects_unphysical_config_naming_the_key(
@@ -303,6 +310,24 @@ def test_scan_accepts_integral_floats(tmp_path):
     out = tmp_path / "run"
     assert main(["scan", config, "--out", str(out)]) == 0
     assert len((out / "scan.csv").read_text().splitlines()) == 1 + 3
+
+
+@pytest.mark.parametrize("flip", [None, 0])
+def test_scan_reads_a_null_or_zero_readout_flip_as_no_readout_noise(tmp_path, flip):
+    base = {
+        "scenario": "single_qubit",
+        "parameters": {"gamma": 1.0},
+        "grid": {"n_points": 3},
+        "engine": {"kind": "sampled", "shots": 64, "seed": 3},
+    }
+    runs = []
+    for name, noise in (("plain", {}), ("flip", {"readout_flip": flip})):
+        config = write_config(tmp_path / f"{name}.json", {**base, "noise": noise})
+        out = tmp_path / name
+        assert main(["scan", config, "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        runs.append(((out / "scan.csv").read_text(), manifest["noise_digest"]))
+    assert runs[0] == runs[1]
 
 
 def test_scan_has_no_jobs_flag(tmp_path, single_qubit_config):
@@ -456,6 +481,7 @@ def test_calibrate_from_matrix_file(tmp_path):
     [
         ({"num_bits": 1.5, "matrix": [[0.97, 0.03], [0.03, 0.97]]}, "'num_bits'"),
         ({"matrix": [[0.97, 0.03], [0.03, 0.97]]}, "'num_bits'"),
+        ({"num_bits": True, "matrix": [[0.97, 0.03], [0.03, 0.97]]}, "'num_bits'"),
     ],
 )
 def test_calibrate_rejects_bad_matrix_file(tmp_path, capsys, payload, message):
@@ -528,6 +554,19 @@ def test_mitigate_accepts_counts_table_json(tmp_path):
         # keys that do not match a huge num_bits are rejected before any
         # 2^num_bits table is allocated
         ({"counts": {"0": 60, "1": 40}, "num_bits": 40}, "'0'"),
+        # a boolean is not a count or a bit count, and a num_bits of 0 is
+        # not an unset one
+        ({"counts": {"0": True, "1": 3}}, "'0'"),
+        ({"outcomes": {"++": True, "+-": 1, "-+": 0, "--": 0}, "n_shots": 2}, "'++'"),
+        ({"counts": {"0": 60, "1": 40}, "num_bits": True}, "'num_bits'"),
+        (
+            {
+                "counts": {"0": 60, "1": 40},
+                "matrix": {"num_bits": True, "matrix": [[0.97, 0.03], [0.03, 0.97]]},
+            },
+            "'num_bits'",
+        ),
+        ({"counts": {"0": 60, "1": 40}, "num_bits": 0}, "'0'"),
     ],
 )
 def test_mitigate_rejects_bad_counts(tmp_path, capsys, payload, message):

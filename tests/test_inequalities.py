@@ -232,7 +232,7 @@ def test_scan_metadata_records_engine_and_mode():
     assert scan.metadata["engine"]["n_shots"] == 256
 
 
-@pytest.mark.parametrize("seed", [-1, 1.5, "x", float("nan")])
+@pytest.mark.parametrize("seed", [-1, 1.5, "x", float("nan"), True])
 def test_engine_rejects_a_seed_that_is_not_a_non_negative_integer(seed):
     with pytest.raises(ValueError, match="seed"):
         Engine.sampled(64, seed=seed)
@@ -247,7 +247,7 @@ def test_engine_keeps_an_integral_seed_exact():
         assert type(got) is int and got == want
 
 
-@pytest.mark.parametrize("n_shots", [100.5, 0, float("nan"), "x"])
+@pytest.mark.parametrize("n_shots", [100.5, 0, float("nan"), "x", True])
 def test_engine_rejects_a_shot_count_that_is_not_a_positive_integer(n_shots):
     with pytest.raises(ValueError, match="n_shots"):
         Engine.sampled(n_shots, seed=1)
