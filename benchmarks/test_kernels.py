@@ -2,7 +2,9 @@
 each channel kind on the noisy Trotter path (one- and two-qubit gate
 depolarizing, dephasing, and relaxation with t1 and t2 fused into one
 channel), one noisy first-order Trotter step of the transverse-field Ising
-chain, and one batched exact ``exact_correlator`` call over a tau grid.
+chain, one batched ``exact_correlator`` and one batched
+``sampled_correlator`` call over a tau grid, and one ``mitigate_correlator``
+call over the counts tables of a 75-point scan with its bootstrap.
 
 They are not part of the test suite (``testpaths`` is ``tests``). Run them
 from the repository root with pytest-benchmark installed:
@@ -18,12 +20,16 @@ import numpy as np
 import pytest
 
 from lgsim import (
+    ConfusionMatrix,
     DensityMatrix,
     MeasurementSchedule,
     NoiseModel,
     TrotterEvolution,
     exact_correlator,
+    mitigate_correlator,
+    parity_observable,
     prepare_state,
+    sampled_correlator,
     sigma_z_observable,
 )
 from lgsim.core import dephasing_channel, depolarizing_channel, relaxation_channels
@@ -33,6 +39,8 @@ from lgsim.scenarios import ising_chain_hamiltonian, transverse_field_hamiltonia
 SIZES = (5, 8, 10)
 DT = 1.0 / 3.0
 NOISE = NoiseModel(gate_depolarizing_1q=3e-4, gate_depolarizing_2q=1e-2)
+READOUT = NoiseModel(readout_confusion=ConfusionMatrix.symmetric(0.03))
+SHOTS = 8192
 
 
 def hermitian(n, seed=5):
@@ -77,10 +85,42 @@ def test_exact_tau_grid_batch(benchmark, n):
     h = transverse_field_hamiltonian([1.0] * (n - 1) + [2.0])
     rho = prepare_state("ghz", n).density_matrix()
     first, second = sigma_z_observable(0, n), sigma_z_observable(n - 1, n)
-    schedules = [
+    schedules = tau_grid_schedules(first, second)
+    exact_correlator(rho, h, schedules)
+    benchmark(exact_correlator, rho, h, schedules)
+
+
+def tau_grid_schedules(first, second):
+    return [
         MeasurementSchedule(window, first, second)
         for tau in np.linspace(0.0, 2.0 * np.pi, 75)
         for window in ((0.0, tau), (tau, 2.0 * tau), (0.0, 2.0 * tau))
     ]
-    exact_correlator(rho, h, schedules)
-    benchmark(exact_correlator, rho, h, schedules)
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_sampled_tau_grid_batch(benchmark, n):
+    # the three windows of 75 taus in one call, as a sampled scan evaluates
+    # its grid: GHZ start, the parity of the first and last qubit read bit by
+    # bit at both times, per-bit readout flips of 0.03, 8192 shots per
+    # schedule, one seed each; the eigensystem of H is cached first
+    h = transverse_field_hamiltonian([1.0] * (n - 1) + [2.0])
+    rho = prepare_state("ghz", n).density_matrix()
+    parity = parity_observable([0, n - 1], n)
+    schedules = tau_grid_schedules(parity, parity)
+    seeds = list(range(len(schedules)))
+    sampled_correlator(rho, h, schedules, SHOTS, READOUT, seeds)
+    benchmark(sampled_correlator, rho, h, schedules, SHOTS, READOUT, seeds)
+
+
+def test_mitigate_bootstrap_batch(benchmark):
+    # the 225 counts tables of a 75-point mitigated Bell-pair scan (global
+    # parity, rates 1 and 0.8, per-bit flips of 0.03, 8192 shots), each
+    # bootstrapped 200 times, under the sign-pair confusion of that readout
+    h = transverse_field_hamiltonian([1.0, 0.8])
+    rho = prepare_state("bell", 2).density_matrix()
+    parity = parity_observable([0, 1], 2)
+    schedules = tau_grid_schedules(parity, parity)
+    drawn = sampled_correlator(rho, h, schedules, SHOTS, READOUT, range(len(schedules)))
+    tables = [counts for _, counts in drawn]
+    benchmark(mitigate_correlator, tables, ConfusionMatrix.symmetric(0.03, num_bits=2))

@@ -40,7 +40,7 @@ def _resolve_seed(flag_seed, config_seed):
         return config_seed
     env = os.environ.get("LGSIM_SEED")
     if env is not None:
-        # int() first keeps every digit of a long seed; "2.0" or "x" go on as text
+        # int() keeps every digit of a long seed; "2.0" or "x" stay text and fail
         try:
             env = int(env)
         except ValueError:

@@ -258,11 +258,13 @@ def tau_scan(
     """Evaluate C12(0, t), C23(t, 2t), C13(0, 2t) and assemble the three
     combinations at every grid point, in grid order.
 
-    The exact engine evaluates the whole grid in one ``exact_correlator``
-    batch under Hamiltonian dynamics, and one batch of three per grid point
-    under Trotter dynamics, whose step depends on tau. Sampled runs derive
-    an independent substream per (grid point, correlator) from the master
-    seed.
+    Either engine evaluates the whole grid in one batch
+    (``exact_correlator`` or ``sampled_correlator``) under Hamiltonian
+    dynamics, and one batch of three per grid point under Trotter dynamics,
+    whose step depends on tau. Sampled runs draw each (grid point,
+    correlator) from its own seed, derived from the master seed. A mitigated
+    run then mitigates every counts table of the scan in one
+    ``mitigate_correlator`` call.
     """
     from .mitigation import mitigate_correlator
 
@@ -285,29 +287,23 @@ def tau_scan(
             for w in windows
         ]
 
-    triples = []
-    if engine.kind == "exact":
-        # one batch per dynamics: the whole grid, or each tau when dt follows it
-        if setup.trotter_steps_per_tau is None:
-            groups = [taus]
+    # one batch per dynamics: the whole grid, or each tau when dt follows it
+    points = range(len(taus))
+    groups = [points] if setup.trotter_steps_per_tau is None else [[i] for i in points]
+    estimates, tables = [], []
+    for group in groups:
+        batch = [sched for i in group for sched in schedules(taus[i])]
+        evolution = dynamics(taus[group[0]])
+        if engine.kind == "exact":
+            estimates += exact_correlator(rho0, evolution, batch, setup.noise)
         else:
-            groups = [[tau] for tau in taus]
-        for group in groups:
-            batch = [sched for tau in group for sched in schedules(tau)]
-            flat = exact_correlator(rho0, dynamics(group[0]), batch, setup.noise)
-            triples += [flat[i : i + 3] for i in range(0, len(flat), 3)]
-    else:
-        for index, tau in enumerate(taus):
-            evolution, estimates = dynamics(tau), []
-            for c_index, sched in enumerate(schedules(tau)):
-                seed = _child_seed(master_seed, index, c_index)
-                est, counts = sampled_correlator(
-                    rho0, evolution, sched, engine.n_shots, setup.noise, seed
-                )
-                if pair_confusion is not None:
-                    est = mitigate_correlator(counts, pair_confusion)
-                estimates.append(est)
-            triples.append(estimates)
+            seeds = [_child_seed(master_seed, i, c_index) for i in group for c_index in range(3)]
+            drawn = sampled_correlator(rho0, evolution, batch, engine.n_shots, setup.noise, seeds)
+            estimates += [est for est, _ in drawn]
+            tables += [counts for _, counts in drawn]
+    if pair_confusion is not None:
+        estimates = mitigate_correlator(tables, pair_confusion)
+    triples = [estimates[i : i + 3] for i in range(0, len(estimates), 3)]
     results = [
         assemble_third_order(*triple, mode=setup.mode, tau=tau)
         for tau, triple in zip(taus, triples)

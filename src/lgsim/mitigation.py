@@ -12,9 +12,10 @@ the observed frequency vector y; plain inversion is tried first, and when
 it produces clearly negative quasi-probabilities (an entry below -0.01) an
 exact active-set fit of min ||M x - y||^2 over the probability simplex
 (Lawson-Hanson NNLS with a sum row, in numpy) takes over. One kernel,
-``_mitigate_rows``, serves a single distribution and a whole bootstrap: the
-rows are inverted in one stacked solve, and only the rows that went
-negative get the fit, one at a time.
+``_mitigate_rows``, serves a single distribution and the bootstrap of a
+whole scan (every resample of every counts table): the rows are inverted in
+one stacked solve, and only the rows that went negative get the fit, one at
+a time.
 """
 
 from __future__ import annotations
@@ -354,31 +355,36 @@ def mitigate(
 
 
 def mitigate_correlator(
-    counts: CountsTable, m_pair: ConfusionMatrix
-) -> CorrelatorEstimate:
-    """Mitigate a 4-outcome counts table and rebuild the correlator.
-
-    The pair matrix indexes outcomes as 2*bit(Q_i) + bit(Q_j), matching
-    ``CountsTable`` order. The error bar comes from a bootstrap over
-    multinomial resamples of the raw counts, mitigated together by the same
-    kernel as the point estimate.
-    """
+    tables: Sequence[CountsTable], m_pair: ConfusionMatrix
+) -> tuple[CorrelatorEstimate, ...]:
+    """Mitigate 4-outcome counts tables and rebuild their correlators, one
+    per table, in order. The pair matrix indexes outcomes as 2*bit(Q_i) +
+    bit(Q_j), matching ``CountsTable`` order. Each point estimate goes
+    through ``mitigate``. Each error bar comes from a bootstrap over
+    multinomial resamples of the table's raw counts, drawn from its own
+    seed; the resamples of all tables go through one ``_mitigate_rows``."""
     if m_pair.num_bits != 2:
         raise MitigationFailed("correlator mitigation needs a 2-bit confusion matrix")
+    tables = tuple(tables)
+    if not tables:
+        return ()
     signs = np.array([1.0, -1.0, -1.0, 1.0])  # q_i * q_j for ++, +-, -+, --
-    raw_probs = counts.probabilities()
-    mitigated, method = mitigate(raw_probs, m_pair, return_method=True)
-    value = float(signs @ mitigated)
-
-    seed = counts.seed if counts.seed is not None else 0
-    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1,)))
-    resamples = rng.multinomial(counts.n_shots, raw_probs, size=BOOTSTRAP_RESAMPLES)
-    freqs = resamples / resamples.sum(axis=1, keepdims=True)
-    rows, _ = _mitigate_rows(freqs, m_pair.matrix)
+    points, resamples = [], []
+    for counts in tables:
+        raw_probs = counts.probabilities()
+        points.append(mitigate(raw_probs, m_pair, return_method=True))
+        seed = counts.seed if counts.seed is not None else 0
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1,)))
+        resamples.append(rng.multinomial(counts.n_shots, raw_probs, size=BOOTSTRAP_RESAMPLES))
+    draws = np.concatenate(resamples)
+    rows, _ = _mitigate_rows(draws / draws.sum(axis=1, keepdims=True), m_pair.matrix)
     # an elementwise product and row sum reproduces the per-row ``signs @ row``
     # bit for bit; a matmul or einsum does not
-    values = (rows * signs).sum(axis=1)
-    std_error = float(values.std(ddof=1))
-    return CorrelatorEstimate(
-        value, std_error, counts.n_shots, METHOD_SAMPLED_MITIGATED, note=method
+    values = (rows * signs).sum(axis=1).reshape(len(tables), BOOTSTRAP_RESAMPLES)
+    std_errors = values.std(axis=1, ddof=1)
+    return tuple(
+        CorrelatorEstimate(
+            float(signs @ x), float(s), counts.n_shots, METHOD_SAMPLED_MITIGATED, note=method
+        )
+        for (x, method), s, counts in zip(points, std_errors, tables)
     )

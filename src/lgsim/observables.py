@@ -14,28 +14,29 @@ no channel (no t1, no t2, no gate depolarizing), every map is unitary and
 the same value is C = sum_n q_n <phi_n| Q_j |phi_n> on state vectors, with
 phi_n = U(t_j - t_i) P_n U(t_i) |psi_0>.
 
-``exact_correlator`` takes a batch of schedules that share rho_0, the
-dynamics and the noise model, and returns one estimate per schedule, in
-order. What the batch shares: the register check of every schedule runs
-before any evolution, the rank-one test runs once, each distinct first time
-t_i gets one checked rho_i (or psi_i) from ``evolve_density``, and each
-distinct first measurement (t_i, Q_i) one signed collapse M(rho_i) (or one
-block of branch columns). Under Trotter dynamics a longer second segment
-from the same first measurement continues from the end of a shorter one
-(C13 from C12 in a tau scan); exact segments are not chained. On state
-vectors the branch columns of all schedules are evolved in one stacked
-block. What still runs per schedule: the check of its evolved second
-segment (the branch norms must still sum to the norm of psi_i; M(rho_i)'s
-image must stay Hermitian and keep its trace) and |C| <= 1.
-
 ``sampled_correlator`` computes the exact law of the recorded (Q_i, Q_j)
-pair of the same protocol on density matrices, one evolved branch per
-first-measurement outcome and each measurement's bit patterns optionally
-passed through the readout map ``ConfusionMatrix.on_bits`` (per-bit flips
-as a kron of 2x2 matrices, or an m-bit matrix as given), and draws all the
-shot counts from it with one multinomial. The patterns are then
-coarse-grained to signs by their parity, the same lumping that readout
-mitigation applies to the readout map.
+pair of the same protocol from the evolved branches themselves (phi_n on
+the same condition, else E_{i->j}(P_n rho_i P_n)), passes each
+measurement's bit patterns through the readout map
+``ConfusionMatrix.on_bits`` when one is set (per-bit flips as a kron of 2x2
+matrices, or an m-bit matrix as given), coarse-grains them to signs by
+their parity (the lumping that readout mitigation applies to the readout
+map), and draws each schedule's shot counts with one multinomial.
+
+Both engines take a batch of schedules that share rho_0, the dynamics and
+the noise model, and return one result per schedule, in order. What the
+batch shares: the register check of every schedule runs before any
+evolution, the rank-one test runs once, each distinct first time t_i gets
+one checked rho_i (or psi_i) from ``evolve_density``, and each distinct
+first measurement (t_i, Q_i) one signed collapse M(rho_i), one set of
+branches or one block of branch columns. Under Trotter dynamics a longer
+second segment from the same first measurement continues from the end of a
+shorter one (C13 from C12 in a tau scan); exact segments are not chained.
+On state vectors the branch columns of all schedules are evolved in one
+stacked block. What still runs per schedule: the check of its evolved
+second segment (the branch norms must still sum to the norm of psi_i,
+M(rho_i)'s image must stay Hermitian and keep its trace, a law must be a
+distribution), |C| <= 1, the readout maps and lumping, and the draw.
 
 An observable is stored as a signed bit flip (``DichotomicObservable``), so
 both engines apply it by indexing the state, never as a 2^n x 2^n matrix.
@@ -221,13 +222,13 @@ class CorrelatorEstimate:
 
 def _integer(value, key: str, error: type[Exception] = ValueError) -> int:
     """``value`` as an int, or ``error`` naming ``key``. Integral floats such
-    as 3.0 are accepted; 2.5, a non-finite value and a boolean are rejected,
-    not truncated or read as 0 or 1. An int is returned as it is, so a
-    128-bit seed keeps every digit."""
+    as 3.0 are accepted; 2.5, a non-finite value, a boolean and text such as
+    "3" are rejected, not truncated or read as numbers. An int is returned
+    as it is, so a 128-bit seed keeps every digit."""
     if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
         return int(value)
     try:
-        number = math.nan if isinstance(value, (bool, np.bool_)) else float(value)
+        number = math.nan if isinstance(value, (bool, np.bool_, str, bytes)) else float(value)
     except (TypeError, ValueError):
         number = math.nan
     if not (math.isfinite(number) and number.is_integer()):
@@ -369,37 +370,46 @@ def _branch_vectors(psi: np.ndarray, obs: DichotomicObservable) -> tuple[np.ndar
     return np.hstack([column + flipped, column - flipped]) / 2, np.array([1.0, -1.0])
 
 
-def _pure_values(
-    first: dict[float, PureState], dynamics: Dynamics, schedules: tuple[MeasurementSchedule, ...]
-) -> np.ndarray:
-    """C = sum_n q_n <phi_n| Q_j |phi_n>, phi_n = U(t_j - t_i) P_n psi_i, for
-    a noise model without channels.
+def _first_states(rho0: DensityMatrix, dynamics: Dynamics, schedules: tuple, noise) -> dict:
+    """The register check of every schedule, then one checked rho_i (or
+    psi_i, for a rank-one rho0 and a noise model without channels) per
+    distinct first time t_i from ``evolve_density``."""
+    for sched in schedules:
+        _check_register(rho0, sched)
+    start = None if _has_channel(noise) else _state_vector(rho0)
+    start = rho0 if start is None else start
+    first = {}
+    for sched in schedules:
+        if sched.t_first not in first:
+            first[sched.t_first] = evolve_density(start, dynamics, 0.0, sched.t_first, noise)
+    return first
 
-    Each distinct first measurement (t_i, Q_i) gets one branch block, and
-    the branch columns of every schedule go through one ``_evolve_vectors``
-    call; columns of a same-time schedule are not evolved. The Q_j readout
-    and the norm check run on all columns at once: the branch norms of each
-    schedule must still sum to the norm of its psi_i (which comes checked
-    from ``evolve_density``), within ``NORM_TOL``.
-    """
+
+def _evolved_branches(
+    first: dict[float, PureState], dynamics: Dynamics, schedules: tuple[MeasurementSchedule, ...]
+) -> tuple[np.ndarray, np.ndarray, list[int], np.ndarray]:
+    """Branches phi_n = U(t_j - t_i) P_n psi_i of every schedule as the
+    columns of one block, schedule by schedule; their values q_n; the
+    column count of each schedule; and Re <phi_n| Q_j |phi_n>, read on all
+    columns of one Q_j at once. Each distinct first measurement (t_i, Q_i)
+    gets one branch block, and all columns but those of same-time schedules
+    go through one ``_evolve_vectors`` call."""
     blocks: list[np.ndarray] = []
-    branches: dict[tuple, tuple[np.ndarray, np.ndarray, float]] = {}
+    branches: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
     readouts: dict[DichotomicObservable, int] = {}
     picked, durations, readers = [], [], []
     width = 0
     for sched in schedules:
         key = (sched.t_first, sched.first_observable)
         if key not in branches:
-            psi_i = first[sched.t_first].amplitudes
-            block, values = _branch_vectors(psi_i, key[1])
-            columns = np.arange(width, width + len(values))
-            branches[key] = (columns, values, np.vdot(psi_i, psi_i).real)
+            block, values = _branch_vectors(first[sched.t_first].amplitudes, key[1])
+            branches[key] = (np.arange(width, width + len(values)), values)
             blocks.append(block)
             width += len(values)
         picked.append(branches[key])
         durations.append(sched.t_second - sched.t_first)
         readers.append(readouts.setdefault(sched.second_observable, len(readouts)))
-    columns, signs, expected = zip(*picked)
+    columns, signs = zip(*picked)
     counts = [len(c) for c in columns]
     starts = np.hstack(blocks)
     columns = np.concatenate(columns)
@@ -413,39 +423,55 @@ def _pure_values(
     for obs, index in readouts.items():
         read = readers == index
         q_phi[:, read] = _apply(obs, phi[:, read])
+    return phi, np.concatenate(signs), counts, np.real(np.sum(phi.conj() * q_phi, axis=0))
+
+
+def _pure_values(
+    first: dict[float, PureState], dynamics: Dynamics, schedules: tuple[MeasurementSchedule, ...]
+) -> np.ndarray:
+    """C = sum_n q_n <phi_n| Q_j |phi_n> on the branches of
+    ``_evolved_branches``. The branch norms of each schedule must still sum
+    to the norm of its psi_i (which comes checked from ``evolve_density``),
+    within ``NORM_TOL``."""
+    phi, signs, counts, branch_values = _evolved_branches(first, dynamics, schedules)
+    expected = {t: np.vdot(psi.amplitudes, psi.amplitudes).real for t, psi in first.items()}
     first_column = np.cumsum(counts) - counts
     norms = np.add.reduceat(np.real(np.sum(phi.conj() * phi, axis=0)), first_column)
-    drift = np.abs(norms - np.array(expected))
+    drift = np.abs(norms - [expected[sched.t_first] for sched in schedules])
     if not np.all(drift <= NORM_TOL):  # NaN fails too
         raise InvalidState(
             f"evolved first-measurement branches drifted: norm {np.nanmax(drift)} "
             f"(tolerance {NORM_TOL})"
         )
-    branch_values = np.real(np.sum(phi.conj() * q_phi, axis=0))
-    return np.add.reduceat(np.concatenate(signs) * branch_values, first_column)
+    return np.add.reduceat(signs * branch_values, first_column)
 
 
-def _second_segments(
-    signed: DensityMatrix,
-    dynamics: Dynamics,
-    durations: list[float],
-    noise: "NoiseModel | None",
-):
-    """The signed operator ``signed`` evolved over each of the ascending
-    ``durations``, unchecked. A Trotter segment continues from the end of
-    the previous one, through the same steps in the same order. An exact
-    segment starts from ``signed`` each time: with relaxation, relax(t) U(t)
-    applied twice is not relax(2t) U(2t)."""
-    current, done = signed, 0
-    for duration in durations:
-        if isinstance(dynamics, TrotterEvolution):
-            steps = dynamics.segment_steps(duration)
-            if steps > done:
-                current = _evolve_segment(current, dynamics, (steps - done) * dynamics.dt, noise)
-                done = steps
-        elif duration > 0:
-            current = _evolve_segment(signed, dynamics, duration, noise)
-        yield current.matrix
+def _second_images(first, dynamics, schedules, noise, starts):
+    """(index, start operators, their images) per schedule, unchecked. Each
+    distinct first measurement (t_i, Q_i) gets one list of start operators
+    ``starts(rho_i, Q_i)``, evolved in step over its schedules' second
+    segments in ascending order. A Trotter segment continues from the end
+    of the previous one, through the same steps in the same order. An exact
+    segment starts from the start operators each time: with relaxation,
+    relax(t) U(t) applied twice is not relax(2t) U(2t)."""
+    groups: dict[tuple, list[int]] = {}
+    for index, sched in enumerate(schedules):
+        groups.setdefault((sched.t_first, sched.first_observable), []).append(index)
+    for (t_first, obs), members in groups.items():
+        xs = starts(first[t_first].matrix, obs)
+        signed = [DensityMatrix._trusted(first[t_first].num_qubits, x) for x in xs]
+        current, done = signed, 0
+        for index in sorted(members, key=lambda i: schedules[i].t_second):
+            duration = schedules[index].t_second - t_first
+            if isinstance(dynamics, TrotterEvolution):
+                steps = dynamics.segment_steps(duration)
+                if steps > done:
+                    step = (steps - done) * dynamics.dt
+                    current = [_evolve_segment(y, dynamics, step, noise) for y in current]
+                    done = steps
+            elif duration > 0:
+                current = [_evolve_segment(x, dynamics, duration, noise) for x in signed]
+            yield index, xs, [y.matrix for y in current]
 
 
 def _density_values(
@@ -454,30 +480,24 @@ def _density_values(
     schedules: tuple[MeasurementSchedule, ...],
     noise: "NoiseModel | None",
 ) -> np.ndarray:
-    """C = Tr[Q_j E_{i->j}(M(rho_i))] on density matrices. Each distinct
-    first measurement (t_i, Q_i) gets one signed collapse M(rho_i), evolved
-    over its schedules' second segments in ascending order
-    (``_second_segments``). Every image must stay Hermitian and keep its
-    trace <Q_i>, both within ``NORM_TOL``."""
-    groups: dict[tuple, list[int]] = {}
-    for index, sched in enumerate(schedules):
-        groups.setdefault((sched.t_first, sched.first_observable), []).append(index)
+    """C = Tr[Q_j E_{i->j}(M(rho_i))] on density matrices: each distinct
+    first measurement gets one signed collapse M(rho_i) (``_second_images``).
+    Every image must stay Hermitian and keep its trace <Q_i>, both within
+    ``NORM_TOL``."""
     values = np.empty(len(schedules))
-    for (t_first, obs), members in groups.items():
-        x = _signed_collapse(first[t_first].matrix, obs)
-        signed = DensityMatrix._trusted(first[t_first].num_qubits, x)
-        members.sort(key=lambda i: schedules[i].t_second)
-        durations = [schedules[i].t_second - t_first for i in members]
-        for index, y in zip(members, _second_segments(signed, dynamics, durations, noise)):
-            deviation = float(np.abs(y - y.conj().T).max())
-            drift = abs(np.trace(y) - np.trace(x))
-            # written so that NaN or inf entries fail too
-            if not (deviation <= NORM_TOL and drift <= NORM_TOL):
-                raise InvalidState(
-                    f"evolved first-measurement operator drifted: Hermiticity {deviation}, "
-                    f"trace {drift} (tolerance {NORM_TOL})"
-                )
-            values[index] = _expectation(y, schedules[index].second_observable)
+    images = _second_images(
+        first, dynamics, schedules, noise, lambda rho, obs: [_signed_collapse(rho, obs)]
+    )
+    for index, (x,), (y,) in images:
+        deviation = float(np.abs(y - y.conj().T).max())
+        drift = abs(np.trace(y) - np.trace(x))
+        # written so that NaN or inf entries fail too
+        if not (deviation <= NORM_TOL and drift <= NORM_TOL):
+            raise InvalidState(
+                f"evolved first-measurement operator drifted: Hermiticity {deviation}, "
+                f"trace {drift} (tolerance {NORM_TOL})"
+            )
+        values[index] = _expectation(y, schedules[index].second_observable)
     return values
 
 
@@ -501,17 +521,10 @@ def exact_correlator(
     ``CorrelatorEstimate``.
     """
     schedules = tuple(schedules)
-    for sched in schedules:
-        _check_register(rho0, sched)
+    first = _first_states(rho0, dynamics, schedules, noise)
     if not schedules:
         return ()
-    start = None if _has_channel(noise) else _state_vector(rho0)
-    start = rho0 if start is None else start
-    first = {}
-    for sched in schedules:
-        if sched.t_first not in first:
-            first[sched.t_first] = evolve_density(start, dynamics, 0.0, sched.t_first, noise)
-    if isinstance(start, PureState):
+    if isinstance(first[schedules[0].t_first], PureState):
         values = _pure_values(first, dynamics, schedules)
     else:
         values = _density_values(first, dynamics, schedules, noise)
@@ -531,15 +544,15 @@ def _to_signs(bits: int) -> np.ndarray:
     return np.eye(2)[(1 - _pattern_signs(bits)) // 2]
 
 
-def _true_law(y: np.ndarray, obs: DichotomicObservable, bits: int) -> np.ndarray:
-    """Weights Tr[P y] of the outcomes of ``obs`` on the operator ``y``: one
-    per bit pattern of its qubits when ``bits`` > 1, else plus then minus,
-    (Tr y +/- Tr[Q y]) / 2."""
+def _true_law(diagonals, values, obs: DichotomicObservable, bits: int) -> np.ndarray:
+    """Weights Tr[P y] of the outcomes of ``obs`` on operators y, one row
+    each, from their diagonals (the columns of ``diagonals``) and ``values``
+    Tr[Q y]: one per bit pattern of its qubits when ``bits`` > 1, else plus
+    then minus, (Tr y +/- Tr[Q y]) / 2."""
     if bits > 1:
-        keys = _pattern_keys(y.shape[0], obs.qubits)
-        return np.bincount(keys, weights=np.real(np.diagonal(y)), minlength=2**bits)
-    total, value = np.real(np.trace(y)), _expectation(y, obs)
-    return np.array([total + value, total - value]) / 2
+        return diagonals.T @ np.eye(2**bits)[_pattern_keys(len(diagonals), obs.qubits)]
+    totals = diagonals.sum(axis=0)
+    return np.column_stack([totals + values, totals - values]) / 2
 
 
 def _collapse_branches(rho: np.ndarray, obs: DichotomicObservable) -> list[np.ndarray]:
@@ -563,84 +576,101 @@ def _collapse_branches(rho: np.ndarray, obs: DichotomicObservable) -> list[np.nd
     return [np.where((labels == a)[:, None] & (labels == a), rho, 0.0) for a in range(count)]
 
 
-def _recorded_law(
+def _recorded_laws(
     rho0: DensityMatrix,
     dynamics: Dynamics,
-    sched: MeasurementSchedule,
+    schedules: Sequence[MeasurementSchedule],
     noise: "NoiseModel | None" = None,
 ) -> np.ndarray:
-    """Exact law of the recorded (Q_i, Q_j) pair, in ``OUTCOME_KEYS`` order.
-
-    Each first-measurement branch P_a rho_i P_a is evolved over the second
-    segment, and the joint law of the true outcomes is read from the evolved
-    branches. A measurement is resolved into bit patterns where a readout
-    flips bits or a bitwise collapse needs them. The law must be
-    non-negative and sum to 1 within ``NORM_TOL``; it then goes through the
-    readout map of each measurement and is coarse-grained to signs.
-    """
-    _check_register(rho0, sched)
-    obs1, obs2 = sched.first_observable, sched.second_observable
+    """Exact laws of the recorded (Q_i, Q_j) pairs of a batch, one row per
+    schedule in ``OUTCOME_KEYS`` order, read from the evolved branches
+    (``_evolved_branches`` or ``_second_images``). A measurement is
+    resolved into bit patterns where a readout flips bits or a bitwise
+    collapse needs them. Each law must be non-negative and sum to 1 within
+    ``NORM_TOL``; it then goes through the readout map of each measurement
+    and is coarse-grained to signs."""
+    schedules = tuple(schedules)
     readout = noise.readout_confusion if noise is not None else None
-    if readout is not None:
-        maps = [_readout_on(obs, readout) for obs in (obs1, obs2)]
-    m1, m2 = len(obs1.qubits), len(obs2.qubits)
-    bitwise = obs1.bitwise_collapse and m1 > 1
-    bits1 = m1 if m1 > 1 and (readout is not None or bitwise) else 1
-    bits2 = m2 if m2 > 1 and readout is not None else 1
-
-    rho_i = evolve_density(rho0, dynamics, 0.0, sched.t_first, noise).matrix
-    branches = _collapse_branches(rho_i, obs1)
-    duration = sched.t_second - sched.t_first
-    rows = []
-    for branch in branches:
-        if duration > 0:
-            branch = DensityMatrix._trusted(rho0.num_qubits, branch)
-            branch = _evolve_segment(branch, dynamics, duration, noise).matrix
-        rows.append(_true_law(branch, obs2, bits2))
-    law = np.array(rows)
-    if bits1 > 1 and not bitwise:
-        # a two-projector collapse read bit by bit: the pattern follows the
-        # diagonal of rho_i, the second outcome the branch of its sign
-        totals = law.sum(axis=1, keepdims=True)
-        given = np.divide(law, totals, out=np.zeros_like(law), where=totals > 0)
-        sign_index = (1 - _pattern_signs(bits1)) // 2
-        law = _true_law(rho_i, obs1, bits1)[:, None] * given[sign_index]
-    total = law.sum()
-    # written so that NaN entries fail too
-    if not (law.min() >= -NORM_TOL and abs(total - 1.0) <= NORM_TOL):
-        raise InvalidState(
-            f"recorded outcome law is no distribution: smallest entry {law.min()}, "
-            f"sum {total} (tolerance {NORM_TOL})"
-        )
-    if readout is not None:
-        law = maps[0] @ law @ maps[1].T
-    pairs = np.clip(_to_signs(bits1).T @ law @ _to_signs(bits2), 0.0, None).ravel()
-    return pairs / pairs.sum()
+    # readout maps first, so an unreadable observable fails before any evolution
+    maps = {
+        obs: _readout_on(obs, readout)
+        for sched in (schedules if readout is not None else ())
+        for obs in (sched.first_observable, sched.second_observable)
+    }
+    first = _first_states(rho0, dynamics, schedules, noise)
+    if schedules and isinstance(first[schedules[0].t_first], PureState):
+        # |phi_n|^2 and Re <phi_n| Q_j |phi_n> of each schedule's columns
+        phi, _, counts, values = _evolved_branches(first, dynamics, schedules)
+        ends = np.cumsum(counts)[:-1]
+        weights = np.split(np.real(phi.conj() * phi), ends, axis=1)
+        branches = list(zip(weights, np.split(values, ends)))
+    else:
+        # the diagonals and Tr[Q_j y_a] of the evolved branches y_a = E(P_a rho_i P_a)
+        branches = [()] * len(schedules)
+        for index, _, ys in _second_images(first, dynamics, schedules, noise, _collapse_branches):
+            obs = schedules[index].second_observable
+            diagonals = np.stack([np.real(np.diagonal(y)) for y in ys], axis=1)
+            branches[index] = (diagonals, np.array([_expectation(y, obs) for y in ys]))
+    laws = np.empty((len(schedules), len(OUTCOME_KEYS)))
+    for index, (sched, (diagonals, values)) in enumerate(zip(schedules, branches)):
+        obs1, obs2 = sched.first_observable, sched.second_observable
+        m1, m2 = len(obs1.qubits), len(obs2.qubits)
+        bitwise = obs1.bitwise_collapse and m1 > 1
+        bits1 = m1 if m1 > 1 and (readout is not None or bitwise) else 1
+        bits2 = m2 if m2 > 1 and readout is not None else 1
+        law = _true_law(diagonals, values, obs2, bits2)
+        if bits1 > 1 and not bitwise:
+            # a two-projector collapse read bit by bit: the pattern follows the
+            # diagonal of rho_i, the second outcome the branch of its sign
+            totals = law.sum(axis=1, keepdims=True)
+            given = np.divide(law, totals, out=np.zeros_like(law), where=totals > 0)
+            state = first[sched.t_first]
+            pure = isinstance(state, PureState)
+            diagonal = np.abs(state.amplitudes) ** 2 if pure else np.real(np.diagonal(state.matrix))
+            pattern = _true_law(diagonal[:, None], values, obs1, bits1)[0]
+            law = pattern[:, None] * given[(1 - _pattern_signs(bits1)) // 2]
+        total = law.sum()
+        # written so that NaN entries fail too
+        if not (law.min() >= -NORM_TOL and abs(total - 1.0) <= NORM_TOL):
+            raise InvalidState(
+                f"recorded outcome law is no distribution: smallest entry {law.min()}, "
+                f"sum {total} (tolerance {NORM_TOL})"
+            )
+        if readout is not None:
+            law = maps[obs1] @ law @ maps[obs2].T
+        pairs = np.clip(_to_signs(bits1).T @ law @ _to_signs(bits2), 0.0, None).ravel()
+        laws[index] = pairs / pairs.sum()
+    return laws
 
 
 def sampled_correlator(
     rho0: DensityMatrix,
     dynamics: Dynamics,
-    sched: MeasurementSchedule,
+    schedules: Sequence[MeasurementSchedule],
     n_shots: int,
-    noise: "NoiseModel | None" = None,
-    seed: int = 0,
-) -> tuple[CorrelatorEstimate, CountsTable]:
-    """Shot-sampled two-time correlator.
-
-    The recorded (Q_i, Q_j) law is computed exactly (``_recorded_law``,
-    with every read bit passed through ``noise.readout_confusion`` when it
-    is set), and all ``n_shots`` counts are drawn from it at once by one
-    multinomial, so the cost does not depend on the number of shots. The
-    value is the mean of the +/-1 products and ``std_error`` their sample
-    deviation over sqrt(n), sqrt((1 - value^2) / (n - 1)); it is NaN for a
-    single shot.
+    noise: "NoiseModel | None",
+    seeds: Sequence[int | None],
+) -> tuple[tuple[CorrelatorEstimate, CountsTable], ...]:
+    """Shot-sampled two-time correlators of a batch of schedules that share
+    ``rho0``, the dynamics and the noise model (which may be None): one
+    (estimate, counts) pair per schedule, in order. The recorded laws are
+    exact (``_recorded_laws``, every read bit passed through
+    ``noise.readout_confusion`` when it is set), and all ``n_shots`` counts
+    of a schedule are drawn from its law by one multinomial seeded by its
+    entry in ``seeds``. The value is the mean of the +/-1 products and
+    ``std_error`` their sample deviation over sqrt(n), sqrt((1 - value^2) /
+    (n - 1)); it is NaN for a single shot.
     """
     if n_shots < 1:
         raise ValueError(f"n_shots must be >= 1, got {n_shots}")
-    law = _recorded_law(rho0, dynamics, sched, noise)
-    counts = np.random.default_rng(seed).multinomial(n_shots, law)
-    value = float(counts @ np.array([1, -1, -1, 1])) / n_shots
-    std_error = math.sqrt((1.0 - value**2) / (n_shots - 1)) if n_shots > 1 else math.nan
-    table = CountsTable(dict(zip(OUTCOME_KEYS, (int(c) for c in counts))), n_shots, seed=seed)
-    return CorrelatorEstimate(value, std_error, n_shots, METHOD_SAMPLED), table
+    schedules, seeds = tuple(schedules), tuple(seeds)
+    if len(seeds) != len(schedules):
+        raise ValueError(f"{len(seeds)} seeds for {len(schedules)} schedules")
+    drawn = []
+    for law, seed in zip(_recorded_laws(rho0, dynamics, schedules, noise), seeds):
+        counts = np.random.default_rng(seed).multinomial(n_shots, law)
+        value = float(counts @ np.array([1, -1, -1, 1])) / n_shots
+        std_error = math.sqrt((1.0 - value**2) / (n_shots - 1)) if n_shots > 1 else math.nan
+        table = CountsTable(dict(zip(OUTCOME_KEYS, (int(c) for c in counts))), n_shots, seed=seed)
+        drawn.append((CorrelatorEstimate(value, std_error, n_shots, METHOD_SAMPLED), table))
+    return tuple(drawn)

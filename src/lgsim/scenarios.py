@@ -279,9 +279,9 @@ def run_param_scan(
 
 def _finite(value, key: str) -> float:
     """``value`` as a finite float, or a config error naming ``key``; a
-    boolean is not a number here."""
+    boolean or text such as "1.0" is not a number here."""
     try:
-        number = math.nan if isinstance(value, (bool, np.bool_)) else float(value)
+        number = math.nan if isinstance(value, (bool, np.bool_, str, bytes)) else float(value)
     except (TypeError, ValueError):
         number = math.nan
     if not math.isfinite(number):
@@ -431,8 +431,11 @@ def _times_from_config(value, key: str) -> object:
     if value is None:
         return None
     if isinstance(value, Mapping):
+        # JSON object keys are text, so a qubit index is read from its digits
         return {
-            _integer(q, key, ConfigError): _time(t, f"{key}[{q}]") for q, t in value.items()
+            _integer(int(q) if isinstance(q, str) and q.isdecimal() else q, key, ConfigError):
+            _time(t, f"{key}[{q}]")
+            for q, t in value.items()
         }
     return _time(value, key)
 

@@ -243,6 +243,17 @@ NAN, INF = float("nan"), float("inf")
              "noise.readout_flip")
             for flip in ("", False, [])
         ],
+        # text is not a number, even when it reads as one
+        ("single_qubit", {"gamma": "1.0"}, {}, "gamma"),
+        ("single_qubit", {"gamma": 1.0}, {"grid": {"n_points": "3"}}, "grid.n_points"),
+        ("single_qubit", {"gamma": 1.0}, {"grid": {"tau_max": "2"}}, "grid.tau_max"),
+        ("tfic", {"j": 0.1, "gammas": [1, "1", 2], "k": 2}, {}, "gammas"),
+        ("single_qubit", {"gamma": 1.0}, {"engine": {"shots": "64"}}, "engine.shots"),
+        ("single_qubit", {"gamma": 1.0}, {"engine": {"kind": "sampled", "seed": "5"}},
+         "engine.seed"),
+        ("single_qubit", {"gamma": 1.0}, {"noise": {"readout_flip": "0.1"}}, "noise.readout_flip"),
+        ("single_qubit", {"gamma": 1.0}, {"engine": {"kind": "sampled"}, "env": "2.0"},
+         "LGSIM_SEED"),
     ],
 )
 def test_scan_rejects_unphysical_config_naming_the_key(
@@ -567,6 +578,10 @@ def test_mitigate_accepts_counts_table_json(tmp_path):
             "'num_bits'",
         ),
         ({"counts": {"0": 60, "1": 40}, "num_bits": 0}, "'0'"),
+        # a count or bit count written as text is not a number
+        ({"counts": {"0": "5", "1": 3}}, "count '0'"),
+        ({"outcomes": {"++": "5", "+-": 1, "-+": 0, "--": 0}, "n_shots": 6}, "count '++'"),
+        ({"counts": {"0": 60, "1": 40}, "num_bits": "1"}, "'num_bits'"),
     ],
 )
 def test_mitigate_rejects_bad_counts(tmp_path, capsys, payload, message):

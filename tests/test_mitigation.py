@@ -366,11 +366,48 @@ def test_bootstrap_matches_per_resample_oracle(shots, singular, seed):
         value, std_error = bf.bootstrap_correlator(raw, shots, seed, m.matrix, _constrained_fit)
     except MitigationFailed:
         with pytest.raises(MitigationFailed):
-            mitigate_correlator(counts, m)
+            mitigate_correlator([counts], m)
         return
-    est = mitigate_correlator(counts, m)
+    est = mitigate_correlator([counts], m)[0]
     assert est.value == value
     assert est.std_error == std_error
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.integers(1, 6), st.booleans(), st.integers(0, 2**32 - 1))
+@example(6, False, 3)
+@example(2, True, 4)  # singular matrix: every resample takes the fit
+def test_batched_mitigation_matches_one_table_calls(k, singular, seed):
+    # many tables in one call give what one-table calls give, bit for bit: the
+    # value, the std_error and the note. The first table has seed None; the
+    # last has a zero count, which flips of at least 0.05 send below the
+    # inversion threshold, so its resamples take the fit
+    rng = np.random.default_rng(seed)
+    m = ConfusionMatrix.symmetric(0.5 if singular else rng.uniform(0.05, 0.3), num_bits=2)
+    tables = []
+    for i in range(k):
+        shots = int(rng.integers(1, 400))
+        raw = random_counts(4, shots, rng, alpha=1.0)
+        outcomes = dict(zip(("++", "+-", "-+", "--"), map(int, raw)))
+        tables.append(CountsTable(outcomes, shots, seed=None if i == 0 else seed + i))
+    tables.append(CountsTable({"++": 6, "+-": 0, "-+": 2, "--": 1}, 9, seed=seed))
+    try:
+        singles = [mitigate_correlator([counts], m)[0] for counts in tables]
+    except MitigationFailed:
+        with pytest.raises(MitigationFailed):
+            mitigate_correlator(tables, m)
+        return
+    fits = []
+    fit = mitigation._constrained_fit
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(mitigation, "_constrained_fit", lambda *args: fits.append(1) or fit(*args))
+        batch = mitigate_correlator(tables, m)
+    assert fits
+    assert len(batch) == len(tables)
+    assert [(e.value, e.std_error, e.note) for e in batch] == [
+        (e.value, e.std_error, e.note) for e in singles
+    ]
+    assert mitigate_correlator([], m) == ()
 
 
 # --- correlator mitigation -------------------------------------------------------
@@ -378,7 +415,7 @@ def test_bootstrap_matches_per_resample_oracle(shots, singular, seed):
 
 def test_identity_pair_matrix_preserves_estimate():
     counts = CountsTable({"++": 4000, "+-": 100, "-+": 150, "--": 3942}, 8192, seed=3)
-    est = mitigate_correlator(counts, ConfusionMatrix.identity(2))
+    est = mitigate_correlator([counts], ConfusionMatrix.identity(2))[0]
     probs = counts.probabilities()
     raw_value = probs[0] - probs[1] - probs[2] + probs[3]
     assert abs(est.value - raw_value) < 1e-12
@@ -388,7 +425,7 @@ def test_identity_pair_matrix_preserves_estimate():
 
 def test_concentrated_counts_with_identity_matrix():
     counts = CountsTable({"++": 500, "+-": 0, "-+": 0, "--": 0}, 500, seed=1)
-    est = mitigate_correlator(counts, ConfusionMatrix.identity(2))
+    est = mitigate_correlator([counts], ConfusionMatrix.identity(2))[0]
     assert est.value == 1.0
 
 
@@ -405,15 +442,15 @@ def test_correlator_mitigation_undoes_known_flips():
     raw = np.bincount(idx, minlength=4)
     counts = CountsTable(dict(zip(("++", "+-", "-+", "--"), map(int, raw))), n, seed=9)
     pair = ConfusionMatrix.symmetric(p, num_bits=2)
-    est = mitigate_correlator(counts, pair)
+    est = mitigate_correlator([counts], pair)[0]
     assert abs(est.value - 1.0) < 4 * max(est.std_error, 1e-4)
 
 
 def test_correlator_mitigation_is_deterministic():
     counts = CountsTable({"++": 3000, "+-": 1100, "-+": 900, "--": 3192}, 8192, seed=21)
     pair = ConfusionMatrix.symmetric(0.03, num_bits=2)
-    a = mitigate_correlator(counts, pair)
-    b = mitigate_correlator(counts, pair)
+    a = mitigate_correlator([counts], pair)[0]
+    b = mitigate_correlator([counts], pair)[0]
     assert a.value == b.value
     assert a.std_error == b.std_error
 
@@ -421,7 +458,7 @@ def test_correlator_mitigation_is_deterministic():
 def test_correlator_mitigation_needs_pair_matrix():
     counts = CountsTable({"++": 10, "+-": 0, "-+": 0, "--": 0}, 10)
     with pytest.raises(MitigationFailed):
-        mitigate_correlator(counts, ConfusionMatrix.identity(1))
+        mitigate_correlator([counts], ConfusionMatrix.identity(1))
 
 
 # --- the active-set fit against SLSQP ---------------------------------------------

@@ -140,7 +140,9 @@ def test_index_kernels_match_dense_projectors(n, kind, seed):
         assert np.abs(branch - p @ rho @ p).max() <= 1e-12
     assert abs(observables._expectation(rho, obs) - np.trace(q @ rho).real) <= 1e-12
     weights = [np.trace(p @ rho).real for _, p in bf.observable_pair(obs)]
-    assert np.abs(observables._true_law(rho, obs, 1) - weights).max() <= 1e-12
+    diagonal, value = np.real(np.diagonal(rho))[:, None], observables._expectation(rho, obs)
+    law = observables._true_law(diagonal, np.array([value]), obs, 1)
+    assert np.abs(law[0] - weights).max() <= 1e-12
 
 
 @pytest.mark.parametrize(
@@ -188,7 +190,7 @@ def test_register_mismatch_rejected():
     with pytest.raises(InvalidObservable):
         exact_correlator(rho, x_rotation(1.0), [sched])
     with pytest.raises(InvalidObservable):
-        sampled_correlator(rho, x_rotation(1.0), sched, 16)
+        sampled_correlator(rho, x_rotation(1.0), [sched], 16, None, [0])
 
 
 # --- exact correlator -------------------------------------------------------
@@ -619,9 +621,9 @@ def test_same_seed_reproduces_counts():
     rho = prepare_state("zero", 1).density_matrix()
     obs = sigma_z_observable(0, 1)
     sched = MeasurementSchedule((0.0, 0.9), obs, obs)
-    _, counts_a = sampled_correlator(rho, x_rotation(1.0), sched, 4096, seed=123)
-    _, counts_b = sampled_correlator(rho, x_rotation(1.0), sched, 4096, seed=123)
-    _, counts_c = sampled_correlator(rho, x_rotation(1.0), sched, 4096, seed=124)
+    _, counts_a = sampled_correlator(rho, x_rotation(1.0), [sched], 4096, None, [123])[0]
+    _, counts_b = sampled_correlator(rho, x_rotation(1.0), [sched], 4096, None, [123])[0]
+    _, counts_c = sampled_correlator(rho, x_rotation(1.0), [sched], 4096, None, [124])[0]
     assert counts_a.outcomes == counts_b.outcomes
     assert counts_a.outcomes != counts_c.outcomes
 
@@ -629,8 +631,8 @@ def test_same_seed_reproduces_counts():
 def test_single_shot_is_flagged():
     rho = prepare_state("plus", 1).density_matrix()
     obs = sigma_z_observable(0, 1)
-    est, counts = sampled_correlator(
-        rho, x_rotation(1.0), MeasurementSchedule((0.0, 0.5), obs, obs), 1, seed=5
+    ((est, counts),) = sampled_correlator(
+        rho, x_rotation(1.0), [MeasurementSchedule((0.0, 0.5), obs, obs)], 1, None, [5]
     )
     assert est.value in (-1.0, 1.0)
     assert np.isnan(est.std_error)
@@ -641,7 +643,7 @@ def test_quarter_period_correlator_concentrates_near_zero():
     rho = prepare_state("zero", 1).density_matrix()
     obs = sigma_z_observable(0, 1)
     sched = MeasurementSchedule((0.0, np.pi / 2), obs, obs)
-    est, _ = sampled_correlator(rho, x_rotation(1.0), sched, 8192, seed=31)
+    est, _ = sampled_correlator(rho, x_rotation(1.0), [sched], 8192, None, [31])[0]
     assert abs(est.value) <= 4.0 / np.sqrt(8192)
 
 
@@ -660,7 +662,7 @@ def test_sampled_matches_exact_within_four_sigma():
             (t_i, t_j), sigma_z_observable(q1, n), sigma_z_observable(q2, n)
         )
         exact = exact_correlator(rho, h, [sched])[0].value
-        est, _ = sampled_correlator(rho, h, sched, 4096, seed=1000 + trial)
+        est, _ = sampled_correlator(rho, h, [sched], 4096, None, [1000 + trial])[0]
         sigma = est.std_error if est.std_error > 0 else 1.0 / np.sqrt(4096)
         if abs(est.value - exact) > 4.0 * sigma:
             failures += 1
@@ -674,7 +676,7 @@ def test_counts_marginals_match_single_time_distributions():
     rho = prepare_state("zero", 1).density_matrix()
     obs = sigma_z_observable(0, 1)
     sched = MeasurementSchedule((0.0, tau), obs, obs)
-    est, counts = sampled_correlator(rho, x_rotation(gamma), sched, 8192, seed=8)
+    est, counts = sampled_correlator(rho, x_rotation(gamma), [sched], 8192, None, [8])[0]
     probs = counts.probabilities()
     # Q_i marginal: always +1
     assert probs[0] + probs[1] == 1.0
@@ -705,8 +707,8 @@ def test_symmetric_readout_flips_damp_products():
     rho = prepare_state("zero", 1).density_matrix()
     h = PauliSumHamiltonian.from_terms(1, [(0.0, "X")])
     obs = sigma_z_observable(0, 1)
-    est, _ = sampled_correlator(
-        rho, h, MeasurementSchedule((0.0, 1.0), obs, obs), 16384, noise=noise, seed=77
+    ((est, _),) = sampled_correlator(
+        rho, h, [MeasurementSchedule((0.0, 1.0), obs, obs)], 16384, noise, [77]
     )
     expected = (1 - 2 * p) ** 2
     assert abs(est.value - expected) < 4 * est.std_error
@@ -720,8 +722,8 @@ def test_asymmetric_readout_on_frozen_ground_state():
     rho = prepare_state("zero", 1).density_matrix()
     h = PauliSumHamiltonian.from_terms(1, [(0.0, "X")])
     obs = sigma_z_observable(0, 1)
-    est, counts = sampled_correlator(
-        rho, h, MeasurementSchedule((0.0, 1.0), obs, obs), 16384, noise=noise, seed=99
+    ((est, counts),) = sampled_correlator(
+        rho, h, [MeasurementSchedule((0.0, 1.0), obs, obs)], 16384, noise, [99]
     )
     probs = counts.probabilities()
     # marginal probability of recording -1 at either time is p10
@@ -739,8 +741,8 @@ def test_parity_readout_flips_damp_by_even_bit_count():
     rho = prepare_state("bell", 2).density_matrix()
     h = two_qubit_rotations(0.0, 0.0)
     obs = parity_observable([0, 1], 2)
-    est, _ = sampled_correlator(
-        rho, h, MeasurementSchedule((0.0, 0.5), obs, obs), 16384, noise=noise, seed=13
+    ((est, _),) = sampled_correlator(
+        rho, h, [MeasurementSchedule((0.0, 0.5), obs, obs)], 16384, noise, [13]
     )
     sign_flip = 0.5 * (1 - (1 - 2 * p) ** 2)
     expected = (1 - 2 * sign_flip) ** 2
@@ -754,8 +756,8 @@ def test_full_pair_confusion_matrix_accepted():
     rho = prepare_state("bell", 2).density_matrix()
     h = two_qubit_rotations(0.0, 0.0)
     obs = parity_observable([0, 1], 2)
-    est, _ = sampled_correlator(
-        rho, h, MeasurementSchedule((0.0, 0.5), obs, obs), 16384, noise=noise, seed=21
+    ((est, _),) = sampled_correlator(
+        rho, h, [MeasurementSchedule((0.0, 0.5), obs, obs)], 16384, noise, [21]
     )
     sign_flip = 0.5 * (1 - (1 - 2 * p) ** 2)
     expected = (1 - 2 * sign_flip) ** 2
@@ -769,7 +771,7 @@ def test_sampled_global_parity_agrees_with_exact_engine():
     for tau in (0.6, 1.9):
         sched = MeasurementSchedule((0.0, tau), obs, obs)
         exact = exact_correlator(rho, h, [sched])[0].value
-        est, _ = sampled_correlator(rho, h, sched, 8192, seed=55)
+        est, _ = sampled_correlator(rho, h, [sched], 8192, None, [55])[0]
         assert abs(est.value - exact) < 4 * max(est.std_error, 1e-3)
 
 
@@ -777,7 +779,8 @@ def test_invalid_shot_count():
     rho = prepare_state("zero", 1).density_matrix()
     obs = sigma_z_observable(0, 1)
     with pytest.raises(ValueError):
-        sampled_correlator(rho, x_rotation(1.0), MeasurementSchedule((0.0, 1.0), obs, obs), 0)
+        sched = MeasurementSchedule((0.0, 1.0), obs, obs)
+        sampled_correlator(rho, x_rotation(1.0), [sched], 0, None, [0])
 
 
 # --- recorded law of the sampled engine ---------------------------------------
@@ -794,7 +797,7 @@ def test_recorded_law_mean_is_the_exact_correlator(case):
     # without readout the sampled engine's law has the exact correlator as
     # its mean, for every collapse kind, dynamics and noise
     rho, dynamics, sched, noise, *_ = build_correlator_case(case)
-    law = observables._recorded_law(rho, dynamics, sched, noise)
+    (law,) = observables._recorded_laws(rho, dynamics, [sched], noise)
     assert law.shape == (4,) and law.min() >= 0.0
     assert abs(law.sum() - 1.0) <= 1e-12
     exact = exact_correlator(rho, dynamics, [sched], noise)[0].value
@@ -835,10 +838,88 @@ def test_recorded_law_matches_per_shot_oracle(case, kind):
     # sampler, which draws and flips the bits of every shot one by one
     rho, dynamics, sched, noise = with_readout(case, kind)
     shots = 20_000
-    law = observables._recorded_law(rho, dynamics, sched, noise)
+    (law,) = observables._recorded_laws(rho, dynamics, [sched], noise)
     _, counts = bf.per_shot_correlator(rho, dynamics, sched, shots, noise, seed=case[-1])
     sigma = np.sqrt(law * (1.0 - law) / shots)
     assert np.all(np.abs(counts.vector() / shots - law) <= 5.0 * sigma + 1e-12)
+
+
+def with_readout_flips(case, noise):
+    """``noise`` with asymmetric per-bit readout flips drawn from the case."""
+    rng = np.random.default_rng(case[-1] + 2)
+    flips = ConfusionMatrix(1, bf.flip_matrix(*rng.uniform(0.0, 0.3, size=2)))
+    return replace(noise or NoiseModel(), readout_confusion=flips)
+
+
+@settings(max_examples=60, deadline=None)
+@given(batch_cases(), st.booleans())
+@example((3, True, "pure", ["bitwise", "x", "z", "parity", "z", "x"], [5, 3, 1, 0, 2, 4], 61), True)
+@example((3, False, "pure", ["parity", "bitwise", "x", "z"], [2, 0, 3, 1], 62), True)
+@example((3, False, "mixed", ["z", "bitwise", "x", "parity"], [2, 0, 3, 1], 63), True)
+@example((2, True, "noisy", ["x", "z", "z", "parity", "bitwise"], [4, 1, 0, 3, 2], 64), False)
+def test_batched_law_matches_one_schedule_batches(case, readout):
+    # one law batch gives what one-schedule batches give, in the order of the
+    # batch, on state vectors (a pure start) and on density matrices; without
+    # readout each law's mean is the exact correlator. The density path is
+    # equal bit for bit, as for exact_correlator
+    rho, dynamics, noise, batch = build_batch(case)
+    if readout:
+        noise = with_readout_flips(case, noise)
+    schedules = [sched for sched, *_ in batch]
+    laws = observables._recorded_laws(rho, dynamics, schedules, noise)
+    assert laws.shape == (len(schedules), 4)
+    singles = np.array(
+        [observables._recorded_laws(rho, dynamics, [sched], noise)[0] for sched in schedules]
+    ).reshape(-1, 4)
+    if case[2] != "pure":
+        assert np.array_equal(laws, singles)
+    np.testing.assert_allclose(laws, singles, rtol=0, atol=1e-12)
+    if schedules:
+        assert laws.min() >= 0.0 and np.abs(laws.sum(axis=1) - 1.0).max() <= 1e-12
+    if not readout:
+        exact = [est.value for est in exact_correlator(rho, dynamics, schedules, noise)]
+        np.testing.assert_allclose(laws @ PAIR_SIGNS, exact, rtol=0, atol=1e-12)
+    order = case[4]
+    shuffled = observables._recorded_laws(rho, dynamics, [schedules[i] for i in order], noise)
+    np.testing.assert_allclose(shuffled, laws[order].reshape(-1, 4), rtol=0, atol=1e-12)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(batch_cases().filter(lambda case: case[3]), st.booleans())
+@example((3, True, "pure", ["bitwise", "x", "parity"], [2, 1, 0], 71), True)
+@example((2, False, "mixed", ["parity", "z", "x"], [2, 1, 0], 72), True)
+def test_batched_law_matches_per_shot_oracle(case, readout):
+    # every cell of every law of a batch against the frequencies of the
+    # per-shot sampler, run one schedule at a time
+    rho, dynamics, noise, batch = build_batch(case)
+    if readout:
+        noise = with_readout_flips(case, noise)
+    schedules = [sched for sched, *_ in batch]
+    laws = observables._recorded_laws(rho, dynamics, schedules, noise)
+    shots = 20_000
+    for index, (sched, law) in enumerate(zip(schedules, laws)):
+        _, counts = bf.per_shot_correlator(rho, dynamics, sched, shots, noise, seed=case[-1] + index)
+        sigma = np.sqrt(law * (1.0 - law) / shots)
+        assert np.all(np.abs(counts.vector() / shots - law) <= 5.0 * sigma + 1e-12)
+
+
+def test_sampled_batch_draws_each_schedule_from_its_own_seed():
+    # a batch draws what one-schedule calls with the same seeds draw, and a
+    # seed list of the wrong length is refused
+    rho = prepare_state("bell", 2).density_matrix()
+    obs = parity_observable([0, 1], 2)
+    h = two_qubit_rotations(1.0, 0.4)
+    noise = NoiseModel(readout_confusion=ConfusionMatrix.symmetric(0.05))
+    schedules = [MeasurementSchedule(w, obs, obs) for w in ((0.0, 0.4), (0.4, 0.8), (0.0, 0.8))]
+    seeds = [11, 12, 11]
+    batch = sampled_correlator(rho, h, schedules, 2048, noise, seeds)
+    for (est, counts), sched, seed in zip(batch, schedules, seeds):
+        ((single, single_counts),) = sampled_correlator(rho, h, [sched], 2048, noise, [seed])
+        assert counts.outcomes == single_counts.outcomes and counts.seed == seed
+        assert est == single
+    assert sampled_correlator(rho, h, [], 2048, noise, []) == ()
+    with pytest.raises(ValueError, match="2 seeds for 3 schedules"):
+        sampled_correlator(rho, h, schedules, 2048, noise, seeds[:2])
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -847,7 +928,7 @@ def test_sampled_within_five_sigma_of_exact(case):
     rho, dynamics, sched, noise, *_ = build_correlator_case(case)
     shots = 4096
     exact = exact_correlator(rho, dynamics, [sched], noise)[0].value
-    est, counts = sampled_correlator(rho, dynamics, sched, shots, noise, seed=case[-1])
+    est, counts = sampled_correlator(rho, dynamics, [sched], shots, noise, [case[-1]])[0]
     assert counts.n_shots == shots == est.n_shots
     sigma = np.sqrt(max(1.0 - exact**2, 0.0) / shots)
     assert abs(est.value - exact) <= 5.0 * sigma + 1e-12
@@ -857,7 +938,7 @@ def test_std_error_is_the_per_shot_sample_deviation():
     rho = prepare_state("plus", 1).density_matrix()
     obs = sigma_z_observable(0, 1)
     sched = MeasurementSchedule((0.2, 0.9), obs, obs)
-    est, counts = sampled_correlator(rho, x_rotation(1.3), sched, 300, seed=4)
+    est, counts = sampled_correlator(rho, x_rotation(1.3), [sched], 300, None, [4])[0]
     products = np.repeat(PAIR_SIGNS, counts.vector().astype(int))
     assert est.value == products.mean()
     assert abs(est.std_error - products.std(ddof=1) / np.sqrt(300)) <= 1e-15
@@ -865,16 +946,22 @@ def test_std_error_is_the_per_shot_sample_deviation():
 
 @pytest.mark.parametrize("scale", [1.0 + 1e-9, 1.0 - 1e-9])
 def test_recorded_law_is_checked(monkeypatch, scale):
-    # branches whose evolution lost or gained trace must not be sampled
-    evolve = observables._evolve_segment
+    # branches whose evolution lost or gained trace must not be sampled, on
+    # state vectors (a pure start) and on density matrices (a mixed one)
+    evolve_segment, evolve_vectors = observables._evolve_segment, observables._evolve_vectors
 
     def leaky(rho, *args):
-        out = evolve(rho, *args)
+        out = evolve_segment(rho, *args)
         return DensityMatrix._trusted(out.num_qubits, scale * out.matrix)
 
     monkeypatch.setattr(observables, "_evolve_segment", leaky)
-    rho = prepare_state("bell", 2).density_matrix()
+    monkeypatch.setattr(
+        observables, "_evolve_vectors", lambda psi, *args: np.sqrt(scale) * evolve_vectors(psi, *args)
+    )
+    pure = prepare_state("bell", 2).density_matrix()
+    mixed = DensityMatrix(2, 0.8 * pure.matrix + 0.05 * np.eye(4))
     obs = parity_observable([0, 1], 2)
     sched = MeasurementSchedule((0.3, 0.9), obs, obs)
-    with pytest.raises(InvalidState, match="law"):
-        sampled_correlator(rho, two_qubit_rotations(1.0, 0.4), sched, 64)
+    for rho in (pure, mixed):
+        with pytest.raises(InvalidState, match="law"):
+            sampled_correlator(rho, two_qubit_rotations(1.0, 0.4), [sched], 64, None, [0])

@@ -83,7 +83,7 @@ def test_mitigation_hook_sees_each_point_estimate(monkeypatch):
 
     monkeypatch.setattr(mitigation, "mitigate", counting)
     counts = CountsTable({"++": 3000, "+-": 1100, "-+": 900, "--": 3192}, 8192, seed=21)
-    mitigation.mitigate_correlator(counts, ConfusionMatrix.symmetric(0.03, num_bits=2))
+    mitigation.mitigate_correlator([counts], ConfusionMatrix.symmetric(0.03, num_bits=2))
     assert len(calls) == 1
     kwargs, out = calls[0]
     assert kwargs == {"return_method": True}
