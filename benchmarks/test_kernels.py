@@ -77,6 +77,14 @@ def test_noisy_trotter_step(benchmark, n):
     benchmark(_evolve_segment, rho, evo, DT, NOISE)
 
 
+def tau_grid_schedules(first, second):
+    return [
+        MeasurementSchedule(window, first, second)
+        for tau in np.linspace(0.0, 2.0 * np.pi, 75)
+        for window in ((0.0, tau), (tau, 2.0 * tau), (0.0, 2.0 * tau))
+    ]
+
+
 @pytest.mark.parametrize("n", SIZES)
 def test_exact_tau_grid_batch(benchmark, n):
     # the three windows of 75 taus in one call, as a region scan evaluates
@@ -88,14 +96,6 @@ def test_exact_tau_grid_batch(benchmark, n):
     schedules = tau_grid_schedules(first, second)
     exact_correlator(rho, h, schedules)
     benchmark(exact_correlator, rho, h, schedules)
-
-
-def tau_grid_schedules(first, second):
-    return [
-        MeasurementSchedule(window, first, second)
-        for tau in np.linspace(0.0, 2.0 * np.pi, 75)
-        for window in ((0.0, tau), (tau, 2.0 * tau), (0.0, 2.0 * tau))
-    ]
 
 
 @pytest.mark.parametrize("n", SIZES)

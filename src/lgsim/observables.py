@@ -546,9 +546,9 @@ def _to_signs(bits: int) -> np.ndarray:
 
 def _true_law(diagonals, values, obs: DichotomicObservable, bits: int) -> np.ndarray:
     """Weights Tr[P y] of the outcomes of ``obs`` on operators y, one row
-    each, from their diagonals (the columns of ``diagonals``) and ``values``
-    Tr[Q y]: one per bit pattern of its qubits when ``bits`` > 1, else plus
-    then minus, (Tr y +/- Tr[Q y]) / 2."""
+    each, from their diagonals (the columns of ``diagonals``): one per bit
+    pattern of its qubits when ``bits`` > 1, else plus then minus,
+    (Tr y +/- Tr[Q y]) / 2 with Tr[Q y] from ``values``."""
     if bits > 1:
         return diagonals.T @ np.eye(2**bits)[_pattern_keys(len(diagonals), obs.qubits)]
     totals = diagonals.sum(axis=0)
@@ -627,7 +627,7 @@ def _recorded_laws(
             state = first[sched.t_first]
             pure = isinstance(state, PureState)
             diagonal = np.abs(state.amplitudes) ** 2 if pure else np.real(np.diagonal(state.matrix))
-            pattern = _true_law(diagonal[:, None], values, obs1, bits1)[0]
+            pattern = _true_law(diagonal[:, None], None, obs1, bits1)[0]
             law = pattern[:, None] * given[(1 - _pattern_signs(bits1)) // 2]
         total = law.sum()
         # written so that NaN entries fail too

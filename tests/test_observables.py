@@ -778,8 +778,8 @@ def test_sampled_global_parity_agrees_with_exact_engine():
 def test_invalid_shot_count():
     rho = prepare_state("zero", 1).density_matrix()
     obs = sigma_z_observable(0, 1)
+    sched = MeasurementSchedule((0.0, 1.0), obs, obs)
     with pytest.raises(ValueError):
-        sched = MeasurementSchedule((0.0, 1.0), obs, obs)
         sampled_correlator(rho, x_rotation(1.0), [sched], 0, None, [0])
 
 
@@ -857,6 +857,8 @@ def with_readout_flips(case, noise):
 @example((3, False, "pure", ["parity", "bitwise", "x", "z"], [2, 0, 3, 1], 62), True)
 @example((3, False, "mixed", ["z", "bitwise", "x", "parity"], [2, 0, 3, 1], 63), True)
 @example((2, True, "noisy", ["x", "z", "z", "parity", "bitwise"], [4, 1, 0, 3, 2], 64), False)
+# density branches whose longer Trotter segment continues from a shorter one
+@example((2, True, "mixed", ["z", "z", "x", "z", "bitwise"], [4, 3, 2, 1, 0], 60), False)
 def test_batched_law_matches_one_schedule_batches(case, readout):
     # one law batch gives what one-schedule batches give, in the order of the
     # batch, on state vectors (a pure start) and on density matrices; without
