@@ -258,43 +258,36 @@ def tau_scan(
     """Evaluate C12(0, t), C23(t, 2t), C13(0, 2t) and assemble the three
     combinations at every grid point, in grid order.
 
-    Either engine evaluates the whole grid in one batch
-    (``exact_correlator`` or ``sampled_correlator``) under Hamiltonian
+    Either engine evaluates the whole grid in one batch under Hamiltonian
     dynamics, and one batch of three per grid point under Trotter dynamics,
     whose step depends on tau. Sampled runs draw each (grid point,
-    correlator) from its own seed, derived from the master seed. A mitigated
-    run then mitigates every counts table of the scan in one
-    ``mitigate_correlator`` call.
+    correlator) from its own seed, derived from the master seed; a mitigated
+    one then mitigates every counts table in one ``mitigate_correlator`` call.
     """
     from .mitigation import mitigate_correlator
 
     taus = _validate_grid(tau_grid)
-    master_seed = engine.seed
-    if engine.kind == "sampled" and master_seed is None:
+    master_seed, sampled = engine.seed, engine.kind == "sampled"
+    if sampled and master_seed is None:
         master_seed = int(np.random.SeedSequence().entropy)
-    pair_confusion = _pair_confusion(setup) if engine.mitigate else None
-    rho0 = setup.rho0
-
-    def dynamics(tau: float):
-        if setup.trotter_steps_per_tau is None:
-            return setup.hamiltonian
-        return TrotterEvolution(setup.hamiltonian, tau / setup.trotter_steps_per_tau)
-
-    def schedules(tau: float) -> list[MeasurementSchedule]:
-        windows = ((0.0, tau), (tau, 2.0 * tau), (0.0, 2.0 * tau))
-        return [
-            MeasurementSchedule(w, setup.first_observable, setup.second_observable)
-            for w in windows
-        ]
+    # only drawn counts are mitigated; the exact engine ignores the flag
+    pair_confusion = _pair_confusion(setup) if sampled and engine.mitigate else None
+    rho0, steps_per_tau = setup.rho0, setup.trotter_steps_per_tau
 
     # one batch per dynamics: the whole grid, or each tau when dt follows it
     points = range(len(taus))
-    groups = [points] if setup.trotter_steps_per_tau is None else [[i] for i in points]
+    groups = [points] if steps_per_tau is None else [[i] for i in points]
     estimates, tables = [], []
     for group in groups:
-        batch = [sched for i in group for sched in schedules(taus[i])]
-        evolution = dynamics(taus[group[0]])
-        if engine.kind == "exact":
+        batch = [
+            MeasurementSchedule(w, setup.first_observable, setup.second_observable)
+            for tau in (taus[i] for i in group)
+            for w in ((0.0, tau), (tau, 2.0 * tau), (0.0, 2.0 * tau))
+        ]
+        evolution = setup.hamiltonian
+        if steps_per_tau is not None:
+            evolution = TrotterEvolution(setup.hamiltonian, taus[group[0]] / steps_per_tau)
+        if not sampled:
             estimates += exact_correlator(rho0, evolution, batch, setup.noise)
         else:
             seeds = [_child_seed(master_seed, i, c_index) for i in group for c_index in range(3)]

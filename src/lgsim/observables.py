@@ -24,19 +24,14 @@ their parity (the lumping that readout mitigation applies to the readout
 map), and draws each schedule's shot counts with one multinomial.
 
 Both engines take a batch of schedules that share rho_0, the dynamics and
-the noise model, and return one result per schedule, in order. What the
-batch shares: the register check of every schedule runs before any
-evolution, the rank-one test runs once, each distinct first time t_i gets
-one checked rho_i (or psi_i) from ``evolve_density``, and each distinct
-first measurement (t_i, Q_i) one signed collapse M(rho_i), one set of
-branches or one block of branch columns. Under Trotter dynamics a longer
-second segment from the same first measurement continues from the end of a
-shorter one (C13 from C12 in a tau scan); exact segments are not chained.
-On state vectors the branch columns of all schedules are evolved in one
-stacked block. What still runs per schedule: the check of its evolved
-second segment (the branch norms must still sum to the norm of psi_i,
-M(rho_i)'s image must stay Hermitian and keep its trace, a law must be a
-distribution), |C| <= 1, the readout maps and lumping, and the draw.
+the noise model, and return one result per schedule, in order. The batch
+shares the register checks and the rank-one test, one checked rho_i (or
+psi_i) from ``evolve_density`` per distinct first time t_i, and one
+collapse per distinct first measurement (t_i, Q_i). On state vectors the
+branch columns of all schedules go through one stacked evolution; under
+Trotter dynamics a longer second segment continues from a shorter one (C13
+from C12 in a tau scan). The checks of each evolved second segment, |C| <=
+1, the readout maps and the draw stay per schedule.
 
 An observable is stored as a signed bit flip (``DichotomicObservable``), so
 both engines apply it by indexing the state, never as a 2^n x 2^n matrix.
@@ -55,7 +50,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -371,29 +366,20 @@ def _branch_vectors(psi: np.ndarray, obs: DichotomicObservable) -> tuple[np.ndar
 
 
 def _first_states(rho0: DensityMatrix, dynamics: Dynamics, schedules: tuple, noise) -> dict:
-    """The register check of every schedule, then one checked rho_i (or
-    psi_i, for a rank-one rho0 and a noise model without channels) per
-    distinct first time t_i from ``evolve_density``."""
+    """The register checks, then rho_i (psi_i on state vectors) per distinct t_i."""
     for sched in schedules:
         _check_register(rho0, sched)
-    start = None if _has_channel(noise) else _state_vector(rho0)
-    start = rho0 if start is None else start
-    first = {}
-    for sched in schedules:
-        if sched.t_first not in first:
-            first[sched.t_first] = evolve_density(start, dynamics, 0.0, sched.t_first, noise)
-    return first
+    start = (None if _has_channel(noise) else _state_vector(rho0)) or rho0
+    times = dict.fromkeys(sched.t_first for sched in schedules)
+    return {t: evolve_density(start, dynamics, 0.0, t, noise) for t in times}
 
 
 def _evolved_branches(
     first: dict[float, PureState], dynamics: Dynamics, schedules: tuple[MeasurementSchedule, ...]
 ) -> tuple[np.ndarray, np.ndarray, list[int], np.ndarray]:
-    """Branches phi_n = U(t_j - t_i) P_n psi_i of every schedule as the
-    columns of one block, schedule by schedule; their values q_n; the
-    column count of each schedule; and Re <phi_n| Q_j |phi_n>, read on all
-    columns of one Q_j at once. Each distinct first measurement (t_i, Q_i)
-    gets one branch block, and all columns but those of same-time schedules
-    go through one ``_evolve_vectors`` call."""
+    """|phi_n|^2 of the branches phi_n = U(t_j - t_i) P_n psi_i of every
+    schedule as the columns of one block, schedule by schedule; their values
+    q_n; the column count of each schedule; and Re <phi_n| Q_j |phi_n>."""
     blocks: list[np.ndarray] = []
     branches: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
     readouts: dict[DichotomicObservable, int] = {}
@@ -423,20 +409,20 @@ def _evolved_branches(
     for obs, index in readouts.items():
         read = readers == index
         q_phi[:, read] = _apply(obs, phi[:, read])
-    return phi, np.concatenate(signs), counts, np.real(np.sum(phi.conj() * q_phi, axis=0))
+    values = np.real(np.sum(phi.conj() * q_phi, axis=0))
+    return np.real(phi.conj() * phi), np.concatenate(signs), counts, values
 
 
 def _pure_values(
     first: dict[float, PureState], dynamics: Dynamics, schedules: tuple[MeasurementSchedule, ...]
 ) -> np.ndarray:
-    """C = sum_n q_n <phi_n| Q_j |phi_n> on the branches of
-    ``_evolved_branches``. The branch norms of each schedule must still sum
-    to the norm of its psi_i (which comes checked from ``evolve_density``),
+    """C = sum_n q_n <phi_n| Q_j |phi_n> (``_evolved_branches``). The branch
+    norms of each schedule must still sum to the norm of its checked psi_i,
     within ``NORM_TOL``."""
-    phi, signs, counts, branch_values = _evolved_branches(first, dynamics, schedules)
+    weights, signs, counts, branch_values = _evolved_branches(first, dynamics, schedules)
     expected = {t: np.vdot(psi.amplitudes, psi.amplitudes).real for t, psi in first.items()}
     first_column = np.cumsum(counts) - counts
-    norms = np.add.reduceat(np.real(np.sum(phi.conj() * phi, axis=0)), first_column)
+    norms = np.add.reduceat(weights.sum(axis=0), first_column)
     drift = np.abs(norms - [expected[sched.t_first] for sched in schedules])
     if not np.all(drift <= NORM_TOL):  # NaN fails too
         raise InvalidState(
@@ -446,32 +432,30 @@ def _pure_values(
     return np.add.reduceat(signs * branch_values, first_column)
 
 
-def _second_images(first, dynamics, schedules, noise, starts):
-    """(index, start operators, their images) per schedule, unchecked. Each
-    distinct first measurement (t_i, Q_i) gets one list of start operators
-    ``starts(rho_i, Q_i)``, evolved in step over its schedules' second
-    segments in ascending order. A Trotter segment continues from the end
-    of the previous one, through the same steps in the same order. An exact
-    segment starts from the start operators each time: with relaxation,
-    relax(t) U(t) applied twice is not relax(2t) U(2t)."""
+def _second_images(first, dynamics, schedules, noise, starts, read):
+    """(index, reads) per schedule: ``read(Q_j, y)`` of each image y, unchecked,
+    of the list ``starts(rho_i, Q_i)`` evolved over its second segment. A
+    Trotter segment continues in place from the last one; an exact segment
+    starts afresh (relax(t) U(t) twice is not relax(2t) U(2t))."""
+    trotter = isinstance(dynamics, TrotterEvolution)
     groups: dict[tuple, list[int]] = {}
     for index, sched in enumerate(schedules):
         groups.setdefault((sched.t_first, sched.first_observable), []).append(index)
     for (t_first, obs), members in groups.items():
-        xs = starts(first[t_first].matrix, obs)
-        signed = [DensityMatrix._trusted(first[t_first].num_qubits, x) for x in xs]
-        current, done = signed, 0
+        n, done = first[t_first].num_qubits, 0
+        current = [DensityMatrix._trusted(n, x) for x in starts(first[t_first].matrix, obs)]
         for index in sorted(members, key=lambda i: schedules[i].t_second):
             duration = schedules[index].t_second - t_first
-            if isinstance(dynamics, TrotterEvolution):
-                steps = dynamics.segment_steps(duration)
-                if steps > done:
-                    step = (steps - done) * dynamics.dt
-                    current = [_evolve_segment(y, dynamics, step, noise) for y in current]
-                    done = steps
-            elif duration > 0:
-                current = [_evolve_segment(x, dynamics, duration, noise) for x in signed]
-            yield index, xs, [y.matrix for y in current]
+            steps = dynamics.segment_steps(duration) if trotter else 0
+            for k, y in enumerate(current if steps > done else ()):
+                current[k] = _evolve_segment(y, dynamics, (steps - done) * dynamics.dt, noise)
+            done, fresh = max(done, steps), duration > 0 and not trotter
+            images = (
+                (_evolve_segment(x, dynamics, duration, noise) if fresh else x).matrix
+                for x in current
+            )
+            # map holds no image past its read; a comprehension variable would
+            yield index, list(map(partial(read, schedules[index].second_observable), images))
 
 
 def _density_values(
@@ -480,24 +464,24 @@ def _density_values(
     schedules: tuple[MeasurementSchedule, ...],
     noise: "NoiseModel | None",
 ) -> np.ndarray:
-    """C = Tr[Q_j E_{i->j}(M(rho_i))] on density matrices: each distinct
-    first measurement gets one signed collapse M(rho_i) (``_second_images``).
-    Every image must stay Hermitian and keep its trace <Q_i>, both within
-    ``NORM_TOL``."""
+    """C = Tr[Q_j E_{i->j}(M(rho_i))] on density matrices (``_second_images``
+    of one signed collapse M(rho_i)). Every image must stay Hermitian and
+    keep its trace <Q_i>, both within ``NORM_TOL``."""
     values = np.empty(len(schedules))
     images = _second_images(
-        first, dynamics, schedules, noise, lambda rho, obs: [_signed_collapse(rho, obs)]
+        first, dynamics, schedules, noise, lambda rho, obs: [_signed_collapse(rho, obs)],
+        lambda obs, y: (np.abs(y - y.conj().T).max(), np.trace(y), _expectation(y, obs)),
     )
-    for index, (x,), (y,) in images:
-        deviation = float(np.abs(y - y.conj().T).max())
-        drift = abs(np.trace(y) - np.trace(x))
+    for index, [(deviation, trace, value)] in images:
+        sched = schedules[index]
+        drift = abs(trace - _expectation(first[sched.t_first].matrix, sched.first_observable))
         # written so that NaN or inf entries fail too
         if not (deviation <= NORM_TOL and drift <= NORM_TOL):
             raise InvalidState(
                 f"evolved first-measurement operator drifted: Hermiticity {deviation}, "
                 f"trace {drift} (tolerance {NORM_TOL})"
             )
-        values[index] = _expectation(y, schedules[index].second_observable)
+        values[index] = value
     return values
 
 
@@ -508,23 +492,17 @@ def exact_correlator(
     noise: "NoiseModel | None" = None,
 ) -> tuple[CorrelatorEstimate, ...]:
     """Two-time correlators C = Tr[Q_j E_{i->j}(M(rho_i))] of a batch of
-    schedules that share ``rho0``, the dynamics and the noise model, one per
-    schedule, in order; the module docstring lists what the batch shares.
-    Decoherence channels are interleaved between the evolution segments when
-    a noise model is given; readout confusion never enters the exact value.
-
-    A rank-one rho0 under a noise model without channels is evaluated on
-    state vectors (``_pure_values``), else on density matrices
-    (``_density_values``). The branch states P_n rho_i P_n are PSD because
-    rho_i is, and every segment map is unitary or a complete channel, so
-    they stay PSD without a check of their own; |C| <= 1 is checked by
-    ``CorrelatorEstimate``.
+    schedules, one per schedule, in order (``_pure_values`` on state vectors,
+    else ``_density_values``). Decoherence channels are interleaved between
+    the evolution segments when a noise model is given; readout confusion
+    never enters the exact value. The branch states P_n rho_i P_n are PSD
+    because rho_i is, and every segment map is unitary or a complete
+    channel, so they stay PSD without a check of their own; |C| <= 1 is
+    checked by ``CorrelatorEstimate``.
     """
     schedules = tuple(schedules)
     first = _first_states(rho0, dynamics, schedules, noise)
-    if not schedules:
-        return ()
-    if isinstance(first[schedules[0].t_first], PureState):
+    if schedules and isinstance(first[schedules[0].t_first], PureState):
         values = _pure_values(first, dynamics, schedules)
     else:
         values = _density_values(first, dynamics, schedules, noise)
@@ -583,34 +561,31 @@ def _recorded_laws(
     noise: "NoiseModel | None" = None,
 ) -> np.ndarray:
     """Exact laws of the recorded (Q_i, Q_j) pairs of a batch, one row per
-    schedule in ``OUTCOME_KEYS`` order, read from the evolved branches
-    (``_evolved_branches`` or ``_second_images``). A measurement is
-    resolved into bit patterns where a readout flips bits or a bitwise
-    collapse needs them. Each law must be non-negative and sum to 1 within
-    ``NORM_TOL``; it then goes through the readout map of each measurement
-    and is coarse-grained to signs."""
+    schedule in ``OUTCOME_KEYS`` order, read from the diagonals and Tr[Q_j y]
+    of its evolved branches y. A measurement is resolved into bit patterns
+    where a readout flips bits or a bitwise collapse needs them. Each law
+    must be a distribution within ``NORM_TOL``; it then goes through the
+    readout map of each measurement and is coarse-grained to signs."""
     schedules = tuple(schedules)
     readout = noise.readout_confusion if noise is not None else None
     # readout maps first, so an unreadable observable fails before any evolution
-    maps = {
-        obs: _readout_on(obs, readout)
-        for sched in (schedules if readout is not None else ())
-        for obs in (sched.first_observable, sched.second_observable)
-    }
+    observed = [(s.first_observable, s.second_observable) for s in schedules if readout is not None]
+    maps = {obs: _readout_on(obs, readout) for pair in observed for obs in pair}
     first = _first_states(rho0, dynamics, schedules, noise)
-    if schedules and isinstance(first[schedules[0].t_first], PureState):
-        # |phi_n|^2 and Re <phi_n| Q_j |phi_n> of each schedule's columns
-        phi, _, counts, values = _evolved_branches(first, dynamics, schedules)
+    pure = bool(schedules) and isinstance(first[schedules[0].t_first], PureState)
+    if pure:
+        weights, _, counts, values = _evolved_branches(first, dynamics, schedules)
         ends = np.cumsum(counts)[:-1]
-        weights = np.split(np.real(phi.conj() * phi), ends, axis=1)
-        branches = list(zip(weights, np.split(values, ends)))
+        branches = list(zip(np.split(weights, ends, axis=1), np.split(values, ends)))
     else:
-        # the diagonals and Tr[Q_j y_a] of the evolved branches y_a = E(P_a rho_i P_a)
         branches = [()] * len(schedules)
-        for index, _, ys in _second_images(first, dynamics, schedules, noise, _collapse_branches):
-            obs = schedules[index].second_observable
-            diagonals = np.stack([np.real(np.diagonal(y)) for y in ys], axis=1)
-            branches[index] = (diagonals, np.array([_expectation(y, obs) for y in ys]))
+        images = _second_images(
+            first, dynamics, schedules, noise, _collapse_branches,
+            lambda obs, y: (np.real(np.diagonal(y)).copy(), _expectation(y, obs)),
+        )
+        for index, reads in images:
+            diagonals, values = zip(*reads)
+            branches[index] = (np.stack(diagonals, axis=1), np.array(values))
     laws = np.empty((len(schedules), len(OUTCOME_KEYS)))
     for index, (sched, (diagonals, values)) in enumerate(zip(schedules, branches)):
         obs1, obs2 = sched.first_observable, sched.second_observable
@@ -625,7 +600,6 @@ def _recorded_laws(
             totals = law.sum(axis=1, keepdims=True)
             given = np.divide(law, totals, out=np.zeros_like(law), where=totals > 0)
             state = first[sched.t_first]
-            pure = isinstance(state, PureState)
             diagonal = np.abs(state.amplitudes) ** 2 if pure else np.real(np.diagonal(state.matrix))
             pattern = _true_law(diagonal[:, None], None, obs1, bits1)[0]
             law = pattern[:, None] * given[(1 - _pattern_signs(bits1)) // 2]
@@ -651,15 +625,13 @@ def sampled_correlator(
     noise: "NoiseModel | None",
     seeds: Sequence[int | None],
 ) -> tuple[tuple[CorrelatorEstimate, CountsTable], ...]:
-    """Shot-sampled two-time correlators of a batch of schedules that share
-    ``rho0``, the dynamics and the noise model (which may be None): one
-    (estimate, counts) pair per schedule, in order. The recorded laws are
-    exact (``_recorded_laws``, every read bit passed through
-    ``noise.readout_confusion`` when it is set), and all ``n_shots`` counts
-    of a schedule are drawn from its law by one multinomial seeded by its
-    entry in ``seeds``. The value is the mean of the +/-1 products and
-    ``std_error`` their sample deviation over sqrt(n), sqrt((1 - value^2) /
-    (n - 1)); it is NaN for a single shot.
+    """Shot-sampled two-time correlators of a batch of schedules, one
+    (estimate, counts) pair per schedule, in order; ``noise`` may be None.
+    All ``n_shots`` counts of a schedule are drawn from its exact recorded
+    law (``_recorded_laws``, read through ``noise.readout_confusion`` when
+    it is set) by one multinomial seeded by its entry in ``seeds``. The
+    value is the mean of the +/-1 products and ``std_error`` their sample
+    deviation over sqrt(n), sqrt((1 - value^2) / (n - 1)); NaN for one shot.
     """
     if n_shots < 1:
         raise ValueError(f"n_shots must be >= 1, got {n_shots}")

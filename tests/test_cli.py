@@ -378,6 +378,35 @@ def test_scan_mitigate_flag_runs(tmp_path):
     assert manifest["config"]["engine"]["mitigate"] is True
 
 
+@pytest.mark.parametrize(
+    "scenario, parameters",
+    [
+        ("single_qubit", {"gamma": 1.0}),
+        ("bell_pair_lgi_global", {"gamma1": 1.0, "gamma2": 0.8}),
+    ],
+)
+def test_exact_scan_ignores_mitigate_under_readout_noise(tmp_path, scenario, parameters):
+    # readout confusion never enters the exact value, so there are no counts
+    # to mitigate: --mitigate must give the full, unchanged exact scan
+    config = write_config(
+        tmp_path / "config.json",
+        {
+            "scenario": scenario,
+            "parameters": parameters,
+            "engine": {"kind": "exact"},
+            "grid": {"n_points": 6},
+            "noise": {"readout_flip": 0.03},
+        },
+    )
+    scans = []
+    for name, flags in (("plain", []), ("mitigated", ["--mitigate"])):
+        out = tmp_path / name
+        assert main(["scan", config, *flags, "--out", str(out)]) == 0
+        scans.append((out / "scan.csv").read_text())
+    assert scans[0] == scans[1]
+    assert len(scans[0].splitlines()) == 1 + 6
+
+
 def test_scan_mitigates_a_two_bit_confusion_on_the_global_parity(tmp_path):
     matrix = ConfusionMatrix.symmetric(0.03, 2).matrix.tolist()
     config = write_config(
