@@ -4,7 +4,9 @@ depolarizing, dephasing, and relaxation with t1 and t2 fused into one
 channel), one noisy first-order Trotter step of the transverse-field Ising
 chain, one batched ``exact_correlator`` and one batched
 ``sampled_correlator`` call over a tau grid, and one ``mitigate_correlator``
-call over the counts tables of a 75-point scan with its bootstrap.
+call with its bootstrap over the counts tables of a 75-point scan and over
+225 tables drawn from random laws, whose resamples mostly take the
+constrained fit.
 
 They are not part of the test suite (``testpaths`` is ``tests``). Run them
 from the repository root with pytest-benchmark installed:
@@ -21,6 +23,7 @@ import pytest
 
 from lgsim import (
     ConfusionMatrix,
+    CountsTable,
     DensityMatrix,
     MeasurementSchedule,
     NoiseModel,
@@ -123,4 +126,21 @@ def test_mitigate_bootstrap_batch(benchmark):
     schedules = tau_grid_schedules(parity, parity)
     drawn = sampled_correlator(rho, h, schedules, SHOTS, READOUT, range(len(schedules)))
     tables = [counts for _, counts in drawn]
+    benchmark(mitigate_correlator, tables, ConfusionMatrix.symmetric(0.03, num_bits=2))
+
+
+def test_mitigate_random_laws_batch(benchmark):
+    # 225 tables of 8192 shots, each drawn from a Dirichlet(1) law over the
+    # four sign pairs, under a symmetric 0.03 pair confusion: a law with a
+    # small cell sends many resamples below the inversion threshold, so the
+    # constrained fit does most of the work
+    rng = np.random.default_rng(18)
+    tables = [
+        CountsTable(
+            dict(zip(("++", "+-", "-+", "--"), map(int, rng.multinomial(SHOTS, law)))),
+            SHOTS,
+            seed=i,
+        )
+        for i, law in enumerate(rng.dirichlet(np.ones(4), size=225))
+    ]
     benchmark(mitigate_correlator, tables, ConfusionMatrix.symmetric(0.03, num_bits=2))

@@ -149,7 +149,7 @@ def _load_counts(path: Path) -> CountsVector:
     if "outcomes" in data:
         table = CountsTable(data["outcomes"], data["n_shots"], data.get("seed"))
         vec = table.vector().astype(int)
-        return CountsVector(2, tuple(int(v) for v in vec), int(table.n_shots))
+        return CountsVector(2, tuple(int(v) for v in vec), table.n_shots)
     counts = data["counts"]
     num_bits = data.get("num_bits")
     if num_bits is None:

@@ -7,15 +7,15 @@ matrix as given. The sampled engine pushes its exact law through it,
 calibration draws every prepared basis state's reads (or each bit's, in
 tensor mode) from its columns, and correlator mitigation lumps it to a 2x2
 confusion of the recorded sign, which exists only when all patterns of one
-sign are misread alike. Mitigation solves M x = y for
-the observed frequency vector y; plain inversion is tried first, and when
-it produces clearly negative quasi-probabilities (an entry below -0.01) an
-exact active-set fit of min ||M x - y||^2 over the probability simplex
+sign are misread alike. Mitigation solves M x = y for the observed
+frequency vector y; plain inversion is tried first, and when it produces
+clearly negative quasi-probabilities (an entry below -0.01) an exact
+active-set fit of min ||M x - y||^2 over the probability simplex
 (Lawson-Hanson NNLS with a sum row, in numpy) takes over. One kernel,
 ``_mitigate_rows``, serves a single distribution and the bootstrap of a
 whole scan (every resample of every counts table): the rows are inverted in
-one stacked solve, and only the rows that went negative get the fit, one at
-a time.
+one stacked solve, and the rows that went negative get the fit together,
+in lockstep.
 """
 
 from __future__ import annotations
@@ -250,51 +250,52 @@ def _sign_confusion(obs: DichotomicObservable, readout: ConfusionMatrix) -> np.n
     return np.column_stack([c[:, 0] for c in columns])
 
 
-def _constrained_fit(matrix: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """Exact minimiser of ||M x - y||^2 with x >= 0 and sum(x) = 1.
+def _constrained_fit(matrix: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Exact minimisers of ||M x - y||^2 with x >= 0 and sum(x) = 1, one per
+    row of a ``(k, 2^m)`` block of targets y (a 1-D target gives a 1-D x).
 
-    A primal active-set method: Lawson and Hanson's NNLS with the sum row as
-    an equality constraint. It starts at the uniform point with every index
-    passive (free). On each passive set P the sum row is eliminated: z is
-    the uniform point u on P plus steps along e_k - e_0, and ``lstsq`` fits
-    M_P (e_k - e_0) to y - M_P u. This keeps cond(M), which the normal
-    equations would square, and a singular M gets the minimum-norm step, so
-    the fair-coin matrix keeps the uniform point. If z leaves the simplex, x
-    steps towards z until its first entry hits zero and that index is
-    dropped. Otherwise x = z, and the index whose bound multiplier (the
-    gradient M^T (M x - y) less its value on P) is most negative is freed,
-    until none is below -FIT_KKT_TOL.
+    Lawson and Hanson's NNLS with the sum row as an equality constraint, run
+    on all rows in lockstep from the uniform point with every index passive.
+    On a passive set P, z is the uniform point u on P plus the minimum-norm
+    steps along e_k - e_r (r the first index of P) that fit M (e_k - e_r) to
+    y - M u; ``pinv`` keeps cond(M) and the fair-coin matrix at u. If z
+    leaves the simplex, x steps towards it until an entry hits zero and
+    drops it; else x = z, and the most negative bound multiplier (gradient
+    M^T (M x - y) less its value on P) is freed, until none is below
+    -FIT_KKT_TOL. Each step solves every unfinished row at once, summing
+    products along each row's own outcomes, so no row depends on another.
     """
-    dim = target.size
-    x = np.full(dim, 1.0 / dim)
-    passive = np.ones(dim, dtype=bool)
+    block = np.atleast_2d(targets)
+    dim = block.shape[1]
+    x, passive = np.full(block.shape, 1.0 / dim), np.ones(block.shape, dtype=bool)
+    live = np.arange(len(block))
     for _ in range(FIT_MAX_SOLVES_PER_OUTCOME * dim):
-        idx = np.flatnonzero(passive)
-        cols = matrix[:, idx]
-        steps = np.linalg.lstsq(
-            cols[:, 1:] - cols[:, :1], target - cols.mean(axis=1), rcond=None
-        )[0]
-        z = np.full(idx.size, 1.0 / idx.size)
-        z[1:] += steps
-        z[0] -= steps.sum()
-        if z.min() > 0.0:
-            x = np.zeros(dim)
-            x[idx] = z
-            grad = matrix.T @ (matrix @ x - target)
-            multipliers = grad - grad[passive].mean()
-            multipliers[passive] = np.inf
-            j = int(np.argmin(multipliers))
-            if multipliers[j] >= -FIT_KKT_TOL:
-                return x
-            passive[j] = True
-            continue
-        current = x[idx]
-        blocked = np.flatnonzero(z <= 0.0)
-        ratios = current[blocked] / (current[blocked] - z[blocked])
-        first = int(np.argmin(ratios))
-        x[idx] = current + ratios[first] * (z - current)
-        x[idx[blocked[first]]] = 0.0
-        passive &= x > 0.0
+        at, kept, y, current = np.arange(live.size), passive[live], block[live], x[live]
+        ref = kept.argmax(axis=1)
+        free = kept & (np.arange(dim) != ref[:, None])
+        uniform = kept / kept.sum(axis=1, keepdims=True)
+        columns = np.where(free[:, None, :], matrix - matrix[:, ref].T[:, :, None], 0.0)
+        gap = y - (matrix * uniform[:, None, :]).sum(axis=2)
+        fitted = (np.linalg.pinv(columns, rtol=None) * gap[:, None, :]).sum(axis=2)
+        steps = np.where(free, fitted, 0.0)
+        z = uniform + steps
+        z[at, ref] -= steps.sum(axis=1)
+        inside = np.where(kept, z, np.inf).min(axis=1) > 0.0
+        grad = (matrix.T * ((matrix * z[:, None, :]).sum(axis=2) - y)[:, None, :]).sum(axis=2)
+        multipliers = np.where(kept, np.inf, grad - (grad * uniform).sum(axis=1, keepdims=True))
+        j = multipliers.argmin(axis=1)
+        done = inside & (multipliers[at, j] >= -FIT_KKT_TOL)
+        blocked = kept & (z <= 0.0)
+        ratios = np.where(blocked, current, np.inf) / np.where(blocked, current - z, 1.0)
+        first = ratios.argmin(axis=1)
+        ratio = np.where(inside, 0.0, ratios[at, first])[:, None]
+        x[live] = np.where(inside[:, None], z, current + ratio * (z - current))
+        x[live[~inside], first[~inside]] = 0.0
+        passive[live] = kept & (x[live] > 0.0)
+        passive[live[inside & ~done], j[inside & ~done]] = True
+        live = live[~done]
+        if not live.size:
+            return x if np.ndim(targets) > 1 else x[0]
     raise MitigationFailed(
         f"constrained least squares did not converge in "
         f"{FIT_MAX_SOLVES_PER_OUTCOME * dim} active-set steps"
@@ -320,8 +321,8 @@ def _mitigate_rows(
     except np.linalg.LinAlgError:
         x = np.empty_like(targets)
         used_fit = np.ones(len(targets), dtype=bool)
-    for i in np.flatnonzero(used_fit):
-        x[i] = _constrained_fit(matrix, targets[i])
+    if used_fit.any():
+        x[used_fit] = _constrained_fit(matrix, targets[used_fit])
     x = np.clip(x, 0.0, None)
     totals = x.sum(axis=1)
     if (totals <= 0).any():
@@ -334,13 +335,10 @@ def mitigate(
     m: ConfusionMatrix,
     return_method: bool = False,
 ):
-    """Recover the noiseless distribution from observed frequencies.
-
-    Plain inversion is used when it yields no entry below -0.01; small
-    negatives are clipped and the vector renormalized. Otherwise a
-    least-squares fit constrained to the probability simplex is solved. The
-    result always sums to 1.
-    """
+    """Recover the noiseless distribution from observed frequencies: plain
+    inversion when it yields no entry below -0.01 (small negatives clipped),
+    else the least-squares fit over the probability simplex. The result
+    always sums to 1."""
     target = np.asarray(raw.counts if isinstance(raw, CountsVector) else raw, dtype=float)
     total = target.sum()
     if total <= 0:
@@ -373,8 +371,7 @@ def mitigate_correlator(
     for counts in tables:
         raw_probs = counts.probabilities()
         points.append(mitigate(raw_probs, m_pair, return_method=True))
-        seed = counts.seed if counts.seed is not None else 0
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1,)))
+        rng = np.random.default_rng(np.random.SeedSequence(counts.seed or 0, spawn_key=(1,)))
         resamples.append(rng.multinomial(counts.n_shots, raw_probs, size=BOOTSTRAP_RESAMPLES))
     draws = np.concatenate(resamples)
     rows, _ = _mitigate_rows(draws / draws.sum(axis=1, keepdims=True), m_pair.matrix)

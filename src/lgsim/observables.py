@@ -30,8 +30,8 @@ psi_i) from ``evolve_density`` per distinct first time t_i, and one
 collapse per distinct first measurement (t_i, Q_i). On state vectors the
 branch columns of all schedules go through one stacked evolution; under
 Trotter dynamics a longer second segment continues from a shorter one (C13
-from C12 in a tau scan). The checks of each evolved second segment, |C| <=
-1, the readout maps and the draw stay per schedule.
+from C12 in a tau scan). The readout maps run once per (Q_i, Q_j) pair on
+its stacked laws; the checks, |C| <= 1 and the draw stay per schedule.
 
 An observable is stored as a signed bit flip (``DichotomicObservable``), so
 both engines apply it by indexing the state, never as a 2^n x 2^n matrix.
@@ -244,6 +244,9 @@ class CountsTable:
     seed: int | None = None
 
     def __post_init__(self) -> None:
+        self.n_shots = _integer(self.n_shots, "n_shots")
+        if self.n_shots < 1:
+            raise ValueError(f"empty counts: n_shots must be at least 1, got {self.n_shots}")
         counts = {k: _integer(self.outcomes.get(k, 0), f"count {k!r}") for k in OUTCOME_KEYS}
         if any(v < 0 for v in counts.values()):
             raise ValueError("negative counts")
@@ -287,9 +290,7 @@ def _pattern_keys(dim: int, qubits: tuple[int, ...]) -> np.ndarray:
     """Bit pattern of ``qubits`` (bit k from ``qubits[k]``) of every basis
     index; cached, so read-only."""
     idx = np.arange(dim)
-    keys = np.zeros_like(idx)
-    for k, q in enumerate(qubits):
-        keys |= ((idx >> q) & 1) << k
+    keys = sum(((idx >> q) & 1) << k for k, q in enumerate(qubits))
     keys.setflags(write=False)
     return keys
 
@@ -297,11 +298,7 @@ def _pattern_keys(dim: int, qubits: tuple[int, ...]) -> np.ndarray:
 @lru_cache(maxsize=16)
 def _pattern_signs(m: int) -> np.ndarray:
     """+1 for even-popcount patterns, -1 for odd; cached, so read-only."""
-    idx = np.arange(2**m)
-    pop = np.zeros_like(idx)
-    for k in range(m):
-        pop ^= (idx >> k) & 1
-    signs = np.where(pop == 0, 1, -1)
+    signs = 1 - 2 * (np.array([bin(i).count("1") for i in range(2**m)]) & 1)
     signs.setflags(write=False)
     return signs
 
@@ -586,7 +583,7 @@ def _recorded_laws(
         for index, reads in images:
             diagonals, values = zip(*reads)
             branches[index] = (np.stack(diagonals, axis=1), np.array(values))
-    laws = np.empty((len(schedules), len(OUTCOME_KEYS)))
+    groups: dict[tuple, dict[int, np.ndarray]] = {}
     for index, (sched, (diagonals, values)) in enumerate(zip(schedules, branches)):
         obs1, obs2 = sched.first_observable, sched.second_observable
         m1, m2 = len(obs1.qubits), len(obs2.qubits)
@@ -610,10 +607,16 @@ def _recorded_laws(
                 f"recorded outcome law is no distribution: smallest entry {law.min()}, "
                 f"sum {total} (tolerance {NORM_TOL})"
             )
+        groups.setdefault((obs1, obs2, bits1, bits2), {})[index] = law
+    # the readout and the coarse-graining to signs, one stacked pass per group
+    to_signs = {bits: _to_signs(bits) for key in groups for bits in key[2:]}
+    laws = np.empty((len(schedules), len(OUTCOME_KEYS)))
+    for (obs1, obs2, bits1, bits2), group in groups.items():
+        law = np.stack(list(group.values()))
         if readout is not None:
             law = maps[obs1] @ law @ maps[obs2].T
-        pairs = np.clip(_to_signs(bits1).T @ law @ _to_signs(bits2), 0.0, None).ravel()
-        laws[index] = pairs / pairs.sum()
+        pairs = np.clip(to_signs[bits1].T @ law @ to_signs[bits2], 0.0, None).reshape(-1, 4)
+        laws[list(group)] = pairs / pairs.sum(axis=1, keepdims=True)
     return laws
 
 

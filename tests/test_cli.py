@@ -611,6 +611,8 @@ def test_mitigate_accepts_counts_table_json(tmp_path):
         ({"counts": {"0": "5", "1": 3}}, "count '0'"),
         ({"outcomes": {"++": "5", "+-": 1, "-+": 0, "--": 0}, "n_shots": 6}, "count '++'"),
         ({"counts": {"0": 60, "1": 40}, "num_bits": "1"}, "'num_bits'"),
+        # a boolean is not a shot count either
+        ({"outcomes": {"++": 1}, "n_shots": True}, "n_shots"),
     ],
 )
 def test_mitigate_rejects_bad_counts(tmp_path, capsys, payload, message):

@@ -513,6 +513,64 @@ def test_constrained_fit_raises_at_its_step_cap(monkeypatch):
     assert mitigate(np.array([0.6, 0.4]), m, return_method=True)[1] == "inverse"
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 3),
+    st.sampled_from(["random", "near_singular", "singular"]),
+    st.integers(0, 6),
+    st.integers(1, 6),
+    st.integers(0, 2**32 - 1),
+)
+@example(2, "random", 2, 4, 43)
+@example(3, "near_singular", 1, 5, 3)
+@example(2, "singular", 2, 2, 4)
+def test_lockstep_fit_matches_one_row_calls(num_bits, kind, interior, boundary, seed):
+    # a block of rows gives what one-row calls give, bit for bit, and every row
+    # meets the KKT conditions. Interior rows M p (p inside the simplex) stop
+    # after the first solve; rows of few shots with zero counts drop indices
+    # (and may free some again); the fair-coin matrix keeps the uniform point
+    rng = np.random.default_rng(seed)
+    dim = 2**num_bits
+    if kind == "near_singular":
+        m = ConfusionMatrix.symmetric(0.5 - 10.0 ** rng.uniform(-9, -2), num_bits)
+    else:
+        m = random_confusion(num_bits, rng, kind == "singular", max_mix=1.0)
+    inner = rng.dirichlet(np.full(dim, 5.0), size=interior) @ m.matrix.T
+    counts = random_counts(dim, int(rng.integers(1, 20)), rng, alpha=0.3, size=boundary)
+    block = np.concatenate([inner, counts / counts.sum(axis=1, keepdims=True)])
+    block = block[rng.permutation(len(block))]
+    x = _constrained_fit(m.matrix, block)
+    assert x.shape == block.shape
+    for row, target in zip(x, block):
+        assert np.array_equal(row, _constrained_fit(m.matrix, target))
+        assert row.min() >= 0.0
+        assert abs(row.sum() - 1.0) <= 1e-12
+        grad = m.matrix.T @ (m.matrix @ row - target)
+        support = row > 0.0
+        level = grad[support].mean()
+        assert np.abs(grad[support] - level).max() <= 1e-9
+        assert (grad[~support] >= level - 1e-9).all()
+    if kind == "singular":
+        assert np.array_equal(x, np.full(block.shape, 1.0 / dim))
+
+
+def test_lockstep_fit_fails_whole_when_one_row_reaches_its_step_cap(monkeypatch):
+    # at a cap of one solve per outcome (4 here) the interior row stops after
+    # its first solve and the zero-count row needs five: the block raises
+    # rather than return the rows that converged
+    rng = np.random.default_rng(43)
+    m = random_confusion(2, rng, False, max_mix=1.0)
+    hard = random_counts(4, int(rng.integers(1, 20)), rng, alpha=0.3)
+    hard = hard / hard.sum()
+    easy = m.matrix @ np.full(4, 0.25)
+    assert _constrained_fit(m.matrix, hard).min() == 0.0
+    monkeypatch.setattr(mitigation, "FIT_MAX_SOLVES_PER_OUTCOME", 1)
+    assert _constrained_fit(m.matrix, easy).shape == (4,)
+    for targets in (hard, np.stack([easy, hard, easy])):
+        with pytest.raises(MitigationFailed, match="did not converge"):
+            _constrained_fit(m.matrix, targets)
+
+
 # --- mitigated against exact ------------------------------------------------------
 
 

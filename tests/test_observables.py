@@ -699,6 +699,23 @@ def test_counts_table_round_trip_and_validation():
     assert CountsTable({"++": 2.0, "+-": 1}, 3).outcomes["++"] == 2
 
 
+@pytest.mark.parametrize(
+    "outcomes, n_shots, message",
+    [
+        ({"++": 1}, True, "n_shots must be an integer"),
+        ({"++": 1}, "1", "n_shots must be an integer"),
+        ({"++": 2}, 2.5, "n_shots must be an integer"),
+        ({}, 0, "n_shots must be at least 1"),
+        ({"++": -1, "+-": 0}, -1, "n_shots must be at least 1"),
+    ],
+)
+def test_counts_table_needs_a_positive_integer_shot_count(outcomes, n_shots, message):
+    # a boolean used to pass as 1 shot, and 0 shots gave NaN probabilities
+    with pytest.raises(ValueError, match=message):
+        CountsTable(outcomes, n_shots)
+    assert CountsTable({"++": 2}, 2.0).n_shots == 2
+
+
 def test_symmetric_readout_flips_damp_products():
     # frozen spins: true products are always +1; independent flips with
     # probability p damp the mean to (1-2p)^2
