@@ -258,12 +258,12 @@ def _constrained_fit(matrix: np.ndarray, targets: np.ndarray) -> np.ndarray:
     on all rows in lockstep from the uniform point with every index passive.
     On a passive set P, z is the uniform point u on P plus the minimum-norm
     steps along e_k - e_r (r the first index of P) that fit M (e_k - e_r) to
-    y - M u; ``pinv`` keeps cond(M) and the fair-coin matrix at u. If z
-    leaves the simplex, x steps towards it until an entry hits zero and
-    drops it; else x = z, and the most negative bound multiplier (gradient
-    M^T (M x - y) less its value on P) is freed, until none is below
-    -FIT_KKT_TOL. Each step solves every unfinished row at once, summing
-    products along each row's own outcomes, so no row depends on another.
+    y - M u; ``pinv`` with lstsq's cutoff keeps cond(M) and the fair-coin
+    matrix at u. If z leaves the simplex, x steps towards it until an entry
+    hits zero and drops it; else x = z, and the index of the most negative
+    multiplier (gradient M^T (M x - y) less its mean on P) is freed, until
+    none is below -FIT_KKT_TOL. Each step solves every unfinished row at
+    once, summing along each row's own outcomes: no row depends on another.
     """
     block = np.atleast_2d(targets)
     dim = block.shape[1]
@@ -276,7 +276,7 @@ def _constrained_fit(matrix: np.ndarray, targets: np.ndarray) -> np.ndarray:
         uniform = kept / kept.sum(axis=1, keepdims=True)
         columns = np.where(free[:, None, :], matrix - matrix[:, ref].T[:, :, None], 0.0)
         gap = y - (matrix * uniform[:, None, :]).sum(axis=2)
-        fitted = (np.linalg.pinv(columns, rtol=None) * gap[:, None, :]).sum(axis=2)
+        fitted = (np.linalg.pinv(columns, dim * np.finfo(float).eps) * gap[:, None, :]).sum(axis=2)
         steps = np.where(free, fitted, 0.0)
         z = uniform + steps
         z[at, ref] -= steps.sum(axis=1)
