@@ -317,7 +317,7 @@ def _mitigate_rows(
     try:
         # the stacked (k, d, 1) form matches a per-row solve bit for bit
         x = np.linalg.solve(matrix, targets[..., None])[..., 0]
-        used_fit = x.min(axis=1) < NEGATIVITY_THRESHOLD
+        used_fit = (x < NEGATIVITY_THRESHOLD).any(axis=1)
     except np.linalg.LinAlgError:
         x = np.empty_like(targets)
         used_fit = np.ones(len(targets), dtype=bool)
@@ -372,9 +372,9 @@ def mitigate_correlator(
         raw_probs = counts.probabilities()
         points.append(mitigate(raw_probs, m_pair, return_method=True))
         rng = np.random.default_rng(np.random.SeedSequence(counts.seed or 0, spawn_key=(1,)))
-        resamples.append(rng.multinomial(counts.n_shots, raw_probs, size=BOOTSTRAP_RESAMPLES))
-    draws = np.concatenate(resamples)
-    rows, _ = _mitigate_rows(draws / draws.sum(axis=1, keepdims=True), m_pair.matrix)
+        draws = rng.multinomial(counts.n_shots, raw_probs, size=BOOTSTRAP_RESAMPLES)
+        resamples.append(draws / counts.n_shots)  # every row sums to n_shots
+    rows, _ = _mitigate_rows(np.concatenate(resamples), m_pair.matrix)
     # an elementwise product and row sum reproduces the per-row ``signs @ row``
     # bit for bit; a matmul or einsum does not
     values = (rows * signs).sum(axis=1).reshape(len(tables), BOOTSTRAP_RESAMPLES)
