@@ -1,8 +1,9 @@
 """Kernel microbenchmarks at n = 5, 8 and 10 qubits: ``apply_channel`` for
 each channel kind on the noisy Trotter path (one- and two-qubit gate
-depolarizing, dephasing, and relaxation with t1 and t2 fused into one
-channel), one noisy first-order Trotter step of the transverse-field Ising
-chain, one batched ``exact_correlator`` and one batched
+depolarizing, dephasing, relaxation with t1 and t2 fused into one channel,
+and a two-qubit block gate fused with its bond and field depolarizing, as a
+Trotter step applies it), one noisy first-order Trotter step of the
+transverse-field Ising chain, one batched ``exact_correlator`` and one batched
 ``sampled_correlator`` call over a tau grid, and one ``mitigate_correlator``
 call with its bootstrap over the counts tables of a 75-point scan and over
 225 tables drawn from random laws, whose resamples mostly take the
@@ -36,6 +37,7 @@ from lgsim import (
     sigma_z_observable,
 )
 from lgsim.core import dephasing_channel, depolarizing_channel, relaxation_channels
+from lgsim.core.channels import block_channel
 from lgsim.core.evolution import _evolve_segment, apply_channel
 from lgsim.scenarios import ising_chain_hamiltonian, transverse_field_hamiltonian
 
@@ -59,6 +61,9 @@ CHANNELS = {
     "relaxation": lambda n: relaxation_channels(
         NoiseModel(t1={n // 2: 80.0}, t2={n // 2: 50.0}), n, DT
     )[0],
+    "block_2q": lambda n: block_channel(
+        (n // 2 - 1, n // 2), np.eye(4), [(1e-2, (0, 1)), (3e-4, (0,)), (3e-4, (1,))]
+    ),
 }
 
 
@@ -72,8 +77,9 @@ def test_apply_channel(benchmark, kind, n):
 
 @pytest.mark.parametrize("n", SIZES)
 def test_noisy_trotter_step(benchmark, n):
-    # one dt step: odd layer, its gate noise, even layer, its gate noise;
-    # the layer propagators are built before timing starts
+    # one dt step: the block channels of the odd, then the even layer, each
+    # a block gate fused with its gate noise; they are built before timing
+    # starts
     evo = TrotterEvolution(ising_chain_hamiltonian(0.1, [1.0] * (n - 1) + [2.0]), DT)
     rho = hermitian(n)
     _evolve_segment(rho, evo, DT, NOISE)

@@ -17,7 +17,7 @@ from pathlib import Path
 
 from . import __version__
 from .core.channels import NoiseModel
-from .errors import ConfigError, InvalidDistribution, LgsimError
+from .errors import ConfigError, InvalidDistribution, InvalidNoiseParameter, LgsimError
 from .inequalities import joint_distribution_oracle, scan_to_csv
 from .mitigation import ConfusionMatrix, CountsVector, calibrate, mitigate
 from .observables import CountsTable, _integer
@@ -78,7 +78,7 @@ def _cmd_scan(args: argparse.Namespace) -> int:
 
     try:
         scan = spec.run()
-    except ConfigError as err:
+    except (ConfigError, InvalidNoiseParameter) as err:
         return _fail(str(err), EXIT_USAGE)
     except LgsimError as err:
         return _fail(str(err), EXIT_RUNTIME)

@@ -4,19 +4,20 @@ Decoherence is applied as discrete channels between evolution segments, not
 by integrating a master equation. Relaxation (T1) is available but only acts
 when a qubit has an explicit t1 entry; the default model is pure dephasing.
 
-Every channel kind has one closed-form kernel on a reshaped view of
-``rho``, and no kernel builds a full-register operator: ``rho`` is viewed
-with one row axis and one column axis per run of target or non-target
-qubits, so each target block is a slice. Gate depolarizing,
+Every channel kind has one kernel on a reshaped view of ``rho``, with one
+row axis and one column axis per run of target or non-target qubits, and
+no kernel builds a full-register operator. Gate depolarizing,
 (1 - p) rho + p Tr_S(rho) (x) I / 2^m on its m targets S, adds the sum of
 the diagonal target blocks back to each of them. Relaxation of one qubit
 (amplitude damping, dephasing, or both fused) moves a share of the |1><1|
-block into the |0><0| block and scales the two off-diagonal blocks. Each
-channel builds its Kraus operators only if something reads them. Both
-kernels are linear, so they also serve Hermitian operators that are not
-states. A channel's parameters are checked when it is built;
-``apply_channel`` returns an unchecked intermediate state, and the
-evolution segment that applied it checks its own result once.
+block into the |0><0| block and scales the two off-diagonal blocks. A
+block channel (a Trotter gate fused with its gate depolarizing) is one
+matmul of its superoperator with the target axes. Each channel builds its
+Kraus operators only if something reads them. Every kernel is linear, so it
+also serves Hermitian operators that are not states. A channel's parameters
+are checked when it is built; ``apply_channel`` returns an unchecked
+intermediate state, and the evolution segment that applied it checks its
+own result once.
 """
 
 from __future__ import annotations
@@ -73,9 +74,9 @@ class DepolarizingChannel:
         for labels in itertools.product("IXYZ", repeat=len(self.target_qubits)):
             identity = set(labels) == {"I"}
             weight = 1.0 - self.p * (n_paulis - 1) / n_paulis if identity else self.p / n_paulis
-            op = math.sqrt(weight) * reduce(np.kron, [PAULI_MATRICES[c] for c in labels])
-            op.setflags(write=False)
-            ops.append(op)
+            ops.append(math.sqrt(weight) * reduce(np.kron, [PAULI_MATRICES[c] for c in labels]))
+        ops = np.array(ops)
+        ops.setflags(write=False)
         return tuple(ops)
 
 
@@ -117,13 +118,68 @@ class RelaxationChannel:
         p = 0.5 * (1.0 - self.coherence / damped) if damped > 0.0 else 0.0
         damping = (np.diag([1.0, damped]), math.sqrt(self.decay) * np.eye(2, k=1))
         dephasing = (math.sqrt(1.0 - p) * PAULI_MATRICES["I"], math.sqrt(p) * PAULI_MATRICES["Z"])
-        ops = []
-        for k in damping:
-            for d in dephasing:
-                op = d @ k
-                op.setflags(write=False)
-                ops.append(op)
+        ops = np.array([d @ k for k in damping for d in dephasing])
+        ops.setflags(write=False)
         return tuple(ops)
+
+
+@dataclass(frozen=True, eq=False)
+class BlockChannel:
+    """A linear map on 1 or 2 adjacent ``target_qubits`` (ascending), as its
+    superoperator: ``superop[(a, b), (c, d)]`` is entry (a, b) of the image
+    of |c><d|, local bit k from qubit ``target_qubits[k]``. ``kraus_ops``
+    come from the eigendecomposition of its Choi matrix, on first read."""
+
+    target_qubits: tuple[int, ...]
+    superop: np.ndarray
+
+    def __post_init__(self) -> None:
+        targets = self.target_qubits
+        if len(targets) not in (1, 2) or list(targets) != list(range(targets[0], targets[-1] + 1)):
+            raise InvalidChannel(f"a block channel acts on 1 or 2 adjacent qubits, got {targets}")
+        if self.superop.shape != (4 ** len(targets),) * 2:
+            raise InvalidChannel(f"superoperator of shape {self.superop.shape} for {targets}")
+
+    @cached_property
+    def kraus_ops(self) -> tuple[np.ndarray, ...]:
+        dim = 2 ** len(self.target_qubits)
+        # choi[(c, a), (d, b)] = superop[(a, b), (c, d)] = sum_k K[a, c] conj(K[b, d])
+        choi = self.superop.reshape((dim,) * 4).transpose(2, 0, 3, 1).reshape(dim * dim, -1)
+        w, v = np.linalg.eigh(choi)
+        keep = w > 1e-14 * w[-1]
+        ops = np.sqrt(w[keep])[:, None, None] * v.T[keep].reshape(-1, dim, dim).transpose(0, 2, 1)
+        ops.setflags(write=False)
+        return tuple(ops)
+
+
+def block_channel(qubits: tuple[int, ...], gate: np.ndarray, depolarizing) -> BlockChannel:
+    """``gate`` on the adjacent ``qubits``, then each (p, targets) uniform
+    depolarizing in ``depolarizing``, targets counted from ``qubits[0]``."""
+    dim = len(gate)
+    superop = np.multiply.outer(gate, gate.conj()).transpose(0, 2, 1, 3).reshape(dim * dim, -1)
+    for p, targets in depolarizing:
+        superop = _depolarizing_superop(len(qubits), targets, p) @ superop
+    superop.setflags(write=False)
+    return BlockChannel(qubits, superop)
+
+
+@lru_cache(maxsize=64)
+def _depolarizing_superop(m: int, targets: tuple[int, ...], p: float) -> np.ndarray:
+    """Column (c, d) is the closed form on m qubits applied to |c><d|."""
+    channel = depolarizing_channel(p, targets)
+    basis = np.eye(4**m, dtype=complex).reshape(-1, 2**m, 2**m)
+    return np.array([_depolarize(DensityMatrix._trusted(m, e), channel).matrix.ravel()
+                     for e in basis]).T
+
+
+def _block_pass(rho: DensityMatrix, channel: BlockChannel) -> DensityMatrix:
+    """One matmul of the superoperator with a copy of ``rho`` whose target
+    row and column axes are moved to the front, and the copy back."""
+    n, low, dim = rho.num_qubits, channel.target_qubits[0], 2 ** len(channel.target_qubits)
+    shape = (2**n // (dim << low), dim, 2**low)
+    view = rho.matrix.reshape(shape * 2).transpose(1, 4, 0, 2, 3, 5)
+    out = (channel.superop @ view.reshape(dim * dim, -1)).reshape(view.shape)
+    return DensityMatrix._trusted(n, out.transpose(2, 0, 3, 4, 1, 5).reshape(2**n, 2**n))
 
 
 @lru_cache(maxsize=256)
@@ -158,10 +214,7 @@ def _depolarize(rho: DensityMatrix, channel: DepolarizingChannel) -> DensityMatr
     shape, blocks = _target_blocks(rho.num_qubits, channel.target_qubits)
     diagonal = [row[s] for s, row in enumerate(blocks)]
     view = rho.matrix.reshape(shape)
-    reduced = view[diagonal[0]] + view[diagonal[1]]
-    for b in diagonal[2:]:
-        reduced += view[b]
-    reduced *= channel.p / len(diagonal)
+    reduced = sum(view[b] for b in diagonal) * (channel.p / len(diagonal))
     out = (1.0 - channel.p) * rho.matrix
     out_view = out.reshape(shape)
     for b in diagonal:
@@ -184,25 +237,31 @@ def _relax(rho: DensityMatrix, channel: RelaxationChannel) -> DensityMatrix:
 
 
 def apply_channel(
-    rho: DensityMatrix, channel: DepolarizingChannel | RelaxationChannel
+    rho: DensityMatrix, channel: DepolarizingChannel | RelaxationChannel | BlockChannel
 ) -> DensityMatrix:
-    """Apply ``rho -> sum_k K rho K^dagger`` in the channel's closed form."""
+    """Apply ``rho -> sum_k K rho K^dagger`` by the channel's own kernel."""
     n = rho.num_qubits
     if any(not 0 <= q < n for q in channel.target_qubits):
-        raise InvalidChannel(
-            f"channel targets {channel.target_qubits} outside register "
-            f"of {n} qubits"
-        )
+        raise InvalidChannel(f"channel targets {channel.target_qubits} outside register of {n}")
     if isinstance(channel, DepolarizingChannel):
         return _depolarize(rho, channel)
+    if isinstance(channel, BlockChannel):
+        return _block_pass(rho, channel)
     return _relax(rho, channel)
+
+
+def _positive(time: float, what: str) -> float:
+    """``time`` as a float, or an error naming ``what`` unless it is > 0."""
+    time = float(time)
+    if not time > 0:
+        raise InvalidNoiseParameter(f"{what} must be positive, got {time}")
+    return time
 
 
 def _survival(time: float, duration: float, what: str) -> float:
     """exp(-duration / time) for a positive ``time`` (named ``what``) and a
     nonnegative ``duration``."""
-    if not time > 0:
-        raise InvalidNoiseParameter(f"{what} must be positive, got {time}")
+    time = _positive(time, what)
     if duration < 0:
         raise InvalidNoiseParameter(f"duration must be nonnegative, got {duration}")
     return math.exp(-duration / time)
@@ -231,9 +290,7 @@ def depolarizing_channel(p: float, qubits: Sequence[int]) -> DepolarizingChannel
     try:
         targets = tuple(operator.index(q) for q in qubits)
     except TypeError:
-        raise InvalidChannel(
-            f"qubits must be a sequence of qubit indices, got {qubits!r}"
-        ) from None
+        raise InvalidChannel(f"qubits must be a sequence of indices, got {qubits!r}") from None
     return _depolarizing_channel(p, targets)
 
 
@@ -243,31 +300,13 @@ def _depolarizing_channel(p: float, targets: tuple[int, ...]) -> DepolarizingCha
 
 
 def _normalize_times(value: TimeSpec, what: str) -> float | tuple[tuple[int, float], ...] | None:
-    if value is None:
-        return None
     if isinstance(value, Mapping):
-        items = []
-        for q, t in sorted(value.items()):
-            t = float(t)
-            if not t > 0:
-                raise InvalidNoiseParameter(f"{what}[{q}] must be positive, got {t}")
-            items.append((int(q), t))
-        return tuple(items)
-    t = float(value)
-    if not t > 0:
-        raise InvalidNoiseParameter(f"{what} must be positive, got {t}")
-    return t
+        return tuple((int(q), _positive(t, f"{what}[{q}]")) for q, t in sorted(value.items()))
+    return None if value is None else _positive(value, what)
 
 
 def _lookup_time(spec: float | tuple[tuple[int, float], ...] | None, qubit: int) -> float | None:
-    if spec is None:
-        return None
-    if isinstance(spec, tuple):
-        for q, t in spec:
-            if q == qubit:
-                return t
-        return None
-    return spec
+    return dict(spec).get(qubit) if isinstance(spec, tuple) else spec
 
 
 @dataclass(frozen=True)
@@ -295,14 +334,9 @@ class NoiseModel:
         self._check_t2_bound()
 
     def _check_t2_bound(self) -> None:
-        qubits = set()
-        for spec in (self.t1, self.t2):
-            if isinstance(spec, tuple):
-                qubits.update(q for q, _ in spec)
-        qubits.add(0)
-        for q in qubits:
-            t1 = self.qubit_t1(q)
-            t2 = self.qubit_t2(q)
+        named = {q for spec in (self.t1, self.t2) if isinstance(spec, tuple) for q, _ in spec}
+        for q in named | {0}:
+            t1, t2 = self.qubit_t1(q), self.qubit_t2(q)
             if t1 is not None and t2 is not None and t2 > 2.0 * t1 + 1e-12:
                 raise InvalidNoiseParameter(
                     f"qubit {q}: t2={t2} exceeds 2*t1={2 * t1} (unphysical)"
@@ -339,14 +373,18 @@ def relaxation_channels(
     1/T_phi = 1/t2 - 1/(2 t1), so the channel reproduces the requested t1
     and t2 envelopes: decay g = 1 - exp(-duration/t1) and coherence
     sqrt(1 - g) exp(-duration/T_phi). Damping and dephasing of one qubit
-    commute, so one pass applies both.
+    commute, so one pass applies both. A per-qubit time for a qubit outside
+    the register is an error, not a time for nothing.
     """
+    for what, spec in (("t1", noise.t1), ("t2", noise.t2)):
+        for q, _ in spec if isinstance(spec, tuple) else ():
+            if not 0 <= q < num_qubits:
+                raise InvalidNoiseParameter(f"noise.{what}[{q}] is outside the {num_qubits} qubits")
     if duration <= 0:
         return []
     channels: list[RelaxationChannel] = []
     for q in range(num_qubits):
-        t1 = noise.qubit_t1(q)
-        t2 = noise.qubit_t2(q)
+        t1, t2 = noise.qubit_t1(q), noise.qubit_t2(q)
         if t1 is None and t2 is None:
             continue
         decay = 0.0 if t1 is None else 1.0 - _survival(t1, duration, "t1")

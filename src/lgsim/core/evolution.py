@@ -3,23 +3,24 @@
 Both kinds of dynamics run through one step loop. Exact dynamics is one step
 of the whole Hamiltonian over the segment; a ``TrotterEvolution`` is a
 number of ``dt`` steps of its odd layer (odd bonds plus single-site fields)
-and its even layer, each followed by its gate noise. Every step ends with
-the relaxation channels for its length. Each propagator is exp(-i H t) from
-a Hermitian eigendecomposition (cached per Hamiltonian), which keeps it
-unitary to machine precision for the register sizes handled here. A
-``TrotterEvolution`` builds its two layer propagators once, on first use,
-and holds them for its own lifetime; an exact segment builds its propagator
-for its own duration.
+and its even layer, each one gate per connected block of its terms (a lone
+qubit, or a bond with the fields on its qubits) fused with its gate noise.
+Every step ends with the relaxation channels for its length. Each
+propagator is exp(-i H t) from a Hermitian eigendecomposition (cached per
+Hamiltonian), which keeps it unitary to machine precision for the register
+sizes handled here. A ``TrotterEvolution`` builds its block gates once, on
+first use; an exact segment builds its propagator for its own duration.
 
 A noise model without a channel leaves every map unitary, so state vectors
 can be evolved instead of density matrices (``_evolve_vectors``): exact
 dynamics in the eigenbasis of H, without building a propagator, and Trotter
-dynamics by the same layer propagators. One call evolves a block of columns,
-each over its own duration.
+dynamics by the same block gates. One call evolves a block of columns, each
+over its own duration.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
@@ -28,9 +29,10 @@ import numpy as np
 
 from ..errors import InvalidGrid, InvalidState, InvalidTrotterPlan
 from .channels import (
+    BlockChannel,
     NoiseModel,
     apply_channel,
-    depolarizing_channel,
+    block_channel,
     relaxation_channels,
 )
 from .paulis import PauliSumHamiltonian, PauliTerm
@@ -47,8 +49,7 @@ def _eigensystem(h: PauliSumHamiltonian) -> tuple[np.ndarray, np.ndarray]:
 
 def _expm_hermitian(h: PauliSumHamiltonian, duration: float) -> np.ndarray:
     w, v = _eigensystem(h)
-    phases = np.exp(-1j * w * duration)
-    return (v * phases) @ v.conj().T
+    return (v * np.exp(-1j * w * duration)) @ v.conj().T
 
 
 @dataclass(frozen=True)
@@ -64,9 +65,10 @@ class TrotterEvolution:
 
     A segment of duration d uses round(d / dt) steps, so a correlator whose
     second window is twice as long simply applies twice as many steps, the
-    same way per-step circuits compose on hardware. The two layer
-    propagators exp(-i dt H_layer) are built on first use and held by the
-    instance, outside its equality and hash, for every segment it evolves.
+    same way per-step circuits compose on hardware. The block gates
+    exp(-i dt H_block) and the block channels are built on first use and
+    held by the instance, outside its equality and hash, for every segment
+    it evolves.
     """
 
     hamiltonian: PauliSumHamiltonian
@@ -74,6 +76,7 @@ class TrotterEvolution:
     layers: tuple[PauliSumHamiltonian, PauliSumHamiltonian] = field(
         init=False, repr=False, compare=False
     )
+    _channels: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not 0 <= self.dt < float("inf"):  # NaN fails too
@@ -93,13 +96,11 @@ class TrotterEvolution:
                     "nearest-neighbor two-site terms are supported"
                 )
         for name, bonds in (("even", even_bonds), ("odd", odd_bonds)):
-            for i, a in enumerate(bonds):
-                for b in bonds[i + 1 :]:
-                    if not a.commutes_with(b):
-                        raise InvalidTrotterPlan(
-                            f"{name} layer contains non-commuting terms "
-                            f"{a.paulis!r} and {b.paulis!r}"
-                        )
+            for a, b in itertools.combinations(bonds, 2):
+                if not a.commutes_with(b):
+                    raise InvalidTrotterPlan(
+                        f"{name} layer contains non-commuting terms {a.paulis!r} and {b.paulis!r}"
+                    )
         n = self.hamiltonian.num_qubits
         layers = (
             PauliSumHamiltonian(n, tuple(odd_bonds + single)),
@@ -120,24 +121,38 @@ class TrotterEvolution:
         return steps
 
     @cached_property
-    def _propagators(self) -> tuple[np.ndarray, np.ndarray]:
-        odd, even = self.layers
-        return _expm_hermitian(odd, self.dt), _expm_hermitian(even, self.dt)
+    def _gates(self) -> tuple[tuple[tuple[int, ...], np.ndarray, tuple], ...]:
+        """(qubits, exp(-i dt H_block), term supports counted from its first
+        qubit) of each connected block of the odd, then the even layer."""
+        gates = []
+        for layer in self.layers:
+            bonds = {t.support()[0] for t in layer.terms if len(t.support()) == 2}
+            blocks: dict[int, list[PauliTerm]] = {}  # terms by the block's first qubit
+            for t in layer.terms:
+                q = t.support()[0]
+                blocks.setdefault(q - 1 if q - 1 in bonds else q, []).append(t)
+            for low, terms in sorted(blocks.items()):
+                m = 2 if low in bonds else 1
+                local = tuple(PauliTerm(t.coefficient, t.paulis[low : low + m]) for t in terms)
+                gate = _expm_hermitian(PauliSumHamiltonian(m, local), self.dt)
+                supports = tuple(tuple(q - low for q in t.support()) for t in terms)
+                gates.append((tuple(range(low, low + m)), gate, supports))
+        return tuple(gates)
+
+    def block_channels(self, noise: NoiseModel | None) -> tuple[BlockChannel, ...]:
+        """Each block gate fused with the gate depolarizing of its terms, in
+        the order of ``_gates``; built once per pair of rates."""
+        noise = noise or NoiseModel()  # no noise model: no gate noise
+        p = (noise.gate_depolarizing_1q, noise.gate_depolarizing_2q)
+        if p not in self._channels:
+            self._channels[p] = tuple(
+                block_channel(qubits, gate, [(p[len(s) - 1], s) for s in terms if p[len(s) - 1]])
+                for qubits, gate, terms in self._gates
+            )
+        return self._channels[p]
 
 
 Dynamics = PauliSumHamiltonian | TrotterEvolution
-
-
-def _layer_channels(noise: NoiseModel, terms: tuple[PauliTerm, ...]) -> list:
-    """Per-gate depolarizing channels for one Trotter layer."""
-    channels = []
-    for t in terms:
-        support = t.support()
-        if len(support) == 2 and noise.gate_depolarizing_2q > 0:
-            channels.append(depolarizing_channel(noise.gate_depolarizing_2q, support))
-        elif len(support) == 1 and noise.gate_depolarizing_1q > 0:
-            channels.append(depolarizing_channel(noise.gate_depolarizing_1q, support))
-    return channels
 
 
 def _has_channel(noise: NoiseModel | None) -> bool:
@@ -151,21 +166,6 @@ def _has_channel(noise: NoiseModel | None) -> bool:
     )
 
 
-def _segment_layers(
-    dynamics: Dynamics, duration: float, noise: NoiseModel | None
-) -> tuple[int, float, list]:
-    """Step count, step length and (propagator, gate channels) per layer of
-    one segment: one step of the whole Hamiltonian, without gate noise, for
-    exact dynamics, else ``segment_steps`` steps of the two Trotter layers."""
-    if isinstance(dynamics, PauliSumHamiltonian):
-        return 1, duration, [(_expm_hermitian(dynamics, duration), [])]
-    layers = [
-        (u, _layer_channels(noise, h.terms) if noise is not None else [])
-        for u, h in zip(dynamics._propagators, dynamics.layers)
-    ]
-    return dynamics.segment_steps(duration), dynamics.dt, layers
-
-
 def _evolve_segment(
     rho: DensityMatrix,
     dynamics: Dynamics,
@@ -176,23 +176,23 @@ def _evolve_segment(
 
     Exact dynamics is one step of the whole Hamiltonian over the segment,
     with no gate noise. Trotter dynamics is ``segment_steps`` steps, each
-    applying the odd layer, its gate noise, the even layer, then its gate
-    noise. Every step ends with the relaxation channels for its length.
-    Every step is linear in ``rho``, which need not be a state; the caller
-    checks the result.
+    applying the block channels of the odd layer, then those of the even
+    layer: every block gate followed by its gate noise. Every step ends
+    with the relaxation channels for its length. Every step is linear in
+    ``rho``, which need not be a state; the caller checks the result.
     """
-    steps, dt, layers = _segment_layers(dynamics, duration, noise)
-    relax = relaxation_channels(noise, rho.num_qubits, dt) if noise is not None else []
-    layers = [(u, u.conj().T, gate_noise) for u, gate_noise in layers]
-    out = rho
+    if isinstance(dynamics, PauliSumHamiltonian):
+        steps, dt, blocks = 1, duration, ()
+        u = _expm_hermitian(dynamics, duration)
+        rho = DensityMatrix._trusted(rho.num_qubits, u @ rho.matrix @ u.conj().T)
+    else:
+        steps, dt = dynamics.segment_steps(duration), dynamics.dt
+        blocks = dynamics.block_channels(noise)
+    channels = (*blocks, *relaxation_channels(noise, rho.num_qubits, dt)) if noise else blocks
     for _ in range(steps):
-        for u, u_dagger, gate_noise in layers:
-            out = DensityMatrix._trusted(out.num_qubits, u @ out.matrix @ u_dagger)
-            for ch in gate_noise:
-                out = apply_channel(out, ch)
-        for ch in relax:
-            out = apply_channel(out, ch)
-    return out
+        for ch in channels:
+            rho = apply_channel(rho, ch)
+    return rho
 
 
 def _evolve_vectors(
@@ -203,10 +203,10 @@ def _evolve_vectors(
 
     Exact dynamics multiplies by V (e^{-iwt} o V^dagger psi) with the cached
     eigensystem (w, V) of H, so no propagator is built, and every column goes
-    through one stacked product with V. Trotter dynamics applies the two
-    layer propagators to all of ``psi`` step by step and reads each column
-    off at its own step count, so a longer segment continues from the end of
-    a shorter one.
+    through one stacked product with V. Trotter dynamics applies the block
+    gates to all of ``psi`` step by step, each as one matmul over the rows
+    of its qubits, and reads each column off at its own step count, so a
+    longer segment continues from the end of a shorter one.
     """
     if isinstance(dynamics, PauliSumHamiltonian):
         w, v = _eigensystem(dynamics)
@@ -223,8 +223,9 @@ def _evolve_vectors(
     done = 0
     for target in np.unique(steps):
         for _ in range(target - done):
-            for u in dynamics._propagators:
-                psi = u @ psi
+            for qubits, gate, _ in dynamics._gates:
+                rows = psi.reshape(-1, len(gate), 2 ** qubits[0] * psi.shape[1])
+                psi = (gate @ rows).reshape(psi.shape)
         done = target
         read = steps == target
         out[:, read] = psi[:, columns[read]]

@@ -431,9 +431,10 @@ def _times_from_config(value, key: str) -> object:
     if value is None:
         return None
     if isinstance(value, Mapping):
-        # JSON object keys are text, so a qubit index is read from its digits
+        # JSON object keys are text, so a qubit index is read from its sign
+        # and digits; one outside the register exits where the noise meets it
         return {
-            _integer(int(q) if isinstance(q, str) and q.isdecimal() else q, key, ConfigError):
+            _integer(int(q) if str(q).removeprefix("-").isdecimal() else q, key, ConfigError):
             _time(t, f"{key}[{q}]")
             for q, t in value.items()
         }

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -15,12 +17,39 @@ from lgsim import (
     prepare_state,
 )
 from lgsim.core import amplitude_damping_channel, relaxation_channels
-from lgsim.core.channels import RelaxationChannel
+from lgsim.core.channels import BlockChannel, RelaxationChannel, block_channel
 from lgsim.mitigation import ConfusionMatrix
 
 
 def plus_rho():
     return prepare_state("plus", 1).density_matrix()
+
+
+def random_unitary(dim, rng):
+    q, r = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def block_depolarizing(m, p1, p2):
+    """Gate depolarizing of a Trotter block: a bond and a field on each of
+    its two qubits, or one field."""
+    return [(p2, (0, 1)), (p1, (0,)), (p1, (1,))] if m == 2 else [(p1, (0,))]
+
+
+def textbook_block(rho, gate, depolarizing, qubits):
+    """Conjugation by the densely embedded gate, then for each (p, targets)
+    a literal sum over the 4^m weighted Pauli strings on those targets."""
+    full = bf.local_operator(gate, qubits, int(np.log2(rho.shape[0])))
+    out = full @ rho @ full.conj().T
+    for p, targets in depolarizing:
+        m = len(targets)
+        ops = [
+            np.sqrt(1 - p * (4**m - 1) / 4**m if set(labels) == {"I"} else p / 4**m)
+            * bf.pauli_string("".join(labels))
+            for labels in itertools.product("IXYZ", repeat=m)
+        ]
+        out = bf.kraus_sum(out, ops, tuple(qubits[t] for t in targets))
+    return out
 
 
 def test_dephasing_scales_off_diagonals_only():
@@ -93,6 +122,9 @@ def test_all_builtin_channels_preserve_trace_and_validity():
         amplitude_damping_channel(3.0, 0.5, 1),
         depolarizing_channel(0.13, (0,)),
         depolarizing_channel(0.04, (0, 2)),
+        block_channel(
+            (1, 2), random_unitary(4, np.random.default_rng(2)), block_depolarizing(2, 0.13, 0.04)
+        ),
     ]
     for _ in range(10):
         rho = DensityMatrix(3, bf.random_density_matrix(3, rng))
@@ -153,14 +185,19 @@ def test_relaxation_parameters_must_give_a_completely_positive_map(decay, cohere
 
 @st.composite
 def channel_cases(draw):
-    """A channel of either kind on qubits of n, in any order: depolarizing
-    with probability p on 1 or 2 of them, or the relaxation of one of them
-    over some duration with a t1, a t2 (at most 2 t1) or both."""
+    """A channel of any kind on qubits of n: depolarizing with probability p
+    on 1 or 2 of them, in any order; the relaxation of one of them over some
+    duration with a t1, a t2 (at most 2 t1) or both; or a random gate on 1
+    or 2 adjacent qubits fused with the gate depolarizing of its block."""
     n = draw(st.integers(1, 5))
-    kind = draw(st.sampled_from(["relaxation", "depolarizing"]))
-    m = draw(st.integers(1, min(2, n))) if kind == "depolarizing" else 1
+    kind = draw(st.sampled_from(["relaxation", "depolarizing", "block"]))
+    m = draw(st.integers(1, min(2, n))) if kind != "relaxation" else 1
     targets = tuple(draw(st.permutations(range(n)))[:m])
-    if kind == "relaxation":
+    if kind == "block":
+        low = draw(st.integers(0, n - m))
+        targets = tuple(range(low, low + m))
+        param = (draw(st.floats(0.0, 1.0)), draw(st.floats(0.0, 1.0)))
+    elif kind == "relaxation":
         t1 = draw(st.floats(0.1, 10.0))
         t2 = draw(st.floats(0.05, 2.0)) * t1
         duration = draw(st.floats(1e-3, 5.0))
@@ -195,8 +232,9 @@ def textbook_relaxation(rho, t1, t2, duration, targets):
 @example((4, (3, 0), "depolarizing", 1.0, 11))
 @example((3, (1,), "depolarizing", 1.0, 12))
 @example((1, (0,), "depolarizing", 0.3, 13))
+@example((4, (1, 2), "block", (0.2, 0.6), 15))
 def test_channel_kernels_match_dense_kraus_sum(case):
-    # both kernels are linear, so the input is a Hermitian matrix that is
+    # every kernel is linear, so the input is a Hermitian matrix that is
     # not positive semidefinite, like the signed operator M(rho); the
     # closed form must match the textbook Kraus sums and the channel's own
     # Kraus operators
@@ -213,12 +251,56 @@ def test_channel_kernels_match_dense_kraus_sum(case):
         noise = NoiseModel(t1=None if t1 is None else {q: t1}, t2=None if t2 is None else {q: t2})
         (channel,) = relaxation_channels(noise, n, duration)
         expected = textbook_relaxation(signed, t1, t2, duration, targets)
+    elif kind == "block":
+        gate = random_unitary(2 ** len(targets), rng)
+        depolarizing = block_depolarizing(len(targets), *param)
+        channel = block_channel(targets, gate, depolarizing)
+        expected = textbook_block(signed, gate, depolarizing, targets)
     else:
         channel = depolarizing_channel(param, targets)
         expected = bf.kraus_sum(signed, channel.kraus_ops, targets)
     out = apply_channel(DensityMatrix._trusted(n, signed), channel)
     assert np.abs(out.matrix - expected).max() < 1e-12
     assert np.abs(out.matrix - bf.kraus_sum(signed, channel.kraus_ops, targets)).max() < 1e-12
+
+
+@st.composite
+def block_cases(draw):
+    """(n, low, m, p1, p2, seed): a block of m adjacent qubits from ``low``
+    in n, with rates that include the ends of [0, 1]."""
+    n = draw(st.integers(1, 5))
+    m = draw(st.integers(1, min(2, n)))
+    rates = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
+    low = draw(st.integers(0, n - m))
+    return n, low, m, draw(rates), draw(rates), draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(block_cases())
+@example((5, 3, 2, 1.0, 1.0, 1))
+@example((3, 0, 2, 0.0, 0.0, 2))
+@example((1, 0, 1, 1.0, 0.0, 3))
+def test_block_channel_matches_dense_kraus_sum(case):
+    n, low, m, p1, p2, seed = case
+    rng = np.random.default_rng(seed)
+    qubits = tuple(range(low, low + m))
+    gate = random_unitary(2**m, rng)
+    depolarizing = block_depolarizing(m, p1, p2)
+    channel = block_channel(qubits, gate, depolarizing)
+    a = rng.normal(size=(2**n, 2**n)) + 1j * rng.normal(size=(2**n, 2**n))
+    signed = a + a.conj().T  # every kernel is linear; the input need not be a state
+    out = apply_channel(DensityMatrix._trusted(n, signed), channel)
+    assert "kraus_ops" not in vars(channel)
+    assert np.abs(out.matrix - textbook_block(signed, gate, depolarizing, qubits)).max() < 1e-12
+    completeness = sum(k.conj().T @ k for k in channel.kraus_ops)
+    assert np.abs(completeness - np.eye(2**m)).max() < 1e-12
+    assert np.abs(out.matrix - bf.kraus_sum(signed, channel.kraus_ops, qubits)).max() < 1e-12
+    outside = block_channel(tuple(range(n - m + 1, n + 1)), gate, [])
+    with pytest.raises(InvalidChannel, match="outside"):
+        apply_channel(DensityMatrix._trusted(n, signed), outside)
+    for targets in ((low, low + 2), (low + 1, low), (low, low + 1, low + 2), ()):
+        with pytest.raises(InvalidChannel, match="adjacent"):
+            BlockChannel(targets, np.eye(16))
 
 
 # --- noise model -----------------------------------------------------------

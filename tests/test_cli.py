@@ -254,6 +254,13 @@ NAN, INF = float("nan"), float("inf")
         ("single_qubit", {"gamma": 1.0}, {"noise": {"readout_flip": "0.1"}}, "noise.readout_flip"),
         ("single_qubit", {"gamma": 1.0}, {"engine": {"kind": "sampled"}, "env": "2.0"},
          "LGSIM_SEED"),
+        # a per-qubit time for a qubit outside the register is not dropped
+        ("tfic", {"j": 0.1, "gammas": [1, 1, 1, 1, 2], "k": 2}, {"noise": {"t1": {"7": 50.0}}},
+         "noise.t1"),
+        ("tfic", {"j": 0.1, "gammas": [1, 1, 2], "k": 2}, {"noise": {"t2": {"3": 50.0}}},
+         "noise.t2"),
+        ("tfic", {"j": 0.1, "gammas": [1, 1, 2], "k": 2}, {"noise": {"t1": {"-1": 50.0}}},
+         "noise.t1"),
     ],
 )
 def test_scan_rejects_unphysical_config_naming_the_key(

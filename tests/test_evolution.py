@@ -460,8 +460,9 @@ def test_each_non_empty_segment_checks_its_state_once(monkeypatch):
 
 
 def test_trotter_layer_propagators_are_built_once_per_evolution(monkeypatch):
-    # the two layer propagators depend only on the layers and dt, so three
-    # noisy segments over one TrotterEvolution build each of them once
+    # the block gates depend only on the layers and dt, so three noisy
+    # segments over one TrotterEvolution build each of them once, and no
+    # propagator of a whole layer is built
     from lgsim.core import evolution
 
     built = []
@@ -477,4 +478,10 @@ def test_trotter_layer_propagators_are_built_once_per_evolution(monkeypatch):
     rho = prepare_state("ghz", 3).density_matrix()
     for t_start, t_end in ((0.0, 0.3), (0.3, 0.5), (0.5, 1.0)):
         rho = evolve_density(rho, evo, t_start, t_end, noise)
-    assert built == [(evo.layers[0], 0.1), (evo.layers[1], 0.1)]
+    blocks = [
+        [(-1.0, "X")],  # odd layer: the lone field of qubit 0
+        [(-0.1, "ZZ"), (-1.0, "XI"), (-2.0, "IX")],  # the bond (1, 2) with its fields
+        [(-0.1, "ZZ")],  # even layer: the bond (0, 1)
+    ]
+    expected = [(PauliSumHamiltonian.from_terms(len(b[0][1]), b), 0.1) for b in blocks]
+    assert built == expected
