@@ -26,6 +26,7 @@ from .scenarios import SCENARIOS, ScenarioSpec, _seed
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_RUNTIME = 3
+MAX_SHOTS = 2**63 - 1  # numpy draws counts as int64
 
 
 def _fail(message: str, code: int) -> int:
@@ -60,10 +61,10 @@ def _cmd_scan(args: argparse.Namespace) -> int:
             engine = replace(engine, n_shots=args.shots)
         if args.mitigate:
             engine = replace(engine, mitigate=True)
-        if engine.kind == "sampled" and engine.n_shots < 2:
+        if engine.kind == "sampled" and not 2 <= engine.n_shots <= MAX_SHOTS:
             source = "--shots" if args.shots is not None else "engine.shots"
             raise ConfigError(
-                f"{source} must be at least 2 for a sampled scan (one shot has no "
+                f"{source} must be in 2..{MAX_SHOTS} for a sampled scan (one shot has no "
                 f"error bar), got {engine.n_shots}"
             )
         seed = _resolve_seed(args.seed, engine.seed)
@@ -88,9 +89,11 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     config_echo = spec.to_config()
     config_echo["engine"]["seed"] = resolved_seed
 
-    csv_path = out_dir / "scan.csv"
-    with open(csv_path, "w", newline="") as fh:
-        fh.write(scan_to_csv(scan))
+    csv_path, manifest_path = out_dir / "scan.csv", out_dir / "manifest.json"
+    try:
+        csv_path.write_text(scan_to_csv(scan), newline="")
+    except OSError as err:
+        return _fail(f"cannot use {err.filename}: {err.strerror}", EXIT_USAGE)
     manifest = {
         "schema_version": 1,
         "package_version": __version__,
@@ -103,9 +106,11 @@ def _cmd_scan(args: argparse.Namespace) -> int:
         "duration_seconds": round(time.perf_counter() - started, 6),
         "argv": list(sys.argv[1:]) if sys.argv else [],
     }
-    with open(out_dir / "manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    try:
+        manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    except OSError as err:
+        csv_path.unlink()  # no scan.csv without its manifest
+        return _fail(f"cannot use {err.filename}: {err.strerror}", EXIT_USAGE)
 
     counts = scan.violation_counts()
     summary = ", ".join(f"{name}={count}" for name, count in counts.items())
@@ -120,8 +125,8 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
     try:
         if (args.flip_prob is None) == (args.matrix is None):
             raise ConfigError("provide exactly one of --flip-prob or --matrix")
-        if args.shots < 1:
-            raise ConfigError(f"--shots must be at least 1, got {args.shots}")
+        if not 1 <= args.shots <= MAX_SHOTS:
+            raise ConfigError(f"--shots must be in 1..{MAX_SHOTS}, got {args.shots}")
         if args.matrix is not None:
             confusion = ConfusionMatrix.from_json(Path(args.matrix).read_text())
         else:

@@ -20,7 +20,6 @@ over its own duration.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
@@ -56,57 +55,45 @@ def _expm_hermitian(h: PauliSumHamiltonian, duration: float) -> np.ndarray:
 class TrotterEvolution:
     """First-order Trotter dynamics: segments advance in fixed steps of ``dt``.
 
-    The Hamiltonian is split once, at construction, into two layers. The
-    odd layer holds the bonds (i, i+1) with odd i, then the single-site
-    terms; the even layer holds the bonds with even i. Each layer keeps the
-    Hamiltonian's term order, and the bonds inside one layer must mutually
-    commute so the layer factorizes into independent two-qubit gates on
-    hardware. Identity terms only add a global phase and are dropped.
+    The Hamiltonian is split once, at construction, into two layers of
+    blocks on disjoint qubits. The odd layer has each odd bond (i, i+1)
+    followed by the single-site terms on its qubits, and each other qubit's
+    single-site terms; the even layer has each even bond. A block keeps the
+    Hamiltonian's term order, and its gate exp(-i dt H_block) exponentiates
+    its terms together, so they need not commute. Identity terms are dropped.
 
     A segment of duration d uses round(d / dt) steps, so a correlator whose
     second window is twice as long simply applies twice as many steps, the
-    same way per-step circuits compose on hardware. The block gates
-    exp(-i dt H_block) and the block channels are built on first use and
-    held by the instance, outside its equality and hash, for every segment
-    it evolves.
+    same way per-step circuits compose on hardware. The block gates and the
+    block channels are built on first use and held by the instance, outside
+    its equality and hash, for every segment it evolves.
     """
 
     hamiltonian: PauliSumHamiltonian
     dt: float
-    layers: tuple[PauliSumHamiltonian, PauliSumHamiltonian] = field(
-        init=False, repr=False, compare=False
-    )
+    # (layer, first qubit) -> (support, term) pairs; layer 0 is the odd one
+    _blocks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _channels: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not 0 <= self.dt < float("inf"):  # NaN fails too
             raise InvalidTrotterPlan(f"dt must be finite and nonnegative, got {self.dt}")
-        odd_bonds: list[PauliTerm] = []
-        even_bonds: list[PauliTerm] = []
-        single: list[PauliTerm] = []
+        blocks, fields = self._blocks, []
         for t in self.hamiltonian.terms:
             support = t.support()
             if len(support) == 1:
-                single.append(t)
+                fields.append((support, t))
             elif len(support) == 2 and support[1] - support[0] == 1:
-                (odd_bonds if support[0] % 2 else even_bonds).append(t)
+                blocks.setdefault((1 - support[0] % 2, support[0]), []).append((support, t))
             elif support:
                 raise InvalidTrotterPlan(
                     f"cannot auto-partition term {t.paulis!r}: only single-site and "
                     "nearest-neighbor two-site terms are supported"
                 )
-        for name, bonds in (("even", even_bonds), ("odd", odd_bonds)):
-            for a, b in itertools.combinations(bonds, 2):
-                if not a.commutes_with(b):
-                    raise InvalidTrotterPlan(
-                        f"{name} layer contains non-commuting terms {a.paulis!r} and {b.paulis!r}"
-                    )
-        n = self.hamiltonian.num_qubits
-        layers = (
-            PauliSumHamiltonian(n, tuple(odd_bonds + single)),
-            PauliSumHamiltonian(n, tuple(even_bonds)),
-        )
-        object.__setattr__(self, "layers", layers)
+        bonds = set(blocks)
+        for (q,), t in fields:  # a field joins the odd bond on its qubit
+            bond = (0, q - 1 + q % 2)
+            blocks.setdefault(bond if bond in bonds else (0, q), []).append(((q,), t))
 
     def segment_steps(self, duration: float) -> int:
         if duration <= 0:
@@ -123,20 +110,14 @@ class TrotterEvolution:
     @cached_property
     def _gates(self) -> tuple[tuple[tuple[int, ...], np.ndarray, tuple], ...]:
         """(qubits, exp(-i dt H_block), term supports counted from its first
-        qubit) of each connected block of the odd, then the even layer."""
+        qubit) of each block of the odd, then the even layer."""
         gates = []
-        for layer in self.layers:
-            bonds = {t.support()[0] for t in layer.terms if len(t.support()) == 2}
-            blocks: dict[int, list[PauliTerm]] = {}  # terms by the block's first qubit
-            for t in layer.terms:
-                q = t.support()[0]
-                blocks.setdefault(q - 1 if q - 1 in bonds else q, []).append(t)
-            for low, terms in sorted(blocks.items()):
-                m = 2 if low in bonds else 1
-                local = tuple(PauliTerm(t.coefficient, t.paulis[low : low + m]) for t in terms)
-                gate = _expm_hermitian(PauliSumHamiltonian(m, local), self.dt)
-                supports = tuple(tuple(q - low for q in t.support()) for t in terms)
-                gates.append((tuple(range(low, low + m)), gate, supports))
+        for (_, low), block in sorted(self._blocks.items()):
+            m = len(block[0][0])  # a bond comes first in its block
+            local = tuple(PauliTerm(t.coefficient, t.paulis[low : low + m]) for _, t in block)
+            gate = _expm_hermitian(PauliSumHamiltonian(m, local), self.dt)
+            supports = tuple(tuple(q - low for q in support) for support, _ in block)
+            gates.append((tuple(range(low, low + m)), gate, supports))
         return tuple(gates)
 
     def block_channels(self, noise: NoiseModel | None) -> tuple[BlockChannel, ...]:

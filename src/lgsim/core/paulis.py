@@ -103,16 +103,6 @@ class PauliTerm:
         """Qubits on which the term acts non-trivially."""
         return tuple(q for q, c in enumerate(self.paulis) if c != "I")
 
-    def commutes_with(self, other: "PauliTerm") -> bool:
-        """Symbolic commutation test: strings commute iff they differ on an
-        even number of jointly non-identity sites."""
-        clashes = sum(
-            1
-            for a, b in zip(self.paulis, other.paulis)
-            if a != "I" and b != "I" and a != b
-        )
-        return clashes % 2 == 0
-
     def matrix(self) -> np.ndarray:
         return self.coefficient * pauli_string_matrix(self.paulis)
 

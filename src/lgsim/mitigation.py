@@ -21,6 +21,7 @@ in lockstep.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 from functools import reduce
 from typing import TYPE_CHECKING, Sequence
@@ -152,10 +153,13 @@ class CountsVector:
         )
         if len(counts) != 2**self.num_bits:
             raise ValueError(f"expected {2**self.num_bits} entries, got {len(counts)}")
-        if any(c < 0 for c in counts):
-            raise ValueError("negative counts")
+        for i, c in enumerate(counts):
+            if not 0 <= c <= sys.float_info.max:
+                raise ValueError(f"count '{i:0{self.num_bits}b}' is negative or overflows a float")
         if sum(counts) != self.total:
             raise ValueError(f"counts sum {sum(counts)} != total {self.total}")
+        if self.total > sys.float_info.max:
+            raise ValueError("the counts' total overflows a float")
         if self.total == 0:
             raise ValueError("empty counts: every entry is 0")
         object.__setattr__(self, "counts", counts)

@@ -24,7 +24,7 @@ from typing import Callable, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .core.channels import NoiseModel
-from .core.paulis import PauliSumHamiltonian
+from .core.paulis import MAX_QUBITS, PauliSumHamiltonian
 from .core.states import prepare_state
 from .errors import ConfigError
 from .inequalities import (
@@ -232,6 +232,8 @@ def run_tfic(
     """
     j = _finite(j, "j")
     gammas = _finite_list(gammas, "gammas", min_len=2)
+    if len(gammas) > MAX_QUBITS:
+        raise ConfigError(f"gammas has {len(gammas)} entries, one per qubit; at most {MAX_QUBITS}")
     k = _integer(k, "k", ConfigError)
     if not 1 <= k <= 50:
         raise ConfigError(f"k must be in 1..50, got {k}")
@@ -265,6 +267,8 @@ def run_param_scan(
 ) -> RegionScanResult:
     """Violation-region map over the last qubit's frequency ratio; default tau_max 2 pi."""
     n_qubits = _integer(n_qubits, "n_qubits", ConfigError)
+    if not 2 <= n_qubits <= MAX_QUBITS:
+        raise ConfigError(f"n_qubits must be in 2..{MAX_QUBITS}, got {n_qubits}")
     ratios = _finite_list(ratios, "ratios")
     taus = _tau_grid(n_points, tau_max, 2.0 * np.pi)
     result = violation_region_scan(n_qubits, ratios, taus)

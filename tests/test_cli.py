@@ -261,6 +261,15 @@ NAN, INF = float("nan"), float("inf")
          "noise.t2"),
         ("tfic", {"j": 0.1, "gammas": [1, 1, 2], "k": 2}, {"noise": {"t1": {"-1": 50.0}}},
          "noise.t1"),
+        # numpy draws at most 2^63 - 1 shots
+        ("single_qubit", {"gamma": 1.0}, {"engine": {"kind": "sampled", "shots": 10**20}},
+         "engine.shots"),
+        ("single_qubit", {"gamma": 1.0},
+         {"engine": {"kind": "sampled"}, "argv": ["--shots", str(2**63)]}, "--shots"),
+        # the chain and the region scan take 2 to 12 qubits
+        ("tfic", {"j": 0.1, "gammas": [1] * 13, "k": 2}, {}, "gammas"),
+        ("param_scan", {"n_qubits": 1, "ratios": [1.0]}, {}, "n_qubits"),
+        ("param_scan", {"n_qubits": 13, "ratios": [1.0]}, {}, "n_qubits"),
     ],
 )
 def test_scan_rejects_unphysical_config_naming_the_key(
@@ -294,6 +303,8 @@ def test_scan_rejects_unphysical_config_naming_the_key(
           "--out", "{tmp}/c.json"], "--shots"),
         (["calibrate", "--bits", "1", "--flip-prob", "0.03", "--shots", "-5",
           "--out", "{tmp}/c.json"], "--shots"),
+        (["calibrate", "--bits", "1", "--flip-prob", "0.03", "--shots", str(10**20),
+          "--out", "{tmp}/c.json"], "--shots"),
     ],
 )
 def test_cli_rejects_unusable_paths_and_flags_naming_them(
@@ -314,6 +325,22 @@ def test_cli_rejects_unusable_paths_and_flags_naming_them(
     assert main([arg.format(**fill) for arg in argv]) == 2
     assert named.format(**fill) in capsys.readouterr().err
     assert not (tmp_path / "c.json").exists()
+
+
+@pytest.mark.parametrize("blocked", ["scan.csv", "manifest.json"])
+def test_scan_reports_an_unwritable_output_and_leaves_no_csv_without_manifest(
+    tmp_path, capsys, single_qubit_config, blocked
+):
+    out = tmp_path / "run"
+    (out / blocked).mkdir(parents=True)
+    assert main(["scan", single_qubit_config, "--out", str(out)]) == 2
+    assert f"cannot use {out / blocked}" in capsys.readouterr().err
+    assert not (out / "scan.csv").is_file()
+
+
+def test_sampled_scan_takes_the_largest_int64_shot_count(tmp_path, single_qubit_config):
+    argv = ["--engine", "sampled", "--seed", "1", "--shots", str(2**63 - 1)]
+    assert main(["scan", single_qubit_config, *argv, "--out", str(tmp_path / "o")]) == 0
 
 
 def test_scan_accepts_integral_floats(tmp_path):
@@ -620,6 +647,9 @@ def test_mitigate_accepts_counts_table_json(tmp_path):
         ({"counts": {"0": 60, "1": 40}, "num_bits": "1"}, "'num_bits'"),
         # a boolean is not a shot count either
         ({"outcomes": {"++": 1}, "n_shots": True}, "n_shots"),
+        # mitigation reads counts and their total as floats
+        ({"counts": {"00": 10**400, "01": 1}, "num_bits": 2}, "count '00'"),
+        ({"counts": {"0": 10**308, "1": 10**308}}, "total"),
     ],
 )
 def test_mitigate_rejects_bad_counts(tmp_path, capsys, payload, message):

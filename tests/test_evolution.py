@@ -155,18 +155,30 @@ def test_matches_scipy_expm_on_random_hamiltonians():
 
 
 def test_auto_partition_splits_bonds_by_parity():
-    h = tfic_hamiltonian()
-    odd, even = TrotterEvolution(h, 0.1).layers
-    assert [t.support() for t in even.terms] == [(0, 1), (2, 3)]
-    # odd bonds first, then the single-site fields, each in term order
-    assert [t.support() for t in odd.terms] == [(1, 2), (3, 4)] + [(q,) for q in range(5)]
+    blocks = TrotterEvolution(tfic_hamiltonian(), 0.1)._blocks
+    assert all(t.support() == s for block in blocks.values() for s, t in block)
+    # layer 0 (odd): each odd bond, then the fields on its qubits, in term
+    # order, and the lone field of qubit 0; layer 1 (even): the even bonds
+    assert {key: [s for s, _ in block] for key, block in blocks.items()} == {
+        (0, 0): [(0,)],
+        (0, 1): [(1, 2), (1,), (2,)],
+        (0, 3): [(3, 4), (3,), (4,)],
+        (1, 0): [(0, 1)],
+        (1, 2): [(2, 3)],
+    }
 
 
-def test_partition_with_non_commuting_layer_rejected():
-    # ZZ and ZX on the same bond differ on exactly one site, so they anticommute
-    h = PauliSumHamiltonian(2, (PauliTerm(1.0, "ZZ"), PauliTerm(0.5, "ZX")))
-    with pytest.raises(InvalidTrotterPlan, match="non-commuting"):
-        TrotterEvolution(h, 0.1)
+def test_non_commuting_terms_on_one_bond_share_its_block_gate():
+    # ZZ and ZX on the same bond differ on exactly one site, so they
+    # anticommute; the bond's gate exponentiates them together. No odd bond
+    # covers the fields of qubits 1 and 2, so each is a block of its own.
+    terms = [(1.0, "ZZII"), (0.5, "ZXII"), (-0.3, "IIXY"), (0.7, "IXII"), (-0.4, "IIZI")]
+    h = PauliSumHamiltonian.from_terms(4, terms)
+    noise = NoiseModel(t1=2.0, t2=1.5, gate_depolarizing_1q=0.01, gate_depolarizing_2q=0.05)
+    rho = random_rho(4, np.random.default_rng(8))
+    out = evolve_density(rho, TrotterEvolution(h, 0.1), 0.0, 0.3, noise)
+    expected = literal_trotter(rho.matrix, 4, h.terms, 0.1, 3, 0.01, 0.05, 2.0, 1.5)
+    assert np.abs(out.matrix - expected).max() < 1e-12
 
 
 def test_auto_partition_rejects_long_range_terms():
@@ -231,20 +243,16 @@ def on(n, paulis):
 
 @st.composite
 def nearest_neighbour_terms(draw, min_qubits=1):
-    """(n, terms): fields and nearest-neighbour bonds in a drawn order, the
-    bonds on one pair mutually commuting, sometimes with an identity term."""
+    """(n, terms): fields and nearest-neighbour bonds in a drawn order,
+    sometimes with an identity term."""
     n = draw(st.integers(min_qubits, 4))
     terms = []
     for q in range(n):
         for p in draw(st.lists(st.sampled_from("XYZ"), max_size=2)):
             terms.append(PauliTerm(draw(coefficients), on(n, {q: p})))
     for q in range(n - 1):
-        kept = []
         for a, b in draw(st.lists(st.sampled_from(PAIRS), max_size=2)):
-            term = PauliTerm(draw(coefficients), on(n, {q: a, q + 1: b}))
-            if all(term.commutes_with(k) for k in kept):
-                kept.append(term)
-        terms += kept
+            terms.append(PauliTerm(draw(coefficients), on(n, {q: a, q + 1: b})))
     if draw(st.booleans()):
         terms.append(PauliTerm(draw(coefficients), "I" * n))
     return n, draw(st.permutations(terms))
