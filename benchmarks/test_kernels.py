@@ -1,13 +1,14 @@
 """Kernel microbenchmarks at n = 5, 8 and 10 qubits: ``apply_channel`` for
 each channel kind on the noisy Trotter path (one- and two-qubit gate
-depolarizing, dephasing, relaxation with t1 and t2 fused into one channel,
-and a two-qubit block gate fused with its bond and field depolarizing, as a
-Trotter step applies it), one noisy first-order Trotter step of the
-transverse-field Ising chain, one batched ``exact_correlator`` and one batched
-``sampled_correlator`` call over a tau grid, and one ``mitigate_correlator``
-call with its bootstrap over the counts tables of a 75-point scan and over
-225 tables drawn from random laws, whose resamples mostly take the
-constrained fit.
+depolarizing as an identity gate fused with its noise, dephasing, relaxation
+with t1 and t2 fused into one channel, and a two-qubit block gate fused with
+its bond and field depolarizing, as a Trotter step applies it), one noisy
+first-order Trotter step of the transverse-field Ising chain with gate noise
+alone and with t1 and t2 as well, one batched ``exact_correlator`` and one
+batched ``sampled_correlator`` call over a tau grid, and one
+``mitigate_correlator`` call with its bootstrap over the counts tables of a
+75-point scan and over 225 tables drawn from random laws, whose resamples
+mostly take the constrained fit.
 
 They are not part of the test suite (``testpaths`` is ``tests``). Run them
 from the repository root with pytest-benchmark installed:
@@ -36,7 +37,7 @@ from lgsim import (
     sampled_correlator,
     sigma_z_observable,
 )
-from lgsim.core import dephasing_channel, depolarizing_channel, relaxation_channels
+from lgsim.core import relaxation_channels
 from lgsim.core.channels import block_channel
 from lgsim.core.evolution import _evolve_segment, apply_channel
 from lgsim.scenarios import ising_chain_hamiltonian, transverse_field_hamiltonian
@@ -44,6 +45,7 @@ from lgsim.scenarios import ising_chain_hamiltonian, transverse_field_hamiltonia
 SIZES = (5, 8, 10)
 DT = 1.0 / 3.0
 NOISE = NoiseModel(gate_depolarizing_1q=3e-4, gate_depolarizing_2q=1e-2)
+RELAXING = NoiseModel(t1=80.0, t2=50.0, gate_depolarizing_1q=3e-4, gate_depolarizing_2q=1e-2)
 READOUT = NoiseModel(readout_confusion=ConfusionMatrix.symmetric(0.03))
 SHOTS = 8192
 
@@ -54,10 +56,15 @@ def hermitian(n, seed=5):
     return DensityMatrix._trusted(n, a + a.conj().T)
 
 
+def depolarizing(p, qubits):
+    m = len(qubits)
+    return block_channel(qubits, np.eye(2**m), [(p, tuple(range(m)))])
+
+
 CHANNELS = {
-    "depolarizing_1q": lambda n: depolarizing_channel(3e-4, (n // 2,)),
-    "depolarizing_2q": lambda n: depolarizing_channel(1e-2, (n // 2 - 1, n // 2)),
-    "dephasing": lambda n: dephasing_channel(50.0, DT, n // 2),
+    "depolarizing_1q": lambda n: depolarizing(3e-4, (n // 2,)),
+    "depolarizing_2q": lambda n: depolarizing(1e-2, (n // 2 - 1, n // 2)),
+    "dephasing": lambda n: relaxation_channels(NoiseModel(t2={n // 2: 50.0}), n, DT)[0],
     "relaxation": lambda n: relaxation_channels(
         NoiseModel(t1={n // 2: 80.0}, t2={n // 2: 50.0}), n, DT
     )[0],
@@ -76,14 +83,15 @@ def test_apply_channel(benchmark, kind, n):
 
 
 @pytest.mark.parametrize("n", SIZES)
-def test_noisy_trotter_step(benchmark, n):
+@pytest.mark.parametrize("noise", [NOISE, RELAXING], ids=["gate", "t1_t2"])
+def test_noisy_trotter_step(benchmark, noise, n):
     # one dt step: the block channels of the odd, then the even layer, each
-    # a block gate fused with its gate noise; they are built before timing
-    # starts
+    # a block gate fused with its gate noise and with the relaxation of the
+    # qubits it is the last block on; they are built before timing starts
     evo = TrotterEvolution(ising_chain_hamiltonian(0.1, [1.0] * (n - 1) + [2.0]), DT)
     rho = hermitian(n)
-    _evolve_segment(rho, evo, DT, NOISE)
-    benchmark(_evolve_segment, rho, evo, DT, NOISE)
+    _evolve_segment(rho, evo, DT, noise)
+    benchmark(_evolve_segment, rho, evo, DT, noise)
 
 
 def tau_grid_schedules(first, second):

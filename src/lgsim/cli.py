@@ -58,6 +58,8 @@ def _cmd_scan(args: argparse.Namespace) -> int:
         if args.engine is not None:
             engine = replace(engine, kind=args.engine)
         if args.shots is not None:
+            if args.shots < 1:
+                raise ConfigError(f"--shots must be >= 1, got {args.shots}")
             engine = replace(engine, n_shots=args.shots)
         if args.mitigate:
             engine = replace(engine, mitigate=True)

@@ -3,10 +3,7 @@ segment evolution (exact and Trotterized), noise channels."""
 
 from .channels import (
     NoiseModel,
-    amplitude_damping_channel,
     apply_channel,
-    dephasing_channel,
-    depolarizing_channel,
     relaxation_channels,
 )
 from .evolution import TrotterEvolution, evolve_density
@@ -28,10 +25,7 @@ __all__ = [
     "PauliTerm",
     "PureState",
     "TrotterEvolution",
-    "amplitude_damping_channel",
     "apply_channel",
-    "dephasing_channel",
-    "depolarizing_channel",
     "evolve_density",
     "pauli_string_matrix",
     "prepare_state",

@@ -4,8 +4,8 @@ Both kinds of dynamics run through one step loop. Exact dynamics is one step
 of the whole Hamiltonian over the segment; a ``TrotterEvolution`` is a
 number of ``dt`` steps of its odd layer (odd bonds plus single-site fields)
 and its even layer, each one gate per connected block of its terms (a lone
-qubit, or a bond with the fields on its qubits) fused with its gate noise.
-Every step ends with the relaxation channels for its length. Each
+qubit, or a bond with the fields on its qubits) fused with its gate noise
+and with the step's relaxation of each qubit it is the last block on. Each
 propagator is exp(-i H t) from a Hermitian eigendecomposition (cached per
 Hamiltonian), which keeps it unitary to machine precision for the register
 sizes handled here. A ``TrotterEvolution`` builds its block gates once, on
@@ -121,16 +121,32 @@ class TrotterEvolution:
         return tuple(gates)
 
     def block_channels(self, noise: NoiseModel | None) -> tuple[BlockChannel, ...]:
-        """Each block gate fused with the gate depolarizing of its terms, in
-        the order of ``_gates``; built once per pair of rates."""
-        noise = noise or NoiseModel()  # no noise model: no gate noise
+        """One step: each block gate fused with the gate depolarizing of its
+        terms, in the order of ``_gates``, and with the relaxation over
+        ``dt`` of each qubit whose last block of the step it is. Channels on
+        disjoint qubits commute, so that relaxation acts where it would at
+        the end of the step. A qubit that no block covers relaxes as its own
+        block at the end. Built once per pair of rates and t1/t2 times."""
+        noise = noise or NoiseModel()  # no noise model: no gate noise, no relaxation
         p = (noise.gate_depolarizing_1q, noise.gate_depolarizing_2q)
-        if p not in self._channels:
-            self._channels[p] = tuple(
-                block_channel(qubits, gate, [(p[len(s) - 1], s) for s in terms if p[len(s) - 1]])
-                for qubits, gate, terms in self._gates
-            )
-        return self._channels[p]
+        key = (*p, noise.t1, noise.t2)
+        if key not in self._channels:
+            n = self.hamiltonian.num_qubits
+            relax = {ch.target_qubits[0]: ch for ch in relaxation_channels(noise, n, self.dt)}
+            last = {q: i for i, (qubits, _, _) in enumerate(self._gates) for q in qubits}
+            channels = [
+                block_channel(
+                    qubits,
+                    gate,
+                    [(p[len(s) - 1], s) for s in terms if p[len(s) - 1]],
+                    {k: relax[q].superop for k, q in enumerate(qubits)
+                     if q in relax and last[q] == i},
+                )
+                for i, (qubits, gate, terms) in enumerate(self._gates)
+            ]
+            channels += [ch for q, ch in relax.items() if q not in last]
+            self._channels[key] = tuple(channels)
+        return self._channels[key]
 
 
 Dynamics = PauliSumHamiltonian | TrotterEvolution
@@ -156,20 +172,20 @@ def _evolve_segment(
     """Apply one segment's linear map to ``rho``, unchecked.
 
     Exact dynamics is one step of the whole Hamiltonian over the segment,
-    with no gate noise. Trotter dynamics is ``segment_steps`` steps, each
-    applying the block channels of the odd layer, then those of the even
-    layer: every block gate followed by its gate noise. Every step ends
-    with the relaxation channels for its length. Every step is linear in
-    ``rho``, which need not be a state; the caller checks the result.
+    with no gate noise, followed by the relaxation channels for its length.
+    Trotter dynamics is ``segment_steps`` steps, each applying the block
+    channels of the odd layer, then those of the even layer: every block
+    gate followed by its gate noise and by the step's relaxation of the
+    qubits it is the last block on (``block_channels``). Every step is
+    linear in ``rho``, which need not be a state; the caller checks the
+    result.
     """
     if isinstance(dynamics, PauliSumHamiltonian):
-        steps, dt, blocks = 1, duration, ()
         u = _expm_hermitian(dynamics, duration)
         rho = DensityMatrix._trusted(rho.num_qubits, u @ rho.matrix @ u.conj().T)
+        steps, channels = 1, relaxation_channels(noise, rho.num_qubits, duration) if noise else ()
     else:
-        steps, dt = dynamics.segment_steps(duration), dynamics.dt
-        blocks = dynamics.block_channels(noise)
-    channels = (*blocks, *relaxation_channels(noise, rho.num_qubits, dt)) if noise else blocks
+        steps, channels = dynamics.segment_steps(duration), dynamics.block_channels(noise)
     for _ in range(steps):
         for ch in channels:
             rho = apply_channel(rho, ch)

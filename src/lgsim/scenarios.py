@@ -531,9 +531,12 @@ class ScenarioSpec:
         mitigate = engine_block.get("mitigate", False)
         if not isinstance(mitigate, bool):
             raise ConfigError(f"engine.mitigate must be true or false, got {mitigate!r}")
+        shots = _integer(engine_block.get("shots", 8192), "engine.shots", ConfigError)
+        if shots < 1:
+            raise ConfigError(f"engine.shots must be >= 1, got {shots}")
         engine = Engine(
             kind=engine_block.get("kind", "exact"),
-            n_shots=_integer(engine_block.get("shots", 8192), "engine.shots", ConfigError),
+            n_shots=shots,
             seed=None if engine_block.get("seed") is None else _seed(
                 engine_block["seed"], "engine.seed"
             ),

@@ -13,6 +13,7 @@ functions that use it, so the module loads without the package.
 
 from __future__ import annotations
 
+import itertools
 from functools import reduce
 
 import numpy as np
@@ -202,6 +203,31 @@ def kraus_sum(rho, kraus_ops, targets):
         full = local_operator(k, targets, n)
         out = out + full @ rho @ full.conj().T
     return out
+
+
+def depolarizing_ops(p, m):
+    """Kraus operators sqrt(w) P of uniform depolarizing on m qubits."""
+    ops = []
+    for labels in itertools.product("IXYZ", repeat=m):
+        w = 1 - p * (4**m - 1) / 4**m if set(labels) == {"I"} else p / 4**m
+        ops.append(np.sqrt(w) * pauli_string("".join(labels)))
+    return ops
+
+
+def relaxation_ops(t1, t2, dt):
+    """Kraus lists on one qubit: amplitude damping for t1, then dephasing at
+    the pure-dephasing rate 1/t2 - 1/(2 t1)."""
+    channels = []
+    if t1 is not None:
+        g = 1 - np.exp(-dt / t1)
+        channels.append(
+            [np.array([[1, 0], [0, np.sqrt(1 - g)]]), np.array([[0, np.sqrt(g)], [0, 0]])]
+        )
+    if t2 is not None:
+        rate = 1 / t2 - (0.5 / t1 if t1 is not None else 0.0)
+        p = 0.5 * (1 - np.exp(-dt * max(rate, 0.0)))
+        channels.append([np.sqrt(1 - p) * I2, np.sqrt(p) * Z])
+    return channels
 
 
 def slsqp_fit(matrix, target):

@@ -270,6 +270,13 @@ NAN, INF = float("nan"), float("inf")
         ("tfic", {"j": 0.1, "gammas": [1] * 13, "k": 2}, {}, "gammas"),
         ("param_scan", {"n_qubits": 1, "ratios": [1.0]}, {}, "n_qubits"),
         ("param_scan", {"n_qubits": 13, "ratios": [1.0]}, {}, "n_qubits"),
+        # a shot count below 1 is named before the engine is built
+        ("single_qubit", {"gamma": 1.0}, {"engine": {"kind": "sampled"}, "argv": ["--shots", "0"]},
+         "--shots"),
+        ("single_qubit", {"gamma": 1.0}, {"argv": ["--shots", "-5"]}, "--shots"),
+        ("single_qubit", {"gamma": 1.0}, {"engine": {"shots": 0}}, "engine.shots"),
+        ("single_qubit", {"gamma": 1.0}, {"engine": {"kind": "sampled", "shots": -5}},
+         "engine.shots"),
     ],
 )
 def test_scan_rejects_unphysical_config_naming_the_key(

@@ -23,6 +23,7 @@ from lgsim import (
     evolve_density,
     prepare_state,
 )
+import lgsim.core.evolution as evolution
 from lgsim.core import pauli_string_matrix
 
 X = bf.X
@@ -258,31 +259,6 @@ def nearest_neighbour_terms(draw, min_qubits=1):
     return n, draw(st.permutations(terms))
 
 
-def depolarizing_ops(p, m):
-    """Kraus operators sqrt(w) P of uniform depolarizing on m qubits."""
-    ops = []
-    for labels in itertools.product("IXYZ", repeat=m):
-        w = 1 - p * (4**m - 1) / 4**m if set(labels) == {"I"} else p / 4**m
-        ops.append(np.sqrt(w) * bf.pauli_string("".join(labels)))
-    return ops
-
-
-def relaxation_ops(t1, t2, dt):
-    """Kraus lists on one qubit: amplitude damping for t1, then dephasing at
-    the pure-dephasing rate 1/t2 - 1/(2 t1)."""
-    channels = []
-    if t1 is not None:
-        g = 1 - np.exp(-dt / t1)
-        channels.append(
-            [np.array([[1, 0], [0, np.sqrt(1 - g)]]), np.array([[0, np.sqrt(g)], [0, 0]])]
-        )
-    if t2 is not None:
-        rate = 1 / t2 - (0.5 / t1 if t1 is not None else 0.0)
-        p = 0.5 * (1 - np.exp(-dt * max(rate, 0.0)))
-        channels.append([np.sqrt(1 - p) * bf.I2, np.sqrt(p) * bf.Z])
-    return channels
-
-
 def literal_trotter(rho, n, terms, dt, steps, p1=0.0, p2=0.0, t1=None, t2=None):
     """``steps`` literal first-order steps: expm of the odd layer (odd bonds,
     then fields, in term order), a dense Kraus sum per gate, the same for the
@@ -297,10 +273,10 @@ def literal_trotter(rho, n, terms, dt, steps, p1=0.0, p2=0.0, t1=None, t2=None):
         step.append([expm(-1j * h * dt)])
         for t in layer:
             support = t.support()
-            ops = depolarizing_ops(p2 if len(support) == 2 else p1, len(support))
+            ops = bf.depolarizing_ops(p2 if len(support) == 2 else p1, len(support))
             step.append([bf.local_operator(k, support, n) for k in ops])
     for q in range(n):
-        for ops in relaxation_ops(t1, t2, dt):
+        for ops in bf.relaxation_ops(t1, t2, dt):
             step.append([bf.local_operator(k, (q,), n) for k in ops])
     out = rho
     for _ in range(steps):
@@ -371,6 +347,26 @@ def test_duplicated_term_trotterizes_as_its_sum():
     got = evolve_density(rho, TrotterEvolution(listed, 0.2), 0.0, 0.6, noise).matrix
     want = evolve_density(rho, TrotterEvolution(summed, 0.2), 0.0, 0.6, noise).matrix
     assert np.abs(got - want).max() < 1e-12
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_noisy_trotter_step_is_one_pass_per_block(monkeypatch, n):
+    # each qubit's relaxation is fused into the last block on it, so a step
+    # with t1, t2 and gate noise is one pass per block: n blocks for odd n,
+    # n + 1 for even n, where the last qubit is a lone field in the odd layer
+    calls = []
+    apply_channel = evolution.apply_channel
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return apply_channel(*args, **kwargs)
+
+    monkeypatch.setattr(evolution, "apply_channel", counting)
+    evo = TrotterEvolution(tfic_hamiltonian(gammas=[1.0] * (n - 1) + [2.0]), 0.25)
+    noise = NoiseModel(t1=40.0, t2=30.0, gate_depolarizing_1q=1e-3, gate_depolarizing_2q=1e-2)
+    steps = 3
+    evolve_density(prepare_state("ghz", n).density_matrix(), evo, 0.0, steps * 0.25, noise)
+    assert len(calls) == steps * (n if n % 2 else n + 1)
 
 
 def test_segment_steps_follow_fixed_dt():
