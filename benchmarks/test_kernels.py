@@ -25,7 +25,7 @@ import pytest
 
 from lgsim import (
     ConfusionMatrix,
-    CountsTable,
+    CountsVector,
     DensityMatrix,
     MeasurementSchedule,
     NoiseModel,
@@ -150,11 +150,7 @@ def test_mitigate_random_laws_batch(benchmark):
     # constrained fit does most of the work
     rng = np.random.default_rng(18)
     tables = [
-        CountsTable(
-            dict(zip(("++", "+-", "-+", "--"), map(int, rng.multinomial(SHOTS, law)))),
-            SHOTS,
-            seed=i,
-        )
+        CountsVector(2, tuple(rng.multinomial(SHOTS, law).tolist()), SHOTS, seed=i)
         for i, law in enumerate(rng.dirichlet(np.ones(4), size=225))
     ]
     benchmark(mitigate_correlator, tables, ConfusionMatrix.symmetric(0.03, num_bits=2))

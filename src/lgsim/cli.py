@@ -19,8 +19,8 @@ from . import __version__
 from .core.channels import NoiseModel
 from .errors import ConfigError, InvalidDistribution, InvalidNoiseParameter, LgsimError
 from .inequalities import joint_distribution_oracle, scan_to_csv
-from .mitigation import ConfusionMatrix, CountsVector, calibrate, mitigate
-from .observables import CountsTable, _integer
+from .mitigation import ConfusionMatrix, calibrate, mitigate
+from .observables import CountsVector, _check_bit_keys, _integer
 from .scenarios import SCENARIOS, ScenarioSpec, _seed
 
 EXIT_OK = 0
@@ -151,24 +151,29 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _load_counts(path: Path) -> CountsVector:
+def _load_counts(path: Path, bits: int) -> CountsVector:
+    """Counts from ``{"counts": {bits: count}, "num_bits"?}`` or ``{"outcomes":
+    {"++": count, ...}, "n_shots": n}``. Bit keys are checked, then num_bits
+    against the ``bits``-bit matrix, before the 2^num_bits table is built."""
     data = json.loads(path.read_text())
     if "outcomes" in data:
-        table = CountsTable(data["outcomes"], data["n_shots"], data.get("seed"))
-        vec = table.vector().astype(int)
-        return CountsVector(2, tuple(int(v) for v in vec), table.n_shots)
-    counts = data["counts"]
-    num_bits = data.get("num_bits")
+        return CountsVector.from_outcomes(data["outcomes"], data["n_shots"])
+    table, num_bits = data["counts"], data.get("num_bits")
+    if not isinstance(table, dict) or (not table and num_bits is None):
+        raise ValueError(f"'counts' must map one or more bit strings to counts, got {table!r}")
     if num_bits is None:
-        num_bits = max(len(k) for k in counts)
+        num_bits = max(len(k) for k in table)
     num_bits = _integer(num_bits, "counts 'num_bits'")
-    return CountsVector.from_dict(num_bits, counts)
+    _check_bit_keys(num_bits, table)
+    if num_bits != bits:
+        raise ValueError(f"counts 'num_bits' {num_bits} does not match the {bits}-bit matrix")
+    return CountsVector.from_dict(num_bits, table)
 
 
 def _cmd_mitigate(args: argparse.Namespace) -> int:
     try:
-        raw = _load_counts(Path(args.counts))
         matrix = ConfusionMatrix.from_json(Path(args.matrix).read_text())
+        raw = _load_counts(Path(args.counts), matrix.num_bits)
     except OSError as err:
         return _fail(f"cannot use {err.filename}: {err.strerror}", EXIT_USAGE)
     except (KeyError, TypeError, ValueError, OverflowError, LgsimError) as err:

@@ -262,7 +262,7 @@ def tau_scan(
     dynamics, and one batch of three per grid point under Trotter dynamics,
     whose step depends on tau. Sampled runs draw each (grid point,
     correlator) from its own seed, derived from the master seed; a mitigated
-    one then mitigates every counts table in one ``mitigate_correlator`` call.
+    one then mitigates all drawn counts in one ``mitigate_correlator`` call.
     """
     from .mitigation import mitigate_correlator
 

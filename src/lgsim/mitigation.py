@@ -13,15 +13,14 @@ clearly negative quasi-probabilities (an entry below -0.01) an exact
 active-set fit of min ||M x - y||^2 over the probability simplex
 (Lawson-Hanson NNLS with a sum row, in numpy) takes over. One kernel,
 ``_mitigate_rows``, serves a single distribution and the bootstrap of a
-whole scan (every resample of every counts table): the rows are inverted in
-one stacked solve, and the rows that went negative get the fit together,
-in lockstep.
+whole scan (every resample of every drawn ``CountsVector``): the rows are
+inverted in one stacked solve, and the rows that went negative get the fit
+together, in lockstep.
 """
 
 from __future__ import annotations
 
 import json
-import sys
 from dataclasses import dataclass, field
 from functools import reduce
 from typing import TYPE_CHECKING, Sequence
@@ -36,7 +35,7 @@ from .errors import (
 from .observables import (
     METHOD_SAMPLED_MITIGATED,
     CorrelatorEstimate,
-    CountsTable,
+    CountsVector,
     DichotomicObservable,
     _integer,
     _readout_on,
@@ -137,48 +136,6 @@ class ConfusionMatrix:
         data = json.loads(text)
         num_bits = _integer(data["num_bits"], "matrix 'num_bits'")
         return cls(num_bits, np.array(data["matrix"], dtype=float))
-
-
-@dataclass(frozen=True)
-class CountsVector:
-    """Nonnegative counts per bitstring with their total."""
-
-    num_bits: int
-    counts: tuple[int, ...]
-    total: int
-
-    def __post_init__(self) -> None:
-        counts = tuple(
-            _integer(c, f"count '{i:0{self.num_bits}b}'") for i, c in enumerate(self.counts)
-        )
-        if len(counts) != 2**self.num_bits:
-            raise ValueError(f"expected {2**self.num_bits} entries, got {len(counts)}")
-        for i, c in enumerate(counts):
-            if not 0 <= c <= sys.float_info.max:
-                raise ValueError(f"count '{i:0{self.num_bits}b}' is negative or overflows a float")
-        if sum(counts) != self.total:
-            raise ValueError(f"counts sum {sum(counts)} != total {self.total}")
-        if self.total > sys.float_info.max:
-            raise ValueError("the counts' total overflows a float")
-        if self.total == 0:
-            raise ValueError("empty counts: every entry is 0")
-        object.__setattr__(self, "counts", counts)
-
-    @classmethod
-    def from_dict(cls, num_bits: int, table: dict[str, int]) -> "CountsVector":
-        # keys are checked before the 2^num_bits table is allocated
-        for key in table:
-            if len(key) != num_bits or set(key) - {"0", "1"}:
-                raise ValueError(f"counts key {key!r} is not a {num_bits}-bit string")
-        counts = [0] * (2**num_bits)
-        for key, c in table.items():
-            counts[int(key, 2)] = _integer(c, f"count {key!r}")
-        return cls(num_bits, tuple(counts), sum(counts))
-
-    def to_dict(self) -> dict[str, int]:
-        return {
-            format(i, f"0{self.num_bits}b"): c for i, c in enumerate(self.counts)
-        }
 
 
 def _simulate_readouts(
@@ -357,11 +314,11 @@ def mitigate(
 
 
 def mitigate_correlator(
-    tables: Sequence[CountsTable], m_pair: ConfusionMatrix
+    tables: Sequence[CountsVector], m_pair: ConfusionMatrix
 ) -> tuple[CorrelatorEstimate, ...]:
-    """Mitigate 4-outcome counts tables and rebuild their correlators, one
-    per table, in order. The pair matrix indexes outcomes as 2*bit(Q_i) +
-    bit(Q_j), matching ``CountsTable`` order. Each point estimate goes
+    """Mitigate 2-bit counts of recorded sign pairs and rebuild their
+    correlators, one per table, in order. The pair matrix indexes outcomes
+    as 2*bit(Q_i) + bit(Q_j), the order of the counts. Each point estimate goes
     through ``mitigate``. Each error bar comes from a bootstrap over
     multinomial resamples of the table's raw counts, drawn from its own
     seed; the resamples of all tables go through one ``_mitigate_rows``."""
@@ -373,11 +330,11 @@ def mitigate_correlator(
     signs = np.array([1.0, -1.0, -1.0, 1.0])  # q_i * q_j for ++, +-, -+, --
     points, resamples = [], []
     for counts in tables:
-        raw_probs = counts.probabilities()
+        raw_probs = np.array(counts.counts, dtype=float) / counts.total
         points.append(mitigate(raw_probs, m_pair, return_method=True))
         rng = np.random.default_rng(np.random.SeedSequence(counts.seed or 0, spawn_key=(1,)))
-        draws = rng.multinomial(counts.n_shots, raw_probs, size=BOOTSTRAP_RESAMPLES)
-        resamples.append(draws / counts.n_shots)  # every row sums to n_shots
+        draws = rng.multinomial(counts.total, raw_probs, size=BOOTSTRAP_RESAMPLES)
+        resamples.append(draws / counts.total)  # every row sums to the total
     rows, _ = _mitigate_rows(np.concatenate(resamples), m_pair.matrix)
     # an elementwise product and row sum reproduces the per-row ``signs @ row``
     # bit for bit; a matmul or einsum does not
@@ -385,7 +342,7 @@ def mitigate_correlator(
     std_errors = values.std(axis=1, ddof=1)
     return tuple(
         CorrelatorEstimate(
-            float(signs @ x), float(s), counts.n_shots, METHOD_SAMPLED_MITIGATED, note=method
+            float(signs @ x), float(s), counts.total, METHOD_SAMPLED_MITIGATED, note=method
         )
         for (x, method), s, counts in zip(points, std_errors, tables)
     )

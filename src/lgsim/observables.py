@@ -21,7 +21,8 @@ measurement's bit patterns through the readout map
 ``ConfusionMatrix.on_bits`` when one is set (per-bit flips as a kron of 2x2
 matrices, or an m-bit matrix as given), coarse-grains them to signs by
 their parity (the lumping that readout mitigation applies to the readout
-map), and draws each schedule's shot counts with one multinomial.
+map), and draws each schedule's shot counts with one multinomial, as a
+2-bit ``CountsVector`` (the counts type that mitigation reads too).
 
 Both engines take a batch of schedules that share rho_0, the dynamics and
 the noise model, and return one result per schedule, in order. The batch
@@ -47,8 +48,8 @@ parity subspaces themselves.
 
 from __future__ import annotations
 
-import json
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from typing import TYPE_CHECKING, Sequence
@@ -92,8 +93,8 @@ class DichotomicObservable:
     signs[a] if b = a ^ flip, else 0. Both are derived, not settable:
     ``flip`` is 0 for z and the bitmask of ``qubits`` for x, and ``signs``
     is the parity sign of the bits of ``qubits`` for z and all ones for x.
-    Only z observables support a bitwise collapse and bit-level readout
-    error on more than one measured qubit.
+    Only z observables support a bitwise collapse (kept only on more than
+    one qubit) and bit-level readout error on more than one measured qubit.
     """
 
     label: str
@@ -115,6 +116,7 @@ class DichotomicObservable:
         if self.bitwise_collapse and self.basis != "z":
             raise InvalidObservable("a bitwise collapse needs a z-basis observable")
         object.__setattr__(self, "qubits", qubits)
+        object.__setattr__(self, "bitwise_collapse", self.bitwise_collapse and len(qubits) > 1)
         dim = 2**self.num_qubits
         if self.basis == "z":
             flip = 0
@@ -139,9 +141,7 @@ def parity_observable(
     """
     qubits = tuple(int(q) for q in qubits)
     label = ("z" if len(qubits) == 1 else "parity") + "".join(f"_{q}" for q in qubits)
-    return DichotomicObservable(
-        label, qubits, num_qubits, bitwise_collapse=bitwise_collapse and len(qubits) > 1
-    )
+    return DichotomicObservable(label, qubits, num_qubits, bitwise_collapse=bitwise_collapse)
 
 
 def sigma_z_observable(qubit: int, num_qubits: int) -> DichotomicObservable:
@@ -231,46 +231,81 @@ def _integer(value, key: str, error: type[Exception] = ValueError) -> int:
     return int(number)
 
 
-@dataclass
-class CountsTable:
-    """Raw shot counts over the four (Q_i, Q_j) outcome pairs.
-
-    The first character of a key is the earlier measurement; vector order is
-    ++, +-, -+, -- (index 2*bit(Q_i) + bit(Q_j) with bit(+1) = 0).
+@dataclass(frozen=True)
+class CountsVector:
+    """Nonnegative shot counts of the 2^num_bits bit patterns, with their
+    total and, for drawn counts, the seed of the draw. Entry i counts the
+    pattern that spells i in binary, most significant bit first. The sampled
+    engine's 2-bit counts index the recorded (Q_i, Q_j) pair as 2*bit(Q_i) +
+    bit(Q_j) with bit(+1) = 0, which is ``OUTCOME_KEYS`` order: "++" is
+    "00", "+-" "01", "-+" "10" and "--" "11".
     """
 
-    outcomes: dict[str, int]
-    n_shots: int
+    num_bits: int
+    counts: tuple[int, ...]
+    total: int
     seed: int | None = None
 
     def __post_init__(self) -> None:
-        self.n_shots = _integer(self.n_shots, "n_shots")
-        if self.n_shots < 1:
-            raise ValueError(f"empty counts: n_shots must be at least 1, got {self.n_shots}")
-        counts = {k: _integer(self.outcomes.get(k, 0), f"count {k!r}") for k in OUTCOME_KEYS}
-        if any(v < 0 for v in counts.values()):
-            raise ValueError("negative counts")
-        if sum(counts.values()) != self.n_shots:
-            raise ValueError(
-                f"counts sum {sum(counts.values())} does not match n_shots={self.n_shots}"
-            )
-        self.outcomes = counts
-
-    def vector(self) -> np.ndarray:
-        return np.array([self.outcomes[k] for k in OUTCOME_KEYS], dtype=float)
-
-    def probabilities(self) -> np.ndarray:
-        return self.vector() / self.n_shots
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {"outcomes": self.outcomes, "n_shots": self.n_shots, "seed": self.seed}
+        # an entry's name is only built for an error
+        counts = tuple(
+            c if type(c) is int and 0 <= c <= sys.float_info.max
+            else _count(c, f"count '{i:0{self.num_bits}b}'")
+            for i, c in enumerate(self.counts)
         )
+        if len(counts) != 2**self.num_bits:
+            raise ValueError(f"expected {2**self.num_bits} entries, got {len(counts)}")
+        total = _count(self.total, "the counts' total")
+        if sum(counts) != total:
+            raise ValueError(f"counts sum {sum(counts)} != total {total}")
+        if total == 0:
+            raise ValueError("empty counts: every entry is 0")
+        object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "total", total)
 
     @classmethod
-    def from_json(cls, text: str) -> "CountsTable":
-        data = json.loads(text)
-        return cls(data["outcomes"], data["n_shots"], data.get("seed"))
+    def from_dict(cls, num_bits: int, table: dict[str, int]) -> "CountsVector":
+        """Counts keyed by ``num_bits``-bit strings; absent keys count 0."""
+        _check_bit_keys(num_bits, table)
+        counts = [0] * (2**num_bits)
+        for key, c in table.items():
+            counts[int(key, 2)] = _count(c, f"count {key!r}")
+        return cls(num_bits, tuple(counts), sum(counts))
+
+    @classmethod
+    def from_outcomes(cls, outcomes: dict[str, int], n_shots: int) -> "CountsVector":
+        """2-bit counts keyed by the sign pairs of ``OUTCOME_KEYS``, earlier
+        measurement first (absent keys count 0), with their shot count. A
+        bad count is named by its sign key."""
+        if not isinstance(outcomes, dict):
+            raise ValueError(f"'outcomes' must map sign pairs to counts, got {outcomes!r}")
+        for key in outcomes:
+            if key not in OUTCOME_KEYS:
+                raise ValueError(f"outcome key {key!r} is not one of {', '.join(OUTCOME_KEYS)}")
+        n_shots = _integer(n_shots, "n_shots")
+        if n_shots < 1:
+            raise ValueError(f"empty counts: n_shots must be at least 1, got {n_shots}")
+        counts = tuple(_count(outcomes.get(k, 0), f"count {k!r}") for k in OUTCOME_KEYS)
+        return cls(2, counts, n_shots)
+
+    def to_dict(self) -> dict[str, int]:
+        return {format(i, f"0{self.num_bits}b"): c for i, c in enumerate(self.counts)}
+
+
+def _count(value, key: str) -> int:
+    """``value`` as a nonnegative ``_integer`` that a float can hold, else ValueError."""
+    count = _integer(value, key)
+    if not 0 <= count <= sys.float_info.max:
+        raise ValueError(f"{key} is negative or overflows a float")
+    return count
+
+
+def _check_bit_keys(num_bits: int, keys) -> None:
+    """Reject a counts key that is not a ``num_bits``-bit string, naming it;
+    no 2^num_bits table is built."""
+    for key in keys:
+        if len(key) != num_bits or set(key) - {"0", "1"}:
+            raise ValueError(f"counts key {key!r} is not a {num_bits}-bit string")
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +348,7 @@ def _signed_collapse(rho: np.ndarray, obs: DichotomicObservable) -> np.ndarray:
     so a z observable (f = 0) gives M(rho)_ab = (s_a + s_b) / 2 rho_ab.
     """
     s = obs.signs
-    if obs.bitwise_collapse and len(obs.qubits) > 1:
+    if obs.bitwise_collapse:
         keys = _pattern_keys(rho.shape[0], obs.qubits)
         return np.where(keys[:, None] == keys, s[:, None] * rho, 0.0)
     if not obs.flip:
@@ -354,7 +389,7 @@ def _branch_vectors(psi: np.ndarray, obs: DichotomicObservable) -> tuple[np.ndar
     one block, and their values q_n: one branch per bit pattern of its qubits
     for a bitwise collapse, else (psi +/- Q psi) / 2 with values +1, -1."""
     column = psi[:, None]
-    if obs.bitwise_collapse and len(obs.qubits) > 1:
+    if obs.bitwise_collapse:
         m = len(obs.qubits)
         keys = _pattern_keys(len(psi), obs.qubits)
         return np.where(keys[:, None] == np.arange(2**m), column, 0.0), _pattern_signs(m)
@@ -544,7 +579,7 @@ def _collapse_branches(rho: np.ndarray, obs: DichotomicObservable) -> list[np.nd
         collapse = _signed_collapse(rho, obs)
         conjugated = s[:, None] * rho[np.ix_(flipped, flipped)] * s
         return [(rho + 2 * sign * collapse + conjugated) / 4 for sign in (1, -1)]
-    if obs.bitwise_collapse and len(obs.qubits) > 1:
+    if obs.bitwise_collapse:
         labels, count = _pattern_keys(rho.shape[0], obs.qubits), 2 ** len(obs.qubits)
     else:
         labels, count = obs.signs < 0, 2
@@ -587,11 +622,10 @@ def _recorded_laws(
     for index, (sched, (diagonals, values)) in enumerate(zip(schedules, branches)):
         obs1, obs2 = sched.first_observable, sched.second_observable
         m1, m2 = len(obs1.qubits), len(obs2.qubits)
-        bitwise = obs1.bitwise_collapse and m1 > 1
-        bits1 = m1 if m1 > 1 and (readout is not None or bitwise) else 1
+        bits1 = m1 if m1 > 1 and (readout is not None or obs1.bitwise_collapse) else 1
         bits2 = m2 if m2 > 1 and readout is not None else 1
         law = _true_law(diagonals, values, obs2, bits2)
-        if bits1 > 1 and not bitwise:
+        if bits1 > 1 and not obs1.bitwise_collapse:
             # a two-projector collapse read bit by bit: the pattern follows the
             # diagonal of rho_i, the second outcome the branch of its sign
             totals = law.sum(axis=1, keepdims=True)
@@ -627,7 +661,7 @@ def sampled_correlator(
     n_shots: int,
     noise: "NoiseModel | None",
     seeds: Sequence[int | None],
-) -> tuple[tuple[CorrelatorEstimate, CountsTable], ...]:
+) -> tuple[tuple[CorrelatorEstimate, CountsVector], ...]:
     """Shot-sampled two-time correlators of a batch of schedules, one
     (estimate, counts) pair per schedule, in order; ``noise`` may be None.
     All ``n_shots`` counts of a schedule are drawn from its exact recorded
@@ -646,6 +680,6 @@ def sampled_correlator(
         counts = np.random.default_rng(seed).multinomial(n_shots, law)
         value = float(counts @ np.array([1, -1, -1, 1])) / n_shots
         std_error = math.sqrt((1.0 - value**2) / (n_shots - 1)) if n_shots > 1 else math.nan
-        table = CountsTable(dict(zip(OUTCOME_KEYS, (int(c) for c in counts))), n_shots, seed=seed)
-        drawn.append((CorrelatorEstimate(value, std_error, n_shots, METHOD_SAMPLED), table))
+        estimate = CorrelatorEstimate(value, std_error, n_shots, METHOD_SAMPLED)
+        drawn.append((estimate, CountsVector(2, tuple(counts.tolist()), n_shots, seed)))
     return tuple(drawn)

@@ -433,7 +433,7 @@ def per_shot_correlator(
     n_shots: int,
     noise: "NoiseModel | None" = None,
     seed: int = 0,
-) -> tuple[CorrelatorEstimate, CountsTable]:
+) -> tuple[CorrelatorEstimate, CountsVector]:
     """Shot-sampled two-time correlator, one record per shot: the sampler
     that ``lgsim.sampled_correlator`` replaced by one multinomial draw over
     the exact recorded law, kept as its oracle.
@@ -445,13 +445,8 @@ def per_shot_correlator(
     exactly. With ``noise.readout_confusion`` set, every read bit is flipped
     through the confusion matrix before being recorded.
     """
-    from lgsim import CorrelatorEstimate, CountsTable, InvalidObservable, evolve_density
-    from lgsim.observables import (
-        METHOD_SAMPLED,
-        OUTCOME_KEYS,
-        _check_register,
-        _pattern_signs,
-    )
+    from lgsim import CorrelatorEstimate, CountsVector, InvalidObservable, evolve_density
+    from lgsim.observables import METHOD_SAMPLED, _check_register, _pattern_signs
 
     if n_shots < 1:
         raise ValueError(f"n_shots must be >= 1, got {n_shots}")
@@ -536,8 +531,6 @@ def per_shot_correlator(
         std_error = float("nan")
     pair_index = 2 * ((1 - recorded1) // 2) + (1 - recorded2) // 2
     raw = np.bincount(pair_index, minlength=4)
-    counts = CountsTable(
-        dict(zip(OUTCOME_KEYS, (int(c) for c in raw))), n_shots, seed=seed
-    )
+    counts = CountsVector(2, tuple(int(c) for c in raw), n_shots, seed)
     estimate = CorrelatorEstimate(value, std_error, n_shots, METHOD_SAMPLED)
     return estimate, counts

@@ -7,8 +7,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lgsim import ConfusionMatrix
+from lgsim import (
+    ConfusionMatrix,
+    MeasurementSchedule,
+    NoiseModel,
+    mitigate,
+    parity_observable,
+    prepare_state,
+    sampled_correlator,
+)
 from lgsim.cli import main
+from lgsim.scenarios import transverse_field_hamiltonian
 
 
 def write_config(path, data):
@@ -595,6 +604,28 @@ def test_mitigate_files_round_trip(tmp_path):
     assert probs[0] > 0.94
 
 
+def test_mitigate_reads_the_counts_of_a_sampled_schedule(tmp_path):
+    # the drawn counts, written as a bit-keyed counts file, mitigate as the
+    # object itself does
+    obs = parity_observable([0, 1], 2)
+    noise = NoiseModel(readout_confusion=ConfusionMatrix.symmetric(0.05))
+    ((_, drawn),) = sampled_correlator(
+        prepare_state("bell", 2).density_matrix(), transverse_field_hamiltonian([1.0, 0.7]),
+        [MeasurementSchedule((0.0, 0.8), obs, obs)], 4096, noise, [17],
+    )
+    pair = ConfusionMatrix.symmetric(0.05, num_bits=2)
+    counts, matrix, out = tmp_path / "counts.json", tmp_path / "matrix.json", tmp_path / "m.json"
+    counts.write_text(json.dumps({"counts": drawn.to_dict(), "num_bits": 2}))
+    matrix.write_text(pair.to_json())
+    assert main(
+        ["mitigate", "--counts", str(counts), "--matrix", str(matrix), "--out", str(out)]
+    ) == 0
+    probs, method = mitigate(drawn, pair, return_method=True)
+    data = json.loads(out.read_text())
+    assert data["method"] == method
+    assert list(data["probabilities"].values()) == probs.tolist()
+
+
 def test_mitigate_accepts_counts_table_json(tmp_path):
     counts = tmp_path / "counts.json"
     counts.write_text(
@@ -657,6 +688,13 @@ def test_mitigate_accepts_counts_table_json(tmp_path):
         # mitigation reads counts and their total as floats
         ({"counts": {"00": 10**400, "01": 1}, "num_bits": 2}, "count '00'"),
         ({"counts": {"0": 10**308, "1": 10**308}}, "total"),
+        # outcomes that are not a table, or hold a key that is no sign pair
+        ({"outcomes": [1, 2, 3, 4], "n_shots": 10}, "'outcomes'"),
+        ({"outcomes": {"++": 5, "+-": 5, "zz": 3}, "n_shots": 10}, "'zz'"),
+        # a bit count that differs from the matrix's is rejected before the
+        # 2^num_bits table is allocated
+        ({"counts": {"0" * 16: 5}, "num_bits": 16}, "'num_bits' 16"),
+        ({"counts": {}}, "'counts'"),
     ],
 )
 def test_mitigate_rejects_bad_counts(tmp_path, capsys, payload, message):

@@ -7,7 +7,6 @@ import bruteforce as bf
 from lgsim import (
     CalibrationTooLarge,
     ConfusionMatrix,
-    CountsTable,
     CountsVector,
     InvalidNoiseParameter,
     MitigationFailed,
@@ -361,7 +360,7 @@ def test_bootstrap_matches_per_resample_oracle(shots, singular, seed):
     rng = np.random.default_rng(seed)
     m = random_confusion(2, rng, singular, max_mix=0.3)
     raw = random_counts(4, shots, rng, alpha=1.0)
-    counts = CountsTable(dict(zip(("++", "+-", "-+", "--"), map(int, raw))), shots, seed)
+    counts = CountsVector(2, tuple(map(int, raw)), shots, seed)
     try:
         value, std_error = bf.bootstrap_correlator(raw, shots, seed, m.matrix, _constrained_fit)
     except MitigationFailed:
@@ -388,9 +387,8 @@ def test_batched_mitigation_matches_one_table_calls(k, singular, seed):
     for i in range(k):
         shots = int(rng.integers(1, 400))
         raw = random_counts(4, shots, rng, alpha=1.0)
-        outcomes = dict(zip(("++", "+-", "-+", "--"), map(int, raw)))
-        tables.append(CountsTable(outcomes, shots, seed=None if i == 0 else seed + i))
-    tables.append(CountsTable({"++": 6, "+-": 0, "-+": 2, "--": 1}, 9, seed=seed))
+        tables.append(CountsVector(2, tuple(map(int, raw)), shots, None if i == 0 else seed + i))
+    tables.append(CountsVector(2, (6, 0, 2, 1), 9, seed))
     try:
         singles = [mitigate_correlator([counts], m)[0] for counts in tables]
     except MitigationFailed:
@@ -414,9 +412,9 @@ def test_batched_mitigation_matches_one_table_calls(k, singular, seed):
 
 
 def test_identity_pair_matrix_preserves_estimate():
-    counts = CountsTable({"++": 4000, "+-": 100, "-+": 150, "--": 3942}, 8192, seed=3)
+    counts = CountsVector(2, (4000, 100, 150, 3942), 8192, seed=3)
     est = mitigate_correlator([counts], ConfusionMatrix.identity(2))[0]
-    probs = counts.probabilities()
+    probs = np.array(counts.counts) / counts.total
     raw_value = probs[0] - probs[1] - probs[2] + probs[3]
     assert abs(est.value - raw_value) < 1e-12
     assert est.method == "sampled_mitigated"
@@ -424,7 +422,7 @@ def test_identity_pair_matrix_preserves_estimate():
 
 
 def test_concentrated_counts_with_identity_matrix():
-    counts = CountsTable({"++": 500, "+-": 0, "-+": 0, "--": 0}, 500, seed=1)
+    counts = CountsVector(2, (500, 0, 0, 0), 500, seed=1)
     est = mitigate_correlator([counts], ConfusionMatrix.identity(2))[0]
     assert est.value == 1.0
 
@@ -440,14 +438,14 @@ def test_correlator_mitigation_undoes_known_flips():
     r2 = np.where(flips2, -1, 1)
     idx = 2 * ((1 - r1) // 2) + (1 - r2) // 2
     raw = np.bincount(idx, minlength=4)
-    counts = CountsTable(dict(zip(("++", "+-", "-+", "--"), map(int, raw))), n, seed=9)
+    counts = CountsVector(2, tuple(map(int, raw)), n, seed=9)
     pair = ConfusionMatrix.symmetric(p, num_bits=2)
     est = mitigate_correlator([counts], pair)[0]
     assert abs(est.value - 1.0) < 4 * max(est.std_error, 1e-4)
 
 
 def test_correlator_mitigation_is_deterministic():
-    counts = CountsTable({"++": 3000, "+-": 1100, "-+": 900, "--": 3192}, 8192, seed=21)
+    counts = CountsVector(2, (3000, 1100, 900, 3192), 8192, seed=21)
     pair = ConfusionMatrix.symmetric(0.03, num_bits=2)
     a = mitigate_correlator([counts], pair)[0]
     b = mitigate_correlator([counts], pair)[0]
@@ -456,7 +454,7 @@ def test_correlator_mitigation_is_deterministic():
 
 
 def test_correlator_mitigation_needs_pair_matrix():
-    counts = CountsTable({"++": 10, "+-": 0, "-+": 0, "--": 0}, 10)
+    counts = CountsVector(2, (10, 0, 0, 0), 10)
     with pytest.raises(MitigationFailed):
         mitigate_correlator([counts], ConfusionMatrix.identity(1))
 

@@ -10,7 +10,7 @@ import bruteforce as bf
 import lgsim.core.evolution as evolution
 import lgsim.observables as observables
 from lgsim import (
-    CountsTable,
+    CountsVector,
     DensityMatrix,
     DichotomicObservable,
     Engine,
@@ -624,8 +624,8 @@ def test_same_seed_reproduces_counts():
     _, counts_a = sampled_correlator(rho, x_rotation(1.0), [sched], 4096, None, [123])[0]
     _, counts_b = sampled_correlator(rho, x_rotation(1.0), [sched], 4096, None, [123])[0]
     _, counts_c = sampled_correlator(rho, x_rotation(1.0), [sched], 4096, None, [124])[0]
-    assert counts_a.outcomes == counts_b.outcomes
-    assert counts_a.outcomes != counts_c.outcomes
+    assert counts_a.counts == counts_b.counts
+    assert counts_a.counts != counts_c.counts
 
 
 def test_single_shot_is_flagged():
@@ -636,7 +636,7 @@ def test_single_shot_is_flagged():
     )
     assert est.value in (-1.0, 1.0)
     assert np.isnan(est.std_error)
-    assert counts.n_shots == 1
+    assert counts.total == 1
 
 
 def test_quarter_period_correlator_concentrates_near_zero():
@@ -677,26 +677,13 @@ def test_counts_marginals_match_single_time_distributions():
     obs = sigma_z_observable(0, 1)
     sched = MeasurementSchedule((0.0, tau), obs, obs)
     est, counts = sampled_correlator(rho, x_rotation(gamma), [sched], 8192, None, [8])[0]
-    probs = counts.probabilities()
+    probs = np.array(counts.counts) / counts.total
     # Q_i marginal: always +1
     assert probs[0] + probs[1] == 1.0
     # Q_j marginal vs exact single-time expectation cos(gamma tau)
     marginal = probs[0] + probs[2] - probs[1] - probs[3]
     sigma = np.sqrt((1 - np.cos(gamma * tau) ** 2) / 8192)
     assert abs(marginal - np.cos(gamma * tau)) < 4 * sigma
-
-
-def test_counts_table_round_trip_and_validation():
-    table = CountsTable({"++": 10, "+-": 2, "-+": 3, "--": 5}, 20, seed=7)
-    again = CountsTable.from_json(table.to_json())
-    assert again.outcomes == table.outcomes
-    assert again.seed == 7
-    with pytest.raises(ValueError):
-        CountsTable({"++": 10}, 20)
-    # fractional counts are rejected naming the key, not truncated
-    with pytest.raises(ValueError, match=r"'\+\+'"):
-        CountsTable({"++": 2.5, "+-": 1, "-+": 0, "--": 0}, 3)
-    assert CountsTable({"++": 2.0, "+-": 1}, 3).outcomes["++"] == 2
 
 
 @pytest.mark.parametrize(
@@ -712,8 +699,19 @@ def test_counts_table_round_trip_and_validation():
 def test_counts_table_needs_a_positive_integer_shot_count(outcomes, n_shots, message):
     # a boolean used to pass as 1 shot, and 0 shots gave NaN probabilities
     with pytest.raises(ValueError, match=message):
-        CountsTable(outcomes, n_shots)
-    assert CountsTable({"++": 2}, 2.0).n_shots == 2
+        CountsVector.from_outcomes(outcomes, n_shots)
+    assert CountsVector.from_outcomes({"++": 2}, 2.0).total == 2
+    with pytest.raises(ValueError, match="counts sum 10 != total 20"):
+        CountsVector.from_outcomes({"++": 10}, 20)
+
+
+def test_counts_vector_total_is_a_count():
+    # a boolean total used to pass as 1 shot
+    with pytest.raises(ValueError, match="total must be an integer, got True"):
+        CountsVector(1, (1, 0), True)
+    with pytest.raises(ValueError, match="total is negative"):
+        CountsVector(1, (0, 0), -1)
+    assert CountsVector(1, (1, 2), 3.0, seed=4).total == 3
 
 
 def test_symmetric_readout_flips_damp_products():
@@ -742,7 +740,7 @@ def test_asymmetric_readout_on_frozen_ground_state():
     ((est, counts),) = sampled_correlator(
         rho, h, [MeasurementSchedule((0.0, 1.0), obs, obs)], 16384, noise, [99]
     )
-    probs = counts.probabilities()
+    probs = np.array(counts.counts) / counts.total
     # marginal probability of recording -1 at either time is p10
     recorded_minus_first = probs[2] + probs[3]
     assert abs(recorded_minus_first - p10) < 0.02
@@ -858,7 +856,7 @@ def test_recorded_law_matches_per_shot_oracle(case, kind):
     (law,) = observables._recorded_laws(rho, dynamics, [sched], noise)
     _, counts = bf.per_shot_correlator(rho, dynamics, sched, shots, noise, seed=case[-1])
     sigma = np.sqrt(law * (1.0 - law) / shots)
-    assert np.all(np.abs(counts.vector() / shots - law) <= 5.0 * sigma + 1e-12)
+    assert np.all(np.abs(np.array(counts.counts) / shots - law) <= 5.0 * sigma + 1e-12)
 
 
 def with_readout_flips(case, noise):
@@ -919,7 +917,7 @@ def test_batched_law_matches_per_shot_oracle(case, readout):
     for index, (sched, law) in enumerate(zip(schedules, laws)):
         _, counts = bf.per_shot_correlator(rho, dynamics, sched, shots, noise, seed=case[-1] + index)
         sigma = np.sqrt(law * (1.0 - law) / shots)
-        assert np.all(np.abs(counts.vector() / shots - law) <= 5.0 * sigma + 1e-12)
+        assert np.all(np.abs(np.array(counts.counts) / shots - law) <= 5.0 * sigma + 1e-12)
 
 
 def test_sampled_batch_draws_each_schedule_from_its_own_seed():
@@ -934,7 +932,7 @@ def test_sampled_batch_draws_each_schedule_from_its_own_seed():
     batch = sampled_correlator(rho, h, schedules, 2048, noise, seeds)
     for (est, counts), sched, seed in zip(batch, schedules, seeds):
         ((single, single_counts),) = sampled_correlator(rho, h, [sched], 2048, noise, [seed])
-        assert counts.outcomes == single_counts.outcomes and counts.seed == seed
+        assert counts.counts == single_counts.counts and counts.seed == seed
         assert est == single
     assert sampled_correlator(rho, h, [], 2048, noise, []) == ()
     with pytest.raises(ValueError, match="2 seeds for 3 schedules"):
@@ -948,7 +946,7 @@ def test_sampled_within_five_sigma_of_exact(case):
     shots = 4096
     exact = exact_correlator(rho, dynamics, [sched], noise)[0].value
     est, counts = sampled_correlator(rho, dynamics, [sched], shots, noise, [case[-1]])[0]
-    assert counts.n_shots == shots == est.n_shots
+    assert counts.total == shots == est.n_shots
     sigma = np.sqrt(max(1.0 - exact**2, 0.0) / shots)
     assert abs(est.value - exact) <= 5.0 * sigma + 1e-12
 
@@ -958,7 +956,7 @@ def test_std_error_is_the_per_shot_sample_deviation():
     obs = sigma_z_observable(0, 1)
     sched = MeasurementSchedule((0.2, 0.9), obs, obs)
     est, counts = sampled_correlator(rho, x_rotation(1.3), [sched], 300, None, [4])[0]
-    products = np.repeat(PAIR_SIGNS, counts.vector().astype(int))
+    products = np.repeat(PAIR_SIGNS, counts.counts)
     assert est.value == products.mean()
     assert abs(est.std_error - products.std(ddof=1) / np.sqrt(300)) <= 1e-15
 

@@ -13,7 +13,7 @@ import lgsim.mitigation as mitigation
 import lgsim.observables as observables
 from lgsim import (
     ConfusionMatrix,
-    CountsTable,
+    CountsVector,
     DensityMatrix,
     Engine,
     NoiseModel,
@@ -82,7 +82,7 @@ def test_mitigation_hook_sees_each_point_estimate(monkeypatch):
         return out
 
     monkeypatch.setattr(mitigation, "mitigate", counting)
-    counts = CountsTable({"++": 3000, "+-": 1100, "-+": 900, "--": 3192}, 8192, seed=21)
+    counts = CountsVector(2, (3000, 1100, 900, 3192), 8192, seed=21)
     mitigation.mitigate_correlator([counts], ConfusionMatrix.symmetric(0.03, num_bits=2))
     assert len(calls) == 1
     kwargs, out = calls[0]
