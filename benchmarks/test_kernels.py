@@ -2,13 +2,16 @@
 each channel kind on the noisy Trotter path (one- and two-qubit gate
 depolarizing as an identity gate fused with its noise, dephasing, relaxation
 with t1 and t2 fused into one channel, and a two-qubit block gate fused with
-its bond and field depolarizing, as a Trotter step applies it), one noisy
-first-order Trotter step of the transverse-field Ising chain with gate noise
-alone and with t1 and t2 as well, one batched ``exact_correlator`` and one
-batched ``sampled_correlator`` call over a tau grid, and one
-``mitigate_correlator`` call with its bootstrap over the counts tables of a
-75-point scan and over 225 tables drawn from random laws, whose resamples
-mostly take the constrained fit.
+its bond and field depolarizing, as a Trotter step applies it), each on an
+operator already in Pauli form; the conversion of an operator to Pauli form
+and back; one noisy first-order Trotter step of the transverse-field Ising
+chain with gate noise alone and with t1 and t2 as well, on Pauli form; one
+exact segment with t1 and t2 on every qubit (dense conjugation, conversion,
+one relaxation pass per qubit) read back as a matrix; one batched
+``exact_correlator`` and one batched ``sampled_correlator`` call over a tau
+grid, and one ``mitigate_correlator`` call with its bootstrap over the
+counts tables of a 75-point scan and over 225 tables drawn from random laws,
+whose resamples mostly take the constrained fit.
 
 They are not part of the test suite (``testpaths`` is ``tests``). Run them
 from the repository root with pytest-benchmark installed:
@@ -38,7 +41,7 @@ from lgsim import (
     sigma_z_observable,
 )
 from lgsim.core import relaxation_channels
-from lgsim.core.channels import block_channel
+from lgsim.core.channels import PauliVector, block_channel
 from lgsim.core.evolution import _evolve_segment, apply_channel
 from lgsim.scenarios import ising_chain_hamiltonian, transverse_field_hamiltonian
 
@@ -46,6 +49,7 @@ SIZES = (5, 8, 10)
 DT = 1.0 / 3.0
 NOISE = NoiseModel(gate_depolarizing_1q=3e-4, gate_depolarizing_2q=1e-2)
 RELAXING = NoiseModel(t1=80.0, t2=50.0, gate_depolarizing_1q=3e-4, gate_depolarizing_2q=1e-2)
+RELAXATION = NoiseModel(t1=80.0, t2=50.0)
 READOUT = NoiseModel(readout_confusion=ConfusionMatrix.symmetric(0.03))
 SHOTS = 8192
 
@@ -77,21 +81,50 @@ CHANNELS = {
 @pytest.mark.parametrize("n", SIZES)
 @pytest.mark.parametrize("kind", sorted(CHANNELS))
 def test_apply_channel(benchmark, kind, n):
-    rho = hermitian(n)
+    # the transfer matrix is built before timing starts
+    operator = PauliVector.of(hermitian(n))
     channel = CHANNELS[kind](n)
-    benchmark(apply_channel, rho, channel)
+    apply_channel(operator, channel)
+    benchmark(apply_channel, operator, channel)
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_to_pauli(benchmark, n):
+    benchmark(PauliVector.of, hermitian(n))
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_from_pauli(benchmark, n):
+    operator = PauliVector.of(hermitian(n))
+    benchmark(lambda: operator.matrix)
 
 
 @pytest.mark.parametrize("n", SIZES)
 @pytest.mark.parametrize("noise", [NOISE, RELAXING], ids=["gate", "t1_t2"])
 def test_noisy_trotter_step(benchmark, noise, n):
-    # one dt step: the block channels of the odd, then the even layer, each
-    # a block gate fused with its gate noise and with the relaxation of the
-    # qubits it is the last block on; they are built before timing starts
+    # one dt step on Pauli form: the block channels of the odd, then the even
+    # layer, each a block gate fused with its gate noise and with the
+    # relaxation of the qubits it is the last block on; they are built
+    # before timing starts
     evo = TrotterEvolution(ising_chain_hamiltonian(0.1, [1.0] * (n - 1) + [2.0]), DT)
+    operator = PauliVector.of(hermitian(n))
+    _evolve_segment(operator, evo, DT, noise)
+    benchmark(_evolve_segment, operator, evo, DT, noise)
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_exact_relaxed_segment(benchmark, n):
+    # one exact segment with t1 and t2 on every qubit, from a matrix to a
+    # matrix: the dense conjugation, then one relaxation channel per qubit;
+    # the eigensystem of H is cached first
+    h = ising_chain_hamiltonian(0.1, [1.0] * (n - 1) + [2.0])
     rho = hermitian(n)
-    _evolve_segment(rho, evo, DT, noise)
-    benchmark(_evolve_segment, rho, evo, DT, noise)
+
+    def segment():
+        return _evolve_segment(rho, h, DT, RELAXATION).matrix
+
+    segment()
+    benchmark(segment)
 
 
 def tau_grid_schedules(first, second):

@@ -153,20 +153,25 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
 
 def _load_counts(path: Path, bits: int) -> CountsVector:
     """Counts from ``{"counts": {bits: count}, "num_bits"?}`` or ``{"outcomes":
-    {"++": count, ...}, "n_shots": n}``. Bit keys are checked, then num_bits
-    against the ``bits``-bit matrix, before the 2^num_bits table is built."""
+    {"++": count, ...}, "n_shots": n}``, which are 2-bit. Bit keys are checked,
+    then num_bits against the ``bits``-bit matrix, before the 2^num_bits
+    table is built."""
     data = json.loads(path.read_text())
-    if "outcomes" in data:
-        return CountsVector.from_outcomes(data["outcomes"], data["n_shots"])
-    table, num_bits = data["counts"], data.get("num_bits")
-    if not isinstance(table, dict) or (not table and num_bits is None):
-        raise ValueError(f"'counts' must map one or more bit strings to counts, got {table!r}")
-    if num_bits is None:
-        num_bits = max(len(k) for k in table)
-    num_bits = _integer(num_bits, "counts 'num_bits'")
-    _check_bit_keys(num_bits, table)
+    sign_keyed = "outcomes" in data
+    if sign_keyed:
+        num_bits = 2
+    else:
+        table, num_bits = data["counts"], data.get("num_bits")
+        if not isinstance(table, dict) or (not table and num_bits is None):
+            raise ValueError(f"'counts' must map one or more bit strings to counts, got {table!r}")
+        if num_bits is None:
+            num_bits = max(len(k) for k in table)
+        num_bits = _integer(num_bits, "counts 'num_bits'")
+        _check_bit_keys(num_bits, table)
     if num_bits != bits:
         raise ValueError(f"counts 'num_bits' {num_bits} does not match the {bits}-bit matrix")
+    if sign_keyed:
+        return CountsVector.from_outcomes(data["outcomes"], data["n_shots"])
     return CountsVector.from_dict(num_bits, table)
 
 

@@ -6,16 +6,23 @@ is available but only acts when a qubit has an explicit t1 entry; the
 default model is pure dephasing.
 
 There is one channel type, ``BlockChannel``: a superoperator on 1 or 2
-adjacent qubits, which ``apply_channel`` applies as one matmul with the
-target axes of a reshaped copy of ``rho``, so no channel builds a
-full-register operator. Relaxation of one qubit (amplitude damping,
-dephasing, or both fused) is a 4x4 superoperator. Gate depolarizing,
+adjacent qubits. Relaxation of one qubit (amplitude damping, dephasing, or
+both fused) is a 4x4 superoperator. Gate depolarizing,
 (1 - p) rho + p Tr_S(rho) (x) I / 2^|S| on its targets S, is built in
 closed form into the superoperator of the block gate it follows. A channel
-builds its Kraus operators only if something reads them. Every channel is
-linear, so it also serves Hermitian operators that are not states;
-``apply_channel`` returns an unchecked intermediate state, and the
-evolution segment that applied it checks its own result once.
+builds its Kraus operators only if something reads them.
+
+Channels act on the Pauli form of an operator (``PauliVector``): the real
+coefficients r_P = Tr(P X) of every Pauli string P, the four (I, X, Y, Z)
+of qubit q at stride 4^q, so the coefficients of any block of adjacent
+qubits are contiguous. Every channel here maps Hermitian operators to
+Hermitian operators, so in this basis it is a real Pauli transfer matrix,
+cached on the channel, and ``apply_channel`` is one real matmul over the
+block's axis. The conversions take and give Hermitian operators only; the
+states and signed collapses M(rho) of the density path all are. Every
+channel is linear, so it also serves operators that are not states;
+``apply_channel`` returns an unchecked operator, and the evolution segment
+that applied it checks its own result once.
 """
 
 from __future__ import annotations
@@ -68,6 +75,120 @@ class BlockChannel:
         ops.setflags(write=False)
         return tuple(ops)
 
+    @cached_property
+    def transfer_matrix(self) -> np.ndarray:
+        """The real Pauli transfer matrix R[P, Q] = Tr(P E(Q)) / 2^m, that is
+        T superop T^-1."""
+        m = len(self.target_qubits)
+        transfer = (_TO_PAULI[m] @ self.superop @ _FROM_PAULI[m]).real.copy()
+        transfer.setflags(write=False)
+        return transfer
+
+
+def _in_superop_order(one: np.ndarray) -> np.ndarray:
+    """``kron(one, one)`` of two 4-column maps, its columns from (a1, b1, a0,
+    b0) to the superoperator order (a1, a0, b1, b0)."""
+    return np.kron(one, one).reshape(16, 2, 2, 2, 2).transpose(0, 1, 3, 2, 4).reshape(16, 16)
+
+
+# The coefficients Tr(P X), P = I, X, Y, Z, of a one-qubit operator X from
+# its entries X[a, b] in row-major order: row P holds P[b, a]. _REAL_PAULI
+# has iY = [[0, 1], [-1, 0]] in place of Y, so it is real.
+_REAL_PAULI = np.array([[1, 0, 0, 1], [0, 1, 1, 0], [0, -1, 1, 0], [1, 0, 0, -1]], dtype=float)
+_PAULI = _REAL_PAULI * np.array([[1], [1], [-1j], [1]])
+_TO_PAULI = {1: _PAULI, 2: _in_superop_order(_PAULI)}
+_REAL_PAIR = _in_superop_order(_REAL_PAULI)
+# their inverses T^dagger / 2^m: the rows are orthogonal
+_FROM_PAULI = {m: to_pauli.conj().T / 2**m for m, to_pauli in _TO_PAULI.items()}
+_FROM_REAL_PAULI = _REAL_PAULI.T / 2
+_FROM_REAL_PAIR = _REAL_PAIR.T / 4
+
+
+@lru_cache(maxsize=12)
+def _y_signs(num_qubits: int) -> np.ndarray:
+    """(-1)^floor(y / 2) for the number y of Y factors of each Pauli string,
+    as int8; read-only."""
+    count = np.zeros(1, dtype=np.int8)
+    for _ in range(num_qubits):
+        count = np.add.outer(np.array([0, 0, 1, 0], dtype=np.int8), count).ravel()
+    signs = 1 - (count & 2)
+    signs.setflags(write=False)
+    return signs
+
+
+def _block_pass(v: np.ndarray, matrix: np.ndarray, low: int) -> np.ndarray:
+    """``matrix`` on the contiguous block of coefficients that starts at
+    qubit ``low``, as one matmul over its axis."""
+    if low == 0:
+        return (v.reshape(-1, len(matrix)) @ matrix.T).reshape(-1)
+    return (matrix @ v.reshape(-1, len(matrix), 4**low)).reshape(-1)
+
+
+def _pairwise(v: np.ndarray, num_qubits: int, pair: np.ndarray, one: np.ndarray) -> np.ndarray:
+    """``pair`` on each pair of qubits from qubit 0, then ``one`` on the top
+    qubit of an odd register."""
+    for j in range(num_qubits // 2):
+        v = _block_pass(v, pair, 2 * j)
+    return _block_pass(v, one, num_qubits - 1) if num_qubits % 2 else v
+
+
+@lru_cache(maxsize=12)
+def _interleaved(num_qubits: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Axes of a d x d matrix that split its row and its column index into
+    pairs of qubit bits from the top (an odd top qubit alone), and the order
+    that puts each row axis just before the column axis of the same qubits."""
+    shape = (2,) * (num_qubits % 2) + (4,) * (num_qubits // 2)
+    k = len(shape)
+    return shape * 2, tuple(axis for j in range(k) for axis in (j, k + j))
+
+
+@dataclass(frozen=True)
+class PauliVector:
+    """A Hermitian operator X on ``num_qubits`` qubits as its real Pauli
+    coefficients r_P = Tr(P X), unchecked: r_P sits at index sum_q p_q 4^q,
+    where p_q = 0, 1, 2, 3 names the factor I, X, Y, Z of P on qubit q.
+    ``matrix`` converts it back.
+
+    X = A + iB with A = Re X symmetric and B = Im X antisymmetric. A Pauli
+    string with an even number of Y factors is a real matrix and sees only A;
+    one with an odd number is i times a real matrix and sees only B. So with
+    iY in place of Y every coefficient is a real linear map of A + B, one
+    real pass per pair of qubits, up to the sign (-1)^floor(#Y / 2)."""
+
+    num_qubits: int
+    coefficients: np.ndarray
+
+    @classmethod
+    def of(cls, operator: "DensityMatrix | PauliVector") -> "PauliVector":
+        """``operator`` in Pauli form; a Hermitian ``DensityMatrix`` (also an
+        unchecked one) is converted."""
+        if isinstance(operator, PauliVector):
+            return operator
+        n, matrix = operator.num_qubits, operator.matrix
+        shape, axes = _interleaved(n)
+        v = (matrix.real + matrix.imag).reshape(shape).transpose(axes).reshape(-1)
+        v = _pairwise(v, n, _REAL_PAIR, _REAL_PAULI)
+        v *= _y_signs(n)
+        return cls(n, v)
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The operator as a d x d matrix, exactly Hermitian: M = (A + B) / 2
+        from the coefficients, then A = M + M^T and B = M - M^T."""
+        n = self.num_qubits
+        v = 0.5 * self.coefficients
+        v *= _y_signs(n)
+        v = _pairwise(v, n, _FROM_REAL_PAIR, _FROM_REAL_PAULI)
+        shape, axes = _interleaved(n)
+        tensor = v.reshape([shape[a] for a in axes])
+        rows, columns = tuple(range(0, len(axes), 2)), tuple(range(1, len(axes), 2))
+        # M and M^T as views of the interleaved coefficients, so no copy of M
+        half, transposed = tensor.transpose(rows + columns), tensor.transpose(columns + rows)
+        out = np.empty((2**n, 2**n), dtype=complex)
+        np.add(half, transposed, out=out.real.reshape(shape))
+        np.subtract(half, transposed, out=out.imag.reshape(shape))
+        return out
+
 
 # one-qubit superoperators: the identity, and the reset |c><d| -> delta_cd I/2
 _IDENTITY = np.eye(4)
@@ -112,17 +233,15 @@ def _depolarizing_superop(m: int, targets: tuple[int, ...], p: float) -> np.ndar
     return (1.0 - p) * np.eye(4**m) + p * reset
 
 
-def apply_channel(rho: DensityMatrix, channel: BlockChannel) -> DensityMatrix:
-    """Apply ``rho -> sum_k K rho K^dagger`` as one matmul of the
-    superoperator with a copy of ``rho`` whose target row and column axes
-    are moved to the front, and the copy back."""
-    n, low, dim = rho.num_qubits, channel.target_qubits[0], 2 ** len(channel.target_qubits)
-    if any(not 0 <= q < n for q in channel.target_qubits):
+def apply_channel(operator: DensityMatrix | PauliVector, channel: BlockChannel) -> PauliVector:
+    """Apply ``X -> sum_k K X K^dagger`` to a Hermitian ``operator`` as one
+    matmul of the channel's transfer matrix over its block of Pauli
+    coefficients; a ``DensityMatrix`` is converted to Pauli form first."""
+    operator = PauliVector.of(operator)
+    n, low = operator.num_qubits, channel.target_qubits[0]
+    if low < 0 or channel.target_qubits[-1] >= n:
         raise InvalidChannel(f"channel targets {channel.target_qubits} outside register of {n}")
-    shape = (2**n // (dim << low), dim, 2**low)
-    view = rho.matrix.reshape(shape * 2).transpose(1, 4, 0, 2, 3, 5)
-    out = (channel.superop @ view.reshape(dim * dim, -1)).reshape(view.shape)
-    return DensityMatrix._trusted(n, out.transpose(2, 0, 3, 4, 1, 5).reshape(2**n, 2**n))
+    return PauliVector(n, _block_pass(operator.coefficients, channel.transfer_matrix, low))
 
 
 def _positive(time: float, what: str) -> float:

@@ -11,6 +11,15 @@ Hamiltonian), which keeps it unitary to machine precision for the register
 sizes handled here. A ``TrotterEvolution`` builds its block gates once, on
 first use; an exact segment builds its propagator for its own duration.
 
+On density matrices every channel pass, a Trotter block or a relaxation
+channel, runs on the real Pauli coefficients of the operator
+(``PauliVector``), one real transfer-matrix matmul per block.
+``_evolve_segment`` takes Hermitian operators only, such as states and the
+signed collapse M(rho): a ``DensityMatrix`` is converted once, on its first
+pass, and a ``PauliVector`` it returns continues in Pauli form, so a
+chain of Trotter segments converts back only where an image is read.
+Exact segments keep their dense conjugation and convert only for t1/t2.
+
 A noise model without a channel leaves every map unitary, so state vectors
 can be evolved instead of density matrices (``_evolve_vectors``): exact
 dynamics in the eigenbasis of H, without building a propagator, and Trotter
@@ -30,6 +39,7 @@ from ..errors import InvalidGrid, InvalidState, InvalidTrotterPlan
 from .channels import (
     BlockChannel,
     NoiseModel,
+    PauliVector,
     apply_channel,
     block_channel,
     relaxation_channels,
@@ -164,20 +174,24 @@ def _has_channel(noise: NoiseModel | None) -> bool:
 
 
 def _evolve_segment(
-    rho: DensityMatrix,
+    rho: DensityMatrix | PauliVector,
     dynamics: Dynamics,
     duration: float,
     noise: NoiseModel | None,
-) -> DensityMatrix:
-    """Apply one segment's linear map to ``rho``, unchecked.
+) -> DensityMatrix | PauliVector:
+    """Apply one segment's linear map to the Hermitian operator ``rho``,
+    unchecked.
 
     Exact dynamics is one step of the whole Hamiltonian over the segment,
-    with no gate noise, followed by the relaxation channels for its length.
-    Trotter dynamics is ``segment_steps`` steps, each applying the block
-    channels of the odd layer, then those of the even layer: every block
-    gate followed by its gate noise and by the step's relaxation of the
-    qubits it is the last block on (``block_channels``). Every step is
-    linear in ``rho``, which need not be a state; the caller checks the
+    a dense conjugation with no gate noise, followed by the relaxation
+    channels for its length. Trotter dynamics is ``segment_steps`` steps,
+    each applying the block channels of the odd, then the even layer: every
+    block gate followed by its gate noise and by the step's relaxation of the
+    qubits it is the last block on (``block_channels``). Every channel pass
+    works on the Pauli form, so an operator is converted on its first pass
+    and the result is a ``PauliVector``, which a continuation takes as it
+    is; a segment without a channel returns a ``DensityMatrix``. Every step
+    is linear in ``rho``, which need not be a state; the caller checks the
     result.
     """
     if isinstance(dynamics, PauliSumHamiltonian):
@@ -257,5 +271,5 @@ def evolve_density(
         psi = rho.amplitudes[:, None]
         psi = _evolve_vectors(psi, dynamics, np.array([duration]), np.zeros(1, dtype=int))
         return PureState(rho.num_qubits, psi[:, 0])
-    out = _evolve_segment(rho, dynamics, duration, noise)
-    return DensityMatrix(out.num_qubits, out.matrix)
+    # the Pauli form is released before the checked constructor copies the matrix
+    return DensityMatrix(rho.num_qubits, _evolve_segment(rho, dynamics, duration, noise).matrix)

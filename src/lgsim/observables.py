@@ -357,6 +357,13 @@ def _signed_collapse(rho: np.ndarray, obs: DichotomicObservable) -> np.ndarray:
     return 0.5 * (s[:, None] * rho[flipped] + rho[:, flipped] * s)
 
 
+def _hermiticity(y: np.ndarray) -> float:
+    """max |y - y^dagger|, 64 rows at a time: no temporary is as large as y,
+    and each strip of y^dagger is read from 64 adjacent columns."""
+    strips = range(0, len(y), 64)
+    return float(np.max([np.abs(y[i : i + 64] - y[:, i : i + 64].T.conj()).max() for i in strips]))
+
+
 def _expectation(y: np.ndarray, obs: DichotomicObservable) -> float:
     """Re Tr[Q y] = Re sum_a signs[a] y[a ^ flip, a]."""
     idx = np.arange(y.shape[0])
@@ -467,8 +474,10 @@ def _pure_values(
 def _second_images(first, dynamics, schedules, noise, starts, read):
     """(index, reads) per schedule: ``read(Q_j, y)`` of each image y, unchecked,
     of the list ``starts(rho_i, Q_i)`` evolved over its second segment. A
-    Trotter segment continues in place from the last one; an exact segment
-    starts afresh (relax(t) U(t) twice is not relax(2t) U(2t))."""
+    Trotter segment continues from the last one in the Pauli form that
+    segment returned, so a batch runs the passes of its one-schedule calls
+    on the same vectors, and each image is converted back once, to be read;
+    an exact segment starts afresh (relax(t) U(t) twice is not relax(2t) U(2t))."""
     trotter = isinstance(dynamics, TrotterEvolution)
     groups: dict[tuple, list[int]] = {}
     for index, sched in enumerate(schedules):
@@ -502,7 +511,7 @@ def _density_values(
     values = np.empty(len(schedules))
     images = _second_images(
         first, dynamics, schedules, noise, lambda rho, obs: [_signed_collapse(rho, obs)],
-        lambda obs, y: (np.abs(y - y.conj().T).max(), np.trace(y), _expectation(y, obs)),
+        lambda obs, y: (_hermiticity(y), np.trace(y), _expectation(y, obs)),
     )
     for index, [(deviation, trace, value)] in images:
         sched = schedules[index]

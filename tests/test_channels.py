@@ -13,7 +13,7 @@ from lgsim import (
     prepare_state,
 )
 from lgsim.core import relaxation_channels
-from lgsim.core.channels import BlockChannel, block_channel
+from lgsim.core.channels import BlockChannel, PauliVector, block_channel
 from lgsim.mitigation import ConfusionMatrix
 
 
@@ -282,6 +282,63 @@ def test_block_channel_matches_dense_kraus_sum(case):
     for targets in ((low, low + 2), (low + 1, low), (low, low + 1, low + 2), ()):
         with pytest.raises(InvalidChannel, match="adjacent"):
             BlockChannel(targets, np.eye(16))
+
+
+# --- Pauli form --------------------------------------------------------------
+
+
+def pauli_labels(n):
+    """The Pauli string of each coefficient index, character k on qubit k,
+    as ``bf.pauli_string`` reads it: factor (index // 4^k) % 4 of I, X, Y, Z."""
+    return ["".join("IXYZ"[index // 4**k % 4] for k in range(n)) for index in range(4**n)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 6), st.integers(0, 2**32 - 1))
+@example(1, 0)
+@example(6, 1)
+def test_pauli_form_round_trip_and_coefficients(n, seed):
+    # a Hermitian matrix that is no state goes to its real Pauli coefficients
+    # and back unchanged, exactly Hermitian; each coefficient is Tr(P X)
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(2**n, 2**n)) + 1j * rng.normal(size=(2**n, 2**n))
+    x = a + a.conj().T
+    pauli = PauliVector.of(DensityMatrix._trusted(n, x))
+    assert pauli.num_qubits == n
+    assert pauli.coefficients.dtype == np.float64 and pauli.coefficients.shape == (4**n,)
+    back = pauli.matrix
+    assert np.abs(back - x).max() < 1e-14
+    assert np.array_equal(back, back.conj().T)
+    assert PauliVector.of(pauli) is pauli
+    if n <= 3:
+        for label, coefficient in zip(pauli_labels(n), pauli.coefficients):
+            assert abs(np.trace(bf.pauli_string(label) @ x) - coefficient) < 1e-13
+
+
+@settings(max_examples=30, deadline=None)
+@given(block_cases(), st.floats(0.1, 10.0), st.floats(0.05, 2.0))
+@example((2, 0, 2, 1.0, 1.0, 4), 0.1, 2.0)
+@example((1, 0, 1, 0.0, 0.0, 5), 3.0, 0.05)
+def test_transfer_matrix_is_real_and_trace_preserving(case, t1, ratio):
+    # a block gate with its gate noise and the relaxation of its qubits: R is
+    # real, R[P, Q] = Tr(P E(Q)) / 2^m from the channel's own Kraus
+    # operators, and its identity row is e_0 because E keeps the trace
+    n, low, m, p1, p2, seed = case
+    relax = relaxation_channels(NoiseModel(t1=t1, t2=ratio * t1), m, 0.3)
+    channel = block_channel(
+        tuple(range(low, low + m)),
+        random_unitary(2**m, np.random.default_rng(seed)),
+        block_depolarizing(m, p1, p2),
+        {k: ch.superop for k, ch in enumerate(relax)},
+    )
+    r = channel.transfer_matrix
+    assert r.dtype == np.float64 and r.shape == (4**m, 4**m)
+    assert np.abs(r[0] - np.eye(4**m)[0]).max() < 1e-14
+    strings = np.array([bf.pauli_string(label) for label in pauli_labels(m)])
+    kraus = np.array(channel.kraus_ops)
+    images = np.einsum("kab,qbc,kdc->qad", kraus, strings, kraus.conj())
+    expected = np.einsum("pab,qba->pq", strings, images) / 2**m
+    assert np.abs(expected - r).max() < 1e-13
 
 
 # --- noise model -----------------------------------------------------------

@@ -695,6 +695,24 @@ def test_mitigate_accepts_counts_table_json(tmp_path):
         # 2^num_bits table is allocated
         ({"counts": {"0" * 16: 5}, "num_bits": 16}, "'num_bits' 16"),
         ({"counts": {}}, "'counts'"),
+        # sign-keyed counts are 2-bit, so a 1-bit or a 3-bit matrix is a
+        # usage error too
+        (
+            {
+                "outcomes": {"++": 5, "+-": 1, "-+": 2, "--": 2},
+                "n_shots": 10,
+                "matrix": {"num_bits": 1, "matrix": [[0.97, 0.03], [0.03, 0.97]]},
+            },
+            "'num_bits' 2",
+        ),
+        (
+            {
+                "outcomes": {"++": 5, "+-": 1, "-+": 2, "--": 2},
+                "n_shots": 10,
+                "matrix": json.loads(ConfusionMatrix.symmetric(0.03, 3).to_json()),
+            },
+            "'num_bits' 2",
+        ),
     ],
 )
 def test_mitigate_rejects_bad_counts(tmp_path, capsys, payload, message):
