@@ -5,24 +5,26 @@ inside Trotter steps, not by integrating a master equation. Relaxation (T1)
 is available but only acts when a qubit has an explicit t1 entry; the
 default model is pure dephasing.
 
-There is one channel type, ``BlockChannel``: a superoperator on 1 or 2
-adjacent qubits. Relaxation of one qubit (amplitude damping, dephasing, or
-both fused) is a 4x4 superoperator. Gate depolarizing,
-(1 - p) rho + p Tr_S(rho) (x) I / 2^|S| on its targets S, is built in
-closed form into the superoperator of the block gate it follows. A channel
-builds its Kraus operators only if something reads them.
+There is one channel type, ``BlockChannel``: a linear map E on 1 or 2
+adjacent qubits, held only as its real Pauli transfer matrix
+R[P, Q] = Tr(P E(Q)) / 2^m (Greenbaum, arXiv:1509.02921), and every channel
+is built in that basis. A block gate G is Re Tr(P G Q G^dagger) / 2^m. Gate
+depolarizing, (1 - p) rho + p Tr_S(rho) (x) I / 2^|S| on its targets S, is
+diagonal: it keeps the strings that are I on S and scales the others by
+1 - p. Relaxation of one qubit (amplitude damping, dephasing, or both fused)
+is a 4x4 matrix, and on a two-qubit block the kron of two. A channel builds
+its Kraus operators only if something reads them.
 
 Channels act on the Pauli form of an operator (``PauliVector``): the real
 coefficients r_P = Tr(P X) of every Pauli string P, the four (I, X, Y, Z)
 of qubit q at stride 4^q, so the coefficients of any block of adjacent
 qubits are contiguous. Every channel here maps Hermitian operators to
-Hermitian operators, so in this basis it is a real Pauli transfer matrix,
-cached on the channel, and ``apply_channel`` is one real matmul over the
-block's axis. The conversions take and give Hermitian operators only; the
-states and signed collapses M(rho) of the density path all are. Every
-channel is linear, so it also serves operators that are not states;
-``apply_channel`` returns an unchecked operator, and the evolution segment
-that applied it checks its own result once.
+Hermitian operators, so its transfer matrix is real, and ``apply_channel``
+is one real matmul over the block's axis. The conversions take and give
+Hermitian operators only; the states and signed collapses M(rho) of the
+density path all are. Every channel is linear, so it also serves operators
+that are not states; ``apply_channel`` returns an unchecked operator, and
+the evolution segment that applied it checks its own result once.
 """
 
 from __future__ import annotations
@@ -32,12 +34,13 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import TYPE_CHECKING, Mapping, Sequence, Union
+from typing import TYPE_CHECKING, Mapping, Union
 
 import numpy as np
 
 from ..errors import InvalidChannel, InvalidNoiseParameter
 from .paulis import embed_operator  # noqa: F401  (unused; the benchmark tracer wraps this name)
+from .paulis import pauli_string_matrix
 from .states import DensityMatrix
 
 if TYPE_CHECKING:  # avoid a runtime cycle with lgsim.mitigation
@@ -49,57 +52,58 @@ TimeSpec = Union[float, Mapping[int, float], None]
 
 @dataclass(frozen=True, eq=False)
 class BlockChannel:
-    """A linear map on 1 or 2 adjacent ``target_qubits`` (ascending), as its
-    superoperator: ``superop[(a, b), (c, d)]`` is entry (a, b) of the image
-    of |c><d|, local bit k from qubit ``target_qubits[k]``. ``kraus_ops``
-    come from the eigendecomposition of its Choi matrix, on first read."""
+    """A linear map E on 1 or 2 adjacent ``target_qubits`` (ascending), as
+    its real Pauli transfer matrix ``transfer_matrix[P, Q]`` =
+    Tr(P E(Q)) / 2^m, read-only, with P and Q indexed as in ``PauliVector``:
+    local qubit k is ``target_qubits[k]``, at stride 4^k. ``kraus_ops`` come
+    from the eigendecomposition of its Choi matrix, on first read."""
 
     target_qubits: tuple[int, ...]
-    superop: np.ndarray
+    transfer_matrix: np.ndarray
 
     def __post_init__(self) -> None:
         targets = self.target_qubits
         if len(targets) not in (1, 2) or list(targets) != list(range(targets[0], targets[-1] + 1)):
             raise InvalidChannel(f"a block channel acts on 1 or 2 adjacent qubits, got {targets}")
-        if self.superop.shape != (4 ** len(targets),) * 2:
-            raise InvalidChannel(f"superoperator of shape {self.superop.shape} for {targets}")
+        if self.transfer_matrix.shape != (4 ** len(targets),) * 2:
+            raise InvalidChannel(f"transfer matrix {self.transfer_matrix.shape} for {targets}")
+        self.transfer_matrix.setflags(write=False)
 
     @cached_property
     def kraus_ops(self) -> tuple[np.ndarray, ...]:
         dim = 2 ** len(self.target_qubits)
-        # choi[(c, a), (d, b)] = superop[(a, b), (c, d)] = sum_k K[a, c] conj(K[b, d])
-        choi = self.superop.reshape((dim,) * 4).transpose(2, 0, 3, 1).reshape(dim * dim, -1)
-        w, v = np.linalg.eigh(choi)
+        strings = _local_strings(len(self.target_qubits)).reshape(dim * dim, -1)
+        # E(|c><d|)[a, b] = sum_PQ R[P, Q] Q[d, c] P[a, b] / 2^m
+        # = choi[(c, a), (d, b)] = sum_k K[a, c] conj(K[b, d])
+        entries = strings.T @ (self.transfer_matrix.T @ strings)  # [(d, c), (a, b)]
+        choi = entries.reshape((dim,) * 4).transpose(1, 2, 0, 3).reshape(dim * dim, -1)
+        w, v = np.linalg.eigh(choi / dim)
         keep = w > 1e-14 * w[-1]
         ops = np.sqrt(w[keep])[:, None, None] * v.T[keep].reshape(-1, dim, dim).transpose(0, 2, 1)
         ops.setflags(write=False)
         return tuple(ops)
 
-    @cached_property
-    def transfer_matrix(self) -> np.ndarray:
-        """The real Pauli transfer matrix R[P, Q] = Tr(P E(Q)) / 2^m, that is
-        T superop T^-1."""
-        m = len(self.target_qubits)
-        transfer = (_TO_PAULI[m] @ self.superop @ _FROM_PAULI[m]).real.copy()
-        transfer.setflags(write=False)
-        return transfer
 
-
-def _in_superop_order(one: np.ndarray) -> np.ndarray:
-    """``kron(one, one)`` of two 4-column maps, its columns from (a1, b1, a0,
-    b0) to the superoperator order (a1, a0, b1, b0)."""
-    return np.kron(one, one).reshape(16, 2, 2, 2, 2).transpose(0, 1, 3, 2, 4).reshape(16, 16)
+@lru_cache(maxsize=2)
+def _local_strings(m: int) -> np.ndarray:
+    """The 4^m Pauli strings of m qubits as matrices, in ``PauliVector``
+    order; read-only."""
+    labels = ("".join("IXYZ"[index // 4**k % 4] for k in range(m)) for index in range(4**m))
+    strings = np.array([pauli_string_matrix(label) for label in labels])
+    strings.setflags(write=False)
+    return strings
 
 
 # The coefficients Tr(P X), P = I, X, Y, Z, of a one-qubit operator X from
-# its entries X[a, b] in row-major order: row P holds P[b, a]. _REAL_PAULI
-# has iY = [[0, 1], [-1, 0]] in place of Y, so it is real.
+# its entries X[a, b] in row-major order: row P holds P[b, a], with
+# iY = [[0, 1], [-1, 0]] in place of Y, so it is real. _REAL_PAIR is the
+# same for two qubits from their entries (a1, a0, b1, b0): the kron's
+# columns (a1, b1, a0, b0) reordered.
 _REAL_PAULI = np.array([[1, 0, 0, 1], [0, 1, 1, 0], [0, -1, 1, 0], [1, 0, 0, -1]], dtype=float)
-_PAULI = _REAL_PAULI * np.array([[1], [1], [-1j], [1]])
-_TO_PAULI = {1: _PAULI, 2: _in_superop_order(_PAULI)}
-_REAL_PAIR = _in_superop_order(_REAL_PAULI)
-# their inverses T^dagger / 2^m: the rows are orthogonal
-_FROM_PAULI = {m: to_pauli.conj().T / 2**m for m, to_pauli in _TO_PAULI.items()}
+_REAL_PAIR = (
+    np.kron(_REAL_PAULI, _REAL_PAULI).reshape(16, 2, 2, 2, 2).transpose(0, 1, 3, 2, 4)
+).reshape(16, 16)
+# their inverses, the transposes over 2^m: the rows are orthogonal
 _FROM_REAL_PAULI = _REAL_PAULI.T / 2
 _FROM_REAL_PAIR = _REAL_PAIR.T / 4
 
@@ -190,21 +194,6 @@ class PauliVector:
         return out
 
 
-# one-qubit superoperators: the identity, and the reset |c><d| -> delta_cd I/2
-_IDENTITY = np.eye(4)
-_RESET = np.outer([1.0, 0.0, 0.0, 1.0], [0.5, 0.0, 0.0, 0.5])
-
-
-def _on_block(local: Sequence[np.ndarray]) -> np.ndarray:
-    """The superoperator of 1 or 2 adjacent qubits that applies the
-    one-qubit superoperator ``local[k]`` to local qubit k: for two, one
-    ``kron`` with its (a1, b1, a0, b0) axes swapped to (a1, a0, b1, b0)."""
-    if len(local) == 1:
-        return local[0]
-    pair = np.kron(local[1], local[0]).reshape((2,) * 8)
-    return pair.transpose(0, 2, 1, 3, 4, 6, 5, 7).reshape(16, 16)
-
-
 def block_channel(
     qubits: tuple[int, ...],
     gate: np.ndarray,
@@ -213,24 +202,26 @@ def block_channel(
 ) -> BlockChannel:
     """``gate`` on the adjacent ``qubits``, then each (p, targets) uniform
     depolarizing in ``depolarizing``, targets counted from ``qubits[0]``,
-    then the one-qubit superoperator ``relaxation[k]`` on each local qubit k
-    it names."""
-    dim = len(gate)
-    superop = np.multiply.outer(gate, gate.conj()).transpose(0, 2, 1, 3).reshape(dim * dim, -1)
+    then the one-qubit transfer matrix ``relaxation[k]`` on each local qubit
+    k it names."""
+    m = len(qubits)
+    strings = _local_strings(m)
+    # R[P, Q] = Re Tr(P G Q G^dagger) / 2^m
+    transfer = np.einsum("pab,qba->pq", strings, gate @ strings @ gate.conj().T).real / 2**m
     for p, targets in depolarizing:
-        superop = _depolarizing_superop(len(qubits), targets, p) @ superop
+        transfer *= _depolarizing_scale(m, targets, p)[:, None]
     if relaxation:
-        superop = _on_block([relaxation.get(k, _IDENTITY) for k in range(len(qubits))]) @ superop
-    superop.setflags(write=False)
-    return BlockChannel(qubits, superop)
+        local = [relaxation.get(k, np.eye(4)) for k in range(m)]
+        transfer = (local[0] if m == 1 else np.kron(local[1], local[0])) @ transfer
+    return BlockChannel(qubits, transfer)
 
 
 @lru_cache(maxsize=64)
-def _depolarizing_superop(m: int, targets: tuple[int, ...], p: float) -> np.ndarray:
-    """(1 - p) rho + p Tr_S(rho) (x) I / 2^|S| on the targets S of m qubits:
-    (1 - p) times the identity plus p times the reset of every target."""
-    reset = _on_block([_RESET if k in targets else _IDENTITY for k in range(m)])
-    return (1.0 - p) * np.eye(4**m) + p * reset
+def _depolarizing_scale(m: int, targets: tuple[int, ...], p: float) -> np.ndarray:
+    """The diagonal of depolarizing the local ``targets`` of m qubits: 1 on
+    the strings that are I on every target, 1 - p on the others."""
+    moved = [any(index // 4**k % 4 for k in targets) for index in range(4**m)]
+    return np.where(moved, 1.0 - p, 1.0)
 
 
 def apply_channel(operator: DensityMatrix | PauliVector, channel: BlockChannel) -> PauliVector:
@@ -326,9 +317,10 @@ def relaxation_channels(
     1/T_phi = 1/t2 - 1/(2 t1), so the channel reproduces the requested t1
     and t2 envelopes: decay g = 1 - exp(-duration/t1) and coherence
     c = sqrt(1 - g) exp(-duration/T_phi). Damping and dephasing of one qubit
-    commute, so one superoperator, diag(1, c, c, 1 - g) with g at [0, 3],
-    applies both. A per-qubit time for a qubit outside the register is an
-    error, not a time for nothing.
+    commute, so one transfer matrix applies both: on (I, X, Y, Z) it is
+    diag(1, c, c, 1 - g) with g at [3, 0], since E(I) = I + g Z. A per-qubit
+    time for a qubit outside the register is an error, not a time for
+    nothing.
     """
     for what, spec in (("t1", noise.t1), ("t2", noise.t2)):
         for q, _ in spec if isinstance(spec, tuple) else ():
@@ -350,8 +342,7 @@ def relaxation_channels(
                 rate = 1.0 / t2 - 0.5 / t1
                 t_phi = 1.0 / rate if rate > 1e-15 else math.inf
             coherence *= math.exp(-duration / t_phi)
-        superop = np.diag([1.0, coherence, coherence, 1.0 - decay])
-        superop[0, 3] = decay
-        superop.setflags(write=False)
-        channels.append(BlockChannel((q,), superop))
+        transfer = np.diag([1.0, coherence, coherence, 1.0 - decay])
+        transfer[3, 0] = decay
+        channels.append(BlockChannel((q,), transfer))
     return channels

@@ -149,7 +149,7 @@ class TrotterEvolution:
                     qubits,
                     gate,
                     [(p[len(s) - 1], s) for s in terms if p[len(s) - 1]],
-                    {k: relax[q].superop for k, q in enumerate(qubits)
+                    {k: relax[q].transfer_matrix for k, q in enumerate(qubits)
                      if q in relax and last[q] == i},
                 )
                 for i, (qubits, gate, terms) in enumerate(self._gates)

@@ -64,7 +64,7 @@ from .core.evolution import (
     _has_channel,
     evolve_density,
 )
-from .core.states import NORM_TOL, DensityMatrix, PureState
+from .core.states import NORM_TOL, DensityMatrix, PureState, _hermiticity
 from .errors import (
     InvalidGrid,
     InvalidObservable,
@@ -355,13 +355,6 @@ def _signed_collapse(rho: np.ndarray, obs: DichotomicObservable) -> np.ndarray:
         return 0.5 * (s[:, None] + s) * rho
     flipped = np.arange(rho.shape[0]) ^ obs.flip
     return 0.5 * (s[:, None] * rho[flipped] + rho[:, flipped] * s)
-
-
-def _hermiticity(y: np.ndarray) -> float:
-    """max |y - y^dagger|, 64 rows at a time: no temporary is as large as y,
-    and each strip of y^dagger is read from 64 adjacent columns."""
-    strips = range(0, len(y), 64)
-    return float(np.max([np.abs(y[i : i + 64] - y[:, i : i + 64].T.conj()).max() for i in strips]))
 
 
 def _expectation(y: np.ndarray, obs: DichotomicObservable) -> float:

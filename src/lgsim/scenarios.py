@@ -134,10 +134,13 @@ def run_transmon(
     the z readout of an x-rotating qubit, so the undamped curves coincide
     with the single-qubit closed form; dephasing multiplies each correlator
     by exp(-window / t2). Both analytic references are stored in the scan
-    metadata. A ``t2`` of None or Infinity means no dephasing.
+    metadata. A ``t2`` of None or Infinity means no dephasing; it is the
+    only dephasing time, so a ``noise`` with a t2 of its own is an error.
     """
     omega_eff = _positive(omega_eff, "omega_eff")
     t2 = None if t2 is None else _time(t2, "t2")
+    if noise is not None and noise.t2 is not None:
+        raise ConfigError(f"transmon dephases at parameters.t2 only, got noise.t2={noise.t2!r}")
     taus = _tau_grid(n_points, tau_max, DEFAULT_TRANSMON_TAU_MAX)
     if t2 is not None and np.isfinite(t2):
         noise = replace(noise, t2={0: t2}) if noise is not None else NoiseModel(t2={0: t2})
@@ -467,6 +470,8 @@ def noise_from_config(data: Mapping | None) -> NoiseModel | None:
         return None
     data = _mapping(data, "noise", NOISE_KEYS)
     confusion = None
+    if data.get("readout_confusion") is not None and data.get("readout_flip") is not None:
+        raise ConfigError("noise.readout_flip and noise.readout_confusion are both set; give one")
     if data.get("readout_confusion") is not None:
         key = "noise.readout_confusion"
         block = _mapping(data["readout_confusion"], key, ("num_bits", "matrix"))

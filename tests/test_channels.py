@@ -329,7 +329,7 @@ def test_transfer_matrix_is_real_and_trace_preserving(case, t1, ratio):
         tuple(range(low, low + m)),
         random_unitary(2**m, np.random.default_rng(seed)),
         block_depolarizing(m, p1, p2),
-        {k: ch.superop for k, ch in enumerate(relax)},
+        {k: ch.transfer_matrix for k, ch in enumerate(relax)},
     )
     r = channel.transfer_matrix
     assert r.dtype == np.float64 and r.shape == (4**m, 4**m)
@@ -339,6 +339,53 @@ def test_transfer_matrix_is_real_and_trace_preserving(case, t1, ratio):
     images = np.einsum("kab,qbc,kdc->qad", kraus, strings, kraus.conj())
     expected = np.einsum("pab,qba->pq", strings, images) / 2**m
     assert np.abs(expected - r).max() < 1e-13
+
+
+@pytest.mark.parametrize("k", [0, 1])
+def test_fused_relaxation_acts_on_its_own_qubit(k):
+    # relaxation fused into local qubit k of a block on qubits (1, 2) is the
+    # block gate, then the textbook relaxation of qubit 1 + k alone
+    rng = np.random.default_rng(7)
+    gate = random_unitary(4, rng)
+    relax = relaxation(0, 1, 0.4, t1=2.0, t2=1.5)
+    channel = block_channel((1, 2), gate, [], {k: relax.transfer_matrix})
+    rho = bf.random_density_matrix(3, rng)
+    expected = textbook_relaxation(textbook_block(rho, gate, [], (1, 2)), 2.0, 1.5, 0.4, (1 + k,))
+    assert np.abs(apply_channel(DensityMatrix(3, rho), channel).matrix - expected).max() < 1e-12
+
+
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("seed", range(5))
+def test_gate_transfer_matrix_is_orthogonal(m, seed):
+    # conjugation by a unitary keeps the inner products Tr(P Q) of the strings,
+    # so R R^T = I
+    channel = block_channel(tuple(range(m)), random_unitary(2**m, np.random.default_rng(seed)), [])
+    r = channel.transfer_matrix
+    assert np.abs(r @ r.T - np.eye(4**m)).max() < 1e-13
+
+
+@pytest.mark.parametrize("m, targets", [(1, (0,)), (2, (0,)), (2, (1,)), (2, (0, 1))])
+@pytest.mark.parametrize("p", [0.0, 0.013, 0.5, 1.0])
+def test_gate_depolarizing_transfer_matrix_is_diagonal(m, targets, p):
+    # strings that are I on every target keep weight 1, all others 1 - p
+    r = block_channel(tuple(range(1, 1 + m)), np.eye(2**m), [(p, targets)]).transfer_matrix
+    expected = [1.0 if all(label[k] == "I" for k in targets) else 1.0 - p
+                for label in pauli_labels(m)]
+    assert np.array_equal(r, np.diag(expected))
+
+
+@pytest.mark.parametrize("t1, t2", [(3.0, None), (None, 2.0), (3.0, 2.0), (3.0, 6.0), (40.0, 0.5)])
+def test_relaxation_transfer_matrix_is_the_closed_form(t1, t2):
+    # on (I, X, Y, Z): E(I) = I + g Z, E(Z) = (1 - g) Z, E(X) = c X, E(Y) = c Y,
+    # with g = 1 - exp(-t / t1) and the coherence envelope c = exp(-t / t2)
+    # (exp(-t / (2 t1)) without a t2)
+    duration = 0.7
+    g = 0.0 if t1 is None else 1.0 - np.exp(-duration / t1)
+    c = np.exp(-duration / t2) if t2 is not None else np.exp(-duration / (2 * t1))
+    expected = np.array([[1, 0, 0, 0], [0, c, 0, 0], [0, 0, c, 0], [g, 0, 0, 1 - g]])
+    r = relaxation(1, 3, duration, t1=t1, t2=t2).transfer_matrix
+    assert np.abs(r - expected).max() < 1e-15
+    assert not r.flags.writeable
 
 
 # --- noise model -----------------------------------------------------------

@@ -286,6 +286,15 @@ NAN, INF = float("nan"), float("inf")
         ("single_qubit", {"gamma": 1.0}, {"engine": {"shots": 0}}, "engine.shots"),
         ("single_qubit", {"gamma": 1.0}, {"engine": {"kind": "sampled", "shots": -5}},
          "engine.shots"),
+        # a flip probability next to a confusion matrix is not dropped
+        ("single_qubit", {"gamma": 1.0},
+         {"engine": {"kind": "sampled", "seed": 1},
+          "noise": {"readout_flip": 0.2,
+                    "readout_confusion": {"num_bits": 1, "matrix": [[1, 0], [0, 1]]}}},
+         "noise.readout_flip and noise.readout_confusion"),
+        # the transmon's dephasing time is parameters.t2 alone
+        ("transmon", {"omega_eff": 1.0, "t2": 55.0}, {"noise": {"t2": 5.0}}, "noise.t2"),
+        ("transmon", {"omega_eff": 1.0, "t2": None}, {"noise": {"t2": 5.0}}, "noise.t2"),
     ],
 )
 def test_scan_rejects_unphysical_config_naming_the_key(
