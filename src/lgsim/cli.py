@@ -1,6 +1,10 @@
 """Command-line front end: scan runner, calibration, mitigation, oracle.
 
-Exit codes: 0 success, 2 usage/config problems, 3 runtime failures.
+Exit codes: 0 success, 2 usage/config problems, 3 runtime failures. ``main``
+decides them for every command: an unusable path (``OSError``) exits 2 naming
+it, a ``ConfigError`` or ``InvalidNoiseParameter`` exits 2 with its message,
+and any other ``LgsimError`` exits 3. A command maps its own input-file errors
+to 2 before they reach ``main``.
 ``LGSIM_SEED`` provides a seed when neither the flag nor the config sets one.
 """
 
@@ -17,7 +21,7 @@ from pathlib import Path
 
 from . import __version__
 from .core.channels import NoiseModel
-from .errors import ConfigError, InvalidDistribution, InvalidNoiseParameter, LgsimError
+from .errors import ConfigError, InvalidNoiseParameter, LgsimError
 from .inequalities import joint_distribution_oracle, scan_to_csv
 from .mitigation import ConfusionMatrix, calibrate, mitigate
 from .observables import CountsVector, _check_bit_keys, _integer
@@ -70,21 +74,12 @@ def _cmd_scan(args: argparse.Namespace) -> int:
                 f"error bar), got {engine.n_shots}"
             )
         seed = _resolve_seed(args.seed, engine.seed)
-        engine = replace(engine, seed=seed)
-        spec.engine = engine
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as err:
-        return _fail(f"cannot use {err.filename}: {err.strerror}", EXIT_USAGE)
-    except (ConfigError, ValueError) as err:
+        spec.engine = replace(engine, seed=seed)
+    except ValueError as err:
         return _fail(str(err), EXIT_USAGE)
-
-    try:
-        scan = spec.run()
-    except (ConfigError, InvalidNoiseParameter) as err:
-        return _fail(str(err), EXIT_USAGE)
-    except LgsimError as err:
-        return _fail(str(err), EXIT_RUNTIME)
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    scan = spec.run()
 
     # echo the resolved seed so a manifest rerun reproduces the run exactly
     resolved_seed = scan.metadata.get("engine", {}).get("seed", seed)
@@ -92,10 +87,7 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     config_echo["engine"]["seed"] = resolved_seed
 
     csv_path, manifest_path = out_dir / "scan.csv", out_dir / "manifest.json"
-    try:
-        csv_path.write_text(scan_to_csv(scan), newline="")
-    except OSError as err:
-        return _fail(f"cannot use {err.filename}: {err.strerror}", EXIT_USAGE)
+    csv_path.write_text(scan_to_csv(scan), newline="")
     manifest = {
         "schema_version": 1,
         "package_version": __version__,
@@ -110,9 +102,9 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     }
     try:
         manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    except OSError as err:
+    except OSError:
         csv_path.unlink()  # no scan.csv without its manifest
-        return _fail(f"cannot use {err.filename}: {err.strerror}", EXIT_USAGE)
+        raise
 
     counts = scan.violation_counts()
     summary = ", ".join(f"{name}={count}" for name, count in counts.items())
@@ -140,8 +132,6 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
         out = Path(args.out)
         out.parent.mkdir(parents=True, exist_ok=True)
         out.write_text(estimated.to_json() + "\n")
-    except OSError as err:
-        return _fail(f"cannot use {err.filename}: {err.strerror}", EXIT_USAGE)
     except LgsimError as err:
         return _fail(str(err), EXIT_USAGE)
     except (KeyError, TypeError, ValueError) as err:
@@ -179,14 +169,9 @@ def _cmd_mitigate(args: argparse.Namespace) -> int:
     try:
         matrix = ConfusionMatrix.from_json(Path(args.matrix).read_text())
         raw = _load_counts(Path(args.counts), matrix.num_bits)
-    except OSError as err:
-        return _fail(f"cannot use {err.filename}: {err.strerror}", EXIT_USAGE)
     except (KeyError, TypeError, ValueError, OverflowError, LgsimError) as err:
         return _fail(f"bad input file: {err}", EXIT_USAGE)
-    try:
-        probs, method = mitigate(raw, matrix, return_method=True)
-    except LgsimError as err:
-        return _fail(str(err), EXIT_RUNTIME)
+    probs, method = mitigate(raw, matrix, return_method=True)
     payload = {
         "num_bits": matrix.num_bits,
         "method": method,
@@ -195,11 +180,8 @@ def _cmd_mitigate(args: argparse.Namespace) -> int:
         },
     }
     out = Path(args.out)
-    try:
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(json.dumps(payload, indent=2) + "\n")
-    except OSError as err:
-        return _fail(f"cannot use {err.filename}: {err.strerror}", EXIT_USAGE)
+    out.parent.mkdir(parents=True, exist_ok=True)
+    out.write_text(json.dumps(payload, indent=2) + "\n")
     print(f"mitigated {raw.total} counts via {method}; wrote {out}")
     return EXIT_OK
 
@@ -208,9 +190,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     try:
         data = json.loads(Path(args.distribution).read_text())
         result = joint_distribution_oracle(data)
-    except OSError as err:
-        return _fail(f"cannot use {err.filename}: {err.strerror}", EXIT_USAGE)
-    except (InvalidDistribution, ValueError) as err:
+    except ValueError as err:  # InvalidDistribution is one
         return _fail(f"bad distribution: {err}", EXIT_USAGE)
     print(f"C12 = {result.c12:.12g}")
     print(f"C23 = {result.c23:.12g}")
@@ -281,7 +261,14 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as err:
         # argparse exits 2 on usage errors already; normalize other codes
         return int(err.code) if err.code else EXIT_OK
-    return args.func(args)
+    try:
+        return args.func(args)
+    except OSError as err:
+        return _fail(f"cannot use {err.filename}: {err.strerror}", EXIT_USAGE)
+    except (ConfigError, InvalidNoiseParameter) as err:
+        return _fail(str(err), EXIT_USAGE)
+    except LgsimError as err:
+        return _fail(str(err), EXIT_RUNTIME)
 
 
 if __name__ == "__main__":

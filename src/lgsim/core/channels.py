@@ -283,7 +283,7 @@ class NoiseModel:
             t1, t2 = self.qubit_t1(q), self.qubit_t2(q)
             if t1 is not None and t2 is not None and t2 > 2.0 * t1 + 1e-12:
                 raise InvalidNoiseParameter(
-                    f"qubit {q}: t2={t2} exceeds 2*t1={2 * t1} (unphysical)"
+                    f"qubit {q}: noise.t2={t2} exceeds 2*noise.t1={2 * t1} (unphysical)"
                 )
 
     def qubit_t1(self, qubit: int) -> float | None:

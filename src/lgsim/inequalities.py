@@ -22,6 +22,7 @@ from .core.states import DensityMatrix, prepare_state
 from .errors import (
     InvalidDistribution,
     InvalidGrid,
+    InvalidNoiseParameter,
     InvalidObservable,
     MixedMethodError,
 )
@@ -186,6 +187,15 @@ class ThreeTimeSetup:
                 )
         if self.trotter_steps_per_tau is not None and self.trotter_steps_per_tau < 1:
             raise ValueError("trotter_steps_per_tau must be >= 1")
+        if self.trotter_steps_per_tau is None and self.noise is not None:
+            # exact dynamics has no gates, so a gate rate would be dropped unseen
+            for name in ("gate_depolarizing_1q", "gate_depolarizing_2q"):
+                rate = getattr(self.noise, name)
+                if rate:
+                    raise InvalidNoiseParameter(
+                        f"noise.{name}={rate} acts on Trotter gates, but "
+                        f"{self.label or 'this setup'} evolves exactly and has none"
+                    )
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ import numpy as np
 from .core.channels import NoiseModel
 from .core.paulis import MAX_QUBITS, PauliSumHamiltonian
 from .core.states import prepare_state
-from .errors import ConfigError
+from .errors import ConfigError, InvalidNoiseParameter
 from .inequalities import (
     Engine,
     RegionScanResult,
@@ -143,7 +143,13 @@ def run_transmon(
         raise ConfigError(f"transmon dephases at parameters.t2 only, got noise.t2={noise.t2!r}")
     taus = _tau_grid(n_points, tau_max, DEFAULT_TRANSMON_TAU_MAX)
     if t2 is not None and np.isfinite(t2):
-        noise = replace(noise, t2={0: t2}) if noise is not None else NoiseModel(t2={0: t2})
+        try:
+            noise = replace(noise, t2={0: t2}) if noise is not None else NoiseModel(t2={0: t2})
+        except InvalidNoiseParameter as err:
+            # a checked noise block with one more t2 can break only t2 <= 2 t1
+            raise InvalidNoiseParameter(
+                f"parameters.t2={t2} exceeds 2*noise.t1={2 * noise.qubit_t1(0)} (unphysical)"
+            ) from err
     setup = ThreeTimeSetup(
         rho0=prepare_state("plus", 1).density_matrix(),
         hamiltonian=phase_precession_hamiltonian(omega_eff),

@@ -295,6 +295,19 @@ NAN, INF = float("nan"), float("inf")
         # the transmon's dephasing time is parameters.t2 alone
         ("transmon", {"omega_eff": 1.0, "t2": 55.0}, {"noise": {"t2": 5.0}}, "noise.t2"),
         ("transmon", {"omega_eff": 1.0, "t2": None}, {"noise": {"t2": 5.0}}, "noise.t2"),
+        # only the Trotterized chain has gates for a gate-noise rate to act on
+        ("single_qubit", {"gamma": 1.0}, {"noise": {"gate_depolarizing_1q": 0.5}},
+         "noise.gate_depolarizing_1q"),
+        ("bell_pair_lgbi", {"gamma1": 1.0, "gamma2": 1.2},
+         {"engine": {"kind": "sampled", "seed": 1}, "noise": {"gate_depolarizing_2q": 0.9}},
+         "noise.gate_depolarizing_2q"),
+        ("transmon", {"omega_eff": 1.0, "t2": 55.0}, {"noise": {"gate_depolarizing_1q": 0.1}},
+         "noise.gate_depolarizing_1q"),
+        # t2 <= 2 t1 names both keys, wherever each time comes from
+        ("tfic", {"j": 0.1, "gammas": [1, 1, 2], "k": 2}, {"noise": {"t1": 5.0, "t2": 55.0}},
+         "noise.t2=55.0 exceeds 2*noise.t1"),
+        ("transmon", {"omega_eff": 1.0, "t2": 55.0}, {"noise": {"t1": 5.0}},
+         "parameters.t2=55.0 exceeds 2*noise.t1"),
     ],
 )
 def test_scan_rejects_unphysical_config_naming_the_key(
@@ -330,6 +343,11 @@ def test_scan_rejects_unphysical_config_naming_the_key(
           "--out", "{tmp}/c.json"], "--shots"),
         (["calibrate", "--bits", "1", "--flip-prob", "0.03", "--shots", str(10**20),
           "--out", "{tmp}/c.json"], "--shots"),
+        (["mitigate", "--counts", "{file}", "--matrix", "{dir}", "--out", "{tmp}/m.json"],
+         "{dir}"),
+        (["mitigate", "--counts", "{counts}", "--matrix", "{matrix}", "--out", "{file}/m.json"],
+         "{file}"),
+        (["calibrate", "--bits", "1", "--matrix", "{dir}", "--out", "{tmp}/c.json"], "{dir}"),
     ],
 )
 def test_cli_rejects_unusable_paths_and_flags_naming_them(
@@ -340,16 +358,37 @@ def test_cli_rejects_unusable_paths_and_flags_naming_them(
         "dir": tmp_path / "a_directory",
         "file": tmp_path / "a_file",
         "matrix": tmp_path / "matrix.json",
+        "counts": tmp_path / "counts.json",
         "config": single_qubit_config,
         "tmp": tmp_path,
     }
     paths["dir"].mkdir()
     paths["file"].write_text("{}")
     paths["matrix"].write_text(ConfusionMatrix.symmetric(0.03).to_json())
+    paths["counts"].write_text(json.dumps({"counts": {"0": 90, "1": 10}}))
     fill = {key: str(path) for key, path in paths.items()}
     assert main([arg.format(**fill) for arg in argv]) == 2
     assert named.format(**fill) in capsys.readouterr().err
     assert not (tmp_path / "c.json").exists()
+
+
+def test_scan_exits_3_when_the_run_fails(tmp_path, capsys):
+    # a 1-bit confusion that misreads 0 and 1 unequally gives the two-qubit
+    # parity no sign confusion, so mitigation fails during the run
+    config = write_config(
+        tmp_path / "config.json",
+        {
+            "scenario": "bell_pair_lgi_global",
+            "parameters": {"gamma1": 1.0, "gamma2": 1.3},
+            "grid": {"n_points": 4},
+            "engine": {"kind": "sampled", "shots": 256, "seed": 1, "mitigate": True},
+            "noise": {"readout_confusion": {"num_bits": 1, "matrix": [[0.9, 0.2], [0.1, 0.8]]}},
+        },
+    )
+    out = tmp_path / "o"
+    assert main(["scan", config, "--out", str(out)]) == 3
+    assert "parity_0_1" in capsys.readouterr().err
+    assert not (out / "scan.csv").exists()
 
 
 @pytest.mark.parametrize("blocked", ["scan.csv", "manifest.json"])
