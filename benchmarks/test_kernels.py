@@ -7,7 +7,10 @@ operator already in Pauli form; the conversion of an operator to Pauli form
 and back; one noisy first-order Trotter step of the transverse-field Ising
 chain with gate noise alone and with t1 and t2 as well, on Pauli form; one
 exact segment with t1 and t2 on every qubit (dense conjugation, conversion,
-one relaxation pass per qubit) read back as a matrix; one batched
+one relaxation pass per qubit) read back as a matrix; the three noisy
+correlators of one tau of the chain with k = 3 (the checked first state
+forward, Q_j backward on its light cone), with gate noise alone and with t1
+and t2 as well; one batched
 ``exact_correlator`` and one batched ``sampled_correlator`` call over a tau
 grid, and one ``mitigate_correlator`` call with its bootstrap over the
 counts tables of a 75-point scan and over 225 tables drawn from random laws,
@@ -110,6 +113,26 @@ def test_noisy_trotter_step(benchmark, noise, n):
     operator = PauliVector.of(hermitian(n))
     _evolve_segment(operator, evo, DT, noise)
     benchmark(_evolve_segment, operator, evo, DT, noise)
+
+
+@pytest.mark.parametrize("n", SIZES)
+@pytest.mark.parametrize("noise", [NOISE, RELAXING], ids=["gate", "t1_t2"])
+def test_noisy_trotter_correlators(benchmark, noise, n):
+    # the three windows of one tau in one call, as a noisy tfic scan
+    # evaluates one grid point: GHZ start, z read on the first and last
+    # qubit, k = 3 steps of dt per tau; the first state rho(tau) runs forward
+    # and is checked, Q_j runs backward on its light cone. The block
+    # channels are built before timing starts
+    evo = TrotterEvolution(ising_chain_hamiltonian(0.1, [1.0] * (n - 1) + [2.0]), DT)
+    rho = prepare_state("ghz", n).density_matrix()
+    first, second = sigma_z_observable(0, n), sigma_z_observable(n - 1, n)
+    tau = 3 * DT
+    schedules = [
+        MeasurementSchedule(window, first, second)
+        for window in ((0.0, tau), (tau, 2.0 * tau), (0.0, 2.0 * tau))
+    ]
+    exact_correlator(rho, evo, schedules, noise)
+    benchmark(exact_correlator, rho, evo, schedules, noise)
 
 
 @pytest.mark.parametrize("n", SIZES)

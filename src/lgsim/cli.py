@@ -78,8 +78,16 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     except ValueError as err:
         return _fail(str(err), EXIT_USAGE)
     out_dir = Path(args.out)
+    # the directories this call creates, deepest first; an unusable path
+    # fails in mkdir, before the run
+    created = [path for path in (out_dir, *out_dir.parents) if not path.exists()]
     out_dir.mkdir(parents=True, exist_ok=True)
-    scan = spec.run()
+    try:
+        scan = spec.run()
+    except BaseException:
+        for path in created:  # a failed run leaves no empty output directory
+            path.rmdir()
+        raise
 
     # echo the resolved seed so a manifest rerun reproduces the run exactly
     resolved_seed = scan.metadata.get("engine", {}).get("seed", seed)

@@ -128,6 +128,22 @@ def _block_pass(v: np.ndarray, matrix: np.ndarray, low: int) -> np.ndarray:
     return (matrix @ v.reshape(-1, len(matrix), 4**low)).reshape(-1)
 
 
+def _adjoint_pass(v: np.ndarray, lo: int, hi: int, channel: BlockChannel) -> tuple:
+    """(R^T v, lo, hi) for the coefficients ``v`` of an operator that is I
+    outside qubits lo..hi, indexed from qubit lo: a channel that touches the
+    window widens it to its own qubits first (the old coefficients sit at I
+    on the new ones), and one on other qubits leaves ``v`` as it is, which
+    holds when R^T fixes e_I, that is when the channel is trace-preserving."""
+    first, last = channel.target_qubits[0], channel.target_qubits[-1]
+    if last < lo or first > hi:
+        return v, lo, hi
+    if first < lo or last > hi:
+        step, lo, hi = 4 ** max(lo - first, 0), min(lo, first), max(hi, last)
+        v, old = np.zeros(4 ** (hi - lo + 1)), v
+        v[: len(old) * step : step] = old
+    return _block_pass(v, channel.transfer_matrix.T, first - lo), lo, hi
+
+
 def _pairwise(v: np.ndarray, num_qubits: int, pair: np.ndarray, one: np.ndarray) -> np.ndarray:
     """``pair`` on each pair of qubits from qubit 0, then ``one`` on the top
     qubit of an odd register."""

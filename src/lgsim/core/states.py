@@ -65,13 +65,19 @@ class DensityMatrix:
             raise InvalidState(f"trace {tr} deviates from 1 beyond {NORM_TOL}")
         # m + PSD_TOL * I has a Cholesky factor exactly when no eigenvalue of
         # m is below -PSD_TOL (up to rounding); eigvalsh, three to four times
-        # dearer, only runs to decide a failure near that edge and to name it
+        # dearer, only runs to decide a failure near that edge and to name it.
+        # m is shifted in place and its diagonal restored exactly after, so
+        # the check makes no d x d copy of its own
+        diagonal = m.diagonal().copy()
+        m.flat[:: dim + 1] += PSD_TOL
         try:
-            np.linalg.cholesky(m + PSD_TOL * np.eye(dim))
+            np.linalg.cholesky(m)
         except np.linalg.LinAlgError:
+            m.flat[:: dim + 1] = diagonal
             min_eig = float(np.linalg.eigvalsh(m)[0])
             if min_eig < -PSD_TOL:
                 raise InvalidState(f"negative eigenvalue {min_eig} below -{PSD_TOL}") from None
+        m.flat[:: dim + 1] = diagonal
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 

@@ -29,10 +29,16 @@ the noise model, and return one result per schedule, in order. The batch
 shares the register checks and the rank-one test, one checked rho_i (or
 psi_i) from ``evolve_density`` per distinct first time t_i, and one
 collapse per distinct first measurement (t_i, Q_i). On state vectors the
-branch columns of all schedules go through one stacked evolution; under
-Trotter dynamics a longer second segment continues from a shorter one (C13
-from C12 in a tau scan). The readout maps run once per (Q_i, Q_j) pair on
-its stacked laws; the checks, |C| <= 1 and the draw stay per schedule.
+branch columns of all schedules go through one stacked evolution.
+
+On density matrices under Trotter dynamics the exact engine reads C as
+Tr[E^dagger(Q_j) M(rho_i)]: Q_j runs backwards through the transposed Pauli
+transfer matrices, only on the qubits its light cone has reached, and a
+longer second segment continues the image of a shorter one (C13 from the
+image that C12 and C23 share in a tau scan). Under exact dynamics, and for
+the sampled law, M(rho_i) or each branch runs forward instead. The readout
+maps run once per (Q_i, Q_j) pair on its stacked laws; the checks, |C| <= 1
+and the draw stay per schedule.
 
 An observable is stored as a signed bit flip (``DichotomicObservable``), so
 both engines apply it by indexing the state, never as a 2^n x 2^n matrix.
@@ -56,6 +62,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
+from .core.channels import PauliVector, _adjoint_pass, _block_pass
 from .core.evolution import (
     Dynamics,
     TrotterEvolution,
@@ -66,6 +73,7 @@ from .core.evolution import (
 )
 from .core.states import NORM_TOL, DensityMatrix, PureState, _hermiticity
 from .errors import (
+    InvalidChannel,
     InvalidGrid,
     InvalidObservable,
     InvalidState,
@@ -492,15 +500,92 @@ def _second_images(first, dynamics, schedules, noise, starts, read):
             yield index, list(map(partial(read, schedules[index].second_observable), images))
 
 
+# P sigma = phase * P' for sigma = Z or X and each one-qubit factor P of
+# I, X, Y, Z: row P holds the phase in column P'
+_TIMES = {
+    "z": np.array([[0, 0, 0, 1], [0, 0, -1j, 0], [0, 1j, 0, 0], [1, 0, 0, 0]]),
+    "x": np.array([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1j], [0, 0, 1j, 0]]),
+}
+
+
+def _pauli_collapse(r: np.ndarray, obs: DichotomicObservable) -> np.ndarray:
+    """``_signed_collapse`` on the Pauli coefficients r_P = Tr(P rho). For a
+    two-outcome collapse Tr(P M(rho)) = Re Tr(P Q rho), and P Q is a phase
+    times the string with each factor of P on the qubits of Q multiplied by
+    sigma (``_TIMES``): the strings that commute with Q, times Q, with a
+    sign. On one qubit that is the real one-qubit map, I <-> Z for z and
+    I <-> X for x, with the other two factors sent to 0; a bitwise collapse
+    is the z map on each of its qubits."""
+    times = _TIMES[obs.basis]
+    if obs.bitwise_collapse or len(obs.qubits) == 1:
+        times = times.real
+    for q in obs.qubits:
+        r = _block_pass(r, times, q)
+    return r.real
+
+
+def _heisenberg_image(image: tuple, channels: tuple, steps: int) -> tuple:
+    """``steps`` Trotter steps of the adjoint map on ``image`` = (c, lo, hi),
+    the coefficients c_P of an operator sum_P c_P P that is I outside qubits
+    lo..hi (``_adjoint_pass``): each step runs the transposed transfer
+    matrices of ``channels`` in reverse order."""
+    for _ in range(steps):
+        for ch in reversed(channels):
+            image = _adjoint_pass(*image, ch)
+    return image
+
+
+def _heisenberg_values(first, dynamics: TrotterEvolution, schedules, noise) -> np.ndarray:
+    """C = Tr[E^dagger(Q_j) M(rho_i)], with E the steps of the second segment:
+    the real dot product of the coefficients of E^dagger(Q_j)
+    (``_heisenberg_image``) with those of M(rho_i) (``_pauli_collapse``) on
+    the qubits its light cone has reached. The images of one Q_j continue
+    from shorter step counts to longer ones, so a batch runs the passes of
+    its one-schedule calls on the same vectors. A channel outside the light
+    cone is skipped, which needs row I of its transfer matrix to be e_I: a
+    channel that is not trace-preserving is an error."""
+    steps = [dynamics.segment_steps(s.t_second - s.t_first) for s in schedules]
+    channels = dynamics.block_channels(noise) if any(steps) else ()
+    for ch in channels:
+        row = ch.transfer_matrix[0]
+        if not np.abs(row - np.eye(len(row))[0]).max() <= 1e-12:  # NaN fails too
+            raise InvalidChannel(f"channel on qubits {ch.target_qubits} is not trace-preserving")
+    collapsed = {
+        key: _pauli_collapse(PauliVector.of(first[key[0]]).coefficients, key[1])
+        for key in dict.fromkeys((s.t_first, s.first_observable) for s in schedules)
+    }
+    groups: dict[DichotomicObservable, list[tuple[int, int]]] = {}
+    for index, sched in enumerate(schedules):
+        groups.setdefault(sched.second_observable, []).append((steps[index], index))
+    values = np.empty(len(schedules))
+    for obs, members in groups.items():
+        lo, hi = min(obs.qubits), max(obs.qubits)
+        c = np.zeros(4 ** (hi - lo + 1))
+        c[sum((3 if obs.basis == "z" else 1) * 4 ** (q - lo) for q in obs.qubits)] = 1.0
+        image, done = (c, lo, hi), 0
+        for count, index in sorted(members):
+            if count > done:
+                image, done = _heisenberg_image(image, channels, count - done), count
+            c, lo, hi = image
+            r = collapsed[schedules[index].t_first, schedules[index].first_observable]
+            values[index] = c @ r[: 4 ** (hi + 1) : 4**lo]  # the strings that are I off lo..hi
+    return values
+
+
 def _density_values(
     first: dict[float, DensityMatrix],
     dynamics: Dynamics,
     schedules: tuple[MeasurementSchedule, ...],
     noise: "NoiseModel | None",
 ) -> np.ndarray:
-    """C = Tr[Q_j E_{i->j}(M(rho_i))] on density matrices (``_second_images``
-    of one signed collapse M(rho_i)). Every image must stay Hermitian and
-    keep its trace <Q_i>, both within ``NORM_TOL``."""
+    """C on density matrices. Under Trotter dynamics it is read from the
+    backward images of Q_j on its light cone (``_heisenberg_values``).
+    Under exact dynamics it is Tr[Q_j E(M(rho_i))], with M(rho_i) evolved
+    forward over a fresh segment per schedule (``_second_images``); every
+    such image must stay Hermitian and keep its trace <Q_i>, both within
+    ``NORM_TOL``."""
+    if isinstance(dynamics, TrotterEvolution):
+        return _heisenberg_values(first, dynamics, schedules, noise)
     values = np.empty(len(schedules))
     images = _second_images(
         first, dynamics, schedules, noise, lambda rho, obs: [_signed_collapse(rho, obs)],
@@ -526,13 +611,16 @@ def exact_correlator(
     noise: "NoiseModel | None" = None,
 ) -> tuple[CorrelatorEstimate, ...]:
     """Two-time correlators C = Tr[Q_j E_{i->j}(M(rho_i))] of a batch of
-    schedules, one per schedule, in order (``_pure_values`` on state vectors,
-    else ``_density_values``). Decoherence channels are interleaved between
-    the evolution segments when a noise model is given; readout confusion
-    never enters the exact value. The branch states P_n rho_i P_n are PSD
-    because rho_i is, and every segment map is unitary or a complete
-    channel, so they stay PSD without a check of their own; |C| <= 1 is
-    checked by ``CorrelatorEstimate``.
+    schedules, one per schedule, in order: on state vectors from the evolved
+    branches (``_pure_values``), else on density matrices
+    (``_density_values``), as Tr[E^dagger(Q_j) M(rho_i)] from the backward
+    images of Q_j under Trotter dynamics and forward from a fresh segment
+    per schedule under exact dynamics. Decoherence channels are interleaved
+    between the evolution segments when a noise model is given; readout
+    confusion never enters the exact value. The branch states P_n rho_i P_n
+    are PSD because the checked rho_i is, and every segment map is unitary
+    or a complete channel, so they stay PSD without a check of their own;
+    |C| <= 1 is checked by ``CorrelatorEstimate``.
     """
     schedules = tuple(schedules)
     first = _first_states(rho0, dynamics, schedules, noise)

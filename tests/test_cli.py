@@ -389,6 +389,25 @@ def test_scan_exits_3_when_the_run_fails(tmp_path, capsys):
     assert main(["scan", config, "--out", str(out)]) == 3
     assert "parity_0_1" in capsys.readouterr().err
     assert not (out / "scan.csv").exists()
+    assert not out.exists()
+
+
+def test_scan_that_fails_in_its_setup_leaves_no_output_directory(tmp_path, capsys):
+    # gate noise on a scenario without Trotter gates exits 2 once the run
+    # builds its setup; every directory the call created is removed again
+    config = write_config(
+        tmp_path / "config.json",
+        {
+            "scenario": "single_qubit",
+            "parameters": {"gamma": 1.0},
+            "grid": {"n_points": 4},
+            "noise": {"gate_depolarizing_1q": 0.5},
+        },
+    )
+    out = tmp_path / "new" / "o"
+    assert main(["scan", config, "--out", str(out)]) == 2
+    assert "noise.gate_depolarizing_1q" in capsys.readouterr().err
+    assert not (tmp_path / "new").exists()
 
 
 @pytest.mark.parametrize("blocked", ["scan.csv", "manifest.json"])

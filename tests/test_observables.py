@@ -14,6 +14,7 @@ from lgsim import (
     DensityMatrix,
     DichotomicObservable,
     Engine,
+    InvalidChannel,
     InvalidGrid,
     InvalidObservable,
     InvalidState,
@@ -30,6 +31,7 @@ from lgsim import (
     sigma_x_observable,
     sigma_z_observable,
 )
+from lgsim.core.channels import BlockChannel
 from lgsim.mitigation import ConfusionMatrix
 from lgsim.scenarios import run_bell_pair
 
@@ -592,8 +594,9 @@ def test_register_mismatch_in_a_batch_fails_before_any_evolution(case, position)
 
 
 def test_trotter_batch_continues_a_longer_second_segment(monkeypatch):
-    # C12 (0, tau) and C13 (0, 2 tau) share M(rho_0): the second runs only the
-    # k steps beyond the first, and both equal their one-schedule calls
+    # C12 (0, tau) and C23 (tau, 2 tau) share the backward image of Q_j over
+    # k steps, and C13 (0, 2 tau) continues it by k more; every value equals
+    # its one-schedule call
     h = two_qubit_rotations(1.0, 0.4)
     evo = TrotterEvolution(h, 0.1)
     plus = prepare_state("plus", 2).density_matrix().matrix
@@ -602,16 +605,95 @@ def test_trotter_batch_continues_a_longer_second_segment(monkeypatch):
     schedules = [MeasurementSchedule(w, obs1, obs2) for w in ((0.0, 0.3), (0.3, 0.6), (0.0, 0.6))]
     singles = [exact_correlator(rho, evo, [s], NoiseModel(t2=2.0))[0].value for s in schedules]
     steps = []
-    evolve = observables._evolve_segment
+    backward = observables._heisenberg_image
 
-    def recording(rho, dynamics, duration, noise):
-        steps.append(dynamics.segment_steps(duration))
-        return evolve(rho, dynamics, duration, noise)
+    def recording(image, channels, count):
+        steps.append(count)
+        return backward(image, channels, count)
 
-    monkeypatch.setattr(observables, "_evolve_segment", recording)
+    monkeypatch.setattr(observables, "_heisenberg_image", recording)
     batch = exact_correlator(rho, evo, schedules, NoiseModel(t2=2.0))
-    assert sorted(steps) == [3, 3, 3]
+    assert steps == [3, 3]
     assert [est.value for est in batch] == singles
+
+
+def with_entry(r, index, value):
+    r = r.copy()
+    r[index] = value
+    return r
+
+
+@pytest.mark.parametrize(
+    "qubit, edit, error, match",
+    [
+        # qubit 0 lies outside the light cone of Z_1, so the backward path
+        # never runs its channel: only the check sees that it loses trace
+        (0, lambda r: 0.999 * r, InvalidChannel, "not trace-preserving"),
+        (0, lambda r: with_entry(r, (0, 3), np.nan), InvalidChannel, "not trace-preserving"),
+        # Z -> Z on the qubit of Q_j: the value is NaN
+        (1, lambda r: with_entry(r, (3, 3), np.nan), ValueError, "outside"),
+    ],
+    ids=["scaled", "nan_in_row_i", "nan_on_the_cone"],
+)
+def test_backward_path_checks_that_every_channel_keeps_the_trace(
+    monkeypatch, qubit, edit, error, match
+):
+    # the fields on two qubits make one block channel per qubit; the first
+    # measurement is at 0, so no first segment runs the edited channel
+    evo = TrotterEvolution(two_qubit_rotations(1.0, 0.4), 0.1)
+    noise = NoiseModel(t2=2.0)
+    channels = tuple(
+        BlockChannel(ch.target_qubits, edit(ch.transfer_matrix))
+        if ch.target_qubits == (qubit,) else ch
+        for ch in evo.block_channels(noise)
+    )
+    monkeypatch.setattr(TrotterEvolution, "block_channels", lambda self, noise: channels)
+    rho = DensityMatrix(2, 0.25 * np.eye(4))
+    sched = MeasurementSchedule((0.0, 0.3), sigma_x_observable(0, 2), sigma_z_observable(1, 2))
+    with pytest.raises(error, match=match):
+        exact_correlator(rho, evo, [sched], noise)
+
+
+@st.composite
+def light_cone_cases(draw):
+    n = draw(st.integers(2, 6))
+    k = draw(st.integers(1, 2))
+    first = draw(st.sampled_from(("z", "x", "parity", "bitwise")))
+    second = draw(st.sampled_from(("z", "x")))
+    qubit = draw(st.integers(0, n - 1))
+    relax = draw(st.booleans())
+    start = draw(st.sampled_from(("mixed", "noisy")))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return n, k, first, second, qubit, relax, start, seed
+
+
+@settings(max_examples=40, deadline=None)
+@given(light_cone_cases())
+@example((6, 1, "z", "z", 5, False, "mixed", 61))
+@example((6, 1, "parity", "z", 2, True, "noisy", 62))
+@example((5, 2, "bitwise", "x", 0, True, "mixed", 63))
+def test_backward_images_on_the_light_cone_match_bruteforce(case):
+    # the three windows of one tau with dt = tau / k, under gate noise with
+    # or without t1/t2, on up to 6 qubits, where the light cone of Q_j after
+    # k steps is narrower than the register: each value agrees with the
+    # branch formula, and the batch with its one-schedule calls bit for bit
+    n, k, first, second, qubit, relax, start, seed = case
+    rho, evo, sched, noise, branches1, *_ = build_correlator_case(
+        (n, True, first, True, relax, seed)
+    )
+    if start == "noisy":
+        rho = random_pure_rho(n, np.random.default_rng(seed + 1))
+    obs2 = (sigma_z_observable if second == "z" else sigma_x_observable)(qubit, n)
+    tau = k * evo.dt
+    schedules = [
+        MeasurementSchedule(w, sched.first_observable, obs2)
+        for w in ((0.0, tau), (tau, 2 * tau), (0.0, 2 * tau))
+    ]
+    values = [est.value for est in exact_correlator(rho, evo, schedules, noise)]
+    assert values == [exact_correlator(rho, evo, [s], noise)[0].value for s in schedules]
+    for value, s in zip(values, schedules):
+        oracle = bf.branch_correlator(rho, evo, *s.times, branches1, dense(obs2), noise)
+        assert abs(value - oracle) <= 1e-12
 
 
 # --- sampled correlator -----------------------------------------------------
