@@ -10,7 +10,10 @@ exact segment with t1 and t2 on every qubit (dense conjugation, conversion,
 one relaxation pass per qubit) read back as a matrix; the three noisy
 correlators of one tau of the chain with k = 3 (the checked first state
 forward, Q_j backward on its light cone), with gate noise alone and with t1
-and t2 as well; one batched
+and t2 as well; the sampled law of the same three windows under gate noise
+(``test_noisy_trotter_law``), a parity read bit by bit under readout flips,
+so that each branch of the first measurement is read against every Z_T run
+backward; one batched
 ``exact_correlator`` and one batched ``sampled_correlator`` call over a tau
 grid, and one ``mitigate_correlator`` call with its bootstrap over the
 counts tables of a 75-point scan and over 225 tables drawn from random laws,
@@ -46,6 +49,7 @@ from lgsim import (
 from lgsim.core import relaxation_channels
 from lgsim.core.channels import PauliVector, block_channel
 from lgsim.core.evolution import _evolve_segment, apply_channel
+from lgsim.observables import _recorded_laws
 from lgsim.scenarios import ising_chain_hamiltonian, transverse_field_hamiltonian
 
 SIZES = (5, 8, 10)
@@ -54,6 +58,11 @@ NOISE = NoiseModel(gate_depolarizing_1q=3e-4, gate_depolarizing_2q=1e-2)
 RELAXING = NoiseModel(t1=80.0, t2=50.0, gate_depolarizing_1q=3e-4, gate_depolarizing_2q=1e-2)
 RELAXATION = NoiseModel(t1=80.0, t2=50.0)
 READOUT = NoiseModel(readout_confusion=ConfusionMatrix.symmetric(0.03))
+NOISY_READOUT = NoiseModel(
+    gate_depolarizing_1q=3e-4,
+    gate_depolarizing_2q=1e-2,
+    readout_confusion=ConfusionMatrix.symmetric(0.03),
+)
 SHOTS = 8192
 
 
@@ -133,6 +142,26 @@ def test_noisy_trotter_correlators(benchmark, noise, n):
     ]
     exact_correlator(rho, evo, schedules, noise)
     benchmark(exact_correlator, rho, evo, schedules, noise)
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_noisy_trotter_law(benchmark, n):
+    # the recorded laws of the three windows of one tau in one call, on the
+    # density path: GHZ start, the parity of the first and last qubit read
+    # bit by bit at both times under per-bit flips of 0.03, k = 3 steps of dt
+    # per tau, gate noise. The four branches P_a rho P_a of each first state
+    # are read against Z_0, Z_{n-1} and their product, each run backward on
+    # its light cone; the block channels are built before timing starts
+    evo = TrotterEvolution(ising_chain_hamiltonian(0.1, [1.0] * (n - 1) + [2.0]), DT)
+    rho = prepare_state("ghz", n).density_matrix()
+    parity = parity_observable([0, n - 1], n)
+    tau = 3 * DT
+    schedules = [
+        MeasurementSchedule(window, parity, parity)
+        for window in ((0.0, tau), (tau, 2.0 * tau), (0.0, 2.0 * tau))
+    ]
+    _recorded_laws(rho, evo, schedules, NOISY_READOUT)
+    benchmark(_recorded_laws, rho, evo, schedules, NOISY_READOUT)
 
 
 @pytest.mark.parametrize("n", SIZES)

@@ -21,7 +21,7 @@ of qubit q at stride 4^q, so the coefficients of any block of adjacent
 qubits are contiguous. Every channel here maps Hermitian operators to
 Hermitian operators, so its transfer matrix is real, and ``apply_channel``
 is one real matmul over the block's axis. The conversions take and give
-Hermitian operators only; the states and signed collapses M(rho) of the
+Hermitian operators only; the states, branches and backward images of the
 density path all are. Every channel is linear, so it also serves operators
 that are not states; ``apply_channel`` returns an unchecked operator, and
 the evolution segment that applied it checks its own result once.

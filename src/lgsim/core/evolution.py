@@ -14,11 +14,11 @@ first use; an exact segment builds its propagator for its own duration.
 On density matrices every channel pass, a Trotter block or a relaxation
 channel, runs on the real Pauli coefficients of the operator
 (``PauliVector``), one real transfer-matrix matmul per block.
-``_evolve_segment`` takes Hermitian operators only, such as states and the
-signed collapse M(rho): a ``DensityMatrix`` is converted once, on its first
-pass, and a ``PauliVector`` it returns continues in Pauli form, so a
-chain of Trotter segments converts back only where an image is read.
-Exact segments keep their dense conjugation and convert only for t1/t2.
+``_evolve_segment`` takes Hermitian operators only: a ``DensityMatrix`` is
+converted once, on its first pass, and a ``PauliVector`` is taken as it is.
+The correlators run only first segments forward (``evolve_density``) and
+read every second one backward (``observables._density_reads``). Exact
+segments keep their dense conjugation and convert only for t1/t2.
 
 A noise model without a channel leaves every map unitary, so state vectors
 can be evolved instead of density matrices (``_evolve_vectors``): exact
@@ -189,10 +189,10 @@ def _evolve_segment(
     block gate followed by its gate noise and by the step's relaxation of the
     qubits it is the last block on (``block_channels``). Every channel pass
     works on the Pauli form, so an operator is converted on its first pass
-    and the result is a ``PauliVector``, which a continuation takes as it
-    is; a segment without a channel returns a ``DensityMatrix``. Every step
-    is linear in ``rho``, which need not be a state; the caller checks the
-    result.
+    and the result is a ``PauliVector``; a ``PauliVector`` is taken as it
+    is, and a segment without a channel returns a ``DensityMatrix``. Every
+    step is linear in ``rho``; the caller checks the result. Both engines run
+    only first segments here and read every second one backward.
     """
     if isinstance(dynamics, PauliSumHamiltonian):
         u = _expm_hermitian(dynamics, duration)

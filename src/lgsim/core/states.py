@@ -86,10 +86,9 @@ class DensityMatrix:
         """Skip the checks, for intermediate states inside one evolution
         segment; the segment's result goes through the checked constructor.
 
-        The exact correlator also sends its signed first-measurement operator
-        M(rho) through a segment as a trusted instance. That operator is
-        Hermitian with trace <Q_1> but not PSD, so it is no state, and
-        ``exact_correlator`` checks its evolved image itself."""
+        The backward read of an exact second segment also converts its image
+        U^dagger A U to Pauli form as a trusted instance: it is Hermitian but
+        no state, and the reader checks its norm itself."""
         out = object.__new__(cls)
         matrix.setflags(write=False)
         object.__setattr__(out, "num_qubits", num_qubits)

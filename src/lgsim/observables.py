@@ -7,22 +7,22 @@
 
 where E are the (possibly noisy) segment evolution maps, P_n the projection
 branches of the first measurement and q_n = +/-1 their values. M is linear,
-so one evolution of the signed operator M(rho_i) replaces one evolution per
-branch; for a two-outcome collapse M(rho) = {Q_i, rho} / 2 (Emary, Lambert
+so one read of the signed operator M(rho_i) replaces one read per branch;
+for a two-outcome collapse M(rho) = {Q_i, rho} / 2 (Emary, Lambert
 and Nori, arXiv:1304.5133). When rho_0 has rank one and the noise model has
 no channel (no t1, no t2, no gate depolarizing), every map is unitary and
 the same value is C = sum_n q_n <phi_n| Q_j |phi_n> on state vectors, with
 phi_n = U(t_j - t_i) P_n U(t_i) |psi_0>.
 
 ``sampled_correlator`` computes the exact law of the recorded (Q_i, Q_j)
-pair of the same protocol from the evolved branches themselves (phi_n on
-the same condition, else E_{i->j}(P_n rho_i P_n)), passes each
-measurement's bit patterns through the readout map
-``ConfusionMatrix.on_bits`` when one is set (per-bit flips as a kron of 2x2
-matrices, or an m-bit matrix as given), coarse-grains them to signs by
-their parity (the lumping that readout mitigation applies to the readout
-map), and draws each schedule's shot counts with one multinomial, as a
-2-bit ``CountsVector`` (the counts type that mitigation reads too).
+pair of the same protocol from the branches themselves (phi_n on the same
+condition, else P_a rho_i P_a), passes each measurement's bit patterns
+through the readout map ``ConfusionMatrix.on_bits`` when one is set
+(per-bit flips as a kron of 2x2 matrices, or an m-bit matrix as given),
+coarse-grains them to signs by their parity (the lumping that readout
+mitigation applies to the readout map), and draws each schedule's shot
+counts with one multinomial, as a 2-bit ``CountsVector`` (the counts type
+that mitigation reads too).
 
 Both engines take a batch of schedules that share rho_0, the dynamics and
 the noise model, and return one result per schedule, in order. The batch
@@ -31,12 +31,16 @@ psi_i) from ``evolve_density`` per distinct first time t_i, and one
 collapse per distinct first measurement (t_i, Q_i). On state vectors the
 branch columns of all schedules go through one stacked evolution.
 
-On density matrices under Trotter dynamics the exact engine reads C as
-Tr[E^dagger(Q_j) M(rho_i)]: Q_j runs backwards through the transposed Pauli
-transfer matrices, only on the qubits its light cone has reached, and a
-longer second segment continues the image of a shorter one (C13 from the
-image that C12 and C23 share in a tau scan). Under exact dynamics, and for
-the sampled law, M(rho_i) or each branch runs forward instead. The readout
+On density matrices both engines read the second segment backward, under
+exact and Trotter dynamics alike, as Tr[E^dagger(O) y] (``_density_reads``):
+y is M(rho_i) for the exact engine and each branch P_a rho_i P_a for the
+sampled law, both in Pauli form, and O is Q_j, or Z_T for every nonempty
+set T of its qubits when they are read bit by bit. Under Trotter dynamics
+O runs backwards through the transposed Pauli transfer matrices, only on
+the qubits its light cone has reached, and a longer second segment
+continues the image of a shorter one (C13 from the image that C12 and C23
+share in a tau scan); under exact dynamics E^dagger(O) = U^dagger
+relax^dagger(O) U is built once per distinct (O, duration). The readout
 maps run once per (Q_i, Q_j) pair on its stacked laws; the checks, |C| <= 1
 and the draw stay per schedule.
 
@@ -57,21 +61,21 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import lru_cache
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .core.channels import PauliVector, _adjoint_pass, _block_pass
+from .core.channels import PauliVector, _adjoint_pass, _block_pass, relaxation_channels
 from .core.evolution import (
     Dynamics,
     TrotterEvolution,
-    _evolve_segment,
     _evolve_vectors,
+    _expm_hermitian,
     _has_channel,
     evolve_density,
 )
-from .core.states import NORM_TOL, DensityMatrix, PureState, _hermiticity
+from .core.states import NORM_TOL, DensityMatrix, PureState
 from .errors import (
     InvalidChannel,
     InvalidGrid,
@@ -346,31 +350,6 @@ def _pattern_signs(m: int) -> np.ndarray:
     return signs
 
 
-def _signed_collapse(rho: np.ndarray, obs: DichotomicObservable) -> np.ndarray:
-    """M(rho) = sum_n q_n P_n rho P_n over the first measurement's branches.
-
-    A bitwise collapse keeps the blocks of ``rho`` between basis states with
-    the same bit pattern of the measured qubits, each signed by its pattern's
-    parity. A two-outcome collapse gives {Q, rho} / 2: with s = ``signs`` and
-    f = ``flip``, (Q rho)_ab = s_a rho_{a^f, b} and (rho Q)_ab = rho_{a, b^f} s_b,
-    so a z observable (f = 0) gives M(rho)_ab = (s_a + s_b) / 2 rho_ab.
-    """
-    s = obs.signs
-    if obs.bitwise_collapse:
-        keys = _pattern_keys(rho.shape[0], obs.qubits)
-        return np.where(keys[:, None] == keys, s[:, None] * rho, 0.0)
-    if not obs.flip:
-        return 0.5 * (s[:, None] + s) * rho
-    flipped = np.arange(rho.shape[0]) ^ obs.flip
-    return 0.5 * (s[:, None] * rho[flipped] + rho[:, flipped] * s)
-
-
-def _expectation(y: np.ndarray, obs: DichotomicObservable) -> float:
-    """Re Tr[Q y] = Re sum_a signs[a] y[a ^ flip, a]."""
-    idx = np.arange(y.shape[0])
-    return float(np.real(obs.signs @ y[idx ^ obs.flip, idx]))
-
-
 def _apply(obs: DichotomicObservable, x: np.ndarray) -> np.ndarray:
     """Q x for the columns of ``x``: (Q x)_a = signs[a] x[a ^ flip]."""
     if obs.flip:
@@ -472,50 +451,28 @@ def _pure_values(
     return np.add.reduceat(signs * branch_values, first_column)
 
 
-def _second_images(first, dynamics, schedules, noise, starts, read):
-    """(index, reads) per schedule: ``read(Q_j, y)`` of each image y, unchecked,
-    of the list ``starts(rho_i, Q_i)`` evolved over its second segment. A
-    Trotter segment continues from the last one in the Pauli form that
-    segment returned, so a batch runs the passes of its one-schedule calls
-    on the same vectors, and each image is converted back once, to be read;
-    an exact segment starts afresh (relax(t) U(t) twice is not relax(2t) U(2t))."""
-    trotter = isinstance(dynamics, TrotterEvolution)
-    groups: dict[tuple, list[int]] = {}
-    for index, sched in enumerate(schedules):
-        groups.setdefault((sched.t_first, sched.first_observable), []).append(index)
-    for (t_first, obs), members in groups.items():
-        n, done = first[t_first].num_qubits, 0
-        current = [DensityMatrix._trusted(n, x) for x in starts(first[t_first].matrix, obs)]
-        for index in sorted(members, key=lambda i: schedules[i].t_second):
-            duration = schedules[index].t_second - t_first
-            steps = dynamics.segment_steps(duration) if trotter else 0
-            for k, y in enumerate(current if steps > done else ()):
-                current[k] = _evolve_segment(y, dynamics, (steps - done) * dynamics.dt, noise)
-            done, fresh = max(done, steps), duration > 0 and not trotter
-            images = (
-                (_evolve_segment(x, dynamics, duration, noise) if fresh else x).matrix
-                for x in current
-            )
-            # map holds no image past its read; a comprehension variable would
-            yield index, list(map(partial(read, schedules[index].second_observable), images))
-
-
 # P sigma = phase * P' for sigma = Z or X and each one-qubit factor P of
 # I, X, Y, Z: row P holds the phase in column P'
 _TIMES = {
     "z": np.array([[0, 0, 0, 1], [0, 0, -1j, 0], [0, 1j, 0, 0], [1, 0, 0, 0]]),
     "x": np.array([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1j], [0, 0, 1j, 0]]),
 }
+# sigma P sigma = +/-P: the sign of each one-qubit factor P of I, X, Y, Z
+_CONJUGATE = {"z": np.diag([1.0, -1.0, -1.0, 1.0]), "x": np.diag([1.0, 1.0, -1.0, -1.0])}
+# P_b rho P_b with P_b = (I + (-1)^b Z) / 2, for b = 0, 1: X and Y go to 0,
+# I and Z each take half of both with the sign (-1)^b
+_Z_BRANCHES = tuple(np.array([[1, 0, 0, s], [0] * 4, [0] * 4, [s, 0, 0, 1]]) / 2 for s in (1, -1))
 
 
 def _pauli_collapse(r: np.ndarray, obs: DichotomicObservable) -> np.ndarray:
-    """``_signed_collapse`` on the Pauli coefficients r_P = Tr(P rho). For a
-    two-outcome collapse Tr(P M(rho)) = Re Tr(P Q rho), and P Q is a phase
-    times the string with each factor of P on the qubits of Q multiplied by
-    sigma (``_TIMES``): the strings that commute with Q, times Q, with a
-    sign. On one qubit that is the real one-qubit map, I <-> Z for z and
-    I <-> X for x, with the other two factors sent to 0; a bitwise collapse
-    is the z map on each of its qubits."""
+    """M(rho) = sum_n q_n P_n rho P_n on the Pauli coefficients r_P =
+    Tr(P rho). For a two-outcome collapse, M(rho) = {Q, rho} / 2 and
+    Tr(P M(rho)) = Re Tr(P Q rho), and P Q is a phase times the string with
+    each factor of P on the qubits of Q multiplied by sigma (``_TIMES``): the
+    strings that commute with Q, times Q, with a sign. On one qubit that is
+    the real one-qubit map, I <-> Z for z and I <-> X for x, with the other
+    two factors sent to 0; a bitwise collapse is the z map on each of its
+    qubits."""
     times = _TIMES[obs.basis]
     if obs.bitwise_collapse or len(obs.qubits) == 1:
         times = times.real
@@ -524,84 +481,133 @@ def _pauli_collapse(r: np.ndarray, obs: DichotomicObservable) -> np.ndarray:
     return r.real
 
 
+def _pauli_branches(r: np.ndarray, obs: DichotomicObservable) -> list[np.ndarray]:
+    """The unnormalised branches P_a rho P_a of a first measurement of ``obs``
+    on the Pauli coefficients r_P = Tr(P rho). A bitwise collapse gives one
+    per bit pattern a of its qubits (bit k from ``qubits[k]``), the product of
+    the one-qubit z branch maps. A two-outcome collapse gives plus, then
+    minus, with P = (I +/- Q) / 2: (rho + Q rho Q) / 4 +/- M(rho) / 2, where
+    Q rho Q flips the sign of every string that anticommutes with Q."""
+    if obs.bitwise_collapse:
+        branches = [r]
+        for q in obs.qubits:
+            branches = [_block_pass(y, _Z_BRANCHES[b], q) for b in (0, 1) for y in branches]
+        return branches
+    conjugated = r
+    for q in obs.qubits:
+        conjugated = _block_pass(conjugated, _CONJUGATE[obs.basis], q)
+    collapse = _pauli_collapse(r, obs)
+    return [(r + conjugated) / 4 + sign * collapse / 2 for sign in (1, -1)]
+
+
 def _heisenberg_image(image: tuple, channels: tuple, steps: int) -> tuple:
-    """``steps`` Trotter steps of the adjoint map on ``image`` = (c, lo, hi),
-    the coefficients c_P of an operator sum_P c_P P that is I outside qubits
-    lo..hi (``_adjoint_pass``): each step runs the transposed transfer
-    matrices of ``channels`` in reverse order."""
+    """``steps`` passes of the adjoint map of the channel sequence
+    ``channels`` (one Trotter step, or the relaxation of an exact segment) on
+    ``image`` = (c, lo, hi), the coefficients c_P of an operator sum_P c_P P
+    that is I outside qubits lo..hi (``_adjoint_pass``): each pass runs the
+    transposed transfer matrices of ``channels`` in reverse order."""
     for _ in range(steps):
         for ch in reversed(channels):
             image = _adjoint_pass(*image, ch)
     return image
 
 
-def _heisenberg_values(first, dynamics: TrotterEvolution, schedules, noise) -> np.ndarray:
-    """C = Tr[E^dagger(Q_j) M(rho_i)], with E the steps of the second segment:
-    the real dot product of the coefficients of E^dagger(Q_j)
-    (``_heisenberg_image``) with those of M(rho_i) (``_pauli_collapse``) on
-    the qubits its light cone has reached. The images of one Q_j continue
-    from shorter step counts to longer ones, so a batch runs the passes of
-    its one-schedule calls on the same vectors. A channel outside the light
-    cone is skipped, which needs row I of its transfer matrix to be e_I: a
-    channel that is not trace-preserving is an error."""
-    steps = [dynamics.segment_steps(s.t_second - s.t_first) for s in schedules]
-    channels = dynamics.block_channels(noise) if any(steps) else ()
+def _check_trace_preserving(channels) -> None:
+    """A backward pass skips a channel outside the image's qubits, which
+    needs row I of its transfer matrix to be e_I: else InvalidChannel."""
     for ch in channels:
         row = ch.transfer_matrix[0]
         if not np.abs(row - np.eye(len(row))[0]).max() <= 1e-12:  # NaN fails too
             raise InvalidChannel(f"channel on qubits {ch.target_qubits} is not trace-preserving")
-    collapsed = {
-        key: _pauli_collapse(PauliVector.of(first[key[0]]).coefficients, key[1])
-        for key in dict.fromkeys((s.t_first, s.first_observable) for s in schedules)
-    }
-    groups: dict[DichotomicObservable, list[tuple[int, int]]] = {}
-    for index, sched in enumerate(schedules):
-        groups.setdefault(sched.second_observable, []).append((steps[index], index))
-    values = np.empty(len(schedules))
-    for obs, members in groups.items():
-        lo, hi = min(obs.qubits), max(obs.qubits)
-        c = np.zeros(4 ** (hi - lo + 1))
-        c[sum((3 if obs.basis == "z" else 1) * 4 ** (q - lo) for q in obs.qubits)] = 1.0
-        image, done = (c, lo, hi), 0
-        for count, index in sorted(members):
-            if count > done:
-                image, done = _heisenberg_image(image, channels, count - done), count
-            c, lo, hi = image
-            r = collapsed[schedules[index].t_first, schedules[index].first_observable]
-            values[index] = c @ r[: 4 ** (hi + 1) : 4**lo]  # the strings that are I off lo..hi
-    return values
 
 
-def _density_values(
-    first: dict[float, DensityMatrix],
-    dynamics: Dynamics,
-    schedules: tuple[MeasurementSchedule, ...],
-    noise: "NoiseModel | None",
-) -> np.ndarray:
-    """C on density matrices. Under Trotter dynamics it is read from the
-    backward images of Q_j on its light cone (``_heisenberg_values``).
-    Under exact dynamics it is Tr[Q_j E(M(rho_i))], with M(rho_i) evolved
-    forward over a fresh segment per schedule (``_second_images``); every
-    such image must stay Hermitian and keep its trace <Q_i>, both within
-    ``NORM_TOL``."""
-    if isinstance(dynamics, TrotterEvolution):
-        return _heisenberg_values(first, dynamics, schedules, noise)
-    values = np.empty(len(schedules))
-    images = _second_images(
-        first, dynamics, schedules, noise, lambda rho, obs: [_signed_collapse(rho, obs)],
-        lambda obs, y: (_hermiticity(y), np.trace(y), _expectation(y, obs)),
-    )
-    for index, [(deviation, trace, value)] in images:
-        sched = schedules[index]
-        drift = abs(trace - _expectation(first[sched.t_first].matrix, sched.first_observable))
-        # written so that NaN or inf entries fail too
-        if not (deviation <= NORM_TOL and drift <= NORM_TOL):
-            raise InvalidState(
-                f"evolved first-measurement operator drifted: Hermiticity {deviation}, "
-                f"trace {drift} (tolerance {NORM_TOL})"
-            )
-        values[index] = value
-    return values
+def _exact_image(image: tuple, dynamics, duration: float, noise) -> tuple:
+    """E^dagger(O) = U^dagger relax^dagger(O) U over an exact segment of
+    ``duration`` > 0, for the image (c, lo, hi) of O: relax^dagger stays on
+    its window, then U^dagger . U acts on the window embedded in the register
+    as a d x d matrix, converted back once. That must keep the sum of squared
+    coefficients within ``NORM_TOL``, as it does exactly when U is unitary."""
+    n = dynamics.num_qubits
+    relax = relaxation_channels(noise, n, duration) if noise else ()
+    _check_trace_preserving(relax)
+    c, lo, hi = _heisenberg_image(image, relax, 1)
+    embedded = np.zeros(4**n)
+    embedded[: 4 ** (hi + 1) : 4**lo] = c
+    u = _expm_hermitian(dynamics, duration)
+    conjugated = u.conj().T @ PauliVector(n, embedded).matrix @ u
+    image = PauliVector.of(DensityMatrix._trusted(n, conjugated)).coefficients
+    drift = abs(image @ image - c @ c)
+    if not drift <= NORM_TOL:  # NaN fails too
+        raise InvalidState(
+            f"backward image of an exact segment drifted: squared norm {drift} "
+            f"(tolerance {NORM_TOL})"
+        )
+    return image, 0, n - 1
+
+
+def _density_reads(first, dynamics: Dynamics, schedules, noise, reads, branches) -> list:
+    """Per schedule, V[a, k] = Tr[O_k E(y_a)] over its second segment E, for
+    the maps y_a = ``branches(r, Q_i)`` (one vector or a list) of its checked
+    rho_i (converted once per t_i, mapped once per (t_i, Q_i)), O_0 = I and
+    O_1, O_2, ... the strings of its entry in ``reads`` (``_strings``). Each
+    read is Tr[E^dagger(O) y_a]: Tr y_a is coefficient 0, and every other
+    one dot product on the qubits the image of O has reached. Under Trotter
+    dynamics the images of one string continue from shorter step counts to
+    longer ones (``_heisenberg_image``), so a batch runs the passes of its
+    one-schedule calls on the same vectors; under exact dynamics each is
+    built once per distinct duration (``_exact_image``)."""
+    trotter = isinstance(dynamics, TrotterEvolution)
+    spans = [s.t_second - s.t_first for s in schedules]
+    if trotter:
+        spans = [dynamics.segment_steps(d) for d in spans]
+        channels = dynamics.block_channels(noise) if any(spans) else ()
+        _check_trace_preserving(channels)
+    mapped = {}
+    for t, rho in first.items():
+        r = PauliVector.of(rho).coefficients
+        for obs in dict.fromkeys(s.first_observable for s in schedules if s.t_first == t):
+            mapped[t, obs] = np.atleast_2d(branches(r, obs))
+    wanted: dict[tuple, set] = {}
+    for names, span in zip(reads, spans):
+        for name in names:
+            wanted.setdefault(name, set()).add(span)
+    images = {}
+    for name, lengths in wanted.items():
+        image, done = _string(*name), 0
+        for span in sorted(lengths):
+            if trotter and span > done:
+                image, done = _heisenberg_image(image, channels, span - done), span
+            exact = not trotter and span > 0
+            images[name, span] = _exact_image(image, dynamics, span, noise) if exact else image
+    out = []
+    for sched, names, span in zip(schedules, reads, spans):
+        ys = mapped[sched.t_first, sched.first_observable]
+        v = np.empty((len(ys), 1 + len(names)))
+        v[:, 0] = ys[:, 0]
+        for k, name in enumerate(names, 1):
+            c, lo, hi = images[name, span]
+            v[:, k] = ys[:, : 4 ** (hi + 1) : 4**lo] @ c  # the strings that are I off lo..hi
+        out.append(v)
+    return out
+
+
+def _strings(obs: DichotomicObservable, bits: int) -> list[tuple]:
+    """The strings read for ``obs`` as (basis, qubits): Q itself for ``bits``
+    = 1, else Z_T for every nonempty set T of its qubits, in the order of T
+    as a bitmask (bit k for ``qubits[k]``)."""
+    if bits == 1:
+        return [(obs.basis, obs.qubits)]
+    subsets = range(1, 2**bits)
+    return [("z", tuple(q for k, q in enumerate(obs.qubits) if t >> k & 1)) for t in subsets]
+
+
+def _string(basis: str, qubits: tuple[int, ...]) -> tuple:
+    """The Pauli string Z (``basis`` "z") or X on each of ``qubits`` as an
+    image (c, lo, hi) of ``_heisenberg_image``."""
+    lo, hi = min(qubits), max(qubits)
+    c = np.zeros(4 ** (hi - lo + 1))
+    c[sum((3 if basis == "z" else 1) * 4 ** (q - lo) for q in qubits)] = 1.0
+    return c, lo, hi
 
 
 def exact_correlator(
@@ -612,22 +618,24 @@ def exact_correlator(
 ) -> tuple[CorrelatorEstimate, ...]:
     """Two-time correlators C = Tr[Q_j E_{i->j}(M(rho_i))] of a batch of
     schedules, one per schedule, in order: on state vectors from the evolved
-    branches (``_pure_values``), else on density matrices
-    (``_density_values``), as Tr[E^dagger(Q_j) M(rho_i)] from the backward
-    images of Q_j under Trotter dynamics and forward from a fresh segment
-    per schedule under exact dynamics. Decoherence channels are interleaved
-    between the evolution segments when a noise model is given; readout
-    confusion never enters the exact value. The branch states P_n rho_i P_n
-    are PSD because the checked rho_i is, and every segment map is unitary
-    or a complete channel, so they stay PSD without a check of their own;
-    |C| <= 1 is checked by ``CorrelatorEstimate``.
+    branches (``_pure_values``), else on density matrices as
+    Tr[E^dagger(Q_j) M(rho_i)], the second segment read backward for both
+    kinds of dynamics (``_density_reads`` of ``_pauli_collapse``).
+    Decoherence channels are interleaved between the evolution segments when
+    a noise model is given; readout confusion never enters the exact value.
+    The branch states P_n rho_i P_n are PSD because the checked rho_i is, and
+    every segment map is unitary or a complete channel, so they stay PSD
+    without a check of their own; |C| <= 1 is checked by
+    ``CorrelatorEstimate``.
     """
     schedules = tuple(schedules)
     first = _first_states(rho0, dynamics, schedules, noise)
     if schedules and isinstance(first[schedules[0].t_first], PureState):
         values = _pure_values(first, dynamics, schedules)
     else:
-        values = _density_values(first, dynamics, schedules, noise)
+        reads = [_strings(s.second_observable, 1) for s in schedules]
+        reads = _density_reads(first, dynamics, schedules, noise, reads, _pauli_collapse)
+        values = [v[0, 1] for v in reads]
     return tuple(CorrelatorEstimate(float(v), 0.0, 0, METHOD_EXACT) for v in values)
 
 
@@ -655,27 +663,6 @@ def _true_law(diagonals, values, obs: DichotomicObservable, bits: int) -> np.nda
     return np.column_stack([totals + values, totals - values]) / 2
 
 
-def _collapse_branches(rho: np.ndarray, obs: DichotomicObservable) -> list[np.ndarray]:
-    """Unnormalised branches P_a rho P_a of a first measurement of ``obs``:
-    one per bit pattern of its qubits for a bitwise collapse, else plus then
-    minus with P = (I +/- Q) / 2.
-
-    A z collapse keeps the blocks of ``rho`` within one bit pattern or one
-    sign. An x collapse is P rho P = (rho +/- 2 M(rho) + Q rho Q) / 4, with
-    (Q rho Q)_ab = s_a rho_{a^f, b^f} s_b.
-    """
-    if obs.flip:
-        s, flipped = obs.signs, np.arange(rho.shape[0]) ^ obs.flip
-        collapse = _signed_collapse(rho, obs)
-        conjugated = s[:, None] * rho[np.ix_(flipped, flipped)] * s
-        return [(rho + 2 * sign * collapse + conjugated) / 4 for sign in (1, -1)]
-    if obs.bitwise_collapse:
-        labels, count = _pattern_keys(rho.shape[0], obs.qubits), 2 ** len(obs.qubits)
-    else:
-        labels, count = obs.signs < 0, 2
-    return [np.where((labels == a)[:, None] & (labels == a), rho, 0.0) for a in range(count)]
-
-
 def _recorded_laws(
     rho0: DensityMatrix,
     dynamics: Dynamics,
@@ -683,38 +670,43 @@ def _recorded_laws(
     noise: "NoiseModel | None" = None,
 ) -> np.ndarray:
     """Exact laws of the recorded (Q_i, Q_j) pairs of a batch, one row per
-    schedule in ``OUTCOME_KEYS`` order, read from the diagonals and Tr[Q_j y]
-    of its evolved branches y. A measurement is resolved into bit patterns
-    where a readout flips bits or a bitwise collapse needs them. Each law
-    must be a distribution within ``NORM_TOL``; it then goes through the
-    readout map of each measurement and is coarse-grained to signs."""
+    schedule in ``OUTCOME_KEYS`` order. On state vectors they are read from
+    the diagonals and Tr[Q_j y] of the evolved branches y; on density
+    matrices from the branches P_a rho_i P_a (``_pauli_branches``), with the
+    second segment read backward for both kinds of dynamics
+    (``_density_reads``): Tr[Q_j E(y)], or Tr[Z_T E(y)] for every nonempty
+    set T of the qubits of Q_j when they are read bit by bit, so that the
+    weight of bit pattern p is sum_T (-1)^|T & p| Tr[Z_T E(y)] / 2^m. A
+    measurement is resolved into bit patterns where a readout flips bits or
+    a bitwise collapse needs them. Each law must be a distribution within
+    ``NORM_TOL``; it then goes through the readout map of each measurement
+    and is coarse-grained to signs."""
     schedules = tuple(schedules)
     readout = noise.readout_confusion if noise is not None else None
     # readout maps first, so an unreadable observable fails before any evolution
     observed = [(s.first_observable, s.second_observable) for s in schedules if readout is not None]
     maps = {obs: _readout_on(obs, readout) for pair in observed for obs in pair}
+    second_bits = [len(s.second_observable.qubits) if readout is not None else 1 for s in schedules]
     first = _first_states(rho0, dynamics, schedules, noise)
     pure = bool(schedules) and isinstance(first[schedules[0].t_first], PureState)
     if pure:
         weights, _, counts, values = _evolved_branches(first, dynamics, schedules)
         ends = np.cumsum(counts)[:-1]
-        branches = list(zip(np.split(weights, ends, axis=1), np.split(values, ends)))
+        branches = zip(np.split(weights, ends, axis=1), np.split(values, ends))
+        true_laws = [
+            _true_law(diagonals, values, sched.second_observable, bits)
+            for sched, (diagonals, values), bits in zip(schedules, branches, second_bits)
+        ]
     else:
-        branches = [()] * len(schedules)
-        images = _second_images(
-            first, dynamics, schedules, noise, _collapse_branches,
-            lambda obs, y: (np.real(np.diagonal(y)).copy(), _expectation(y, obs)),
-        )
-        for index, reads in images:
-            diagonals, values = zip(*reads)
-            branches[index] = (np.stack(diagonals, axis=1), np.array(values))
+        reads = [_strings(s.second_observable, b) for s, b in zip(schedules, second_bits)]
+        reads = _density_reads(first, dynamics, schedules, noise, reads, _pauli_branches)
+        signs = {b: _pattern_signs(b)[np.bitwise_and.outer(*[range(2**b)] * 2)] for b in second_bits}
+        true_laws = [v @ signs[b] / 2**b for v, b in zip(reads, second_bits)]
     groups: dict[tuple, dict[int, np.ndarray]] = {}
-    for index, (sched, (diagonals, values)) in enumerate(zip(schedules, branches)):
+    for index, (sched, law, bits2) in enumerate(zip(schedules, true_laws, second_bits)):
         obs1, obs2 = sched.first_observable, sched.second_observable
-        m1, m2 = len(obs1.qubits), len(obs2.qubits)
+        m1 = len(obs1.qubits)
         bits1 = m1 if m1 > 1 and (readout is not None or obs1.bitwise_collapse) else 1
-        bits2 = m2 if m2 > 1 and readout is not None else 1
-        law = _true_law(diagonals, values, obs2, bits2)
         if bits1 > 1 and not obs1.bitwise_collapse:
             # a two-projector collapse read bit by bit: the pattern follows the
             # diagonal of rho_i, the second outcome the branch of its sign
@@ -755,8 +747,10 @@ def sampled_correlator(
     """Shot-sampled two-time correlators of a batch of schedules, one
     (estimate, counts) pair per schedule, in order; ``noise`` may be None.
     All ``n_shots`` counts of a schedule are drawn from its exact recorded
-    law (``_recorded_laws``, read through ``noise.readout_confusion`` when
-    it is set) by one multinomial seeded by its entry in ``seeds``. The
+    law (``_recorded_laws``: on density matrices the second segment read
+    backward, for both kinds of dynamics, then read through
+    ``noise.readout_confusion`` when it is set) by one multinomial seeded by
+    its entry in ``seeds``. The
     value is the mean of the +/-1 products and ``std_error`` their sample
     deviation over sqrt(n), sqrt((1 - value^2) / (n - 1)); NaN for one shot.
     """

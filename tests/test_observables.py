@@ -23,7 +23,6 @@ from lgsim import (
     PauliSumHamiltonian,
     PureState,
     TrotterEvolution,
-    evolve_density,
     exact_correlator,
     parity_observable,
     prepare_state,
@@ -31,7 +30,7 @@ from lgsim import (
     sigma_x_observable,
     sigma_z_observable,
 )
-from lgsim.core.channels import BlockChannel
+from lgsim.core.channels import BlockChannel, PauliVector
 from lgsim.mitigation import ConfusionMatrix
 from lgsim.scenarios import run_bell_pair
 
@@ -73,7 +72,8 @@ def test_two_qubit_parity_values_on_basis_states():
 def test_bell_state_parity_expectation_is_one():
     rho = prepare_state("bell", 2).density_matrix()
     obs = parity_observable([0, 1], 2)
-    assert abs(observables._expectation(rho.matrix, obs) - 1.0) < 1e-12
+    # Z on qubits 0 and 1 is the Pauli string at index 3 + 3 * 4
+    assert abs(PauliVector.of(rho).coefficients[15] - 1.0) < 1e-12
     assert abs(np.trace(dense(obs) @ rho.matrix).real - 1.0) < 1e-12
 
 
@@ -114,8 +114,9 @@ def test_sigma_x_observable_projects_onto_plus_minus():
     st.integers(0, 2**32 - 1),
 )
 def test_index_kernels_match_dense_projectors(n, kind, seed):
-    # the collapse, Tr[Q y], the outcome weights and the collapse branches,
-    # all computed by indexing, against the dense Kronecker-product oracle
+    # the collapse and the collapse branches on the Pauli form, Tr[Q y] read
+    # from it, and the outcome weights from the diagonal, against the dense
+    # Kronecker-product oracle
     rng = np.random.default_rng(seed)
     qubits = [int(q) for q in rng.permutation(n)[: int(rng.integers(1, n + 1))]]
     obs = {
@@ -131,18 +132,25 @@ def test_index_kernels_match_dense_projectors(n, kind, seed):
     pairs = bf.observable_pair(obs)
     if obs.bitwise_collapse:
         pairs = bf.bitwise_parity_branches(qubits, n)
-    else:
+
+    def pauli(y):
+        return PauliVector.of(DensityMatrix._trusted(n, y)).coefficients
+
+    r = pauli(rho)
+    if not obs.bitwise_collapse:
         anticommutator = (q @ rho + rho @ q) / 2
-        assert np.abs(observables._signed_collapse(rho, obs) - anticommutator).max() <= 1e-12
+        assert np.abs(observables._pauli_collapse(r, obs) - pauli(anticommutator)).max() <= 1e-12
     collapse = sum(v * p @ rho @ p for v, p in pairs)
-    assert np.abs(observables._signed_collapse(rho, obs) - collapse).max() <= 1e-12
-    branches = observables._collapse_branches(rho, obs)
+    assert np.abs(observables._pauli_collapse(r, obs) - pauli(collapse)).max() <= 1e-12
+    branches = observables._pauli_branches(r, obs)
     assert len(branches) == len(pairs)
     for branch, (_, p) in zip(branches, pairs):
-        assert np.abs(branch - p @ rho @ p).max() <= 1e-12
-    assert abs(observables._expectation(rho, obs) - np.trace(q @ rho).real) <= 1e-12
+        assert np.abs(branch - pauli(p @ rho @ p)).max() <= 1e-12
+    c, lo, hi = observables._string(obs.basis, obs.qubits)
+    value = c @ r[: 4 ** (hi + 1) : 4**lo]
+    assert abs(value - np.trace(q @ rho).real) <= 1e-12
     weights = [np.trace(p @ rho).real for _, p in bf.observable_pair(obs)]
-    diagonal, value = np.real(np.diagonal(rho))[:, None], observables._expectation(rho, obs)
+    diagonal = np.real(np.diagonal(rho))[:, None]
     law = observables._true_law(diagonal, np.array([value]), obs, 1)
     assert np.abs(law[0] - weights).max() <= 1e-12
 
@@ -368,17 +376,14 @@ def test_signed_map_matches_branch_formula(case):
         assert abs(est.value - expm) <= 1e-12
 
 
-@pytest.mark.parametrize("scale, shift", [(1.0 + 1e-9, 0.0), (1.0, 1e-9j)])
-def test_evolved_signed_operator_is_checked(monkeypatch, scale, shift):
-    # a segment map that lost trace or Hermiticity must not yield a value; a
-    # mixed start keeps the correlator on the density-matrix path
-    evolve = observables._evolve_segment
-
-    def leaky(rho, *args):
-        out = evolve(rho, *args)
-        return DensityMatrix._trusted(out.num_qubits, scale * out.matrix + shift)
-
-    monkeypatch.setattr(observables, "_evolve_segment", leaky)
+@pytest.mark.parametrize("scale", [1.0 + 1e-9, 1.0 - 1e-9, np.nan])
+def test_evolved_signed_operator_is_checked(monkeypatch, scale):
+    # an exact second segment whose propagator is not unitary must not yield
+    # a value; a mixed start keeps the correlator on the density-matrix path,
+    # which reads that segment backward. The first segment keeps its exact
+    # propagator
+    expm = observables._expm_hermitian
+    monkeypatch.setattr(observables, "_expm_hermitian", lambda *args: scale * expm(*args))
     plus = prepare_state("plus", 2).density_matrix().matrix
     rho = DensityMatrix(2, 0.8 * plus + 0.05 * np.eye(4))
     sched = MeasurementSchedule((0.3, 0.9), sigma_x_observable(0, 2), sigma_z_observable(1, 2))
@@ -399,18 +404,6 @@ def test_noisy_correlator_is_bounded(case):
 def random_pure_rho(n, rng):
     amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
     return PureState(n, amps / np.linalg.norm(amps)).density_matrix()
-
-
-def density_path_value(rho, dynamics, sched, noise=None):
-    """The density-matrix formula of ``exact_correlator``, composed from its
-    parts: rho_i, the signed collapse M(rho_i), one second segment, Tr[Q_j y]."""
-    rho_i = evolve_density(rho, dynamics, 0.0, sched.t_first, noise)
-    y = observables._signed_collapse(rho_i.matrix, sched.first_observable)
-    duration = sched.t_second - sched.t_first
-    if duration > 0:
-        signed = DensityMatrix._trusted(rho.num_qubits, y)
-        y = observables._evolve_segment(signed, dynamics, duration, noise).matrix
-    return observables._expectation(y, sched.second_observable)
 
 
 @settings(max_examples=100, deadline=None)
@@ -442,18 +435,19 @@ def test_pure_state_path_matches_the_density_path(n, first, trotter, readout, se
 
 def test_only_mixed_or_noisy_correlators_evolve_density_matrices(monkeypatch):
     # a noiseless pure start never sends a density matrix through a segment;
-    # a mixed start or a noise channel keeps the density path, bit for bit
+    # a mixed start or a noise channel keeps the density path, which runs
+    # only the first segment forward, for both kinds of dynamics, and reads
+    # the second one backward, within 1e-12 of the branch formula
     evolved = []
+    evolve = evolution._evolve_segment
 
-    def recording(evolve):
-        def record(rho, *args):
-            evolved.append(rho)
-            return evolve(rho, *args)
+    def record(rho, *args):
+        evolved.append(rho)
+        return evolve(rho, *args)
 
-        return record
-
+    # under either name, so that a segment observables ran itself would count
     for module in (evolution, observables):
-        monkeypatch.setattr(module, "_evolve_segment", recording(module._evolve_segment))
+        monkeypatch.setattr(module, "_evolve_segment", record, raising=False)
     h = two_qubit_rotations(1.0, 0.4)
     sched = MeasurementSchedule((0.3, 0.9), sigma_x_observable(0, 2), sigma_z_observable(1, 2))
     pure = prepare_state("plus", 2).density_matrix()
@@ -463,11 +457,14 @@ def test_only_mixed_or_noisy_correlators_evolve_density_matrices(monkeypatch):
         exact_correlator(pure, dynamics, [sched], readout)
     assert evolved == []
     mixed = DensityMatrix(2, 0.8 * pure.matrix + 0.05 * np.eye(4))
-    for rho, noise in ((mixed, None), (pure, NoiseModel(t2=2.0))):
-        value = exact_correlator(rho, h, [sched], noise)[0].value
-        assert len(evolved) == 2 and all(isinstance(r, DensityMatrix) for r in evolved)
-        assert value == density_path_value(rho, h, sched, noise)
-        evolved.clear()
+    branches, q2 = bf.x_pair(0, 2), dense(sched.second_observable)
+    for dynamics in (h, TrotterEvolution(h, 0.3)):
+        for rho, noise in ((mixed, None), (pure, NoiseModel(t2=2.0))):
+            value = exact_correlator(rho, dynamics, [sched], noise)[0].value
+            assert len(evolved) == 1 and isinstance(evolved[0], DensityMatrix)
+            oracle = bf.branch_correlator(rho, dynamics, *sched.times, branches, q2, noise)
+            assert abs(value - oracle) <= 1e-12
+            evolved.clear()
 
 
 @pytest.mark.parametrize(
@@ -658,29 +655,35 @@ def test_backward_path_checks_that_every_channel_keeps_the_trace(
 def light_cone_cases(draw):
     n = draw(st.integers(2, 6))
     k = draw(st.integers(1, 2))
+    kind = draw(st.sampled_from(("trotter", "exact")))
     first = draw(st.sampled_from(("z", "x", "parity", "bitwise")))
     second = draw(st.sampled_from(("z", "x")))
     qubit = draw(st.integers(0, n - 1))
     relax = draw(st.booleans())
     start = draw(st.sampled_from(("mixed", "noisy")))
     seed = draw(st.integers(0, 2**32 - 1))
-    return n, k, first, second, qubit, relax, start, seed
+    return n, k, kind, first, second, qubit, relax, start, seed
 
 
 @settings(max_examples=40, deadline=None)
 @given(light_cone_cases())
-@example((6, 1, "z", "z", 5, False, "mixed", 61))
-@example((6, 1, "parity", "z", 2, True, "noisy", 62))
-@example((5, 2, "bitwise", "x", 0, True, "mixed", 63))
+@example((6, 1, "trotter", "z", "z", 5, False, "mixed", 61))
+@example((6, 1, "trotter", "parity", "z", 2, True, "noisy", 62))
+@example((5, 2, "trotter", "bitwise", "x", 0, True, "mixed", 63))
+@example((4, 2, "exact", "bitwise", "z", 3, True, "mixed", 64))
+@example((3, 1, "exact", "x", "x", 1, False, "noisy", 65))
 def test_backward_images_on_the_light_cone_match_bruteforce(case):
-    # the three windows of one tau with dt = tau / k, under gate noise with
-    # or without t1/t2, on up to 6 qubits, where the light cone of Q_j after
-    # k steps is narrower than the register: each value agrees with the
-    # branch formula, and the batch with its one-schedule calls bit for bit
-    n, k, first, second, qubit, relax, start, seed = case
+    # the three windows of one tau with dt = tau / k, on up to 6 qubits:
+    # Trotter dynamics under gate noise, where the light cone of Q_j after k
+    # steps is narrower than the register, or exact dynamics, whose backward
+    # image covers it; each with or without t1/t2. Each value agrees with
+    # the branch formula, and the batch with its one-schedule calls bit for
+    # bit
+    n, k, kind, first, second, qubit, relax, start, seed = case
     rho, evo, sched, noise, branches1, *_ = build_correlator_case(
         (n, True, first, True, relax, seed)
     )
+    dynamics = evo if kind == "trotter" else evo.hamiltonian
     if start == "noisy":
         rho = random_pure_rho(n, np.random.default_rng(seed + 1))
     obs2 = (sigma_z_observable if second == "z" else sigma_x_observable)(qubit, n)
@@ -689,10 +692,10 @@ def test_backward_images_on_the_light_cone_match_bruteforce(case):
         MeasurementSchedule(w, sched.first_observable, obs2)
         for w in ((0.0, tau), (tau, 2 * tau), (0.0, 2 * tau))
     ]
-    values = [est.value for est in exact_correlator(rho, evo, schedules, noise)]
-    assert values == [exact_correlator(rho, evo, [s], noise)[0].value for s in schedules]
+    values = [est.value for est in exact_correlator(rho, dynamics, schedules, noise)]
+    assert values == [exact_correlator(rho, dynamics, [s], noise)[0].value for s in schedules]
     for value, s in zip(values, schedules):
-        oracle = bf.branch_correlator(rho, evo, *s.times, branches1, dense(obs2), noise)
+        oracle = bf.branch_correlator(rho, dynamics, *s.times, branches1, dense(obs2), noise)
         assert abs(value - oracle) <= 1e-12
 
 
@@ -1046,21 +1049,18 @@ def test_std_error_is_the_per_shot_sample_deviation():
 @pytest.mark.parametrize("scale", [1.0 + 1e-9, 1.0 - 1e-9])
 def test_recorded_law_is_checked(monkeypatch, scale):
     # branches whose evolution lost or gained trace must not be sampled, on
-    # state vectors (a pure start) and on density matrices (a mixed one)
-    evolve_segment, evolve_vectors = observables._evolve_segment, observables._evolve_vectors
-
-    def leaky(rho, *args):
-        out = evolve_segment(rho, *args)
-        return DensityMatrix._trusted(out.num_qubits, scale * out.matrix)
-
-    monkeypatch.setattr(observables, "_evolve_segment", leaky)
+    # state vectors (a pure start); on density matrices (a mixed one) an
+    # exact second segment whose propagator is not unitary must not be read
+    # backward. The first segment keeps its exact propagator
+    evolve_vectors, expm = observables._evolve_vectors, observables._expm_hermitian
     monkeypatch.setattr(
         observables, "_evolve_vectors", lambda psi, *args: np.sqrt(scale) * evolve_vectors(psi, *args)
     )
+    monkeypatch.setattr(observables, "_expm_hermitian", lambda *args: scale * expm(*args))
     pure = prepare_state("bell", 2).density_matrix()
     mixed = DensityMatrix(2, 0.8 * pure.matrix + 0.05 * np.eye(4))
     obs = parity_observable([0, 1], 2)
     sched = MeasurementSchedule((0.3, 0.9), obs, obs)
-    for rho in (pure, mixed):
-        with pytest.raises(InvalidState, match="law"):
+    for rho, match in ((pure, "law"), (mixed, "drifted")):
+        with pytest.raises(InvalidState, match=match):
             sampled_correlator(rho, two_qubit_rotations(1.0, 0.4), [sched], 64, None, [0])

@@ -123,8 +123,8 @@ def test_region_scan_hooks_each_see_calls(monkeypatch):
 def test_sampled_scan_hooks_each_see_calls(monkeypatch):
     # sampled_mitigated's traced run requires calls into observables.sampled,
     # core.evolution, core.states and mitigation, which the tracer counts at
-    # these names; branch evolutions go through the untraced _evolve_segment,
-    # so each first segment and its state check must still be seen
+    # these names; branch reads run outside them (backward on density
+    # matrices), so each first segment and its state check must still be seen
     calls = {"sampled": 0, "evolve": 0, "check": 0, "mitigate": 0}
 
     def counting(name, fn):
