@@ -3,11 +3,12 @@ each channel kind on the noisy Trotter path (one- and two-qubit gate
 depolarizing as an identity gate fused with its noise, dephasing, relaxation
 with t1 and t2 fused into one channel, and a two-qubit block gate fused with
 its bond and field depolarizing, as a Trotter step applies it), each on an
-operator already in Pauli form; the conversion of an operator to Pauli form
-and back; one noisy first-order Trotter step of the transverse-field Ising
-chain with gate noise alone and with t1 and t2 as well, on Pauli form; one
-exact segment with t1 and t2 on every qubit (dense conjugation, conversion,
-one relaxation pass per qubit) read back as a matrix; the three noisy
+operator already in Pauli form; the conversion of a Hermitian array to
+Pauli form and back; the block passes of one noisy first-order Trotter step
+of the transverse-field Ising chain with gate noise alone and with t1 and t2
+as well, on Pauli form; one exact segment with t1 and t2 on every qubit, from
+an array to an array (dense conjugation, conversion, one relaxation pass per
+qubit, conversion back); the three noisy
 correlators of one tau of the chain with k = 3 (the checked first state
 forward, Q_j backward on its light cone), with gate noise alone and with t1
 and t2 as well; the sampled law of the same three windows under gate noise
@@ -25,8 +26,8 @@ from the repository root with pytest-benchmark installed:
     PYTHONPATH=src python -m pytest benchmarks -p no:cacheprovider \\
         --benchmark-json=kernels.json
 
-The inputs are random Hermitian matrices rather than states: every kernel
-is linear and its cost does not depend on the values.
+The inputs are random Hermitian arrays rather than states: every kernel is
+linear and its cost does not depend on the values.
 """
 
 import numpy as np
@@ -35,7 +36,6 @@ import pytest
 from lgsim import (
     ConfusionMatrix,
     CountsVector,
-    DensityMatrix,
     MeasurementSchedule,
     NoiseModel,
     TrotterEvolution,
@@ -69,7 +69,7 @@ SHOTS = 8192
 def hermitian(n, seed=5):
     rng = np.random.default_rng(seed)
     a = rng.normal(size=(2**n, 2**n)) + 1j * rng.normal(size=(2**n, 2**n))
-    return DensityMatrix._trusted(n, a + a.conj().T)
+    return a + a.conj().T
 
 
 def depolarizing(p, qubits):
@@ -120,8 +120,15 @@ def test_noisy_trotter_step(benchmark, noise, n):
     # before timing starts
     evo = TrotterEvolution(ising_chain_hamiltonian(0.1, [1.0] * (n - 1) + [2.0]), DT)
     operator = PauliVector.of(hermitian(n))
-    _evolve_segment(operator, evo, DT, noise)
-    benchmark(_evolve_segment, operator, evo, DT, noise)
+    channels = evo.block_channels(noise)
+
+    def step():
+        out = operator
+        for channel in channels:
+            out = apply_channel(out, channel)
+        return out
+
+    benchmark(step)
 
 
 @pytest.mark.parametrize("n", SIZES)
@@ -166,17 +173,14 @@ def test_noisy_trotter_law(benchmark, n):
 
 @pytest.mark.parametrize("n", SIZES)
 def test_exact_relaxed_segment(benchmark, n):
-    # one exact segment with t1 and t2 on every qubit, from a matrix to a
-    # matrix: the dense conjugation, then one relaxation channel per qubit;
-    # the eigensystem of H is cached first
+    # one exact segment with t1 and t2 on every qubit, from an array to an
+    # array: the dense conjugation, the conversion to Pauli form, one
+    # relaxation channel per qubit and the conversion back; the eigensystem
+    # of H is cached first
     h = ising_chain_hamiltonian(0.1, [1.0] * (n - 1) + [2.0])
     rho = hermitian(n)
-
-    def segment():
-        return _evolve_segment(rho, h, DT, RELAXATION).matrix
-
-    segment()
-    benchmark(segment)
+    _evolve_segment(rho, h, DT, RELAXATION)
+    benchmark(_evolve_segment, rho, h, DT, RELAXATION)
 
 
 def tau_grid_schedules(first, second):

@@ -21,10 +21,10 @@ of qubit q at stride 4^q, so the coefficients of any block of adjacent
 qubits are contiguous. Every channel here maps Hermitian operators to
 Hermitian operators, so its transfer matrix is real, and ``apply_channel``
 is one real matmul over the block's axis. The conversions take and give
-Hermitian operators only; the states, branches and backward images of the
-density path all are. Every channel is linear, so it also serves operators
-that are not states; ``apply_channel`` returns an unchecked operator, and
-the evolution segment that applied it checks its own result once.
+plain Hermitian d x d arrays; the states, branches and backward images of
+the density path all are. Every channel is linear, so it also serves
+operators that are not states; ``apply_channel`` returns an unchecked
+operator, and only ``evolve_density`` makes a state of its result, checked.
 """
 
 from __future__ import annotations
@@ -179,12 +179,9 @@ class PauliVector:
     coefficients: np.ndarray
 
     @classmethod
-    def of(cls, operator: "DensityMatrix | PauliVector") -> "PauliVector":
-        """``operator`` in Pauli form; a Hermitian ``DensityMatrix`` (also an
-        unchecked one) is converted."""
-        if isinstance(operator, PauliVector):
-            return operator
-        n, matrix = operator.num_qubits, operator.matrix
+    def of(cls, matrix: np.ndarray) -> "PauliVector":
+        """The Hermitian d x d ``matrix`` in Pauli form, unchecked."""
+        n = len(matrix).bit_length() - 1
         shape, axes = _interleaved(n)
         v = (matrix.real + matrix.imag).reshape(shape).transpose(axes).reshape(-1)
         v = _pairwise(v, n, _REAL_PAIR, _REAL_PAULI)
@@ -243,8 +240,9 @@ def _depolarizing_scale(m: int, targets: tuple[int, ...], p: float) -> np.ndarra
 def apply_channel(operator: DensityMatrix | PauliVector, channel: BlockChannel) -> PauliVector:
     """Apply ``X -> sum_k K X K^dagger`` to a Hermitian ``operator`` as one
     matmul of the channel's transfer matrix over its block of Pauli
-    coefficients; a ``DensityMatrix`` is converted to Pauli form first."""
-    operator = PauliVector.of(operator)
+    coefficients; a ``DensityMatrix`` is converted from its matrix first."""
+    if isinstance(operator, DensityMatrix):
+        operator = PauliVector.of(operator.matrix)
     n, low = operator.num_qubits, channel.target_qubits[0]
     if low < 0 or channel.target_qubits[-1] >= n:
         raise InvalidChannel(f"channel targets {channel.target_qubits} outside register of {n}")
@@ -290,7 +288,7 @@ class NoiseModel:
         for name in ("gate_depolarizing_1q", "gate_depolarizing_2q"):
             p = getattr(self, name)
             if not 0.0 <= p <= 1.0:
-                raise InvalidNoiseParameter(f"{name}={p} outside [0, 1]")
+                raise InvalidNoiseParameter(f"noise.{name}={p} outside [0, 1]")
         self._check_t2_bound()
 
     def _check_t2_bound(self) -> None:

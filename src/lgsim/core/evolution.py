@@ -14,8 +14,8 @@ first use; an exact segment builds its propagator for its own duration.
 On density matrices every channel pass, a Trotter block or a relaxation
 channel, runs on the real Pauli coefficients of the operator
 (``PauliVector``), one real transfer-matrix matmul per block.
-``_evolve_segment`` takes Hermitian operators only: a ``DensityMatrix`` is
-converted once, on its first pass, and a ``PauliVector`` is taken as it is.
+``_evolve_segment`` maps a plain Hermitian d x d array to another; a
+segment with channels converts to Pauli form and back once.
 The correlators run only first segments forward (``evolve_density``) and
 read every second one backward (``observables._density_reads``). Exact
 segments keep their dense conjugation and convert only for t1/t2.
@@ -48,12 +48,21 @@ from .paulis import PauliSumHamiltonian, PauliTerm
 from .states import DensityMatrix, PureState
 
 
-@lru_cache(maxsize=512)
-def _eigensystem(h: PauliSumHamiltonian) -> tuple[np.ndarray, np.ndarray]:
+def _eigh(h: PauliSumHamiltonian) -> tuple[np.ndarray, np.ndarray]:
     w, v = np.linalg.eigh(h.matrix())
     w.setflags(write=False)
     v.setflags(write=False)
     return w, v
+
+
+# block Hamiltonians of one or two qubits, rebuilt at every dt of a Trotter
+# scan, share 512 entries; a larger register holds only its latest (w, V)
+_block_eigensystem = lru_cache(maxsize=512)(_eigh)
+_register_eigensystem = lru_cache(maxsize=1)(_eigh)
+
+
+def _eigensystem(h: PauliSumHamiltonian) -> tuple[np.ndarray, np.ndarray]:
+    return (_block_eigensystem if h.num_qubits <= 2 else _register_eigensystem)(h)
 
 
 def _expm_hermitian(h: PauliSumHamiltonian, duration: float) -> np.ndarray:
@@ -174,12 +183,9 @@ def _has_channel(noise: NoiseModel | None) -> bool:
 
 
 def _evolve_segment(
-    rho: DensityMatrix | PauliVector,
-    dynamics: Dynamics,
-    duration: float,
-    noise: NoiseModel | None,
-) -> DensityMatrix | PauliVector:
-    """Apply one segment's linear map to the Hermitian operator ``rho``,
+    matrix: np.ndarray, dynamics: Dynamics, duration: float, noise: NoiseModel | None
+) -> np.ndarray:
+    """Apply one segment's linear map to the Hermitian d x d ``matrix``,
     unchecked.
 
     Exact dynamics is one step of the whole Hamiltonian over the segment,
@@ -188,22 +194,24 @@ def _evolve_segment(
     each applying the block channels of the odd, then the even layer: every
     block gate followed by its gate noise and by the step's relaxation of the
     qubits it is the last block on (``block_channels``). Every channel pass
-    works on the Pauli form, so an operator is converted on its first pass
-    and the result is a ``PauliVector``; a ``PauliVector`` is taken as it
-    is, and a segment without a channel returns a ``DensityMatrix``. Every
-    step is linear in ``rho``; the caller checks the result. Both engines run
-    only first segments here and read every second one backward.
+    works on the Pauli form, converted once before the first pass and back
+    once after the last; a segment without a channel returns the conjugated
+    array. Every step is linear in ``matrix``; the caller checks the result.
     """
     if isinstance(dynamics, PauliSumHamiltonian):
         u = _expm_hermitian(dynamics, duration)
-        rho = DensityMatrix._trusted(rho.num_qubits, u @ rho.matrix @ u.conj().T)
-        steps, channels = 1, relaxation_channels(noise, rho.num_qubits, duration) if noise else ()
+        matrix = u @ matrix @ u.conj().T
+        n = dynamics.num_qubits
+        steps, channels = 1, relaxation_channels(noise, n, duration) if noise else ()
     else:
         steps, channels = dynamics.segment_steps(duration), dynamics.block_channels(noise)
+    if not channels:
+        return matrix
+    rho = PauliVector.of(matrix)
     for _ in range(steps):
         for ch in channels:
             rho = apply_channel(rho, ch)
-    return rho
+    return rho.matrix
 
 
 def _evolve_vectors(
@@ -272,4 +280,4 @@ def evolve_density(
         psi = _evolve_vectors(psi, dynamics, np.array([duration]), np.zeros(1, dtype=int))
         return PureState(rho.num_qubits, psi[:, 0])
     # the Pauli form is released before the checked constructor copies the matrix
-    return DensityMatrix(rho.num_qubits, _evolve_segment(rho, dynamics, duration, noise).matrix)
+    return DensityMatrix(rho.num_qubits, _evolve_segment(rho.matrix, dynamics, duration, noise))

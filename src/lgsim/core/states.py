@@ -43,7 +43,7 @@ class PureState:
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Hermitian, unit-trace, PSD operator over ``num_qubits`` qubits."""
+    """A state on ``num_qubits`` qubits: Hermitian, unit trace and PSD, checked when built."""
 
     num_qubits: int
     matrix: np.ndarray
@@ -80,20 +80,6 @@ class DensityMatrix:
         m.flat[:: dim + 1] = diagonal
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
-
-    @classmethod
-    def _trusted(cls, num_qubits: int, matrix: np.ndarray) -> "DensityMatrix":
-        """Skip the checks, for intermediate states inside one evolution
-        segment; the segment's result goes through the checked constructor.
-
-        The backward read of an exact second segment also converts its image
-        U^dagger A U to Pauli form as a trusted instance: it is Hermitian but
-        no state, and the reader checks its norm itself."""
-        out = object.__new__(cls)
-        matrix.setflags(write=False)
-        object.__setattr__(out, "num_qubits", num_qubits)
-        object.__setattr__(out, "matrix", matrix)
-        return out
 
     @property
     def dim(self) -> int:

@@ -204,9 +204,9 @@ def _sign_confusion(obs: DichotomicObservable, readout: ConfusionMatrix) -> np.n
     lumped = to_signs.T @ _readout_on(obs, readout)
     columns = [lumped[:, to_signs[:, s] == 1] for s in (0, 1)]
     if any(np.abs(c - c[:, :1]).max() > COLUMN_TOL for c in columns):
-        raise MitigationFailed(
-            f"readout of {obs.label} has no sign confusion: patterns of one "
-            f"sign are misread with different probabilities"
+        raise InvalidNoiseParameter(
+            f"noise.readout_confusion gives {obs.label} no sign confusion: patterns "
+            f"of one sign are misread with different probabilities"
         )
     return np.column_stack([c[:, 0] for c in columns])
 

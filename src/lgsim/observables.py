@@ -79,6 +79,7 @@ from .core.states import NORM_TOL, DensityMatrix, PureState
 from .errors import (
     InvalidChannel,
     InvalidGrid,
+    InvalidNoiseParameter,
     InvalidObservable,
     InvalidState,
 )
@@ -535,7 +536,7 @@ def _exact_image(image: tuple, dynamics, duration: float, noise) -> tuple:
     embedded[: 4 ** (hi + 1) : 4**lo] = c
     u = _expm_hermitian(dynamics, duration)
     conjugated = u.conj().T @ PauliVector(n, embedded).matrix @ u
-    image = PauliVector.of(DensityMatrix._trusted(n, conjugated)).coefficients
+    image = PauliVector.of(conjugated).coefficients
     drift = abs(image @ image - c @ c)
     if not drift <= NORM_TOL:  # NaN fails too
         raise InvalidState(
@@ -564,7 +565,7 @@ def _density_reads(first, dynamics: Dynamics, schedules, noise, reads, branches)
         _check_trace_preserving(channels)
     mapped = {}
     for t, rho in first.items():
-        r = PauliVector.of(rho).coefficients
+        r = PauliVector.of(rho.matrix).coefficients
         for obs in dict.fromkeys(s.first_observable for s in schedules if s.t_first == t):
             mapped[t, obs] = np.atleast_2d(branches(r, obs))
     wanted: dict[tuple, set] = {}
@@ -640,11 +641,14 @@ def exact_correlator(
 
 
 def _readout_on(obs: DichotomicObservable, readout: "ConfusionMatrix") -> np.ndarray:
-    """Readout map on the bit patterns of ``obs``'s qubits. Reading several
-    qubits bit by bit needs computational-basis projectors."""
+    """Readout map on the bit patterns of ``obs``'s qubits, bit by bit only in
+    the z basis; a size that cannot serve them names its config key."""
     if len(obs.qubits) > 1 and obs.basis != "z":
         raise InvalidObservable("bit-level readout error needs computational-basis observables")
-    return readout.on_bits(len(obs.qubits))
+    try:
+        return readout.on_bits(len(obs.qubits))
+    except InvalidNoiseParameter as err:
+        raise InvalidNoiseParameter(f"noise.readout_confusion for {obs.label}: {err}") from err
 
 
 def _to_signs(bits: int) -> np.ndarray:

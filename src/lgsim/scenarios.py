@@ -488,7 +488,10 @@ def noise_from_config(data: Mapping | None) -> NoiseModel | None:
             raise ConfigError(
                 f"{key}.matrix must be a matrix of numbers, got {block.get('matrix')!r}"
             ) from err
-        confusion = ConfusionMatrix(num_bits, matrix)
+        try:
+            confusion = ConfusionMatrix(num_bits, matrix)
+        except InvalidNoiseParameter as err:
+            raise InvalidNoiseParameter(f"{key}: {err}") from err
     elif data.get("readout_flip") is not None:
         flip = _finite(data["readout_flip"], "noise.readout_flip")
         if not 0.0 <= flip <= 1.0:

@@ -240,7 +240,7 @@ def test_channel_kernels_match_dense_kraus_sum(case):
     else:
         channel = uniform_depolarizing(param, targets)
         expected = bf.kraus_sum(signed, bf.depolarizing_ops(param, len(targets)), targets)
-    out = apply_channel(DensityMatrix._trusted(n, signed), channel)
+    out = apply_channel(PauliVector.of(signed), channel)
     assert np.abs(out.matrix - expected).max() < 1e-12
     assert np.abs(out.matrix - bf.kraus_sum(signed, channel.kraus_ops, targets)).max() < 1e-12
 
@@ -270,7 +270,7 @@ def test_block_channel_matches_dense_kraus_sum(case):
     channel = block_channel(qubits, gate, depolarizing)
     a = rng.normal(size=(2**n, 2**n)) + 1j * rng.normal(size=(2**n, 2**n))
     signed = a + a.conj().T  # every kernel is linear; the input need not be a state
-    out = apply_channel(DensityMatrix._trusted(n, signed), channel)
+    out = apply_channel(PauliVector.of(signed), channel)
     assert "kraus_ops" not in vars(channel)
     assert np.abs(out.matrix - textbook_block(signed, gate, depolarizing, qubits)).max() < 1e-12
     completeness = sum(k.conj().T @ k for k in channel.kraus_ops)
@@ -278,7 +278,7 @@ def test_block_channel_matches_dense_kraus_sum(case):
     assert np.abs(out.matrix - bf.kraus_sum(signed, channel.kraus_ops, qubits)).max() < 1e-12
     outside = block_channel(tuple(range(n - m + 1, n + 1)), gate, [])
     with pytest.raises(InvalidChannel, match="outside"):
-        apply_channel(DensityMatrix._trusted(n, signed), outside)
+        apply_channel(PauliVector.of(signed), outside)
     for targets in ((low, low + 2), (low + 1, low), (low, low + 1, low + 2), ()):
         with pytest.raises(InvalidChannel, match="adjacent"):
             BlockChannel(targets, np.eye(16))
@@ -303,13 +303,12 @@ def test_pauli_form_round_trip_and_coefficients(n, seed):
     rng = np.random.default_rng(seed)
     a = rng.normal(size=(2**n, 2**n)) + 1j * rng.normal(size=(2**n, 2**n))
     x = a + a.conj().T
-    pauli = PauliVector.of(DensityMatrix._trusted(n, x))
+    pauli = PauliVector.of(x)
     assert pauli.num_qubits == n
     assert pauli.coefficients.dtype == np.float64 and pauli.coefficients.shape == (4**n,)
     back = pauli.matrix
     assert np.abs(back - x).max() < 1e-14
     assert np.array_equal(back, back.conj().T)
-    assert PauliVector.of(pauli) is pauli
     if n <= 3:
         for label, coefficient in zip(pauli_labels(n), pauli.coefficients):
             assert abs(np.trace(bf.pauli_string(label) @ x) - coefficient) < 1e-13

@@ -16,6 +16,7 @@ from lgsim import (
     prepare_state,
     sampled_correlator,
 )
+from lgsim import observables
 from lgsim.cli import main
 from lgsim.scenarios import transverse_field_hamiltonian
 
@@ -308,6 +309,26 @@ NAN, INF = float("nan"), float("inf")
          "noise.t2=55.0 exceeds 2*noise.t1"),
         ("transmon", {"omega_eff": 1.0, "t2": 55.0}, {"noise": {"t1": 5.0}},
          "parameters.t2=55.0 exceeds 2*noise.t1"),
+        # a readout that a mitigated scan cannot reduce to a sign confusion, or
+        # of the wrong size, is decided by the config before any evolution
+        ("bell_pair_lgi_global", {"gamma1": 1.0, "gamma2": 1.3},
+         {"grid": {"n_points": 4},
+          "engine": {"kind": "sampled", "shots": 256, "seed": 1, "mitigate": True},
+          "noise": {"readout_confusion": {"num_bits": 1, "matrix": [[0.9, 0.2], [0.1, 0.8]]}}},
+         "noise.readout_confusion"),
+        ("single_qubit", {"gamma": 1.0},
+         {"engine": {"kind": "sampled", "seed": 1},
+          "noise": {"readout_confusion": {"num_bits": 2, "matrix": np.eye(4).tolist()}}},
+         "noise.readout_confusion"),
+        # a noise block that does not parse names its key
+        ("single_qubit", {"gamma": 1.0},
+         {"noise": {"readout_confusion": {"num_bits": 1, "matrix": [[0.9, 0.2], [0.2, 0.8]]}}},
+         "noise.readout_confusion"),
+        ("single_qubit", {"gamma": 1.0},
+         {"noise": {"readout_confusion": {"num_bits": 1, "matrix": [[1.2, 0], [-0.2, 1]]}}},
+         "noise.readout_confusion"),
+        ("tfic", {"j": 0.1, "gammas": [1, 1, 2], "k": 2}, {"noise": {"gate_depolarizing_2q": -0.1}},
+         "noise.gate_depolarizing_2q"),
     ],
 )
 def test_scan_rejects_unphysical_config_naming_the_key(
@@ -372,22 +393,22 @@ def test_cli_rejects_unusable_paths_and_flags_naming_them(
     assert not (tmp_path / "c.json").exists()
 
 
-def test_scan_exits_3_when_the_run_fails(tmp_path, capsys):
-    # a 1-bit confusion that misreads 0 and 1 unequally gives the two-qubit
-    # parity no sign confusion, so mitigation fails during the run
+def test_scan_exits_3_when_the_run_fails(tmp_path, capsys, monkeypatch):
+    # a propagator that is not unitary makes the backward read of the
+    # dephasing transmon's second segments drift, a fault found during the run
+    expm = observables._expm_hermitian
+    monkeypatch.setattr(observables, "_expm_hermitian", lambda *args: (1 + 1e-9) * expm(*args))
     config = write_config(
         tmp_path / "config.json",
         {
-            "scenario": "bell_pair_lgi_global",
-            "parameters": {"gamma1": 1.0, "gamma2": 1.3},
+            "scenario": "transmon",
+            "parameters": {"omega_eff": 1.0, "t2": 55.0},
             "grid": {"n_points": 4},
-            "engine": {"kind": "sampled", "shots": 256, "seed": 1, "mitigate": True},
-            "noise": {"readout_confusion": {"num_bits": 1, "matrix": [[0.9, 0.2], [0.1, 0.8]]}},
         },
     )
     out = tmp_path / "o"
     assert main(["scan", config, "--out", str(out)]) == 3
-    assert "parity_0_1" in capsys.readouterr().err
+    assert "backward image of an exact segment drifted" in capsys.readouterr().err
     assert not (out / "scan.csv").exists()
     assert not out.exists()
 

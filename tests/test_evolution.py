@@ -489,3 +489,19 @@ def test_trotter_layer_propagators_are_built_once_per_evolution(monkeypatch):
     ]
     expected = [(PauliSumHamiltonian.from_terms(len(b[0][1]), b), 0.1) for b in blocks]
     assert built == expected
+
+
+def test_a_register_eigensystem_is_released_once_the_next_register_is_built():
+    # a region scan builds one register Hamiltonian per ratio; the cache keeps
+    # only the latest eigensystem, so a finished ratio's V can be freed
+    import gc
+    import weakref
+
+    first, second = tfic_hamiltonian(gammas=(1, 1, 2.0)), tfic_hamiltonian(gammas=(1, 1, 3.0))
+    _, v = evolution._eigensystem(first)
+    released = weakref.ref(v)
+    assert evolution._eigensystem(first)[1] is v
+    evolution._eigensystem(second)
+    del first, v
+    gc.collect()
+    assert released() is None

@@ -187,7 +187,7 @@ def test_asymmetric_per_bit_flips_on_a_parity_cannot_be_mitigated():
     engine = {"kind": "sampled", "shots": 1024, "seed": 2}
     ScenarioSpec.from_config(bell_global_config(noise, engine)).run()
     mitigated = bell_global_config(noise, {**engine, "mitigate": True})
-    with pytest.raises(MitigationFailed, match="parity_0_1"):
+    with pytest.raises(InvalidNoiseParameter, match="noise.readout_confusion .* parity_0_1"):
         ScenarioSpec.from_config(mitigated).run()
 
 

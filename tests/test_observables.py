@@ -73,7 +73,7 @@ def test_bell_state_parity_expectation_is_one():
     rho = prepare_state("bell", 2).density_matrix()
     obs = parity_observable([0, 1], 2)
     # Z on qubits 0 and 1 is the Pauli string at index 3 + 3 * 4
-    assert abs(PauliVector.of(rho).coefficients[15] - 1.0) < 1e-12
+    assert abs(PauliVector.of(rho.matrix).coefficients[15] - 1.0) < 1e-12
     assert abs(np.trace(dense(obs) @ rho.matrix).real - 1.0) < 1e-12
 
 
@@ -134,7 +134,7 @@ def test_index_kernels_match_dense_projectors(n, kind, seed):
         pairs = bf.bitwise_parity_branches(qubits, n)
 
     def pauli(y):
-        return PauliVector.of(DensityMatrix._trusted(n, y)).coefficients
+        return PauliVector.of(y).coefficients
 
     r = pauli(rho)
     if not obs.bitwise_collapse:
@@ -436,8 +436,9 @@ def test_pure_state_path_matches_the_density_path(n, first, trotter, readout, se
 def test_only_mixed_or_noisy_correlators_evolve_density_matrices(monkeypatch):
     # a noiseless pure start never sends a density matrix through a segment;
     # a mixed start or a noise channel keeps the density path, which runs
-    # only the first segment forward, for both kinds of dynamics, and reads
-    # the second one backward, within 1e-12 of the branch formula
+    # only the first segment forward, on the 4 x 4 array of the state, for
+    # both kinds of dynamics, and reads the second one backward, within 1e-12
+    # of the branch formula
     evolved = []
     evolve = evolution._evolve_segment
 
@@ -461,7 +462,8 @@ def test_only_mixed_or_noisy_correlators_evolve_density_matrices(monkeypatch):
     for dynamics in (h, TrotterEvolution(h, 0.3)):
         for rho, noise in ((mixed, None), (pure, NoiseModel(t2=2.0))):
             value = exact_correlator(rho, dynamics, [sched], noise)[0].value
-            assert len(evolved) == 1 and isinstance(evolved[0], DensityMatrix)
+            assert len(evolved) == 1 and type(evolved[0]) is np.ndarray
+            assert evolved[0].shape == (4, 4)
             oracle = bf.branch_correlator(rho, dynamics, *sched.times, branches, q2, noise)
             assert abs(value - oracle) <= 1e-12
             evolved.clear()
